@@ -17,9 +17,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -257,9 +255,9 @@ func encodeResult(res *pta.Result, cache string) resultWire {
 // omitempty behavior, float and string formatting) straight into a pooled
 // byte buffer — zero allocations per request once the pool is warm.
 
-// codecBufPool recycles response-body buffers across requests. Buffers that
-// grew beyond codecBufMax (a giant series) are dropped instead of pooled so
-// one outlier does not pin its worst-case footprint forever.
+// codecBufPool recycles request- and response-body buffers across requests.
+// Buffers that grew beyond codecBufMax (a giant series) are dropped instead
+// of pooled so one outlier does not pin its worst-case footprint forever.
 var codecBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -268,6 +266,15 @@ var codecBufPool = sync.Pool{
 }
 
 const codecBufMax = 1 << 20
+
+// putCodecBuf returns a pooled buffer, now b, unless b grew beyond
+// codecBufMax.
+func putCodecBuf(bp *[]byte, b []byte) {
+	if cap(b) <= codecBufMax {
+		*bp = b[:0]
+		codecBufPool.Put(bp)
+	}
+}
 
 // appendResult appends the JSON of one compression outcome, byte-identical
 // to encoding/json over encodeResult(res, cache) with HTML escaping off.
@@ -435,17 +442,4 @@ func appendJSONString(b []byte, s string) []byte {
 	}
 	b = append(b, s[start:]...)
 	return append(b, '"')
-}
-
-// decodeJSON strictly decodes one JSON value from the request body,
-// rejecting trailing garbage.
-func decodeJSON(r io.Reader, into any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("body: %v", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("body: trailing data after the JSON value")
-	}
-	return nil
 }

@@ -1,0 +1,577 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"strconv"
+	"unicode/utf8"
+
+	"repro/internal/temporal"
+	"repro/pta"
+)
+
+// --- single-pass request decoding ---
+//
+// The decode half of the hot-path codec. A warm request is answered by a
+// backtrack over cached matrices, so parsing its body is most of its cost.
+// encoding/json's reflective decoder built a rowWire per row, an []any per
+// group and a []float64 per aggregate vector, and decodeSeries then copied
+// all of it again into the facade model. decodeFast parses the body once,
+// straight into a *pta.Series.
+//
+// Its contract with the reference path (encoding/json + decodeSeries):
+// whenever decodeFast returns a request, it is the request the reference
+// returns for the same bytes. On anything it does not own it declines, and
+// the reference decodes the body and reports every 400. It declines on a
+// key that is not the exact lowercase name of a field (encoding/json
+// matches keys case-insensitively and skips unknown ones), a duplicate key,
+// a null, an escape inside a key, a series whose rows precede its schema,
+// and any series decodeSeries would reject. FuzzDecodeCompressBody checks
+// the contract.
+
+// compressBody is one decoded /v1/compress or /v1/compress/many body.
+type compressBody struct {
+	series *pta.Series // set by decodeFast
+	// wire is the reference decoder's form of the series. Series converts it
+	// on first use, so a bad plan still reports before a bad series.
+	wire      seriesWire
+	plans     []planWire // exactly one for /v1/compress
+	timeoutMS int64
+}
+
+// Series returns the decoded series.
+func (b *compressBody) Series() (*pta.Series, error) {
+	if b.series == nil {
+		s, err := decodeSeries(b.wire)
+		if err != nil {
+			return nil, badRequest(err)
+		}
+		b.series = s
+	}
+	return b.series, nil
+}
+
+// readCompressBody reads one compress body, bounded by MaxBodyBytes, into a
+// pooled buffer and decodes it: by decodeFast when it accepts the bytes, by
+// decodeReference otherwise. Nothing decoded aliases the buffer, which goes
+// back to the pool before the request is evaluated.
+func (s *Server) readCompressBody(w http.ResponseWriter, r *http.Request, many bool) (compressBody, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	bp := codecBufPool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(r.Body)
+	body := buf.Bytes()
+	defer putCodecBuf(bp, body)
+	if err != nil {
+		return compressBody{}, badRequest(fmt.Errorf("body: %v", err))
+	}
+	if req, ok := decodeFast(body, many); ok {
+		return req, nil
+	}
+	req, err := decodeReference(body, many)
+	if err != nil {
+		return compressBody{}, badRequest(err)
+	}
+	return req, nil
+}
+
+// decodeReference decodes a compress body with encoding/json, as strictly as
+// json.Unmarshal: data after the JSON value is an error.
+func decodeReference(body []byte, many bool) (compressBody, error) {
+	var out compressBody
+	var err error
+	if many {
+		var req compressManyRequest
+		err = json.Unmarshal(body, &req)
+		out = compressBody{wire: req.Series, plans: req.Plans, timeoutMS: req.TimeoutMS}
+	} else {
+		var req compressRequest
+		err = json.Unmarshal(body, &req)
+		out = compressBody{wire: req.Series, plans: []planWire{req.Plan}, timeoutMS: req.TimeoutMS}
+	}
+	if err != nil {
+		return compressBody{}, fmt.Errorf("body: %v", err)
+	}
+	return out, nil
+}
+
+// decodeFast parses a compress body in one pass, straight into the facade
+// model. ok is false when the body holds anything the decoder does not own.
+func decodeFast(body []byte, many bool) (req compressBody, ok bool) {
+	d := fastDecoder{b: body}
+	var seen fieldSet
+	ok = d.object(func(key []byte) bool {
+		switch string(key) {
+		case "series":
+			return seen.first(0) && d.series()
+		case "timeout_ms":
+			return seen.first(1) && d.integer(&req.timeoutMS, 64)
+		case "plan":
+			if many || !seen.first(2) {
+				return false
+			}
+			req.plans = make([]planWire, 1)
+			return d.plan(&req.plans[0])
+		case "plans":
+			if !many || !seen.first(2) {
+				return false
+			}
+			req.plans = []planWire{}
+			return d.array(func() bool {
+				req.plans = append(req.plans, planWire{})
+				return d.plan(&req.plans[len(req.plans)-1])
+			})
+		}
+		return false
+	})
+	d.ws()
+	if !ok || d.i != len(body) || d.s == nil || (!many && req.plans == nil) {
+		return compressBody{}, false
+	}
+	req.series = d.s
+	return req, true
+}
+
+// fieldSet records the keys an object has shown, so a duplicate declines.
+type fieldSet uint8
+
+func (f *fieldSet) first(i uint) bool {
+	if f.has(i) {
+		return false
+	}
+	*f |= 1 << i
+	return true
+}
+
+func (f fieldSet) has(i uint) bool { return f&(1<<i) != 0 }
+
+// fastDecoder is decodeFast's cursor over one body, with the series it
+// builds and its scratch.
+type fastDecoder struct {
+	b []byte
+	i int
+
+	s      *pta.Series
+	aggs   []float64        // the aggregate slab, cut into rows once all are read
+	toks   [][]byte         // one group array's value tokens
+	vals   []temporal.Datum // their values, on a group's first row
+	groups map[string]int32 // raw group array → interned group id
+}
+
+// ws skips insignificant whitespace.
+func (d *fastDecoder) ws() {
+	for d.i < len(d.b) && d.b[d.i] <= ' ' {
+		switch d.b[d.i] {
+		case ' ', '\t', '\n', '\r':
+			d.i++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, reporting whether c was there.
+func (d *fastDecoder) consume(c byte) bool {
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	d.ws()
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// object walks one JSON object, handing each key to field, which parses the
+// value. Keys holding an escape decline.
+func (d *fastDecoder) object(field func(key []byte) bool) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	for {
+		key, escaped, ok := d.strToken()
+		if !ok || escaped || !d.consume(':') || !field(key[1:len(key)-1]) {
+			return false
+		}
+		if !d.consume(',') {
+			return d.consume('}')
+		}
+	}
+}
+
+// array walks one JSON array, calling elem to parse each element.
+func (d *fastDecoder) array(elem func() bool) bool {
+	if !d.consume('[') {
+		return false
+	}
+	if d.consume(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !d.consume(',') {
+			return d.consume(']')
+		}
+	}
+}
+
+// strToken scans one string token, quotes included, and reports whether it
+// holds an escape. Escapes are only skipped here; unquote checks them.
+func (d *fastDecoder) strToken() (tok []byte, escaped, ok bool) {
+	d.ws()
+	b := d.b
+	if d.i >= len(b) || b[d.i] != '"' {
+		return nil, false, false
+	}
+	for j := d.i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			tok, d.i = b[d.i:j+1], j+1
+			return tok, escaped, true
+		case c == '\\':
+			escaped = true
+			j++
+		case c < 0x20:
+			return nil, false, false
+		}
+	}
+	return nil, false, false
+}
+
+// unquote returns the content of a string token. A token without escapes
+// that is valid UTF-8 is its own content; any other is unquoted by
+// encoding/json, so escapes, surrogates and invalid UTF-8 decode exactly as
+// the reference decodes them.
+func unquote(tok []byte) (string, bool) {
+	if bytes.IndexByte(tok, '\\') < 0 && utf8.Valid(tok) {
+		return string(tok[1 : len(tok)-1]), true
+	}
+	var s string
+	return s, json.Unmarshal(tok, &s) == nil
+}
+
+func (d *fastDecoder) str() (string, bool) {
+	tok, _, ok := d.strToken()
+	if !ok {
+		return "", false
+	}
+	return unquote(tok)
+}
+
+// number scans one number token by the RFC 8259 grammar, which is stricter
+// than strconv (no "0x1p-2", "Inf", "NaN", "1_0", "+1" or "01"), and reports
+// whether it has neither a fraction nor an exponent.
+func (d *fastDecoder) number() (tok []byte, whole, ok bool) {
+	d.ws()
+	b, i := d.b, d.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return nil, false, false
+	}
+	whole = true
+	if i < len(b) && b[i] == '.' {
+		whole = false
+		if i++; i == len(b) || !isDigit(b[i]) {
+			return nil, false, false
+		}
+		i = digits(b, i)
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		whole = false
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i == len(b) || !isDigit(b[i]) {
+			return nil, false, false
+		}
+		i = digits(b, i)
+	}
+	tok, d.i = b[d.i:i], i
+	return tok, whole, true
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// digits returns the index of the first non-digit at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
+// float reads a number the way encoding/json stores one into a float64.
+func (d *fastDecoder) float() (float64, bool) {
+	tok, _, ok := d.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
+}
+
+// integer reads a number the way encoding/json stores one into an integer
+// field of the given bit size: a fraction or an exponent is an error.
+func (d *fastDecoder) integer(dst *int64, bits int) bool {
+	tok, whole, ok := d.number()
+	if !ok || !whole {
+		return false
+	}
+	n, err := strconv.ParseInt(string(tok), 10, bits)
+	*dst = n
+	return err == nil
+}
+
+func (d *fastDecoder) plan(pw *planWire) bool {
+	var seen fieldSet
+	return d.object(func(key []byte) bool {
+		ok := false
+		switch string(key) {
+		case "strategy":
+			if seen.first(0) {
+				pw.Strategy, ok = d.str()
+			}
+		case "budget":
+			if seen.first(1) {
+				pw.Budget, ok = d.str()
+			}
+		case "fill_algo":
+			if seen.first(2) {
+				pw.FillAlgo, ok = d.str()
+			}
+		case "read_ahead":
+			var v int64
+			ok = seen.first(3) && d.integer(&v, strconv.IntSize)
+			pw.ReadAhead = int(v)
+		case "weights":
+			// An empty array is a non-nil empty vector, as in encoding/json:
+			// it overrides the engine's default weights.
+			pw.Weights = []float64{}
+			ok = seen.first(4) && d.array(func() bool {
+				f, ok := d.float()
+				pw.Weights = append(pw.Weights, f)
+				return ok
+			})
+		}
+		return ok
+	})
+}
+
+// series reads the series object. Rows are converted as they stream past,
+// so group_attrs and agg_names must precede them, as json.Marshal orders
+// them.
+func (d *fastDecoder) series() bool {
+	var attrs []temporal.Attribute
+	var names []string
+	var seen fieldSet
+	return d.object(func(key []byte) bool {
+		if seen.has(2) {
+			return false
+		}
+		switch string(key) {
+		case "group_attrs":
+			return seen.first(0) && d.array(func() bool {
+				a, ok := d.attr()
+				attrs = append(attrs, a)
+				return ok
+			})
+		case "agg_names":
+			return seen.first(1) && d.array(func() bool {
+				name, ok := d.str()
+				names = append(names, name)
+				return ok
+			})
+		case "rows":
+			return seen.first(2) && len(names) > 0 && d.rows(pta.NewSeries(attrs, names))
+		}
+		return false
+	}) && seen.has(2)
+}
+
+func (d *fastDecoder) attr() (temporal.Attribute, bool) {
+	var name, kind string
+	var seen fieldSet
+	ok := d.object(func(key []byte) bool {
+		ok := false
+		switch string(key) {
+		case "name":
+			if seen.first(0) {
+				name, ok = d.str()
+			}
+		case "kind":
+			if seen.first(1) {
+				kind, ok = d.str()
+			}
+		}
+		return ok
+	})
+	k, err := temporal.ParseKind(kind)
+	return temporal.Attribute{Name: name, Kind: k}, ok && err == nil && name != ""
+}
+
+// rows reads the rows array into s. Rows that arrive in canonical order
+// skip the sort (a stable sort of sorted rows is the identity); Validate
+// still runs.
+func (d *fastDecoder) rows(s *pta.Series) bool {
+	// Every row is an object, and one with p aggregates takes at least
+	// 10+2p bytes ({"aggs":[0,…,0]}), so both bounds below cap the row
+	// count: the rows and the slab are allocated once, and the slab holds
+	// at most about four times the body's bytes whatever p the client sent.
+	p := s.P()
+	rest := d.b[d.i:]
+	hint := min(bytes.Count(rest, []byte{'{'}), len(rest)/(10+2*p)+1)
+	rows := make([]pta.Row, 0, hint)
+	d.aggs = make([]float64, 0, hint*p)
+	ungrouped := int32(-1)
+	if len(s.GroupAttrs) == 0 {
+		ungrouped = s.Groups.Intern(nil)
+	}
+	ok := d.array(func() bool {
+		r, ok := d.row(s, ungrouped)
+		rows = append(rows, r)
+		return ok
+	})
+	if !ok || len(rows) == 0 {
+		return false
+	}
+	for i := range rows {
+		rows[i].Aggs = d.aggs[i*p : (i+1)*p : (i+1)*p]
+	}
+	s.Rows = rows
+	if !strictlySorted(s) {
+		s.Sort()
+	}
+	if s.Validate() != nil {
+		return false
+	}
+	d.s = s
+	return true
+}
+
+// row reads one row, appending its aggregates to the slab; rows without a
+// group array belong to the ungrouped group (-1: the schema has groups).
+func (d *fastDecoder) row(s *pta.Series, ungrouped int32) (pta.Row, bool) {
+	r := pta.Row{Group: ungrouped}
+	from := len(d.aggs)
+	var seen fieldSet
+	ok := d.object(func(key []byte) bool {
+		switch string(key) {
+		case "group":
+			var ok bool
+			r.Group, ok = d.group(s)
+			return seen.first(0) && ok
+		case "aggs":
+			return seen.first(1) && d.array(func() bool {
+				f, ok := d.float()
+				d.aggs = append(d.aggs, f)
+				return ok
+			}) && len(d.aggs)-from == s.P()
+		case "start":
+			return seen.first(2) && d.integer(&r.T.Start, 64)
+		case "end":
+			return seen.first(3) && d.integer(&r.T.End, 64)
+		}
+		return false
+	})
+	return r, ok && seen.has(1) && r.Group >= 0
+}
+
+// group reads one row's group array and returns its interned id. The rows
+// of a group repeat the same bytes, so ids are memoized by the raw array:
+// only a group's first row converts and interns its values.
+func (d *fastDecoder) group(s *pta.Series) (int32, bool) {
+	d.ws()
+	start := d.i
+	d.toks = d.toks[:0]
+	ok := d.array(func() bool {
+		j := len(d.toks)
+		if j == len(s.GroupAttrs) {
+			return false
+		}
+		var tok []byte
+		var ok bool
+		if s.GroupAttrs[j].Kind == temporal.KindString {
+			tok, _, ok = d.strToken()
+		} else {
+			tok, _, ok = d.number()
+		}
+		d.toks = append(d.toks, tok)
+		return ok
+	})
+	if !ok || len(d.toks) != len(s.GroupAttrs) {
+		return 0, false
+	}
+	raw := d.b[start:d.i]
+	if id, ok := d.groups[string(raw)]; ok {
+		return id, true
+	}
+	d.vals = d.vals[:0]
+	for j, tok := range d.toks {
+		v, ok := datum(s.GroupAttrs[j].Kind, tok)
+		if !ok {
+			return 0, false
+		}
+		d.vals = append(d.vals, v)
+	}
+	id := s.Groups.Intern(d.vals)
+	if d.groups == nil {
+		d.groups = make(map[string]int32)
+	}
+	d.groups[string(raw)] = id
+	return id, true
+}
+
+// datum converts one scanned group value with decodeDatum's rules: an int
+// must be a whole number, converted from its float64 like the reference.
+func datum(kind temporal.Kind, tok []byte) (temporal.Datum, bool) {
+	if kind == temporal.KindString {
+		s, ok := unquote(tok)
+		return temporal.String(s), ok
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	switch {
+	case err != nil:
+		return temporal.Datum{}, false
+	case kind == temporal.KindFloat:
+		return temporal.Float(f), true
+	case kind == temporal.KindInt && f == math.Trunc(f):
+		return temporal.Int(int64(f)), true
+	}
+	return temporal.Datum{}, false
+}
+
+// strictlySorted reports whether every row orders strictly after the one
+// before it: by group values when the group changes, by interval within a
+// group. Such rows form one chain under Sort's comparison, so Sort would
+// leave them in place. Ties (say groups whose float values are 0 and -0)
+// are left to Sort itself.
+func strictlySorted(s *pta.Series) bool {
+	for i := 1; i < len(s.Rows); i++ {
+		a, b := &s.Rows[i-1], &s.Rows[i]
+		if a.Group == b.Group {
+			if a.T.Compare(b.T) >= 0 {
+				return false
+			}
+		} else if temporal.CompareDatums(s.Groups.Values(a.Group), s.Groups.Values(b.Group)) >= 0 {
+			return false
+		}
+	}
+	return true
+}

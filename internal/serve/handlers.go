@@ -172,28 +172,28 @@ func isHex(s string) bool {
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	s.nCompress.Add(1)
-	var req compressRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.writeError(w, r, badRequest(err))
+	req, err := s.readCompressBody(w, r, false)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	plan, err := resolvePlan(req.Plan)
+	pw := req.plans[0]
+	plan, err := resolvePlan(pw)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
 	// The series decodes before any slot is taken: admission must price the
 	// request (and possibly reject it) without consuming in-flight capacity.
-	series, err := decodeSeries(req.Series)
+	series, err := req.Series()
 	if err != nil {
-		s.writeError(w, r, badRequest(err))
+		s.writeError(w, r, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := s.requestContext(r, req.timeoutMS)
 	defer cancel()
 	if s.cfg.AdmissionMaxCells > 0 {
-		release, err := s.admit(ctx, estimateCells(series.Len(), req.Plan, plan))
+		release, err := s.admit(ctx, estimateCells(series.Len(), pw, plan))
 		if err != nil {
 			s.writeError(w, r, err)
 			return
@@ -205,7 +205,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseSlot()
-	res, disposition, err := s.compressOne(ctx, series, "", req.Plan, plan)
+	res, disposition, err := s.compressOne(ctx, series, "", pw, plan)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -217,22 +217,21 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 	s.nCompressMany.Add(1)
-	var req compressManyRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decodeJSON(r.Body, &req); err != nil {
-		s.writeError(w, r, badRequest(err))
+	req, err := s.readCompressBody(w, r, true)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
-	if len(req.Plans) == 0 {
+	if len(req.plans) == 0 {
 		s.writeError(w, r, badRequest(errors.New("need at least one plan")))
 		return
 	}
-	series, err := decodeSeries(req.Series)
+	series, err := req.Series()
 	if err != nil {
-		s.writeError(w, r, badRequest(err))
+		s.writeError(w, r, err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := s.requestContext(r, req.timeoutMS)
 	defer cancel()
 	// Admission prices the whole request — the sum of per-plan worst cases
 	// — before any slot is taken. Plans resolve again in the evaluation
@@ -240,7 +239,7 @@ func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 	// the pricing pass entirely.
 	if s.cfg.AdmissionMaxCells > 0 {
 		var cells int64
-		for _, pw := range req.Plans {
+		for _, pw := range req.plans {
 			plan, err := resolvePlan(pw)
 			if err != nil {
 				s.writeError(w, r, err)
@@ -272,10 +271,10 @@ func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 		res         *pta.Result
 		disposition string
 	}
-	results := make([]resultEntry, len(req.Plans))
+	results := make([]resultEntry, len(req.plans))
 	var enginePlans []pta.Plan
 	var engineIdx []int
-	for i, pw := range req.Plans {
+	for i, pw := range req.plans {
 		plan, err := resolvePlan(pw)
 		if err != nil {
 			s.writeError(w, r, err)
@@ -582,16 +581,12 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 // writePooledJSON renders one response body into a pooled buffer filled by
 // encode (appendResult and friends) and writes it in a single Write call,
-// with the trailing newline json.Encoder clients already expect. The buffer
-// returns to the pool unless it grew beyond codecBufMax.
+// with the trailing newline json.Encoder clients already expect.
 func writePooledJSON(w http.ResponseWriter, status int, encode func(b []byte) []byte) {
 	bp := codecBufPool.Get().(*[]byte)
 	b := append(encode((*bp)[:0]), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
-	if cap(b) <= codecBufMax {
-		*bp = b[:0]
-		codecBufPool.Put(bp)
-	}
+	putCodecBuf(bp, b)
 }

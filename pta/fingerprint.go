@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
 
 	"repro/internal/temporal"
@@ -19,17 +20,31 @@ import (
 //
 // The hash covers values exactly (float bits, not formatted decimals), and
 // every variable-length field is length-prefixed, so distinct series cannot
-// collide by concatenation.
+// collide by concatenation. The input reaches the hash through one buffer,
+// in blocks, not one Write per field; the digest is the same.
 func Fingerprint(s *Series) string {
 	h := sha256.New()
-	var buf [8]byte
+	buf := make([]byte, 0, 4096)
+	flush := func() {
+		h.Write(buf)
+		buf = buf[:0]
+	}
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if len(buf)+8 > cap(buf) {
+			flush()
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	str := func(v string) {
 		u64(uint64(len(v)))
-		h.Write([]byte(v))
+		if len(buf)+len(v) > cap(buf) {
+			flush()
+		}
+		if len(v) > cap(buf) {
+			io.WriteString(h, v)
+			return
+		}
+		buf = append(buf, v...)
 	}
 	datum := func(d temporal.Datum) {
 		u64(uint64(d.Kind()))
@@ -65,5 +80,6 @@ func Fingerprint(s *Series) string {
 		u64(uint64(r.T.Start))
 		u64(uint64(r.T.End))
 	}
+	flush()
 	return hex.EncodeToString(h.Sum(nil))
 }

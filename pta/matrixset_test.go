@@ -3,9 +3,13 @@ package pta_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/temporal"
 	"repro/pta"
 )
 
@@ -183,5 +187,73 @@ func TestFingerprint(t *testing.T) {
 	renamed.AggNames = []string{"Other"}
 	if pta.Fingerprint(renamed) == fp {
 		t.Error("schema change kept the fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins the digest itself: spill file names and
+// /v1/matrix/{hash} addresses derive from it, so a change to how the hash
+// input is produced must leave it byte-identical. The mixed series covers
+// every datum kind, an empty and a non-ASCII string, -0, +Inf, NaN and the
+// int64 maximum; the long one a group value longer than the hash buffer.
+func TestFingerprintGolden(t *testing.T) {
+	attrs := []temporal.Attribute{
+		{Name: "name", Kind: temporal.KindString},
+		{Name: "id", Kind: temporal.KindInt},
+		{Name: "score", Kind: temporal.KindFloat},
+	}
+	mixed := pta.NewSeries(attrs, []string{"a", "b"})
+	add := func(name string, id int64, score float64, aggs []float64, start, end pta.Chronon) {
+		mixed.Rows = append(mixed.Rows, pta.Row{
+			Group: mixed.Groups.Intern([]temporal.Datum{temporal.String(name), temporal.Int(id), temporal.Float(score)}),
+			Aggs:  aggs,
+			T:     pta.Interval{Start: start, End: end},
+		})
+	}
+	add("", -42, 0.25, []float64{800, 1e-7}, -5, 2)
+	add("héllo wörld, a name longer than one hash block? no, but long enough", 7,
+		math.Copysign(0, -1), []float64{0, math.Inf(1)}, 3, 3)
+	add("zeta", math.MaxInt64, -1.5e300, []float64{math.NaN(), -49166.666666666664}, 4, 1<<40)
+	long := pta.NewSeries([]temporal.Attribute{{Name: "note", Kind: temporal.KindString}}, []string{"v"})
+	for i, note := range []string{strings.Repeat("long group value ", 400), "short"} {
+		long.Rows = append(long.Rows, pta.Row{
+			Group: long.Groups.Intern([]temporal.Datum{temporal.String(note)}),
+			Aggs:  []float64{float64(i) + 0.5},
+			T:     pta.Interval{Start: pta.Chronon(i), End: pta.Chronon(i)},
+		})
+	}
+	uniform, err := dataset.Uniform(6, 40, 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *pta.Series
+		want string
+	}{
+		{"proj", projITA(t), "adfbfa4c3ec63670d8b82ae5555aa0d4acb95c389a9cc34a83d2a949af97608e"},
+		{"uniform", uniform, "49f5b931c5cf5b21a175179b7ddf16e5dce5b7291ea7cefca3c254b70e7f34f6"},
+		{"mixed kinds", mixed, "da65fb3e21f3001c30a7483d56c7ec6e6caf7d061b72e6062a0ce6da0a984d77"},
+		{"long string", long, "e79c62c0b0859d6028043c10eb430de91deadebf49a2012f3cea482f93b97958"},
+	} {
+		if got := pta.Fingerprint(tc.s); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkFingerprint is the fingerprint rung of the per-layer ladder: the
+// content hash a warm request pays before its cache lookup.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, n := range []int{512, 8192} {
+		s, err := dataset.Mixed(1, n, 1, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pta.Fingerprint(s)
+			}
+		})
 	}
 }
