@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -201,5 +202,34 @@ func BenchmarkSSEBetween(b *testing.B) {
 		if _, err := SSEBetween(seq, res.Sequence, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAllocateCurves measures the run allocation on the batch shape
+// (64 runs, curves of 64 entries): one call at K = 4096, and the deepening
+// schedule 409 → 4096 on one resumable allocation. It reports the (k, j)
+// candidates evaluated per op beside the time.
+func BenchmarkAllocateCurves(b *testing.B) {
+	curves := batchShapeCurves(guardAllocRuns, guardAllocCurveLen)
+	for _, bc := range []struct {
+		name     string
+		schedule []int
+	}{
+		{"K=4096", []int{4096}},
+		{"deepen", guardAllocSchedule},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				var ca CurveAllocation
+				for _, K := range bc.schedule {
+					if _, err := ca.Extend(context.Background(), curves, K); err != nil {
+						b.Fatal(err)
+					}
+				}
+				steps = ca.steps
+			}
+			b.ReportMetric(float64(steps), "steps/op")
+		})
 	}
 }

@@ -55,11 +55,15 @@ type Options struct {
 }
 
 // canceled reports the context error, if any, wrapped for the evaluators.
-func (o Options) canceled() error {
-	if o.Ctx == nil {
+func (o Options) canceled() error { return ctxErr(o.Ctx) }
+
+// ctxErr reports ctx's error, if any, wrapped for the evaluators; a nil ctx
+// never cancels.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
 		return nil
 	}
-	if err := o.Ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: evaluation canceled: %w", err)
 	}
 	return nil

@@ -44,7 +44,9 @@ func mixedShapeSequence(rng *rand.Rand, blocks, p int, gapProb float64) *tempora
 		}
 		ramp := b == 1 || (b >= 2 && rng.Float64() < 0.6)
 		if ramp {
-			m := fillSegmentMin + rng.Intn(25)
+			// One row past the dispatch minimum: the segmentation may hand
+			// the ramp's first row to the block before it.
+			m := fillSegmentMin + 1 + rng.Intn(25)
 			dir := make([]float64, p)
 			for d := range dir {
 				dir[d] = 1

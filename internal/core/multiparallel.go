@@ -20,10 +20,11 @@ import (
 // receives none.
 //
 // Error-bounded budgets deepen iteratively: K doubles until every bound is
-// met, and the retained per-run fill states extend their curves in place,
-// so mixed batches pay one curve set regardless of how many budgets ride
-// on it. Every result carries the aggregate fill stats of the shared
-// curves, mirroring DPMultiKernel's accounting of the shared pass.
+// met, the retained per-run fill states extend their curves in place and
+// one CurveAllocation extends the combination over them, so mixed batches
+// pay one curve set regardless of how many budgets ride on it. Every
+// result carries the aggregate fill stats of the shared curves, mirroring
+// DPMultiKernel's accounting of the shared pass.
 func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options, workers int) ([]*DPResult, error) {
 	n := seq.Len()
 	results := make([]*DPResult, len(budgets))
@@ -76,8 +77,8 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 
 	runs := decomposeRuns(kn)
 	R := len(runs)
+	var ca CurveAllocation
 	var final []float64
-	var choice [][]int32
 	reachedK := make([]int, len(budgets)) // resolved size per eps budget; 0 = pending
 	K := targetK
 	if pendingEps > 0 {
@@ -90,7 +91,9 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 		if err := computeCurves(seq, runs, K-R+1, opts, workers); err != nil {
 			return nil, err
 		}
-		final, choice = allocateRuns(runs, K)
+		if final, err = ca.Extend(opts.Ctx, runCurves(runs), K); err != nil {
+			return nil, err
+		}
 		for i, b := range budgets {
 			if b.C > 0 || reachedK[i] != 0 {
 				continue
@@ -127,7 +130,7 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 		if k == 0 {
 			panic("core: multi-budget parallel DP left a budget unserved")
 		}
-		rows, err := reconstructRuns(kn, runs, choice, k)
+		rows, err := reconstructRuns(kn, runs, &ca, k)
 		if err != nil {
 			return nil, err
 		}

@@ -33,7 +33,8 @@ import (
 // PTAcParallel serves size budgets; PTAeParallel computes full run curves
 // and picks the smallest total size whose optimal error fits eps·SSEmax;
 // DPMultiParallel (multiparallel.go) serves several budgets from one set of
-// run curves. AllocateCurves/SplitAllocation/AcceptErrorBound export the
+// run curves. Each keeps one CurveAllocation (allocate.go) across its
+// deepening rounds. CurveAllocation and AcceptErrorBound export the
 // recombination rules so distributed coordinators that gather run curves
 // from remote workers recombine them with exactly the in-process
 // tie-breaks.
@@ -112,65 +113,6 @@ func curveStats(runs []*runCurve) DPStats {
 	return st
 }
 
-// AllocateCurves spends total sizes 1..kmax over per-run error curves with
-// the combination DP A[r][k] = min over j of A[r−1][k−j] + curve_r[j],
-// taking the smallest j on ties (strict improvement only). It returns the
-// final row (the minimal total error of reducing the whole relation to k
-// tuples; Inf where infeasible) and the per-run choice matrices consumed by
-// SplitAllocation. Exported so distributed coordinators that gather run
-// curves from remote workers recombine them with exactly the in-process
-// tie-breaks.
-func AllocateCurves(curves [][]float64, kmax int) (final []float64, choice [][]int32) {
-	const unset = -1
-	prev := make([]float64, kmax+1)
-	cur := make([]float64, kmax+1)
-	choice = make([][]int32, len(curves)) // choice[r][k] = tuples given to run r
-	for k := range prev {
-		prev[k] = Inf
-	}
-	prev[0] = 0
-	minNeeded := 0
-	for r, curve := range curves {
-		choice[r] = make([]int32, kmax+1)
-		for k := range cur {
-			cur[k] = Inf
-			choice[r][k] = unset
-		}
-		maxLen := len(curve)
-		minNeeded++ // every run contributes ≥ 1 tuple
-		for k := minNeeded; k <= kmax; k++ {
-			for j := 1; j <= maxLen && j < k+1; j++ {
-				if prev[k-j] == Inf {
-					continue
-				}
-				if e := prev[k-j] + curve[j-1]; e < cur[k] {
-					cur[k] = e
-					choice[r][k] = int32(j)
-				}
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return prev, choice
-}
-
-// SplitAllocation walks the choice matrices of AllocateCurves backwards from
-// a total size k and returns how many tuples each run receives (the entries
-// sum to k).
-func SplitAllocation(choice [][]int32, k int) ([]int, error) {
-	const unset = -1
-	alloc := make([]int, len(choice))
-	for r := len(choice) - 1; r >= 0; r-- {
-		j := int(choice[r][k])
-		if j == unset {
-			return nil, fmt.Errorf("core: internal error reconstructing parallel DP at run %d", r)
-		}
-		alloc[r] = j
-		k -= j
-	}
-	return alloc, nil
-}
-
 // AcceptErrorBound widens an error-budget acceptance threshold by the
 // relative-and-absolute tolerance every error-bounded evaluator in this
 // package applies, so "the error fits the bound" means the same thing
@@ -179,19 +121,19 @@ func AcceptErrorBound(bound, maxErr float64) float64 {
 	return acceptErrorBound(bound, maxErr)
 }
 
-// allocateRuns is AllocateCurves over the runs' own curves.
-func allocateRuns(runs []*runCurve, kmax int) (final []float64, choice [][]int32) {
+// runCurves lists the runs' curves, the input of their CurveAllocation.
+func runCurves(runs []*runCurve) [][]float64 {
 	curves := make([][]float64, len(runs))
 	for r, rc := range runs {
 		curves[r] = rc.curve
 	}
-	return AllocateCurves(curves, kmax)
+	return curves
 }
 
-// reconstructRuns walks the choice matrices backwards from a total size k
-// and expands each run's own splits into rows.
-func reconstructRuns(kn *CostKernel, runs []*runCurve, choice [][]int32, k int) ([]temporal.SeqRow, error) {
-	alloc, err := SplitAllocation(choice, k)
+// reconstructRuns splits a total size k over the runs and expands each
+// run's own splits into rows.
+func reconstructRuns(kn *CostKernel, runs []*runCurve, ca *CurveAllocation, k int) ([]temporal.SeqRow, error) {
+	alloc, err := ca.SplitAllocation(k)
 	if err != nil {
 		return nil, err
 	}
@@ -232,8 +174,12 @@ func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DP
 	if err := computeCurves(seq, runs, c-len(runs)+1, opts, workers); err != nil {
 		return nil, err
 	}
-	final, choice := allocateRuns(runs, c)
-	rows, err := reconstructRuns(kn, runs, choice, c)
+	var ca CurveAllocation
+	final, err := ca.Extend(opts.Ctx, runCurves(runs), c)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := reconstructRuns(kn, runs, &ca, c)
 	if err != nil {
 		return nil, err
 	}
@@ -269,19 +215,23 @@ func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int
 	// total size of K needs per-run curves only up to K−R+1 (every other
 	// run keeps ≥ 1 tuple), so loose bounds that stop at small K never pay
 	// for full curves. Each failed round doubles K and extends the retained
-	// per-run curves in place; the geometric growth bounds total work at a
-	// small constant of the final round's.
+	// per-run curves and the allocation in place; the geometric growth
+	// bounds total work at a small constant of the final round's.
 	runs := decomposeRuns(kn)
 	R := len(runs)
+	var ca CurveAllocation
 	for K := min(n, R+63); ; K = min(n, 2*K) {
 		if err := computeCurves(seq, runs, K-R+1, opts, workers); err != nil {
 			return nil, err
 		}
-		final, choice := allocateRuns(runs, K)
+		final, err := ca.Extend(opts.Ctx, runCurves(runs), K)
+		if err != nil {
+			return nil, err
+		}
 		for k := R; k <= K; k++ {
 			if final[k] <= accept {
 				// Curves cover every size ≤ K, so k is the exact minimum.
-				rows, err := reconstructRuns(kn, runs, choice, k)
+				rows, err := reconstructRuns(kn, runs, &ca, k)
 				if err != nil {
 					return nil, err
 				}

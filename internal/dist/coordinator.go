@@ -348,27 +348,36 @@ func (c *Coordinator) compress(ctx context.Context, s *pta.Series, b pta.Budget,
 		if err := c.gather(ctx, shards, cb-len(shards)+1, opts); err != nil {
 			return nil, err
 		}
-		final, choice := core.AllocateCurves(curvesOf(shards), cb)
-		return finishResult(s, kn, shards, final, choice, cb)
+		var ca core.CurveAllocation
+		final, err := ca.Extend(ctx, curvesOf(shards), cb)
+		if err != nil {
+			return nil, err
+		}
+		return finishResult(s, kn, shards, &ca, final, cb)
 	}
 
 	// Error bound: iterative deepening exactly like PTAeParallel — the
 	// acceptance threshold, the deepening schedule and the curve truncation
 	// all match, so the chosen size k is identical. Each round widens the
 	// per-shard fetch to only the new curve rows; the workers' matrix
-	// caches make the repeat visits cheap.
+	// caches make the repeat visits cheap, and one allocation extends
+	// across the rounds.
 	maxErr := kn.MaxError()
 	accept := core.AcceptErrorBound(b.Eps()*maxErr, maxErr)
 	shards := makeShards(s, kn)
 	R := len(shards)
+	var ca core.CurveAllocation
 	for K := min(n, R+63); ; K = min(n, 2*K) {
 		if err := c.gather(ctx, shards, K-R+1, opts); err != nil {
 			return nil, err
 		}
-		final, choice := core.AllocateCurves(curvesOf(shards), K)
+		final, err := ca.Extend(ctx, curvesOf(shards), K)
+		if err != nil {
+			return nil, err
+		}
 		for k := R; k <= K; k++ {
 			if final[k] <= accept {
-				return finishResult(s, kn, shards, final, choice, k)
+				return finishResult(s, kn, shards, &ca, final, k)
 			}
 		}
 		if K == n {
@@ -389,8 +398,8 @@ func curvesOf(shards []*shard) [][]float64 {
 // the allocation DP picks each shard's size, and every output row is
 // merged from the coordinator's own global kernel over the worker-reported
 // split ranges — workers never contribute aggregate arithmetic.
-func finishResult(s *pta.Series, kn *core.CostKernel, shards []*shard, final []float64, choice [][]int32, k int) (*pta.Result, error) {
-	alloc, err := core.SplitAllocation(choice, k)
+func finishResult(s *pta.Series, kn *core.CostKernel, shards []*shard, ca *core.CurveAllocation, final []float64, k int) (*pta.Result, error) {
+	alloc, err := ca.SplitAllocation(k)
 	if err != nil {
 		return nil, err
 	}

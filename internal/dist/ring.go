@@ -4,7 +4,7 @@
 // routes each shard to a worker by consistent hashing on its fingerprint,
 // gathers per-shard error curves over the /v1/compress/many wire schema
 // with per-shard deadlines and retry-with-backoff, and recombines the
-// curves locally with core.AllocateCurves, so the distributed result is
+// curves locally with a core.CurveAllocation, so the distributed result is
 // bit-identical to the in-process parallel evaluators. The registry name is
 // "dist" (strategy.go); docs/ARCHITECTURE.md § Distribution has the
 // exactness argument.

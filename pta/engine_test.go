@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +163,68 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v, want prompt abort", elapsed)
+	}
+}
+
+// pollCtx counts Err calls and reports a deadline from call number limit
+// on (never when limit is 0), so a test cancels an evaluation at a fixed
+// point of its work instead of racing a clock.
+type pollCtx struct {
+	context.Context
+	limit int64
+	calls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if n := c.calls.Add(1); c.limit > 0 && n >= c.limit {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestEngineParallelCancelAfterCurvesComplete: on a parallel engine an
+// error-bounded plan that deepens past its first round must still honour
+// its context once the run curves are complete, when only the run
+// allocation is left to poll it. 64 runs of 4 rows have full curves after
+// the first round; a size budget of n−1 fills exactly those curves and
+// allocates once, so a deadline that fires on the next poll after that
+// count lands in the error-bounded plan's later allocations.
+func TestEngineParallelCancelAfterCurvesComplete(t *testing.T) {
+	eng := mustEngine(t, pta.WithParallelism(2))
+	seq, err := dataset.Uniform(64, 4, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := pta.Plan{Strategy: "ptac", Budget: pta.Size(seq.Len() - 1)}
+	bound := pta.Plan{Strategy: "ptae", Budget: pta.ErrorBound(0.001)}
+	res, err := eng.Compress(context.Background(), seq, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := seq.CMin() + 63; res.C <= first {
+		t.Fatalf("%v: C=%d, want a size past the first deepening round's %d", bound.Budget, res.C, first)
+	}
+	for _, call := range []struct {
+		name string
+		run  func(ctx context.Context, p pta.Plan) error
+	}{
+		{"Compress", func(ctx context.Context, p pta.Plan) error {
+			_, err := eng.Compress(ctx, seq, p)
+			return err
+		}},
+		{"CompressMany", func(ctx context.Context, p pta.Plan) error {
+			_, err := eng.CompressMany(ctx, seq, []pta.Plan{p})
+			return err
+		}},
+	} {
+		probe := &pollCtx{Context: context.Background()}
+		if err := call.run(probe, size); err != nil {
+			t.Fatalf("%s %v: %v", call.name, size.Budget, err)
+		}
+		err := call.run(&pollCtx{Context: context.Background(), limit: probe.calls.Load() + 1}, bound)
+		if !errors.Is(err, pta.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s %v: err = %v once the curves were complete, want ErrCanceled", call.name, bound.Budget, err)
+		}
 	}
 }
 
