@@ -375,7 +375,7 @@ func run(opts options, logger *log.Logger) (*report, error) {
 
 	// Peer-warm phase: one round of the same plan mix against a daemon
 	// that never saw the workload. Its matrices can only arrive over the
-	// peer tier, so hits here measure peer fetch + mmap restore latency.
+	// peer tier, so hits here measure peer fetch + lazy restore latency.
 	errorCount := cold.Errors + warm.Errors
 	if opts.peerBase != "" {
 		resp, err := client.Get(opts.peerBase + "/healthz")

@@ -255,14 +255,34 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 // reconstruct follows the split-point matrix from cell (c, n) and builds the
 // reduced relation (Example 11).
 func (st *dpState) reconstruct(c int) []temporal.SeqRow {
-	rows := make([]temporal.SeqRow, c)
-	n := st.n
-	for k := c; k >= 1; k-- {
-		j := int(st.splits[k-1][n])
-		rows[k-1] = st.kn.MergeRange(j+1, n)
-		n = j
+	rows, err := walkSplits(st.kn, c, func(k, i int) int { return int(st.splits[k-1][i]) })
+	if err != nil {
+		panic(err) // a fill writes only split points the walk accepts
 	}
 	return rows
+}
+
+// walkSplits follows the split points from cell (c, n) down to row 1,
+// reading the one cell J[k][i] each row contributes through split, and
+// merges every segment. A visited split point must satisfy k−1 ≤ j < i, and
+// j = 0 at k = 1: then the c segments tile 1..n. Any other value (a corrupt
+// restored row) is a *WarmLostError naming the row, never a panic in
+// MergeRange or a reduction that does not cover the series.
+func walkSplits(kn *CostKernel, c int, split func(k, i int) int) ([]temporal.SeqRow, error) {
+	rows := make([]temporal.SeqRow, c)
+	i := kn.N()
+	for k := c; k >= 1; k-- {
+		j, lo, hi := split(k, i), k-1, i-1
+		if k == 1 {
+			hi = 0
+		}
+		if j < lo || j > hi {
+			return nil, &WarmLostError{Row: k, Err: fmt.Errorf("split point J[%d][%d] = %d outside %d..%d", k, i, j, lo, hi)}
+		}
+		rows[k-1] = kn.MergeRange(j+1, i)
+		i = j
+	}
+	return rows, nil
 }
 
 // PruneMode selects which of the two Section 5.3 search-space bounds the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/temporal"
@@ -25,7 +26,16 @@ type Solver struct {
 	filled int
 	bound  float64 // SSEmax, resolved lazily for error budgets
 	hasMax bool
-	lazy   SplitRowSource // non-nil after RestoreLazy; rows 1..restored may be unmaterialized
+
+	// After RestoreLazy, rows 1..restored come from lazy and rows 1..read of
+	// them are resident. Every walk needs a prefix 1..k, so the resident
+	// rows are a prefix too. Rows 1..len(raw) are held as the verified
+	// little-endian bytes a range read returned; every other resident row
+	// is decoded in st.splits.
+	lazy     SplitRowSource
+	raw      [][]byte
+	restored int
+	read     int
 }
 
 // NewSolver builds a solver for the sequence with the given pruning flags
@@ -74,10 +84,12 @@ func (sv *Solver) Rows() int { return sv.filled }
 func (sv *Solver) Stats() DPStats { return sv.st.stats }
 
 // MemBytes estimates the retained matrix memory: the split-point rows
-// dominate (one int32 per column per filled row).
+// dominate (one int32 per column per resident row, decoded or raw). A row a
+// lazy restore has not read yet costs nothing until a walk reads it.
 func (sv *Solver) MemBytes() int64 {
 	n := int64(sv.kn.N() + 1)
-	return int64(sv.filled)*n*4 + // J rows
+	resident := int64(sv.filled - (sv.restored - sv.read))
+	return resident*n*4 + // J rows
 		3*n*8 // prevE, curE, rowErr
 }
 
@@ -131,11 +143,12 @@ func (sv *Solver) SolveSize(ctx context.Context, c int) (*DPResult, error) {
 	if err := sv.ensure(ctx, c); err != nil {
 		return nil, err
 	}
-	if err := sv.materialize(c); err != nil {
+	rows, err := sv.backtrack(c)
+	if err != nil {
 		return nil, err
 	}
 	return &DPResult{
-		Sequence: sv.kn.Sequence().WithRows(sv.st.reconstruct(c)),
+		Sequence: sv.kn.Sequence().WithRows(rows),
 		C:        c,
 		Error:    sv.rowErr[c],
 		Stats:    sv.st.stats,
@@ -161,8 +174,9 @@ type SolverState struct {
 
 // State snapshots the filled rows. The returned slices are copies; the
 // solver may keep filling afterwards. A lazily restored solver materializes
-// every outstanding row first, so the error surfaces here when the backing
-// store has gone bad rather than as a torn snapshot.
+// every row it has not read yet first, and decodes and checks the raw rows
+// it holds, so the error surfaces here when the backing store has gone bad
+// rather than as a torn snapshot.
 func (sv *Solver) State() (*SolverState, error) {
 	if err := sv.materialize(sv.filled); err != nil {
 		return nil, err
@@ -178,17 +192,27 @@ func (sv *Solver) State() (*SolverState, error) {
 	if sv.filled > 0 {
 		st.LastE = append([]float64(nil), sv.st.curE...)
 		st.Splits = make([]int32, sv.filled*(n+1))
-		for k := 0; k < sv.filled; k++ {
-			copy(st.Splits[k*(n+1):(k+1)*(n+1)], sv.st.splits[k])
+		for k := 1; k <= sv.filled; k++ {
+			dst := st.Splits[(k-1)*(n+1) : k*(n+1)]
+			if k > len(sv.raw) {
+				copy(dst, sv.st.splits[k-1])
+				continue
+			}
+			for i := range dst {
+				dst[i] = int32(binary.LittleEndian.Uint32(sv.raw[k-1][4*i:]))
+			}
+			if err := checkSplitRow(k, dst); err != nil {
+				return nil, &WarmLostError{Row: k, Err: err}
+			}
 		}
 	}
 	return st, nil
 }
 
 // Restore injects a snapshot into a freshly built solver (zero rows
-// filled). It validates every shape and every split-point value so a
-// corrupt snapshot fails cleanly instead of panicking rows later; on error
-// the solver is unchanged and still usable cold.
+// filled). It validates every shape and every split-point value (see
+// checkSplitRow) so a corrupt snapshot fails cleanly instead of panicking
+// rows later; on error the solver is unchanged and still usable cold.
 func (sv *Solver) Restore(st *SolverState) error {
 	n := sv.kn.N()
 	switch {
@@ -205,9 +229,9 @@ func (sv *Solver) Restore(st *SolverState) error {
 	case len(st.Splits) != st.Filled*(n+1):
 		return fmt.Errorf("core: snapshot has %d split cells, want %d", len(st.Splits), st.Filled*(n+1))
 	}
-	for _, j := range st.Splits {
-		if j < 0 || int(j) > n {
-			return fmt.Errorf("core: snapshot split point %d outside 0..%d", j, n)
+	for k := 1; k <= st.Filled; k++ {
+		if err := checkSplitRow(k, st.Splits[(k-1)*(n+1):k*(n+1)]); err != nil {
+			return fmt.Errorf("core: snapshot %w", err)
 		}
 	}
 	// The split rows become views into one retained slab, matching the
@@ -225,26 +249,36 @@ func (sv *Solver) Restore(st *SolverState) error {
 }
 
 // SplitRowSource supplies individual restored split-point rows on demand:
-// the lazy counterpart of SolverState.Splits, backed by an mmap'd spill file
-// in the serve layer so a huge warm matrix costs page faults proportional to
-// the rows a budget actually walks. SplitRow returns J[k][0..n] for a
-// 1-based k ≤ the restored Filled; implementations validate their own
-// framing (CRCs) and return an error for rows they can no longer produce.
+// the lazy counterpart of SolverState.Splits, backed by a spill file in the
+// serve layer so a huge warm matrix costs reads proportional to the rows a
+// budget actually walks. SplitRow returns J[k][0..n] for a 1-based k ≤ the
+// restored Filled; implementations validate their own framing (CRCs) and
+// return an error for rows they can no longer produce.
 type SplitRowSource interface {
 	SplitRow(k int) ([]int32, error)
 }
 
-// WarmLostError reports that a lazily restored row could not be
-// materialized — the backing store was truncated, corrupted or unmapped
-// after RestoreLazy. The solver's remaining state is unusable; callers
-// discard it and rebuild cold.
+// SplitRangeSource is an optional capability of a SplitRowSource, detected
+// with a type assertion. SplitRows reads rows lo..hi (1-based, inclusive)
+// in one call and returns hi−lo+1 slices, each a row's verified
+// little-endian int32 cells (at least 4·(n+1) bytes). The solver keeps the
+// slices as the rows' resident form and decodes only the cells a walk
+// visits, so the source must not write them afterwards.
+type SplitRangeSource interface {
+	SplitRows(lo, hi int) ([][]byte, error)
+}
+
+// WarmLostError reports that a restored split row could not be used: the
+// backing store was truncated, corrupted or closed after RestoreLazy, or a
+// row holds a split point no fill writes. The solver's remaining state is
+// unusable; callers discard it and rebuild cold.
 type WarmLostError struct {
-	Row int // 1-based row that failed to materialize
+	Row int // 1-based row that failed, or the first row of a failed range read
 	Err error
 }
 
 func (e *WarmLostError) Error() string {
-	return fmt.Sprintf("core: lazily restored split row %d lost: %v", e.Row, e.Err)
+	return fmt.Sprintf("core: restored split row %d lost: %v", e.Row, e.Err)
 }
 
 func (e *WarmLostError) Unwrap() error { return e.Err }
@@ -252,10 +286,11 @@ func (e *WarmLostError) Unwrap() error { return e.Err }
 // RestoreLazy is Restore with the split-point rows left behind a
 // SplitRowSource instead of copied up front: the scalar state (row errors,
 // resume row, bound) restores eagerly — SolveError's search scans RowErr, so
-// it must be resident — while each J row materializes on first touch by a
-// reconstruction. st.Splits is ignored; rows is consulted once per row and
-// the solver retains what it returns, so a row is read (and its CRC paid)
-// at most once per solver lifetime.
+// it must be resident — while the J rows load on the first walk that needs
+// them. A SplitRangeSource serves all of a walk's unread rows in one
+// SplitRows call; any other source is asked once per row. st.Splits is
+// ignored, and the solver retains what rows returns, so a row is read (and
+// its CRC paid) at most once per solver lifetime.
 func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	n := sv.kn.N()
 	switch {
@@ -272,29 +307,75 @@ func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	case len(st.LastE) != n+1:
 		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
 	}
-	// Unmaterialized rows are nil slots; fillRow appends deeper rows after
-	// them, so Deepen works before any reconstruction forces a read.
+	// Unread rows are nil slots; fillRow appends deeper rows after them, so
+	// Deepen works before any walk forces a read.
 	sv.st.splits = append(sv.st.splits[:0], make([][]int32, st.Filled)...)
 	copy(sv.st.curE, st.LastE)
 	copy(sv.rowErr[1:], st.RowErr)
 	sv.filled = st.Filled
 	sv.bound, sv.hasMax = st.Bound, st.HasMax
-	sv.lazy = rows
+	sv.lazy, sv.restored = rows, st.Filled
 	return nil
 }
 
-// materialize loads every still-lazy split row in 1..k, validating shape and
-// range exactly like Restore. reconstruct(k) walks rows k..1 unconditionally,
-// so it runs behind this; eagerly restored solvers return immediately.
-func (sv *Solver) materialize(k int) error {
-	if sv.lazy == nil {
-		return nil
-	}
-	n := sv.kn.N()
-	for r := 1; r <= k && r <= len(sv.st.splits); r++ {
-		if sv.st.splits[r-1] != nil {
-			continue
+// checkSplitRow validates one restored row J[k][0..n] cell by cell against
+// what the fills write: 0 (a cell the row does not reach, and all of row
+// 1) or a split point k−1 ≤ J[k][i] < i. The range test runs first because
+// nearly every reached cell passes it, which keeps the loop as cheap as a
+// bare 0..n bound.
+func checkSplitRow(k int, row []int32) error {
+	for i, j := range row {
+		if (int(j) < k-1 || int(j) >= i) && j != 0 {
+			return fmt.Errorf("split point J[%d][%d] = %d outside %d..%d", k, i, j, k-1, i-1)
 		}
+	}
+	return nil
+}
+
+// backtrack makes rows 1..c resident and walks them from cell (c, n),
+// decoding one split point per row.
+func (sv *Solver) backtrack(c int) ([]temporal.SeqRow, error) {
+	if err := sv.load(c); err != nil {
+		return nil, err
+	}
+	return walkSplits(sv.kn, c, sv.split)
+}
+
+// split reads J[k][i] from the row's resident form.
+func (sv *Solver) split(k, i int) int {
+	if k <= len(sv.raw) {
+		return int(int32(binary.LittleEndian.Uint32(sv.raw[k-1][4*i:])))
+	}
+	return int(sv.st.splits[k-1][i])
+}
+
+// load makes the restored rows in 1..k resident for a walk. A
+// SplitRangeSource reads every unread row of that prefix with one SplitRows
+// call, and the verified bytes stay raw: no row is decoded or range-checked
+// as a whole, because the walk checks the one cell it visits per row. Once
+// a decoded row follows the raw prefix (State materialized it), and for
+// any other source, rows materialize one by one.
+func (sv *Solver) load(k int) error {
+	hi := min(k, sv.restored)
+	rr, ok := sv.lazy.(SplitRangeSource)
+	if !ok || hi <= sv.read || len(sv.raw) != sv.read {
+		return sv.materialize(k)
+	}
+	rows, err := rr.SplitRows(sv.read+1, hi)
+	if err != nil {
+		return &WarmLostError{Row: sv.read + 1, Err: err}
+	}
+	sv.raw = append(sv.raw, rows...)
+	sv.read = hi
+	return nil
+}
+
+// materialize reads the unread restored rows in 1..k one SplitRow call at a
+// time, checking each row's length and cells like Restore, and keeps them
+// decoded. Cold and eagerly restored solvers have no restored rows to read.
+func (sv *Solver) materialize(k int) error {
+	n := sv.kn.N()
+	for r := sv.read + 1; r <= min(k, sv.restored); r++ {
 		row, err := sv.lazy.SplitRow(r)
 		if err != nil {
 			return &WarmLostError{Row: r, Err: err}
@@ -302,12 +383,11 @@ func (sv *Solver) materialize(k int) error {
 		if len(row) != n+1 {
 			return &WarmLostError{Row: r, Err: fmt.Errorf("row has %d cells, want %d", len(row), n+1)}
 		}
-		for _, j := range row {
-			if j < 0 || int(j) > n {
-				return &WarmLostError{Row: r, Err: fmt.Errorf("split point %d outside 0..%d", j, n)}
-			}
+		if err := checkSplitRow(r, row); err != nil {
+			return &WarmLostError{Row: r, Err: err}
 		}
 		sv.st.splits[r-1] = row
+		sv.read = r
 	}
 	return nil
 }
@@ -332,11 +412,12 @@ func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error
 			}
 		}
 		if sv.rowErr[k] <= bound {
-			if err := sv.materialize(k); err != nil {
+			rows, err := sv.backtrack(k)
+			if err != nil {
 				return nil, err
 			}
 			return &DPResult{
-				Sequence: sv.kn.Sequence().WithRows(sv.st.reconstruct(k)),
+				Sequence: sv.kn.Sequence().WithRows(rows),
 				C:        k,
 				Error:    sv.rowErr[k],
 				Stats:    sv.st.stats,

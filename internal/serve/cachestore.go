@@ -28,12 +28,14 @@ import (
 //
 // The on-disk format is versioned and checksummed in two granularities: an
 // eagerly validated header (identity, shapes, row errors, resume row) and
-// one CRC per split-point row, so load can hand the row region to an
-// mmap-backed lazy view and each row's integrity is paid on first touch
-// instead of at load time. Header-level mismatches (magic, version, key,
-// shape, CRC, truncated row region) are a cold miss: the bad file is
-// removed and the caller rebuilds. Row-level corruption surfaces later as a
-// pta.WarmLostError from the evaluation; the serve layer then calls
+// one CRC per split-point row, so load can hand the row region to a lazy
+// view (slabView) that reads rows only when a backtrack needs them and
+// checks each row's CRC in its private copy then, not at load time.
+// Header-level mismatches (magic, version, key, shape, CRC, truncated row
+// region) are a cold miss: the bad file is removed and the caller
+// rebuilds. Row-level corruption — a CRC mismatch, a short read from a file
+// truncated in place, or a split point no fill writes — surfaces later as
+// a pta.WarmLostError from the evaluation; the serve layer then calls
 // discardCorrupt and retries cold. Writes go through a temp file + rename
 // so a crash mid-write never leaves a torn file under a live key.
 type cacheStore struct {
@@ -43,11 +45,11 @@ type cacheStore struct {
 	loads, stores, errors atomic.Int64
 
 	// views tracks the live lazy view per spill path so corrupt-file
-	// removal can unmap before unlinking (satellite: a concurrently mmap'd
-	// reader must observe a clean error, never a stale mapping or SIGBUS
-	// after the file is replaced). Superseded views (a deepened re-spill
-	// renames a new inode over the path) stay valid over their old inode
-	// and are unmapped by their GC cleanup.
+	// removal can close its descriptor before unlinking: a set still
+	// holding the view then fails cleanly instead of reading rows of a file
+	// the store has discarded. Superseded views (a deepened re-spill renames
+	// a new inode over the path) stay valid over their old inode and are
+	// closed by their GC cleanup.
 	viewsMu sync.Mutex
 	views   map[string]*slabView
 }
@@ -148,11 +150,11 @@ func (cs *cacheStore) readBlob(hash string) []byte {
 
 // load restores a warm set for key over the series, or nil on any miss: no
 // file, or a file whose header fails validation (corrupt, stale version,
-// shape mismatch). The restored set is lazy: split rows stay behind an
-// mmap'd view (read-at fallback off unix) and materialize on first touch.
-// Header-level bad files are removed so the next miss goes straight to a
-// cold build instead of re-parsing garbage; row-level corruption is
-// detected on touch and handled by discardCorrupt.
+// shape mismatch). The restored set is lazy: split rows stay in the file
+// behind a slabView and are read, one ReadAt per backtrack, when a budget
+// walks them. Header-level bad files are removed so the next miss goes
+// straight to a cold build instead of re-parsing garbage; row-level
+// corruption is detected when read and handled by discardCorrupt.
 func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts pta.Options) *pta.MatrixSet {
 	path := cs.path(key)
 	snap, view, err := cs.openView(path, key)
@@ -178,17 +180,17 @@ func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts
 }
 
 // discardCorrupt removes key's spill file after its lazy view failed
-// mid-life (row CRC mismatch, truncation under the mapping): the view is
-// invalidated (unmapped) before the unlink and the failure is counted. The
-// caller rebuilds cold.
+// mid-life (row CRC mismatch, a short read after truncation, a bad split
+// point): the view is invalidated (its descriptor closed) before the
+// unlink and the failure is counted. The caller rebuilds cold.
 func (cs *cacheStore) discardCorrupt(key string) {
 	cs.errors.Add(1)
 	cs.drop(cs.path(key))
 }
 
 // drop invalidates any live view over path before removing the file —
-// unmap-before-delete, so a concurrent reader of the old mapping gets a
-// clean "unmapped" error instead of touching freed pages.
+// close-before-delete, so a set still holding the old view gets a clean
+// error instead of reading rows of a discarded file.
 func (cs *cacheStore) drop(path string) {
 	cs.viewsMu.Lock()
 	if v := cs.views[path]; v != nil {
@@ -245,7 +247,7 @@ func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView
 		f.Close()
 		return nil, nil, fmt.Errorf("spill: file size %d, want %d for n=%d filled=%d", size, want, snap.N, snap.Filled)
 	}
-	return snap, newSlabView(f, int(size), int(hl), snap.N, snap.Filled), nil
+	return snap, newSlabView(f, int(hl), snap.N, snap.Filled), nil
 }
 
 // spillStats is the /v1/stats snapshot of the persistent tier.
@@ -265,7 +267,7 @@ func (cs *cacheStore) stats() spillStats {
 // series), the scalar snapshot fields and the per-row errors and resume row
 // in fixed little-endian layout, sealed by a CRC32 — followed by one
 // section per split row, each sealed by its own CRC32 so a lazy view can
-// validate exactly the rows it materializes. The encoding is deterministic:
+// validate exactly the rows it reads. The encoding is deterministic:
 // equal snapshots produce byte-identical blobs, which is what makes spill
 // files content-addressed peer resources.
 func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {

@@ -462,10 +462,10 @@ func (s *Server) compressOne(ctx context.Context, series *pta.Series, fingerprin
 			}
 			break
 		}
-		// A lazily restored set whose backing spill file went bad mid-life
-		// (row CRC mismatch, truncation under the mapping) surfaces as a
-		// WarmLostError. Unmap-and-remove the file, drop the poisoned
-		// entry, and rebuild cold — once.
+		// A restored set whose rows went bad mid-life (row CRC mismatch, a
+		// short read from a truncated spill file, a bad split point)
+		// surfaces as a WarmLostError. Close-and-remove the file, drop the
+		// poisoned entry, and rebuild cold — once.
 		var lost *pta.WarmLostError
 		if attempt == 0 && errors.As(err, &lost) {
 			s.cache.discard(entry)

@@ -176,7 +176,7 @@ func TestPeerWarmRestart(t *testing.T) {
 	}
 
 	// A deeper budget on the peer-warmed (lazily restored) set resumes the
-	// fill on B — the lazy rows materialize under the deeper reconstruction.
+	// fill on B — the deeper walk reads the restored rows from the file.
 	res, _, err := warmSend(tsB.URL, projWire(), planWire{Strategy: "ptac", Budget: "c=5"})
 	if err != nil || res.Cache != cacheHit || res.C != 5 {
 		t.Errorf("deeper budget on B after peer warm: cache=%q C=%d err=%v", res.Cache, res.C, err)
@@ -335,11 +335,11 @@ func TestMatrixEndpointAddresses(t *testing.T) {
 	}
 }
 
-// TestSlabTruncationWhileMapped: a spill file truncated in place underneath
-// a live mapping must surface as a clean WarmLostError on the first row
-// touch — never a process-killing SIGBUS — and the serve layer's response
-// is a cold rebuild.
-func TestSlabTruncationWhileMapped(t *testing.T) {
+// TestSlabTruncationWhileOpen: a spill file truncated in place underneath
+// an open view must surface as a clean WarmLostError on the first row read
+// — a short read, never a panic or a wrong answer — and the serve layer's
+// response is a cold rebuild.
+func TestSlabTruncationWhileOpen(t *testing.T) {
 	dir := t.TempDir()
 	cs, err := newCacheStore(dir, 0)
 	if err != nil {
@@ -366,10 +366,9 @@ func TestSlabTruncationWhileMapped(t *testing.T) {
 		t.Fatal("store refused the warm set")
 	}
 
-	// Restore lazily (the rows stay behind the mapping), then truncate the
-	// file so every row page is beyond EOF. n=600 keeps the header past the
-	// 4 KiB boundary, so the whole row region faults rather than reading
-	// zeros.
+	// Restore lazily (the rows stay in the file), then truncate the file so
+	// every row is beyond EOF. n=600 keeps the header past the 4 KiB cut,
+	// so the whole row region reads short.
 	lazy := cs.load(key, series, "ptac", pta.Options{})
 	if lazy == nil {
 		t.Fatal("lazy load failed on an intact file")
@@ -385,14 +384,14 @@ func TestSlabTruncationWhileMapped(t *testing.T) {
 	_, err = lazy.Compress(ctx, budget)
 	var lost *pta.WarmLostError
 	if !errors.As(err, &lost) {
-		t.Fatalf("compress over the truncated mapping: %v, want a WarmLostError", err)
+		t.Fatalf("compress over the truncated file: %v, want a WarmLostError", err)
 	}
 	if lost.Row < 1 || lost.Row > 64 {
 		t.Errorf("WarmLostError.Row = %d, want a row in 1..64", lost.Row)
 	}
 
-	// discardCorrupt unmaps before unlinking; the file is gone and later
-	// touches keep failing cleanly rather than resurrecting the mapping.
+	// discardCorrupt closes the view before unlinking; the file is gone and
+	// later reads keep failing cleanly rather than reopening anything.
 	cs.discardCorrupt(key)
 	if files := spillFiles(t, dir); len(files) != 0 {
 		t.Errorf("%d spill files after discardCorrupt, want 0", len(files))
@@ -416,7 +415,8 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 	ts1.Close()
 
 	_, ts2 := newTestServer(t, Config{SpillDir: dir})
-	// Shallow budget first: rows 1..3 materialize, 4..6 stay lazy.
+	// Shallow budget first: one read brings in rows 1..3, 4..6 stay in the
+	// file.
 	if res := spillSend(t, ts2.URL, planWire{Strategy: "ptac", Budget: "c=3"}); res.Cache != cacheHit || res.Stats.Cells != 0 {
 		t.Fatalf("shallow budget after restart: cache=%q cells=%d", res.Cache, res.Stats.Cells)
 	}
@@ -424,8 +424,8 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("%d spill files, want 1", len(files))
 	}
-	// Cut the row region out from under the mapping (the header keeps its
-	// size, so only row touches fail).
+	// Cut rows 4..6 off the file under the open view (the header keeps its
+	// size, so only reads of those rows fail).
 	data, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
@@ -453,10 +453,10 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 	}
 }
 
-// TestUnmapBeforeDelete: removing a corrupt spill file while a restored set
-// still holds its mapping must invalidate the view first, so the held set
-// fails cleanly instead of touching freed pages.
-func TestUnmapBeforeDelete(t *testing.T) {
+// TestCloseBeforeDelete: removing a corrupt spill file while a restored set
+// still holds its view must invalidate the view first, so the held set
+// fails cleanly instead of reading rows of the discarded file.
+func TestCloseBeforeDelete(t *testing.T) {
 	dir := t.TempDir()
 	cs, err := newCacheStore(dir, 0)
 	if err != nil {
@@ -478,7 +478,7 @@ func TestUnmapBeforeDelete(t *testing.T) {
 	if _, err := set.Compress(ctx, budget); err != nil {
 		t.Fatal(err)
 	}
-	const key = "unmap-test"
+	const key = "close-test"
 	if !cs.store(key, set) {
 		t.Fatal("store refused the warm set")
 	}

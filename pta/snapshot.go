@@ -17,7 +17,8 @@ import (
 // taken over — it carries no series data. Callers establish that identity
 // themselves (the serve layer keys spill files by Fingerprint, so a loaded
 // snapshot always meets the series that produced it); RestoreMatrixSet
-// validates shape and class, not content.
+// validates shape, class and split-point ranges, not that the rows were
+// filled over this series.
 type MatrixSnapshot struct {
 	Strategy string    // registry name the set was built for
 	Class    string    // DPClassWith(strategy, fill) — must match on restore
@@ -32,9 +33,9 @@ type MatrixSnapshot struct {
 
 // Snapshot copies the set's warm rows. A set that has answered no budget
 // yet returns Filled == 0 (nothing worth persisting). A lazily restored set
-// (RestoreMatrixSetLazy) materializes every outstanding row first; if its
-// backing store has gone bad the WarmLostError surfaces here instead of a
-// torn snapshot.
+// (RestoreMatrixSetLazy) first reads every row no backtrack has read yet; if
+// its backing store has gone bad the WarmLostError surfaces here instead of
+// a torn snapshot.
 func (m *MatrixSet) Snapshot() (*MatrixSnapshot, error) {
 	st, err := m.sv.State()
 	if err != nil {
@@ -58,9 +59,11 @@ func (m *MatrixSet) Snapshot() (*MatrixSnapshot, error) {
 // series anyway) and injects the snapshot's rows, so later budgets answer
 // with zero fill work and deeper budgets resume where the snapshot
 // stopped. The snapshot's class must match DPClassWith(strategy,
-// opts.FillAlgo), and every shape is validated — a corrupt or mismatched
+// opts.FillAlgo), every shape is validated, and every split point must be
+// one a fill writes (0, or k−1 ≤ J[k][i] < i) — a corrupt or mismatched
 // snapshot returns an error and no set, leaving the caller to fall back to
-// a cold build.
+// a cold build. Split points that pass but cannot be followed surface as a
+// WarmLostError from Compress.
 func RestoreMatrixSet(s *Series, strategy string, opts Options, snap *MatrixSnapshot) (*MatrixSet, error) {
 	if snap == nil || snap.Filled == 0 {
 		return nil, fmt.Errorf("pta: empty matrix snapshot")
@@ -92,22 +95,25 @@ func RestoreMatrixSet(s *Series, strategy string, opts Options, snap *MatrixSnap
 
 // SplitRowSource supplies restored split-point rows on demand for
 // RestoreMatrixSetLazy; see core.SplitRowSource. Implementations live in the
-// persistence layer (internal/serve's mmap-backed spill view).
+// persistence layer (internal/serve's spill-file view, which also reads a
+// walk's rows in one range read).
 type SplitRowSource = core.SplitRowSource
 
-// WarmLostError is the typed error a lazily restored set surfaces when its
-// backing row source fails after restore (truncated, corrupted or unmapped
-// spill file). It travels through MatrixSet.Compress wrapped, so callers
-// detect it with errors.As and rebuild cold.
+// WarmLostError is the typed error a restored set surfaces when its split
+// rows fail after restore: a truncated, corrupted or discarded spill file,
+// or a split point the backtrack cannot follow. It travels through
+// MatrixSet.Compress wrapped, so callers detect it with errors.As and
+// rebuild cold.
 type WarmLostError = core.WarmLostError
 
 // RestoreMatrixSetLazy is RestoreMatrixSet with the split-point rows left
-// behind a SplitRowSource: snap.Splits is ignored (may be nil) and each J
-// row is read from src on the first reconstruction that touches it. The
+// behind a SplitRowSource: snap.Splits is ignored (may be nil) and the J
+// rows are read from src by the first backtrack that walks them. The
 // scalar state (RowErr, LastE, Bound) still restores eagerly, so budget
 // searches and deeper fills run without touching src at all; only answering
-// a budget pays for exactly the rows its backtrack walks. If src fails later
-// the evaluation returns a WarmLostError and the set must be discarded.
+// a budget pays for exactly the rows its backtrack walks. If src fails later,
+// or a row holds a split point the walk cannot follow, the evaluation
+// returns a WarmLostError and the set must be discarded.
 func RestoreMatrixSetLazy(s *Series, strategy string, opts Options, snap *MatrixSnapshot, src SplitRowSource) (*MatrixSet, error) {
 	if snap == nil || snap.Filled == 0 {
 		return nil, fmt.Errorf("pta: empty matrix snapshot")

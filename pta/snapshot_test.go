@@ -220,6 +220,10 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 	mutate("truncated splits", func(s *pta.MatrixSnapshot) { s.Splits = s.Splits[:len(s.Splits)-1] })
 	mutate("split out of range", func(s *pta.MatrixSnapshot) { s.Splits[0] = int32(s.N + 5) })
 	mutate("negative split", func(s *pta.MatrixSnapshot) { s.Splits[0] = -1 })
+	// In range 0..n, but at its own column: the backtrack would merge the
+	// empty run [n+1, n].
+	mutate("split at its column", func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.N) })
+	mutate("split below k-1", func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.Filled - 2) })
 	mutate("filled too deep", func(s *pta.MatrixSnapshot) { s.Filled = s.N + 1 })
 
 	if _, err := pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, nil); err == nil {
@@ -227,6 +231,20 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 	}
 	if _, err := pta.RestoreMatrixSet(seq, "gms", pta.Options{}, good); err == nil {
 		t.Error("non-DP strategy accepted a snapshot")
+	}
+
+	// A zero split point passes Restore (unreached cells hold 0), but one on
+	// the backtrack's path is a typed loss, not a panic.
+	zero := *good
+	zero.Splits = append([]int32(nil), good.Splits...)
+	zero.Splits[(zero.Filled-1)*(zero.N+1)+zero.N] = 0
+	set, err = pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, &zero)
+	if err != nil {
+		t.Fatalf("restore rejected a zero split point: %v", err)
+	}
+	var lost *pta.WarmLostError
+	if _, err := set.Compress(ctx, pta.Size(zero.Filled)); !errors.As(err, &lost) {
+		t.Errorf("compress over a zero split point on the walk: %v, want a WarmLostError", err)
 	}
 
 	// The pristine snapshot still restores after all the rejected copies.
