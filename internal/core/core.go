@@ -79,6 +79,16 @@ func acceptErrorBound(bound, maxErr float64) float64 {
 	return bound*(1+1e-9) + 1e-12*maxErr
 }
 
+// CheckErrorBound rejects an error bound outside [0, 1], NaN included.
+// Every error-bounded evaluator searches for the smallest size whose error
+// fits eps·SSEmax; no size fits a NaN bound, so the search would never end.
+func CheckErrorBound(eps float64) error {
+	if !(eps >= 0 && eps <= 1) {
+		return fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	}
+	return nil
+}
+
 // InfeasibleSizeError reports a size budget below the smallest reachable
 // reduction size cmin (the number of maximal adjacent runs): no sequence of
 // adjacent merges can shrink the input that far.

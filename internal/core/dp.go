@@ -408,8 +408,8 @@ func DPBasicError(seq *temporal.Sequence, eps float64, opts Options) (*DPResult,
 }
 
 func runErrorBoundedMode(seq *temporal.Sequence, eps float64, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	if err := CheckErrorBound(eps); err != nil {
+		return nil, err
 	}
 	n := seq.Len()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -227,6 +228,48 @@ func TestPTAcBounds(t *testing.T) {
 	}
 	if _, err := PTAc(seq, 4, Options{Weights: []float64{-1}}); err == nil {
 		t.Error("non-positive weight should fail")
+	}
+}
+
+// TestErrorBoundRejectsNaN: every error-bounded evaluator rejects a NaN
+// bound up front. No size fits a NaN bound, so without the check the exact
+// searches never end and the greedy ones answer wrongly or crash.
+func TestErrorBoundRejectsNaN(t *testing.T) {
+	seq := figure1c()
+	nan := math.NaN()
+	est, err := ExactEstimate(seq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, err := NewSolver(seq, Options{}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluators := map[string]func() error{
+		"PTAe": func() error { _, err := PTAe(seq, nan, Options{}); return err },
+		"PTAeParallel": func() error {
+			_, err := PTAeParallel(seq, nan, Options{}, 2)
+			return err
+		},
+		"DPMultiParallel": func() error {
+			_, err := DPMultiParallel(seq, []MultiBudget{{C: 4}, {Eps: nan}}, Options{}, 2)
+			return err
+		},
+		"DPMulti": func() error {
+			_, err := DPMulti(seq, []MultiBudget{{Eps: nan}}, Options{}, true, true)
+			return err
+		},
+		"SolveError": func() error { _, err := sv.SolveError(context.Background(), nan); return err },
+		"GPTAe": func() error {
+			_, err := GPTAe(NewSliceStream(seq), nan, 1, est, Options{})
+			return err
+		},
+		"GMSError": func() error { _, err := GMSError(seq, nan, Options{}); return err },
+	}
+	for name, eval := range evaluators {
+		if err := eval(); err == nil {
+			t.Errorf("%s accepted a NaN error bound", name)
+		}
 	}
 }
 

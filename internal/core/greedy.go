@@ -303,8 +303,8 @@ func GMS(seq *temporal.Sequence, c int, opts Options) (*GreedyResult, error) {
 // strategy: merge most-similar pairs while the accumulated error stays
 // within eps·SSEmax.
 func GMSError(seq *temporal.Sequence, eps float64, opts Options) (*GreedyResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	if err := CheckErrorBound(eps); err != nil {
+		return nil, err
 	}
 	g, err := newGreedyState(seq.P(), opts)
 	if err != nil {
@@ -507,8 +507,8 @@ func RandomSampleEstimate(seq *temporal.Sequence, fraction float64, seed int64, 
 // ends, the exact SSEmax accumulated during the scan takes over and merging
 // continues while the total error fits eps·SSEmax.
 func GPTAe(src Stream, eps float64, delta int, est Estimate, opts Options) (*GreedyResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	if err := CheckErrorBound(eps); err != nil {
+		return nil, err
 	}
 	if est.N < 1 {
 		return nil, fmt.Errorf("core: estimated size %d, want ≥ 1", est.N)

@@ -37,8 +37,8 @@ func DPMulti(seq *temporal.Sequence, budgets []MultiBudget, opts Options, pruneI
 		if b.C > 0 {
 			return nil, fmt.Errorf("core: size bound %d for an empty relation", b.C)
 		}
-		if b.Eps < 0 || b.Eps > 1 {
-			return nil, fmt.Errorf("core: error bound %v outside [0, 1]", b.Eps)
+		if err := CheckErrorBound(b.Eps); err != nil {
+			return nil, err
 		}
 		results[i] = &DPResult{Sequence: seq.WithRows(nil), C: 0}
 	}
@@ -77,8 +77,8 @@ func DPMultiKernel(kn *CostKernel, budgets []MultiBudget, opts Options, pruneI, 
 			}
 			continue
 		}
-		if b.Eps < 0 || b.Eps > 1 {
-			return nil, fmt.Errorf("core: error bound %v outside [0, 1]", b.Eps)
+		if err := CheckErrorBound(b.Eps); err != nil {
+			return nil, err
 		}
 		if !maxErrKnown {
 			maxErr = kn.MaxError()

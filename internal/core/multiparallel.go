@@ -33,8 +33,8 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 			if b.C > 0 {
 				return nil, fmt.Errorf("core: size bound %d for an empty relation", b.C)
 			}
-			if b.Eps < 0 || b.Eps > 1 {
-				return nil, fmt.Errorf("core: error bound %v outside [0, 1]", b.Eps)
+			if err := CheckErrorBound(b.Eps); err != nil {
+				return nil, err
 			}
 			results[i] = &DPResult{Sequence: seq.WithRows(nil), C: 0}
 		}
@@ -64,8 +64,8 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 			}
 			continue
 		}
-		if b.Eps < 0 || b.Eps > 1 {
-			return nil, fmt.Errorf("core: error bound %v outside [0, 1]", b.Eps)
+		if err := CheckErrorBound(b.Eps); err != nil {
+			return nil, err
 		}
 		if !maxErrKnown {
 			maxErr = kn.MaxError()

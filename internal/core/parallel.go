@@ -197,8 +197,8 @@ func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DP
 // smallest size whose error fits eps·SSEmax wins — the same minimization as
 // PTAe (Definition 7), parallel over runs.
 func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	if err := CheckErrorBound(eps); err != nil {
+		return nil, err
 	}
 	n := seq.Len()
 	if n == 0 {

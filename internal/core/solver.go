@@ -396,8 +396,8 @@ func (sv *Solver) materialize(k int) error {
 // reduction introduces at most eps·SSEmax error. Rows filled while searching
 // are retained for later budgets.
 func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error) {
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("core: error bound %v outside [0, 1]", eps)
+	if err := CheckErrorBound(eps); err != nil {
+		return nil, err
 	}
 	if !sv.hasMax {
 		sv.bound = sv.kn.MaxError()

@@ -66,7 +66,8 @@ func (s *Server) readCompressBody(w http.ResponseWriter, r *http.Request, many b
 	body := buf.Bytes()
 	defer putCodecBuf(bp, body)
 	if err != nil {
-		return compressBody{}, badRequest(fmt.Errorf("body: %v", err))
+		// %w keeps an *http.MaxBytesError visible to statusFor: 413.
+		return compressBody{}, badRequest(fmt.Errorf("body: %w", err))
 	}
 	if req, ok := decodeFast(body, many); ok {
 		return req, nil
@@ -100,8 +101,13 @@ func decodeReference(body []byte, many bool) (compressBody, error) {
 
 // decodeFast parses a compress body in one pass, straight into the facade
 // model. ok is false when the body holds anything the decoder does not own.
-func decodeFast(body []byte, many bool) (req compressBody, ok bool) {
+func decodeFast(body []byte, many bool) (compressBody, bool) {
 	d := fastDecoder{b: body}
+	return d.request(many)
+}
+
+// request decodes the whole body as one compress request.
+func (d *fastDecoder) request(many bool) (req compressBody, ok bool) {
 	var seen fieldSet
 	ok = d.object(func(key []byte) bool {
 		switch string(key) {
@@ -128,7 +134,7 @@ func decodeFast(body []byte, many bool) (req compressBody, ok bool) {
 		return false
 	})
 	d.ws()
-	if !ok || d.i != len(body) || d.s == nil || (!many && req.plans == nil) {
+	if !ok || d.i != len(d.b) || d.s == nil || (!many && req.plans == nil) {
 		return compressBody{}, false
 	}
 	req.series = d.s
@@ -156,9 +162,11 @@ type fastDecoder struct {
 
 	s      *pta.Series
 	aggs   []float64        // the aggregate slab, cut into rows once all are read
-	toks   [][]byte         // one group array's value tokens
+	toks   []groupTok       // one group array's value tokens
 	vals   []temporal.Datum // their values, on a group's first row
 	groups map[string]int32 // raw group array → interned group id
+
+	fallbacks int // number tokens converted by strconv rather than as scanned
 }
 
 // ws skips insignificant whitespace.
@@ -187,42 +195,46 @@ func (d *fastDecoder) consume(c byte) bool {
 	return false
 }
 
+// open consumes the bracket c that opens an array or object and reports
+// whether an element follows before its closing bracket end.
+func (d *fastDecoder) open(c, end byte) (more, ok bool) {
+	if !d.consume(c) {
+		return false, false
+	}
+	return !d.consume(end), true
+}
+
+// next consumes what follows an element: a comma, when another element
+// follows, or the closing bracket end.
+func (d *fastDecoder) next(end byte) (more, ok bool) {
+	if d.consume(',') {
+		return true, true
+	}
+	return false, d.consume(end)
+}
+
 // object walks one JSON object, handing each key to field, which parses the
 // value. Keys holding an escape decline.
 func (d *fastDecoder) object(field func(key []byte) bool) bool {
-	if !d.consume('{') {
-		return false
-	}
-	if d.consume('}') {
-		return true
-	}
-	for {
-		key, escaped, ok := d.strToken()
-		if !ok || escaped || !d.consume(':') || !field(key[1:len(key)-1]) {
+	more, ok := d.open('{', '}')
+	for ; more; more, ok = d.next('}') {
+		key, escaped, kok := d.strToken()
+		if !kok || escaped || !d.consume(':') || !field(key[1:len(key)-1]) {
 			return false
 		}
-		if !d.consume(',') {
-			return d.consume('}')
-		}
 	}
+	return ok
 }
 
 // array walks one JSON array, calling elem to parse each element.
 func (d *fastDecoder) array(elem func() bool) bool {
-	if !d.consume('[') {
-		return false
-	}
-	if d.consume(']') {
-		return true
-	}
-	for {
+	more, ok := d.open('[', ']')
+	for ; more; more, ok = d.next(']') {
 		if !elem() {
 			return false
 		}
-		if !d.consume(',') {
-			return d.consume(']')
-		}
 	}
+	return ok
 }
 
 // strToken scans one string token, quotes included, and reports whether it
@@ -268,74 +280,138 @@ func (d *fastDecoder) str() (string, bool) {
 	return unquote(tok)
 }
 
-// number scans one number token by the RFC 8259 grammar, which is stricter
-// than strconv (no "0x1p-2", "Inf", "NaN", "1_0", "+1" or "01"), and reports
-// whether it has neither a fraction nor an exponent.
-func (d *fastDecoder) number() (tok []byte, whole, ok bool) {
-	d.ws()
+// number scans the number token at the cursor by the RFC 8259 grammar,
+// which is stricter than strconv (no "0x1p-2", "Inf", "NaN", "1_0", "+1"
+// or "01"), and builds its value in the same pass: the token is
+// ±m·10^exp, exactly, as long as m has at most 19 digits (m saturates
+// past them), and whole when it has neither a fraction nor an exponent.
+func (d *fastDecoder) number() (m uint64, exp int, neg, whole, ok bool) {
 	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
+	if neg = i < len(b) && b[i] == '-'; neg {
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		i, m = digits(b, i, 0)
 	default:
-		return nil, false, false
+		return 0, 0, false, false, false
 	}
 	whole = true
 	if i < len(b) && b[i] == '.' {
 		whole = false
-		if i++; i == len(b) || !isDigit(b[i]) {
-			return nil, false, false
+		j := i + 1
+		if i, m = digits(b, j, m); i == j {
+			return 0, 0, false, false, false
 		}
-		i = digits(b, i)
+		exp = j - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		whole = false
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if i == len(b) || !isDigit(b[i]) {
-			return nil, false, false
+			return 0, 0, false, false, false
 		}
-		i = digits(b, i)
+		// The exponent stops growing once it passes len(b)+22: no fraction
+		// in the body is long enough to bring the scale back within 10^±22,
+		// so the token still falls back to strconv.
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e <= len(b)+22 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	tok, d.i = b[d.i:i], i
-	return tok, whole, true
+	d.i = i
+	return m, exp, neg, whole, true
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
+// digits appends the digits from b[i] on to the mantissa m and returns the
+// index of the first non-digit. Leading zeros leave m at 0; past 19 digits
+// m saturates at MaxUint64, above every exact path's bound.
+func digits(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if m < 1e18 {
+			m = m*10 + uint64(c)
+		} else {
+			m = math.MaxUint64
+		}
 	}
-	return i
+	return i, m
 }
 
-// float reads a number the way encoding/json stores one into a float64.
-func (d *fastDecoder) float() (float64, bool) {
-	tok, _, ok := d.number()
-	if !ok {
-		return 0, false
+// pow10 holds the powers of ten that are exact float64s.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// value returns the float64 strconv.ParseFloat reads from tok, scanned as
+// ±m·10^exp. A mantissa below 2^53 and a power of ten up to 10^22 are both
+// exact float64s, so one multiply or divide rounds their exact product or
+// quotient once, correctly, as ParseFloat rounds the decimal: Clinger's
+// fast path, the one strconv itself takes in atof64exact. Every other
+// token falls back to strconv on the same bytes.
+func (d *fastDecoder) value(tok []byte, m uint64, exp int, neg bool) (float64, bool) {
+	if m < 1<<53 && -22 <= exp && exp <= 22 {
+		f := float64(m)
+		if neg {
+			f = -f
+		}
+		if exp < 0 {
+			return f / pow10[-exp], true
+		}
+		return f * pow10[exp], true
 	}
+	d.fallbacks++
 	f, err := strconv.ParseFloat(string(tok), 64)
 	return f, err == nil
 }
 
+// float reads a number the way encoding/json stores one into a float64.
+func (d *fastDecoder) float() (float64, bool) {
+	d.ws()
+	start := d.i
+	m, exp, neg, _, ok := d.number()
+	if !ok {
+		return 0, false
+	}
+	return d.value(d.b[start:d.i], m, exp, neg)
+}
+
 // integer reads a number the way encoding/json stores one into an integer
-// field of the given bit size: a fraction or an exponent is an error.
+// field of the given bit size: a fraction or an exponent is an error. Up to
+// 18 digits always fit in 64 bits; longer tokens fall back to strconv.
 func (d *fastDecoder) integer(dst *int64, bits int) bool {
-	tok, whole, ok := d.number()
+	d.ws()
+	start := d.i
+	m, _, neg, whole, ok := d.number()
 	if !ok || !whole {
 		return false
 	}
-	n, err := strconv.ParseInt(string(tok), 10, bits)
-	*dst = n
+	if m < 1e18 && bits == 64 {
+		*dst = int64(m)
+		if neg {
+			*dst = -*dst
+		}
+		return true
+	}
+	d.fallbacks++
+	v, err := strconv.ParseInt(string(d.b[start:d.i]), 10, bits)
+	*dst = v
 	return err == nil
 }
 
@@ -443,11 +519,13 @@ func (d *fastDecoder) rows(s *pta.Series) bool {
 	if len(s.GroupAttrs) == 0 {
 		ungrouped = s.Groups.Intern(nil)
 	}
-	ok := d.array(func() bool {
-		r, ok := d.row(s, ungrouped)
-		rows = append(rows, r)
-		return ok
-	})
+	more, ok := d.open('[', ']')
+	for ; more; more, ok = d.next(']') {
+		rows = append(rows, pta.Row{Group: ungrouped})
+		if !d.row(&rows[len(rows)-1], s) {
+			return false
+		}
+	}
 	if !ok || len(rows) == 0 {
 		return false
 	}
@@ -465,32 +543,82 @@ func (d *fastDecoder) rows(s *pta.Series) bool {
 	return true
 }
 
-// row reads one row, appending its aggregates to the slab; rows without a
-// group array belong to the ungrouped group (-1: the schema has groups).
-func (d *fastDecoder) row(s *pta.Series, ungrouped int32) (pta.Row, bool) {
-	r := pta.Row{Group: ungrouped}
+// The keys of a row, in rowWire's order.
+const (
+	keyGroup = iota
+	keyAggs
+	keyStart
+	keyEnd
+)
+
+// rowKey reads one row key and its colon and returns its key constant. A
+// key is matched as the literal bytes json.Marshal writes; any other key,
+// an escaped spelling included, is -1 and declines.
+func (d *fastDecoder) rowKey() int {
+	d.ws()
+	k, n := -1, 0
+	// A valid body holds at least 8 bytes from any row key on ("end":1}]}}).
+	if rest := d.b[d.i:]; len(rest) >= 8 {
+		switch {
+		case string(rest[:6]) == `"aggs"`:
+			k, n = keyAggs, 6
+		case string(rest[:7]) == `"start"`:
+			k, n = keyStart, 7
+		case string(rest[:5]) == `"end"`:
+			k, n = keyEnd, 5
+		case string(rest[:7]) == `"group"`:
+			k, n = keyGroup, 7
+		}
+	}
+	d.i += n
+	if !d.consume(':') {
+		return -1
+	}
+	return k
+}
+
+// row reads one row into r, appending its aggregates to the slab. A row
+// without a group array keeps r's group: the ungrouped group, or -1 when
+// the schema has groups.
+func (d *fastDecoder) row(r *pta.Row, s *pta.Series) bool {
 	from := len(d.aggs)
 	var seen fieldSet
-	ok := d.object(func(key []byte) bool {
-		switch string(key) {
-		case "group":
-			var ok bool
-			r.Group, ok = d.group(s)
-			return seen.first(0) && ok
-		case "aggs":
-			return seen.first(1) && d.array(func() bool {
-				f, ok := d.float()
-				d.aggs = append(d.aggs, f)
-				return ok
-			}) && len(d.aggs)-from == s.P()
-		case "start":
-			return seen.first(2) && d.integer(&r.T.Start, 64)
-		case "end":
-			return seen.first(3) && d.integer(&r.T.End, 64)
+	more, ok := d.open('{', '}')
+	for ; more; more, ok = d.next('}') {
+		k := d.rowKey()
+		if k < 0 || !seen.first(uint(k)) {
+			return false
 		}
-		return false
-	})
-	return r, ok && seen.has(1) && r.Group >= 0
+		var vok bool
+		switch k {
+		case keyGroup:
+			r.Group, vok = d.group(s)
+		case keyAggs:
+			vok = d.aggVector(from + s.P())
+		case keyStart:
+			vok = d.integer(&r.T.Start, 64)
+		case keyEnd:
+			vok = d.integer(&r.T.End, 64)
+		}
+		if !vok {
+			return false
+		}
+	}
+	return ok && seen.has(keyAggs) && r.Group >= 0
+}
+
+// aggVector appends one row's aggregate array to the slab, which must then
+// hold exactly to values.
+func (d *fastDecoder) aggVector(to int) bool {
+	more, ok := d.open('[', ']')
+	for ; more; more, ok = d.next(']') {
+		f, fok := d.float()
+		if !fok || len(d.aggs) == to {
+			return false
+		}
+		d.aggs = append(d.aggs, f)
+	}
+	return ok && len(d.aggs) == to
 }
 
 // group reads one row's group array and returns its interned id. The rows
@@ -500,21 +628,26 @@ func (d *fastDecoder) group(s *pta.Series) (int32, bool) {
 	d.ws()
 	start := d.i
 	d.toks = d.toks[:0]
-	ok := d.array(func() bool {
+	more, ok := d.open('[', ']')
+	for ; more; more, ok = d.next(']') {
 		j := len(d.toks)
 		if j == len(s.GroupAttrs) {
-			return false
+			return 0, false
 		}
-		var tok []byte
-		var ok bool
+		d.ws()
+		tok := groupTok{start: d.i}
+		var vok bool
 		if s.GroupAttrs[j].Kind == temporal.KindString {
-			tok, _, ok = d.strToken()
+			_, _, vok = d.strToken()
 		} else {
-			tok, _, ok = d.number()
+			tok.m, tok.exp, tok.neg, _, vok = d.number()
 		}
+		if !vok {
+			return 0, false
+		}
+		tok.end = d.i
 		d.toks = append(d.toks, tok)
-		return ok
-	})
+	}
 	if !ok || len(d.toks) != len(s.GroupAttrs) {
 		return 0, false
 	}
@@ -524,7 +657,7 @@ func (d *fastDecoder) group(s *pta.Series) (int32, bool) {
 	}
 	d.vals = d.vals[:0]
 	for j, tok := range d.toks {
-		v, ok := datum(s.GroupAttrs[j].Kind, tok)
+		v, ok := d.datum(s.GroupAttrs[j].Kind, tok)
 		if !ok {
 			return 0, false
 		}
@@ -538,16 +671,26 @@ func (d *fastDecoder) group(s *pta.Series) (int32, bool) {
 	return id, true
 }
 
+// groupTok is one scanned group value: its token d.b[start:end] and, for a
+// number, the value number scanned.
+type groupTok struct {
+	start, end int
+	m          uint64
+	exp        int
+	neg        bool
+}
+
 // datum converts one scanned group value with decodeDatum's rules: an int
 // must be a whole number, converted from its float64 like the reference.
-func datum(kind temporal.Kind, tok []byte) (temporal.Datum, bool) {
+func (d *fastDecoder) datum(kind temporal.Kind, t groupTok) (temporal.Datum, bool) {
+	tok := d.b[t.start:t.end]
 	if kind == temporal.KindString {
 		s, ok := unquote(tok)
 		return temporal.String(s), ok
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
+	f, ok := d.value(tok, t.m, t.exp, t.neg)
 	switch {
-	case err != nil:
+	case !ok:
 		return temporal.Datum{}, false
 	case kind == temporal.KindFloat:
 		return temporal.Float(f), true

@@ -10,10 +10,12 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/temporal"
 	"repro/pta"
 )
@@ -155,7 +157,7 @@ func decodeCases(tb testing.TB) []decodeCase {
 	}
 	tiedRow("-0", 20)
 	tiedRow("0", 1)
-	return []decodeCase{
+	cases := []decodeCase{
 		{"testdata", string(testdata), false, true},
 		{"proj", `{"series":` + proj + `,` + plan + `,"timeout_ms":100}`, false, true},
 		{"many", `{"series":` + proj + `,"plans":[{"strategy":"ptac","budget":"c=4"},{"strategy":"ptae",` +
@@ -166,6 +168,7 @@ func decodeCases(tb testing.TB) []decodeCase {
 			Plan: planWire{Strategy: "ptac", Budget: "c=4"}})), false, true},
 		{"empty weights", `{"series":` + proj + `,"plan":{"strategy":"ptac","budget":"c=4","weights":[]}}`, false, true},
 		{"minus zero", row(`{"aggs":[-0],"start":-0,"end":0}`), false, true},
+		{"spaced row keys", row("{ \"aggs\" : [ 1 ] , \"start\"\t:1,\n\"end\" :1 }"), false, true},
 		{"escaped group value", grouped("string", `{"group":["A\n"],"aggs":[1],"start":1,"end":1}`), false, true},
 		{"invalid utf-8 group value", grouped("string", "{\"group\":[\"a\xffb\"],\"aggs\":[1],\"start\":1,\"end\":1}"), false, true},
 		{"float groups 0 and -0", grouped("float", `{"group":[0],"aggs":[1],"start":1,"end":1},`+
@@ -191,6 +194,142 @@ func decodeCases(tb testing.TB) []decodeCase {
 		{"rows before schema", `{"series":{"rows":[{"aggs":[1],"start":1,"end":1}],"agg_names":["v"]},` + plan + `}`, false, false},
 		{"trailing bracket", `{"series":` + proj + `,` + plan + `}]`, false, false},
 		{"missing plan", `{"series":` + proj + `}`, false, false},
+	}
+	// Each boundary number as an aggregate, a float group value and an
+	// interval: the fast path owns exactly the tokens strconv converts.
+	for _, tok := range boundaryNumbers {
+		_, ferr := strconv.ParseFloat(tok, 64)
+		_, ierr := strconv.ParseInt(tok, 10, 64)
+		cases = append(cases,
+			decodeCase{"aggregate " + tok, row(`{"aggs":[` + tok + `],"start":1,"end":1}`), false, ferr == nil},
+			decodeCase{"float group " + tok, grouped("float", `{"group":[`+tok+`],"aggs":[1],"start":1,"end":1}`), false, ferr == nil},
+			decodeCase{"interval " + tok, row(`{"aggs":[1],"start":` + tok + `,"end":` + tok + `}`), false, ierr == nil})
+	}
+	return cases
+}
+
+// boundaryNumbers are number tokens at the edges of the scanner's exact
+// paths: 2^53 and its neighbours, 18-, 19- and 20-digit mantissas,
+// fractions with 22 and 23 leading zeros, signed zeros, 10^22 and 10^23,
+// the float64 extremes, the int64 extremes and their neighbours, 2^64, a
+// long fraction an exponent brings back to 1, and exponents past any body,
+// one of them 2^64+5.
+var boundaryNumbers = []string{
+	"9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
+	"900719925474099.3", "0.9007199254740993",
+	"123456789012345678", "999999999999999999", "-999999999999999999",
+	"1234567890123456789", "9999999999999999999", "12345678901234567890", "18446744073709551616",
+	"1.23456789012345678", "0.1234567890123456789", "1234567890.1234567890",
+	"0." + strings.Repeat("0", 21) + "1", "0." + strings.Repeat("0", 22) + "1",
+	"0." + strings.Repeat("0", 21) + "12345", "-0." + strings.Repeat("0", 22) + "9",
+	"-0", "-0.0", "0", "0.0", "-0e5", "0e-400",
+	"1e22", "1e23", "1E+22", "-9e22", "1e-22", "1e-23", "123456789e-22", "0.5e-21",
+	"4.9e-324", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+	"-9223372036854775808", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+	"0." + strings.Repeat("0", 40) + "1e41", "1e0000000000000000000000022",
+	"1e99999999999999999999", "1e-99999999999999999999", "1e18446744073709551621",
+}
+
+// checkNumber compares the scanner with strconv on one valid JSON number:
+// float with ParseFloat and integer with ParseInt, by verdict, value bits
+// and the cursor left just past the token.
+func checkNumber(tok string) error {
+	body := []byte(tok + ",")
+	d := fastDecoder{b: body}
+	f, ok := d.float()
+	want, err := strconv.ParseFloat(tok, 64)
+	if ok != (err == nil) || ok && math.Float64bits(f) != math.Float64bits(want) {
+		return fmt.Errorf("float(%s) = %v, %v; ParseFloat %v, %v", tok, f, ok, want, err)
+	}
+	if d.i != len(tok) {
+		return fmt.Errorf("float(%s) left the cursor at %d, want %d", tok, d.i, len(tok))
+	}
+	d = fastDecoder{b: body}
+	var n int64
+	ok = d.integer(&n, 64)
+	wantN, err := strconv.ParseInt(tok, 10, 64)
+	if ok != (err == nil) || ok && n != wantN {
+		return fmt.Errorf("integer(%s) = %d, %v; ParseInt %d, %v", tok, n, ok, wantN, err)
+	}
+	if d.i != len(tok) {
+		return fmt.Errorf("integer(%s) left the cursor at %d, want %d", tok, d.i, len(tok))
+	}
+	return nil
+}
+
+// randomNumber draws a valid JSON number: a sign, an integer part of up to
+// 25 digits, a fraction that may start with a run of zeros, an exponent.
+func randomNumber(rng *rand.Rand) string {
+	var sb strings.Builder
+	digits := func(n int) {
+		for ; n > 0; n-- {
+			sb.WriteByte(byte('0' + rng.Intn(10)))
+		}
+	}
+	if rng.Intn(2) == 0 {
+		sb.WriteByte('-')
+	}
+	if rng.Intn(4) == 0 {
+		sb.WriteByte('0')
+	} else {
+		sb.WriteByte(byte('1' + rng.Intn(9)))
+		digits(rng.Intn(25))
+	}
+	if rng.Intn(2) == 0 {
+		sb.WriteByte('.')
+		if rng.Intn(3) == 0 {
+			sb.WriteString(strings.Repeat("0", rng.Intn(30)))
+		}
+		digits(1 + rng.Intn(20))
+	}
+	if rng.Intn(2) == 0 {
+		sb.WriteString([]string{"e", "E", "e+", "e-", "E-"}[rng.Intn(5)])
+		digits(1 + rng.Intn(3))
+	}
+	return sb.String()
+}
+
+// randomFormatted formats a float64 as strconv does for JSON: random bits,
+// normal draws across 60 decades and two-decimal values, in every finite
+// format and precision.
+func randomFormatted(rng *rand.Rand) string {
+	var f float64
+	switch rng.Intn(3) {
+	case 0:
+		f = math.Float64frombits(rng.Uint64())
+	case 1:
+		f = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+	default:
+		f = math.Round(rng.Float64()*1e8) / 100
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		f = 0
+	}
+	return strconv.FormatFloat(f, "eEfgG"[rng.Intn(5)], rng.Intn(20)-1, 64)
+}
+
+// TestNumberMatchesStrconv is the number scanner's differential test: the
+// boundary table, then quick.Check over FormatFloat outputs and random
+// digit strings.
+func TestNumberMatchesStrconv(t *testing.T) {
+	for _, tok := range boundaryNumbers {
+		if err := checkNumber(tok); err != nil {
+			t.Error(err)
+		}
+	}
+	for name, gen := range map[string]func(*rand.Rand) string{
+		"FormatFloat": randomFormatted, "digits": randomNumber,
+	} {
+		check := func(seed int64) bool {
+			if err := checkNumber(gen(rand.New(rand.NewSource(seed)))); err != nil {
+				t.Errorf("%s: %v", name, err)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -231,6 +370,25 @@ func TestTrailingDataIsRejected(t *testing.T) {
 			if resp.StatusCode != want {
 				t.Errorf("%s with trailing %q: status %d, want %d", ep.path, tail, resp.StatusCode, want)
 			}
+		}
+	}
+}
+
+// TestOversizeBodyIs413: a body over MaxBodyBytes is reported as too
+// large, not as malformed, on both compress endpoints.
+func TestOversizeBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	for path, body := range map[string]any{
+		"/v1/compress":      compressRequest{Series: projWire(), Plan: planWire{Strategy: "ptac", Budget: "c=4"}},
+		"/v1/compress/many": compressManyRequest{Series: projWire(), Plans: []planWire{{Strategy: "ptac", Budget: "c=4"}}},
+	} {
+		status, out := post(t, ts.URL+path, body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %v", path, status, out)
+			continue
+		}
+		if code := errorField(t, out, "code"); code != "body_too_large" {
+			t.Errorf("%s: code %v, want body_too_large", path, code)
 		}
 	}
 }
@@ -368,6 +526,48 @@ func groupedBody(tb testing.TB, n int) []byte {
 	})
 }
 
+// workloadBody is a serve workload's /v1/compress body: a single-group,
+// p = 1 series of n rows drawn by gen (dataset.Mixed or dataset.Counter),
+// as json.Marshal writes it.
+func workloadBody(tb testing.TB, gen func(groups, perGroup, p int, seed int64) (*pta.Series, error), n int) []byte {
+	s, err := gen(1, n, 1, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mustMarshal(tb, compressRequest{
+		Series: EncodeSeries(s),
+		Plan:   planWire{Strategy: "ptac", Budget: fmt.Sprintf("c=%d", n/10)},
+	})
+}
+
+// TestDecodeFallbackCount counts tokens instead of timing them: the
+// two-decimal values of the Mixed and Counter series the serve workloads
+// send all take the scanner's exact paths, while a body of full-precision
+// values falls back to strconv for some tokens and still decodes as the
+// reference does.
+func TestDecodeFallbackCount(t *testing.T) {
+	gens := map[string]func(int, int, int, int64) (*pta.Series, error){
+		"Mixed": dataset.Mixed, "Counter": dataset.Counter,
+	}
+	for name, gen := range gens {
+		d := fastDecoder{b: workloadBody(t, gen, 2048)}
+		if _, ok := d.request(false); !ok {
+			t.Fatalf("%s: fast path declined", name)
+		}
+		if d.fallbacks != 0 {
+			t.Errorf("%s: %d tokens fell back to strconv, want 0", name, d.fallbacks)
+		}
+	}
+	body := mustMarshal(t, randomRequest(rand.New(rand.NewSource(1)), false))
+	d := fastDecoder{b: body}
+	if _, ok := d.request(false); !ok || d.fallbacks == 0 {
+		t.Errorf("full-precision body: accepted %v with %d fallbacks, want accepted with some", ok, d.fallbacks)
+	}
+	if !checkDecode(t, body, false) {
+		t.Error("fast path declined the full-precision body")
+	}
+}
+
 // TestDecodeAllocCeiling gates the fast path's allocations: a fixed number
 // per request and per distinct group, none per row, so sixteen times the
 // rows costs no more (47 with Go 1.24 at both sizes, against about 4 000
@@ -429,12 +629,21 @@ func TestDecodedFingerprintGolden(t *testing.T) {
 }
 
 // BenchmarkDecodeRequest is the decode rung of the per-layer ladder: one
-// grouped /v1/compress body through the fast path and through the
-// reference (encoding/json + decodeSeries).
+// /v1/compress body through the fast path and through the reference
+// (encoding/json + decodeSeries). The bodies are grouped ones of n rows and
+// the serve_hot request: one Mixed group, p = 1, n = 2048.
 func BenchmarkDecodeRequest(b *testing.B) {
-	for _, n := range []int{512, 8192} {
-		body := groupedBody(b, n)
-		b.Run(fmt.Sprintf("n=%d/fast", n), func(b *testing.B) {
+	bodies := []struct {
+		name string
+		body []byte
+	}{
+		{"n=512", groupedBody(b, 512)},
+		{"n=8192", groupedBody(b, 8192)},
+		{"mixed/n=2048", workloadBody(b, dataset.Mixed, 2048)},
+	}
+	for _, bc := range bodies {
+		body := bc.body
+		b.Run(bc.name+"/fast", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
@@ -443,7 +652,7 @@ func BenchmarkDecodeRequest(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/reference", n), func(b *testing.B) {
+		b.Run(bc.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {

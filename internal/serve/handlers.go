@@ -516,9 +516,12 @@ func badRequest(err error) error { return badRequestError{err: err} }
 
 // statusFor maps an error onto (HTTP status, machine-readable code).
 func statusFor(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
 	var br badRequestError
 	var adm admissionError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "body_too_large"
 	case errors.As(err, &br):
 		return http.StatusBadRequest, "bad_request"
 	case errors.As(err, &adm):

@@ -274,6 +274,15 @@ func TestTypedErrorStatuses(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Errorf("bad budget: status %d", status)
 	}
+	// A NaN error budget fits no size; it is a 400 on both endpoints, not
+	// a search that never ends.
+	nan := planWire{Strategy: "ptae", Budget: "eps=NaN"}
+	if status, out := post(t, ts.URL+"/v1/compress", compressRequest{Series: series, Plan: nan}); status != http.StatusBadRequest {
+		t.Errorf("NaN budget: status %d: %v", status, out)
+	}
+	if status, out := post(t, ts.URL+"/v1/compress/many", compressManyRequest{Series: series, Plans: []planWire{nan}}); status != http.StatusBadRequest {
+		t.Errorf("NaN budget on /many: status %d: %v", status, out)
+	}
 	resp, err := http.Post(ts.URL+"/v1/compress", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // BudgetKind discriminates the two compression budgets of the paper: a size
@@ -67,7 +69,7 @@ func (b Budget) Validate() error {
 			return fmt.Errorf("pta: size budget %d, want ≥ 1", b.c)
 		}
 	case BudgetError:
-		if b.eps < 0 || b.eps > 1 {
+		if core.CheckErrorBound(b.eps) != nil {
 			return fmt.Errorf("pta: error budget %v outside [0, 1]", b.eps)
 		}
 	default:

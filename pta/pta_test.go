@@ -95,6 +95,9 @@ func TestBudgetParse(t *testing.T) {
 		{"eps=1.5", pta.Budget{}, false},
 		{"banana", pta.Budget{}, false},
 		{"q=4", pta.Budget{}, false},
+		{"eps=NaN", pta.Budget{}, false},
+		{"error=nan", pta.Budget{}, false},
+		{"NaN", pta.Budget{}, false},
 	}
 	for _, c := range cases {
 		got, err := pta.ParseBudget(c.in)
@@ -112,6 +115,46 @@ func TestBudgetParse(t *testing.T) {
 	if s := pta.ErrorBound(0.2).String(); s != "eps=0.2" {
 		t.Errorf("ErrorBound(0.2).String() = %q", s)
 	}
+	if err := pta.ErrorBound(math.NaN()).Validate(); err == nil {
+		t.Error("ErrorBound(NaN).Validate() = nil, want an error")
+	}
+}
+
+// FuzzParseBudget fuzzes the budget trust boundary: ParseBudget never
+// panics, and a budget it accepts validates, re-parses from its String()
+// to the same budget, and evaluates on the running example to a result or
+// a typed error.
+func FuzzParseBudget(f *testing.F) {
+	for _, s := range []string{"c=12", "size=3", "12", "eps=0.05", "error=1", "0.05", "c=0", "eps=1.5",
+		"banana", "q=4", "eps=NaN", "NaN", " E = 0.5 ", "c=+3", "eps=-0", "eps=1e-400", "eps=0x1p-2",
+		"c=9223372036854775807", "eps=Inf"} {
+		f.Add(s)
+	}
+	series := projExample()
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := pta.ParseBudget(s)
+		if err != nil {
+			return
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("ParseBudget(%q) accepted %v, which fails Validate: %v", s, b, err)
+		}
+		again, err := pta.ParseBudget(b.String())
+		if err != nil || again != b {
+			t.Fatalf("ParseBudget(%q) = %v, but its String %q re-parses to %v, %v", s, b, b.String(), again, err)
+		}
+		strategy := "ptac"
+		if b.Kind() == pta.BudgetError {
+			strategy = "ptae"
+		}
+		res, err := pta.Compress(series, strategy, b, pta.Options{})
+		if err != nil && !errors.Is(err, pta.ErrBudgetInfeasible) {
+			t.Fatalf("%s with %v: untyped error %v", strategy, b, err)
+		}
+		if err == nil && res == nil {
+			t.Fatalf("%s with %v: no result and no error", strategy, b)
+		}
+	})
 }
 
 // TestGreedyNeverBeatsExact is the Theorem 2 sanity check of the facade:
