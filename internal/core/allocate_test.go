@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -253,6 +254,51 @@ func TestAllocateStepCeiling(t *testing.T) {
 	}
 	if err := matchOracle(&ca, final, curves, guardAllocSchedule[len(guardAllocSchedule)-1]); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCurveAllocationRetainedBytes is the guard on the allocation's
+// memory, on the shape where it dominates: ptae eps = 0.05 over 2000
+// groups of 8 rows deepens K = 2063 → 4126 → 8252 → 16000 on full curves,
+// and row r then holds the totals r+1 … min(8(r+1), K). The band must cost
+// 8 bytes a cell, a value and nothing else: 14 009 000 cells, 112 MB
+// (choices beside the values held 12 bytes a cell).
+func TestCurveAllocationRetainedBytes(t *testing.T) {
+	const groups, rows = 2000, 8
+	seq, err := dataset.Uniform(groups, rows, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn, err := NewKernel(seq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := decomposeRuns(kn)
+	n, R := kn.N(), len(runs)
+	if err := computeCurves(seq, runs, rows, Options{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	maxErr := kn.MaxError()
+	accept := acceptErrorBound(0.05*maxErr, maxErr)
+	var ca CurveAllocation
+	K := min(n, R+63) // PTAeParallel's deepening schedule
+	for ; ; K = min(n, 2*K) {
+		final, err := ca.Extend(context.Background(), runCurves(runs), K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.IndexFunc(final[R:], func(e float64) bool { return e <= accept }) >= 0 || K == n {
+			break
+		}
+	}
+	var cells int64
+	for r := 0; r < R; r++ {
+		cells += int64(min(rows*(r+1), K) - r)
+	}
+	got := ca.retainedBytes()
+	t.Logf("%d groups × %d rows, eps 0.05: K = %d, %d band cells, %d bytes retained", groups, rows, K, cells, got)
+	if got != 8*cells {
+		t.Errorf("allocation retains %d bytes for %d band cells, want 8 a cell (%d)", got, cells, 8*cells)
 	}
 }
 

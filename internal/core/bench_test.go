@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/temporal"
 )
 
@@ -232,4 +233,28 @@ func BenchmarkAllocateCurves(b *testing.B) {
 			b.ReportMetric(float64(steps), "steps/op")
 		})
 	}
+}
+
+// BenchmarkRunCurves fills the batch shape's run curves on one worker: 64
+// runs of 64 rows with p = 4, each curve to its full length, as the batch
+// budgets (c = 409, c = 204, eps = 0.05) need. It reports the scan's
+// candidate evaluations per op beside the time.
+func BenchmarkRunCurves(b *testing.B) {
+	seq, err := dataset.Uniform(64, 64, 4, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kn, err := NewKernel(seq, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var iters int64
+	for i := 0; i < b.N; i++ {
+		runs := decomposeRuns(kn)
+		if err := computeCurves(seq, runs, 64, Options{}, 1); err != nil {
+			b.Fatal(err)
+		}
+		iters = curveStats(runs).InnerIters
+	}
+	b.ReportMetric(float64(iters), "iters/op")
 }

@@ -188,11 +188,51 @@ func (st *dpState) fillFirstRow(imax int) error {
 }
 
 // fillRowScan fills row k ≥ 2 with the FillPruned candidate scan: for every
-// cell, split points are tried right to left with the Jagadish-style early
-// exit once the merge cost alone exceeds the best total.
+// cell, split points are tried right to left, keeping the first strict
+// improvement, until no candidate further left can beat the incumbent.
+//
+// The stop uses the row's own finished cells. Cells fill left to right, so
+// when cell i meets candidate j the cell E[k][j] = curE[j] is final. For
+// every j′ < j the merge cost is superadditive, w(j′+1, i) ≥ w(j′+1, j) +
+// w(j+1, i) (merging a union costs both parts plus a non-negative pooled
+// term), and E[k−1][j′] + w(j′+1, j) ≥ E[k][j] because j′ is a candidate
+// of cell j. Together:
+//
+//	E[k−1][j′] + w(j′+1, i) ≥ curE[j] + w(j+1, i),
+//
+// so once curE[j] + w(j+1, i) reaches the incumbent no candidate left of j
+// improves it strictly, and they all lie left of it, so a tie cannot
+// displace it either. The Jagadish exit (stop once w(j+1, i) alone exceeds
+// the incumbent) is the same test with curE[j] replaced by 0; it stays
+// beside the new one, so the scan never runs past the point where it
+// used to stop.
+//
+// Rounding. Like the Jagadish exit, the argument treats the prefix slabs
+// as exact data: w̃, the merge cost evaluated exactly over them, is
+// non-negative and exactly superadditive, because slab differences
+// telescope. A computed merge cost lies within δ of w̃ (see NewKernel) and
+// each addition within an ulp. For a skipped j′, cell j either evaluated
+// it, so E[k−1][j′] + w̃(j′+1, j) ≥ curE[j] − δ up to ulps, or cut it with
+// its Jagadish exit at some jx > j′, so w̃(j′+1, j) ≥ w̃(jx+1, j) >
+// curE[j] − δ. Adding the errors of w(j+1, i) and of w(j′+1, i):
+//
+//	E[k−1][j′] + w(j′+1, i) ≥ curE[j] + w(j+1, i) − 3δ − O(ulp)·best.
+//
+// So the stop tests curE[j] + w(j+1, i) ≥ best·(1+envSafety) + 4δ. The
+// relative part covers the ulps (envSafety is far above them). The
+// absolute part covers 3δ with a δ to spare, and it is needed: without it
+// the scan changes cells where offsets dwarf the noise, so that every
+// merge cost is a small difference of large square sums. An infinite
+// incumbent stops only at an infinite curE[j] + w(j+1, i): a gap or an
+// infeasible prefix, which every candidate further left shares. Where the
+// square sums behind δ near overflow (extreme weights or values) the
+// kernel sets the slack to NaN, the test never passes, and the Jagadish
+// exit works alone.
 func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 	kn := st.kn
 	rerr := st.rerr
+	prevE, curE := st.prevE, st.curE
+	slack := kn.scanSlack
 	for i := k; i <= imax; i++ {
 		st.stats.Cells++
 		if st.stats.Cells%cancelCheckCells == 0 {
@@ -214,7 +254,7 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 			// The prefix s_i contains exactly k−1 gaps: the only feasible
 			// split point is the rightmost gap itself (Section 5.3).
 			st.stats.InnerIters++
-			st.curE[i] = st.prevE[jmin] + rerr(jmin+1, i)
+			curE[i] = prevE[jmin] + rerr(jmin+1, i)
 			if jrow != nil {
 				jrow[i] = int32(jmin)
 			}
@@ -223,28 +263,28 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 
 		best := Inf
 		bestJ := int32(0)
+		stop := best + best*envSafety + slack
 		inner := int64(0)
 		for j := i - 1; j >= jmin; j-- {
 			inner++
-			err1 := st.prevE[j]
 			var err2 float64
 			if st.pruneJ {
 				err2 = rerr(j+1, i) // gap free by construction of jmin
 			} else {
 				err2 = kn.MergeErrAll(j+1, i)
 			}
-			if err1+err2 < best {
-				best = err1 + err2
-				bestJ = int32(j)
+			if e := prevE[j] + err2; e < best {
+				best, bestJ = e, int32(j)
+				stop = best + best*envSafety + slack
 			}
-			// err2 grows as j decreases; once it alone exceeds the best
-			// total, no smaller j can win (Jagadish et al.).
-			if err2 > best {
+			// Every candidate left of j costs at least curE[j] + err2, and
+			// at least err2 alone (Jagadish et al.).
+			if err2 > best || curE[j]+err2 >= stop {
 				break
 			}
 		}
 		st.stats.InnerIters += inner
-		st.curE[i] = best
+		curE[i] = best
 		if jrow != nil {
 			jrow[i] = bestJ
 		}

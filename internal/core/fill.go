@@ -10,10 +10,14 @@ import (
 // rightmost-argmin tie handling — and differ only in how many candidate
 // split points they evaluate:
 //
-//   - FillPruned scans candidates right to left with the Jagadish-style
-//     early exit (the merge cost grows as the split moves left, so the scan
-//     stops once it alone exceeds the best total). Worst case O(n) per
-//     cell, O(n²) per row; in practice often far less.
+//   - FillPruned scans candidates right to left and stops once the row's
+//     own finished cell E[k][j] plus the merge cost w(j+1, i) reaches the
+//     best total: the merge cost is superadditive, so every candidate
+//     further left costs at least that much. This subsumes the
+//     Jagadish-style exit (the merge cost alone exceeds the best total),
+//     and a rounding slack keeps the rows bit for bit those of that exit
+//     alone (see fillRowScan). Worst case O(n) per cell, O(n²) per row; in
+//     practice often far less.
 //   - FillDC exploits that inside a monotone segment — a maximal stretch
 //     with per-dimension monotone values, certified piecewise by
 //     CostKernel.MonotoneSegments — the weighted SSE merge cost satisfies

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,12 @@ type CostKernel struct {
 	ss   []float64 // [p*(n+1)] flat, dimension-major
 	l    []int64   // [n+1]
 	gaps []int     // 1-based positions l with s_l ⊀ s_{l+1}, ascending
+
+	// scanSlack is the absolute rounding slack of the pruned scan's stop
+	// (see fillRowScan): 4δ, with δ the bound on one merge-cost
+	// evaluation's rounding error. NaN, which turns that stop off, when
+	// the weighted square sum δ scales is near overflow.
+	scanSlack float64
 
 	// Piecewise-monotone certification (MonotoneSegments), computed at most
 	// once. The sync.Once makes lazy certification safe when one kernel is
@@ -93,6 +100,24 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 			kn.s[d*stride+i] = kn.s[d*stride+i-1] + length*v
 			kn.ss[d*stride+i] = kn.ss[d*stride+i-1] + length*v*v
 		}
+	}
+	// δ bounds one merge-cost evaluation's rounding error. Every term
+	// MergeErr subtracts is at most w²_d·ss_d[n]: a range's square sum, and
+	// its squared value sum over its length (Cauchy–Schwarz). Each of the p
+	// terms errs by at most seven unit roundoffs of that, and their sum adds
+	// p−1 more, so the error stays below (p+6)·2⁻⁵³·Σ_d w²_d·ss_d[n];
+	// δ = 3(p+4)·2⁻⁵²·Σ_d w²_d·ss_d[n] keeps a wide margin over it. An E
+	// value sums merge costs of disjoint ranges, so it stays below that sum
+	// too; when twice the sum overflows (extreme weights or values) the
+	// stop is off.
+	var sq float64
+	for d := 0; d < p; d++ {
+		sq += w2[d] * kn.ss[d*stride+n]
+	}
+	delta := 3 * float64(p+4) * 0x1p-52 * sq
+	kn.scanSlack = math.NaN()
+	if 2*sq < Inf {
+		kn.scanSlack = 4 * delta
 	}
 	return kn, nil
 }

@@ -13,7 +13,7 @@ import (
 // the algorithm, independent of machine load — so the guard asserts
 // algorithmic work, not wall time, and holds on saturated CI runners. The
 // ceilings sit at roughly 2x the measured counts (mixed n=8192, seed 23:
-// dc 17.78M, online 19.54M, against a 248.6M pruned baseline), so they trip
+// dc 17.78M, online 19.54M, against a 175.7M pruned baseline), so they trip
 // on a pruning regression an order of magnitude before the speedup claim in
 // BENCH_fill.json is lost, while tolerating drift from dispatch tweaks.
 const (
