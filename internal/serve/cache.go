@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"fmt"
@@ -21,6 +22,9 @@ import (
 // so a series that changes upstream simply fingerprints to a new key and the
 // stale entry ages out of the LRU. There is no TTL — matrices are pure
 // functions of (series, class, weights) and can never go stale in place.
+//
+// The cache also keeps the resident-series memo: the request bytes of the
+// series its entries were built from (see seriesRecord).
 type matrixCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -28,7 +32,14 @@ type matrixCache struct {
 	byKey    map[string]*list.Element // value: *cacheEntry
 	byHash   map[string]*list.Element // spillHash(key) → same element, for /v1/matrix
 
+	// series maps a fingerprint to the series record its resident entries
+	// share; memo publishes the records to lookupSeries, which reads them
+	// without taking mu.
+	series map[string]*seriesRecord
+	memo   atomic.Pointer[[]*seriesRecord]
+
 	hits, misses, evictions atomic.Int64
+	memoHits, memoMisses    atomic.Int64
 }
 
 // cacheEntry guards one MatrixSet. The set is built under the entry
@@ -57,6 +68,10 @@ type cacheEntry struct {
 	// per-evaluation delta feeds ptaserve_dp_cells_filled_total, the counter
 	// the warm-tier tests use to prove "zero cells recomputed".
 	cells atomic.Int64
+
+	// rec is the series record the entry holds, set once under mu by
+	// remember while the entry is resident.
+	rec atomic.Pointer[seriesRecord]
 }
 
 // newMatrixCache builds a cache holding at most capacity entries (≥ 1).
@@ -66,6 +81,7 @@ func newMatrixCache(capacity int) *matrixCache {
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
 		byHash:   make(map[string]*list.Element),
+		series:   make(map[string]*seriesRecord),
 	}
 }
 
@@ -104,6 +120,7 @@ func (c *matrixCache) acquire(key string) (*cacheEntry, bool) {
 		evicted := back.Value.(*cacheEntry)
 		delete(c.byKey, evicted.key)
 		delete(c.byHash, evicted.hash)
+		c.forget(evicted)
 		c.evictions.Add(1)
 	}
 	return e, false
@@ -132,6 +149,7 @@ func (c *matrixCache) discard(e *cacheEntry) {
 		c.ll.Remove(el)
 		delete(c.byKey, e.key)
 		delete(c.byHash, e.hash)
+		c.forget(e)
 	}
 }
 
@@ -161,6 +179,9 @@ func (c *matrixCache) stats() cacheStats {
 		e := el.Value.(*cacheEntry)
 		st.Rows += e.rows.Load()
 		st.MemBytes += e.bytes.Load()
+	}
+	for _, rec := range c.series {
+		st.MemBytes += int64(len(rec.raw))
 	}
 	return st
 }
@@ -196,4 +217,114 @@ func (c *matrixCache) String() string {
 	st := c.stats()
 	return fmt.Sprintf("cache{entries=%d/%d hits=%d misses=%d evictions=%d}",
 		st.Entries, st.Capacity, st.Hits, st.Misses, st.Evictions)
+}
+
+// --- the resident-series memo ---
+//
+// A warm request usually resends, byte for byte, a series the server has
+// decoded before: every client in this repository builds its bodies with
+// json.Marshal. So each resident entry holds the exact bytes of the
+// "series" value it was built from, and the decoder skips a body's series
+// when those bytes open the rest of the body (fastDecoder.seriesValue).
+// The hit is exact: a JSON value is self-delimiting and its decoded series
+// depends only on its bytes, so identical bytes decode to the same series,
+// and the record carries that series and its fingerprint.
+
+// seriesRecord is one resident series as a client sent it. The entries of
+// one fingerprint share a record, which lives while one of them is
+// resident. Every request that hits it shares its series, read-only.
+type seriesRecord struct {
+	raw         []byte // the "series" JSON value, exactly as received
+	series      *pta.Series
+	fingerprint string
+	refs        int // resident entries holding the record; guarded by mu
+}
+
+// lookupSeries returns the record whose bytes are a prefix of rest, or nil.
+// It does not take mu. A record that does not match costs only its common
+// prefix with rest, and the records number at most the cache's capacity.
+func (c *matrixCache) lookupSeries(rest []byte) *seriesRecord {
+	if c == nil {
+		return nil
+	}
+	if recs := c.memo.Load(); recs != nil {
+		for _, rec := range *recs {
+			if bytes.HasPrefix(rest, rec.raw) {
+				return rec
+			}
+		}
+	}
+	return nil
+}
+
+// remember gives entry e the series record of the request being answered
+// from it: the record the request hit, the record another entry of the
+// same fingerprint holds, or else a new one holding a copy of the body's
+// series bytes. It runs under e's semaphore, so an entry copies at most
+// once, and only while e is resident; the copy itself runs outside mu, so
+// no other request's acquire waits on it.
+func (c *matrixCache) remember(e *cacheEntry, req *compressBody) {
+	if e.rec.Load() != nil || req.rec == nil && req.raw == nil {
+		return
+	}
+	c.mu.Lock()
+	rec, ok := c.series[req.fingerprint], c.resident(e)
+	c.mu.Unlock()
+	if !ok {
+		return
+	}
+	if rec == nil {
+		rec = req.rec
+	}
+	if rec == nil {
+		rec = &seriesRecord{
+			raw:         bytes.Clone(req.raw),
+			series:      req.series,
+			fingerprint: req.fingerprint,
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.rec.Load() != nil || !c.resident(e) {
+		return
+	}
+	if cur := c.series[rec.fingerprint]; cur != nil {
+		rec = cur
+	} else {
+		c.series[rec.fingerprint] = rec
+		c.publish()
+	}
+	rec.refs++
+	e.rec.Store(rec)
+}
+
+// resident reports whether e is still the cache's entry for its key. The
+// caller holds mu.
+func (c *matrixCache) resident(e *cacheEntry) bool {
+	el, ok := c.byKey[e.key]
+	return ok && el.Value.(*cacheEntry) == e
+}
+
+// forget detaches an entry leaving the cache from its series record, and
+// drops the record with the last resident entry that held it. The caller
+// holds mu.
+func (c *matrixCache) forget(e *cacheEntry) {
+	rec := e.rec.Load()
+	if rec == nil {
+		return
+	}
+	if rec.refs--; rec.refs == 0 {
+		delete(c.series, rec.fingerprint)
+		c.publish()
+	}
+}
+
+// publish hands lookupSeries a fresh list of the records. The caller holds
+// mu.
+func (c *matrixCache) publish() {
+	recs := make([]*seriesRecord, 0, len(c.series))
+	for _, rec := range c.series {
+		recs = append(recs, rec)
+	}
+	c.memo.Store(&recs)
 }

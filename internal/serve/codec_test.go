@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"math"
@@ -169,30 +170,33 @@ func benchResultRows(n int) *pta.Result {
 	}
 }
 
-// BenchmarkEncodeResult isolates the response encoding: the reflective
-// json.Encoder path writeJSON used to take for results versus the pooled
-// appendResult path the compress handlers take now.
+// BenchmarkEncodeResult is the encode rung of the per-layer ladder, at
+// n = 512 and 8192 result rows: the reflective json.Encoder path writeJSON
+// used to take for results versus the pooled appendResult path the compress
+// handlers take now.
 func BenchmarkEncodeResult(b *testing.B) {
-	res := benchResultRows(64)
-	b.Run("reflect", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			enc := json.NewEncoder(io.Discard)
-			enc.SetEscapeHTML(false)
-			if err := enc.Encode(encodeResult(res, cacheHit)); err != nil {
-				b.Fatal(err)
+	for _, n := range []int{512, 8192} {
+		res := benchResultRows(n)
+		b.Run(fmt.Sprintf("n=%d/reflect", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc := json.NewEncoder(io.Discard)
+				enc.SetEscapeHTML(false)
+				if err := enc.Encode(encodeResult(res, cacheHit)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("append", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bp := codecBufPool.Get().(*[]byte)
-			buf := appendResult((*bp)[:0], res, cacheHit)
-			*bp = buf[:0]
-			codecBufPool.Put(bp)
-		}
-	})
+		})
+		b.Run(fmt.Sprintf("n=%d/append", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bp := codecBufPool.Get().(*[]byte)
+				buf := appendResult((*bp)[:0], res, cacheHit)
+				*bp = buf[:0]
+				codecBufPool.Put(bp)
+			}
+		})
+	}
 }
 
 // benchSeriesWire is a single-group wire series large enough that the
@@ -208,26 +212,21 @@ func benchSeriesWire(n int) seriesWire {
 	return w
 }
 
-func newBenchHandler(b *testing.B) http.Handler {
-	b.Helper()
+func newBenchHandler(tb testing.TB) http.Handler {
+	tb.Helper()
 	s, err := New(Config{Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s.Handler()
 }
 
 // BenchmarkCompressHit measures a full warm-cache /v1/compress request —
-// decode, cache lookup, DP walk on cached matrices, pooled encode.
+// the memo hit on its resent series, cache lookup, DP walk on cached
+// matrices, pooled encode.
 func BenchmarkCompressHit(b *testing.B) {
 	h := newBenchHandler(b)
-	raw, err := json.Marshal(compressRequest{
-		Series: benchSeriesWire(64),
-		Plan:   planWire{Strategy: "ptac", Budget: "c=24"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := mustMarshal(b, compressHitRequest())
 	do := func() int {
 		req := httptest.NewRequest(http.MethodPost, "/v1/compress", bytes.NewReader(raw))
 		rec := httptest.NewRecorder()
@@ -250,17 +249,7 @@ func BenchmarkCompressHit(b *testing.B) {
 // resolving three plans over shared matrices.
 func BenchmarkCompressManyHit(b *testing.B) {
 	h := newBenchHandler(b)
-	raw, err := json.Marshal(compressManyRequest{
-		Series: benchSeriesWire(64),
-		Plans: []planWire{
-			{Strategy: "ptac", Budget: "c=24"},
-			{Strategy: "ptac", Budget: "c=12"},
-			{Strategy: "ptae", Budget: "eps=0.2"},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := mustMarshal(b, compressManyHitRequest())
 	do := func() int {
 		req := httptest.NewRequest(http.MethodPost, "/v1/compress/many", bytes.NewReader(raw))
 		rec := httptest.NewRecorder()

@@ -31,6 +31,12 @@ import (
 // a null, an escape inside a key, a series whose rows precede its schema,
 // and any series decodeSeries would reject. FuzzDecodeCompressBody checks
 // the contract.
+//
+// A series the body resends byte for byte is not parsed at all: when the
+// matrix cache's resident-series memo holds bytes that open the rest of the
+// body at "series", the decoder skips them and takes the series they
+// decoded to before (seriesValue; the memo is in cache.go). The contract
+// holds with the memo too, and the fuzz target checks it that way as well.
 
 // compressBody is one decoded /v1/compress or /v1/compress/many body.
 type compressBody struct {
@@ -40,6 +46,18 @@ type compressBody struct {
 	wire      seriesWire
 	plans     []planWire // exactly one for /v1/compress
 	timeoutMS int64
+
+	// fingerprint is the series' content hash once known: from the memo
+	// record on a hit, else from Server.fingerprint.
+	fingerprint string
+	// rec is the resident series record whose bytes the body resent; raw is
+	// the series' bytes in the body when decodeFast decoded them instead.
+	// Either one lets remember give a cache entry its record.
+	rec *seriesRecord
+	raw []byte
+	// buf is the pooled buffer the body was read into. raw aliases it, so it
+	// goes back to the pool only when release is called after the answer.
+	buf *[]byte
 }
 
 // Series returns the decoded series.
@@ -55,28 +73,50 @@ func (b *compressBody) Series() (*pta.Series, error) {
 }
 
 // readCompressBody reads one compress body, bounded by MaxBodyBytes, into a
-// pooled buffer and decodes it: by decodeFast when it accepts the bytes, by
-// decodeReference otherwise. Nothing decoded aliases the buffer, which goes
-// back to the pool before the request is evaluated.
+// pooled buffer and decodes it: by the fast decoder, which consults the
+// resident-series memo, when it accepts the bytes, by decodeReference
+// otherwise. Only the fast path's raw aliases the buffer, so a fast-decoded
+// request keeps it until the caller releases the request, once answered.
 func (s *Server) readCompressBody(w http.ResponseWriter, r *http.Request, many bool) (compressBody, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	bp := codecBufPool.Get().(*[]byte)
 	buf := bytes.NewBuffer((*bp)[:0])
 	_, err := buf.ReadFrom(r.Body)
 	body := buf.Bytes()
-	defer putCodecBuf(bp, body)
+	*bp = body
 	if err != nil {
+		putCodecBuf(bp, body)
 		// %w keeps an *http.MaxBytesError visible to statusFor: 413.
 		return compressBody{}, badRequest(fmt.Errorf("body: %w", err))
 	}
-	if req, ok := decodeFast(body, many); ok {
+	d := fastDecoder{b: body, memo: s.cache}
+	if req, ok := d.request(many); ok {
+		s.decodedRows.Add(int64(d.rowsRead))
+		if req.rec != nil {
+			s.cache.memoHits.Add(1)
+		} else {
+			s.cache.memoMisses.Add(1)
+		}
+		req.buf = bp
 		return req, nil
 	}
+	// The reference decoder reads the buffer, so it goes back to the pool
+	// only once decodeReference has returned; nothing it builds aliases it.
+	defer putCodecBuf(bp, body)
 	req, err := decodeReference(body, many)
 	if err != nil {
 		return compressBody{}, badRequest(err)
 	}
 	return req, nil
+}
+
+// release returns the body's pooled buffer; the request's raw series bytes
+// are gone with it.
+func (b *compressBody) release() {
+	if b.buf != nil {
+		putCodecBuf(b.buf, *b.buf)
+		b.buf, b.raw = nil, nil
+	}
 }
 
 // decodeReference decodes a compress body with encoding/json, as strictly as
@@ -100,7 +140,8 @@ func decodeReference(body []byte, many bool) (compressBody, error) {
 }
 
 // decodeFast parses a compress body in one pass, straight into the facade
-// model. ok is false when the body holds anything the decoder does not own.
+// model, without the memo. ok is false when the body holds anything the
+// decoder does not own.
 func decodeFast(body []byte, many bool) (compressBody, bool) {
 	d := fastDecoder{b: body}
 	return d.request(many)
@@ -112,7 +153,7 @@ func (d *fastDecoder) request(many bool) (req compressBody, ok bool) {
 	ok = d.object(func(key []byte) bool {
 		switch string(key) {
 		case "series":
-			return seen.first(0) && d.series()
+			return seen.first(0) && d.seriesValue(&req)
 		case "timeout_ms":
 			return seen.first(1) && d.integer(&req.timeoutMS, 64)
 		case "plan":
@@ -157,8 +198,9 @@ func (f fieldSet) has(i uint) bool { return f&(1<<i) != 0 }
 // fastDecoder is decodeFast's cursor over one body, with the series it
 // builds and its scratch.
 type fastDecoder struct {
-	b []byte
-	i int
+	b    []byte
+	i    int
+	memo *matrixCache // resident series a body may resend; nil for none
 
 	s      *pta.Series
 	aggs   []float64        // the aggregate slab, cut into rows once all are read
@@ -167,6 +209,7 @@ type fastDecoder struct {
 	groups map[string]int32 // raw group array → interned group id
 
 	fallbacks int // number tokens converted by strconv rather than as scanned
+	rowsRead  int // series rows decoded
 }
 
 // ws skips insignificant whitespace.
@@ -450,6 +493,25 @@ func (d *fastDecoder) plan(pw *planWire) bool {
 	})
 }
 
+// seriesValue reads the "series" value into req. When the memo holds a
+// series whose bytes open the rest of the body, those bytes are the whole
+// value and decode to that series, so the decoder skips them and takes the
+// record's series and fingerprint.
+func (d *fastDecoder) seriesValue(req *compressBody) bool {
+	d.ws()
+	if rec := d.memo.lookupSeries(d.b[d.i:]); rec != nil {
+		d.i += len(rec.raw)
+		d.s, req.rec, req.fingerprint = rec.series, rec, rec.fingerprint
+		return true
+	}
+	start := d.i
+	if !d.series() {
+		return false
+	}
+	req.raw = d.b[start:d.i]
+	return true
+}
+
 // series reads the series object. Rows are converted as they stream past,
 // so group_attrs and agg_names must precede them, as json.Marshal orders
 // them.
@@ -533,6 +595,7 @@ func (d *fastDecoder) rows(s *pta.Series) bool {
 		rows[i].Aggs = d.aggs[i*p : (i+1)*p : (i+1)*p]
 	}
 	s.Rows = rows
+	d.rowsRead += len(rows)
 	if !strictlySorted(s) {
 		s.Sort()
 	}

@@ -87,8 +87,9 @@ func sameDatums(a, b []temporal.Datum) bool {
 }
 
 // checkDecode runs both decoders over one body and fails if the fast one
-// accepted something the reference decodes differently. It reports whether
-// the fast decoder accepted.
+// accepted something the reference decodes differently, then checks the
+// memo on an accepted body (checkMemoDecode). It reports whether the fast
+// decoder accepted.
 func checkDecode(t *testing.T, body []byte, many bool) bool {
 	t.Helper()
 	fast, ok := decodeFast(body, many)
@@ -102,6 +103,7 @@ func checkDecode(t *testing.T, body []byte, many bool) bool {
 	if err := sameRequest(fast, ref); err != nil {
 		t.Fatalf("fast path disagrees with the reference: %v\n%s", err, body)
 	}
+	checkMemoDecode(t, body, fast, many)
 	return true
 }
 
@@ -631,15 +633,23 @@ func TestDecodedFingerprintGolden(t *testing.T) {
 // BenchmarkDecodeRequest is the decode rung of the per-layer ladder: one
 // /v1/compress body through the fast path and through the reference
 // (encoding/json + decodeSeries). The bodies are grouped ones of n rows and
-// the serve_hot request: one Mixed group, p = 1, n = 2048.
+// the serve_hot request: one Mixed group, p = 1, n = 2048. Its memo case is
+// what a resent serve_hot body costs: the compare against the resident
+// series bytes and the plan.
 func BenchmarkDecodeRequest(b *testing.B) {
+	mixed := workloadBody(b, dataset.Mixed, 2048)
+	req, ok := decodeFast(mixed, false)
+	if !ok {
+		b.Fatal("fast path declined")
+	}
+	memo := memoHolding(req)
 	bodies := []struct {
 		name string
 		body []byte
 	}{
 		{"n=512", groupedBody(b, 512)},
 		{"n=8192", groupedBody(b, 8192)},
-		{"mixed/n=2048", workloadBody(b, dataset.Mixed, 2048)},
+		{"mixed/n=2048", mixed},
 	}
 	for _, bc := range bodies {
 		body := bc.body
@@ -666,4 +676,14 @@ func BenchmarkDecodeRequest(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mixed/n=2048/memo", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(mixed)))
+		for i := 0; i < b.N; i++ {
+			d := fastDecoder{b: mixed, memo: memo}
+			if req, ok := d.request(false); !ok || req.rec == nil {
+				b.Fatal("memo missed")
+			}
+		}
+	})
 }

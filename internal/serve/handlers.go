@@ -173,6 +173,7 @@ func isHex(s string) bool {
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	s.nCompress.Add(1)
 	req, err := s.readCompressBody(w, r, false)
+	defer req.release()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -205,7 +206,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseSlot()
-	res, disposition, err := s.compressOne(ctx, series, "", pw, plan)
+	res, disposition, err := s.compressOne(ctx, &req, pw, plan)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -218,6 +219,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 	s.nCompressMany.Add(1)
 	req, err := s.readCompressBody(w, r, true)
+	defer req.release()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -260,13 +262,12 @@ func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.releaseSlot()
 
-	// The series fingerprints once; each plan resolves its own cache key
-	// (strategies of one DP class share an entry, so a c= and an eps= plan
-	// of the same request amortize through the same warm matrices — the
-	// cross-request generalization of Engine.CompressMany). Non-cacheable
-	// plans fall through to one Engine.CompressMany call, which amortizes
-	// whatever the engine can.
-	fingerprint := pta.Fingerprint(series)
+	// Each plan resolves its own cache key (strategies of one DP class share
+	// an entry, so a c= and an eps= plan of the same request amortize
+	// through the same warm matrices — the cross-request generalization of
+	// Engine.CompressMany); the series fingerprints at most once, for the
+	// first plan that needs a key. Non-cacheable plans fall through to one
+	// Engine.CompressMany call, which amortizes whatever the engine can.
 	type resultEntry struct {
 		res         *pta.Result
 		disposition string
@@ -280,12 +281,12 @@ func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, err)
 			return
 		}
-		if _, cacheable := s.cacheKeyFor(fingerprint, pw); !cacheable {
+		if _, cacheable := cacheClass(pw); !cacheable {
 			enginePlans = append(enginePlans, plan)
 			engineIdx = append(engineIdx, i)
 			continue
 		}
-		res, disposition, err := s.compressOne(ctx, series, fingerprint, pw, plan)
+		res, disposition, err := s.compressOne(ctx, &req, pw, plan)
 		if err != nil {
 			s.writeError(w, r, err)
 			return
@@ -325,15 +326,13 @@ func (s *Server) effectiveWeights(pw planWire) []float64 {
 	return s.defaultWeights
 }
 
-// cacheKeyFor reports the matrix-cache key of one plan, and whether the plan
-// is cacheable at all: the strategy must be an exact DP and the plan must
-// not carry options the DP ignores anyway except weights (which are part of
-// the key, engine defaults included) and a pinned fill algorithm (which
-// selects a per-algo DP class, so A/B arms never share entries).
-func (s *Server) cacheKeyFor(fingerprint string, pw planWire) (string, bool) {
-	if fingerprint == "" {
-		return "", false
-	}
+// cacheClass reports the DP class of one plan's matrix-cache key, and
+// whether the plan is cacheable at all: the strategy must be an exact DP and
+// the plan must not carry options the DP ignores anyway except weights
+// (which are part of the key, engine defaults included) and a pinned fill
+// algorithm (which selects a per-algo DP class, so A/B arms never share
+// entries).
+func cacheClass(pw planWire) (string, bool) {
 	fill, err := pta.ParseFillAlgo(pw.FillAlgo)
 	if err != nil {
 		return "", false
@@ -342,7 +341,17 @@ func (s *Server) cacheKeyFor(fingerprint string, pw planWire) (string, bool) {
 	if !ok || pw.ReadAhead != 0 {
 		return "", false
 	}
-	return cacheKey(fingerprint, class, s.effectiveWeights(pw)), true
+	return class, true
+}
+
+// fingerprint returns the content hash of the request's series, hashing it
+// at most once per request; a memo hit brings it along.
+func (s *Server) fingerprint(req *compressBody) string {
+	if req.fingerprint == "" {
+		s.fingerprints.Add(1)
+		req.fingerprint = pta.Fingerprint(req.series)
+	}
+	return req.fingerprint
 }
 
 // resolvePlan validates one wire plan into an engine plan.
@@ -365,20 +374,13 @@ func resolvePlan(pw planWire) (pta.Plan, error) {
 	return plan, nil
 }
 
-// compressOne evaluates one resolved plan over the series, through the
-// matrix cache when the plan is cacheable and through the engine otherwise.
-// fingerprint may be passed in to amortize hashing across plans; ""
-// computes it here.
-func (s *Server) compressOne(ctx context.Context, series *pta.Series, fingerprint string, pw planWire, plan pta.Plan) (*pta.Result, string, error) {
+// compressOne evaluates one resolved plan over the request's series,
+// through the matrix cache when the plan is cacheable and through the
+// engine otherwise.
+func (s *Server) compressOne(ctx context.Context, req *compressBody, pw planWire, plan pta.Plan) (*pta.Result, string, error) {
 	s.compressions.Add(1)
-
-	if fingerprint == "" {
-		if _, ok := pta.DPClass(pw.Strategy); ok && pw.ReadAhead == 0 {
-			fingerprint = pta.Fingerprint(series)
-		}
-	}
-	fill, _ := pta.ParseFillAlgo(pw.FillAlgo) // validated by resolvePlan
-	key, cacheable := s.cacheKeyFor(fingerprint, pw)
+	series := req.series
+	class, cacheable := cacheClass(pw)
 	if cacheable {
 		// The cache path answers through MatrixSet, which never consults
 		// Supports; keep the engine's (strategy, budget kind) contract by
@@ -391,7 +393,9 @@ func (s *Server) compressOne(ctx context.Context, series *pta.Series, fingerprin
 		res, err := s.engine.Compress(ctx, series, plan)
 		return res, cacheBypass, err
 	}
+	key := cacheKey(s.fingerprint(req), class, s.effectiveWeights(pw))
 
+	fill, _ := pta.ParseFillAlgo(pw.FillAlgo) // validated by resolvePlan
 	opts := pta.Options{Weights: s.effectiveWeights(pw), FillAlgo: fill}
 	// Cold builds observe the kernel's certified monotone coverage; every
 	// answered budget counts against the set's resolved fill algorithm
@@ -435,6 +439,7 @@ func (s *Server) compressOne(ctx context.Context, series *pta.Series, fingerprin
 				return build()
 			},
 			func(set *pta.MatrixSet) (*pta.Result, error) {
+				s.cache.remember(entry, req)
 				res, err := set.Compress(ctx, plan.Budget)
 				if err != nil {
 					return res, err

@@ -142,8 +142,14 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"DP matrix rows retained across resident cache entries.",
 		func() float64 { return float64(s.cache.stats().Rows) })
 	reg.NewGaugeFunc("ptaserve_cache_bytes",
-		"Estimated bytes retained across resident cache entries.",
+		"Estimated bytes retained across resident cache entries, their series' request bytes included.",
 		func() float64 { return float64(s.cache.stats().MemBytes) })
+	reg.NewCounterFunc("ptaserve_series_memo_hits_total",
+		"Fast-decoded compress bodies that resent a resident series byte for byte: its decode and fingerprint were skipped.",
+		func() float64 { return float64(s.cache.memoHits.Load()) })
+	reg.NewCounterFunc("ptaserve_series_memo_misses_total",
+		"Fast-decoded compress bodies whose series matched no resident series and was decoded.",
+		func() float64 { return float64(s.cache.memoMisses.Load()) })
 
 	// Spill counters read the store's own atomics at scrape time (zero when
 	// the persistent tier is disabled), so /metrics and /v1/stats can never

@@ -92,6 +92,8 @@ func TestMetricsEndpointLintsAndAgreesWithStats(t *testing.T) {
 		"ptaserve_cache_evictions_total",
 		"ptaserve_cache_entries",
 		"ptaserve_cache_fill_seconds_bucket",
+		"ptaserve_series_memo_hits_total",
+		"ptaserve_series_memo_misses_total",
 		"ptaserve_spill_loads_total",
 		"ptaserve_dp_cells_filled_total",
 		"ptapeer_peers",
@@ -138,6 +140,12 @@ func TestMetricsEndpointLintsAndAgreesWithStats(t *testing.T) {
 	}
 	if got, want := metricValue(t, text, "ptaserve_cache_misses_total"), cache["misses"].(float64); got != want {
 		t.Errorf("metrics cache misses %v != stats %v", got, want)
+	}
+	// The first body's series was decoded; the four resends of its bytes
+	// hit the memo, whatever their plan.
+	if hits, misses := metricValue(t, text, "ptaserve_series_memo_hits_total"),
+		metricValue(t, text, "ptaserve_series_memo_misses_total"); hits != 4 || misses != 1 {
+		t.Errorf("series memo %v hits, %v misses; want 4 and 1", hits, misses)
 	}
 	if got, want := metricValue(t, text, "ptaserve_compressions_total"), stats["compressions"].(float64); got != want {
 		t.Errorf("metrics compressions %v != stats %v", got, want)

@@ -96,6 +96,10 @@ type Server struct {
 	// request counters by endpoint, surfaced on /v1/stats
 	nCompress, nCompressMany, nStrategies, nStats, nHealth, nMatrix atomic.Int64
 	compressions                                                    atomic.Int64
+
+	// decodedRows counts series rows the fast decoder built and
+	// fingerprints the series it hashed: the work a memo hit skips.
+	decodedRows, fingerprints atomic.Int64
 }
 
 // New validates the config and builds a ready-to-mount server.

@@ -241,8 +241,37 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmCompress is the backtrack rung of the per-layer ladder: a
+// budget answered from a MatrixSet already filled to its depth, which is
+// all the DP work a warm cache hit does (c = n/10, zero new cells).
+func BenchmarkWarmCompress(b *testing.B) {
+	for _, n := range []int{512, 8192} {
+		s, err := dataset.Mixed(1, n, 1, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		set, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		budget := pta.Size(n / 10)
+		if _, err := set.Compress(context.Background(), budget); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := set.Compress(context.Background(), budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFingerprint is the fingerprint rung of the per-layer ladder: the
-// content hash a warm request pays before its cache lookup.
+// content hash a warm request pays before its cache lookup, unless its
+// series bytes are resident in the serving layer's memo.
 func BenchmarkFingerprint(b *testing.B) {
 	for _, n := range []int{512, 8192} {
 		s, err := dataset.Mixed(1, n, 1, 7)
