@@ -273,9 +273,9 @@ func TestCurveAllocationRetainedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := decomposeRuns(kn)
-	n, R := kn.N(), len(runs)
-	if err := computeCurves(seq, runs, rows, Options{}, 2); err != nil {
+	runs := newRunSolvers(kn, Options{}, 2)
+	n, R := kn.N(), len(runs.runs)
+	if err := runs.Extend(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	maxErr := kn.MaxError()
@@ -283,7 +283,7 @@ func TestCurveAllocationRetainedBytes(t *testing.T) {
 	var ca CurveAllocation
 	K := min(n, R+63) // PTAeParallel's deepening schedule
 	for ; ; K = min(n, 2*K) {
-		final, err := ca.Extend(context.Background(), runCurves(runs), K)
+		final, err := ca.Extend(context.Background(), runs.Curves(), K)
 		if err != nil {
 			t.Fatal(err)
 		}

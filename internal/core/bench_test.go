@@ -250,11 +250,11 @@ func BenchmarkRunCurves(b *testing.B) {
 	}
 	var iters int64
 	for i := 0; i < b.N; i++ {
-		runs := decomposeRuns(kn)
-		if err := computeCurves(seq, runs, 64, Options{}, 1); err != nil {
+		runs := newRunSolvers(kn, Options{}, 1)
+		if err := runs.Extend(context.Background(), 64); err != nil {
 			b.Fatal(err)
 		}
-		iters = curveStats(runs).InnerIters
+		iters = runs.Stats().InnerIters
 	}
 	b.ReportMetric(float64(iters), "iters/op")
 }

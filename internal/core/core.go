@@ -73,8 +73,8 @@ func ctxErr(ctx context.Context) error {
 // error bound eps·SSEmax. Prefix sums accumulated in different orders leave
 // O(ulp)-scale residue on exact ties — eps = 0 over duplicate values, eps = 1
 // at cmin — which must not move the minimal feasible size, so every
-// error-bounded search (serial, parallel, multi-budget, solver) accepts
-// through this one function.
+// error-bounded search accepts through this one function, which
+// checkBudget applies for every driver.
 func acceptErrorBound(bound, maxErr float64) float64 {
 	return bound*(1+1e-9) + 1e-12*maxErr
 }

@@ -22,6 +22,14 @@ type DPStats struct {
 	EnvelopeSkips int64
 }
 
+// Add accumulates o's counters into s: the cost of several fills, such as
+// the per-run curves behind one run-decomposed evaluation.
+func (s *DPStats) Add(o DPStats) {
+	s.Cells += o.Cells
+	s.InnerIters += o.InnerIters
+	s.EnvelopeSkips += o.EnvelopeSkips
+}
+
 // DPResult is the outcome of an exact PTA evaluation.
 type DPResult struct {
 	// Sequence is the reduced sequential relation z.
@@ -292,37 +300,28 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 	return nil
 }
 
-// reconstruct follows the split-point matrix from cell (c, n) and builds the
-// reduced relation (Example 11).
-func (st *dpState) reconstruct(c int) []temporal.SeqRow {
-	rows, err := walkSplits(st.kn, c, func(k, i int) int { return int(st.splits[k-1][i]) })
-	if err != nil {
-		panic(err) // a fill writes only split points the walk accepts
-	}
-	return rows
-}
-
-// walkSplits follows the split points from cell (c, n) down to row 1,
-// reading the one cell J[k][i] each row contributes through split, and
-// merges every segment. A visited split point must satisfy k−1 ≤ j < i, and
-// j = 0 at k = 1: then the c segments tile 1..n. Any other value (a corrupt
-// restored row) is a *WarmLostError naming the row, never a panic in
-// MergeRange or a reduction that does not cover the series.
-func walkSplits(kn *CostKernel, c int, split func(k, i int) int) ([]temporal.SeqRow, error) {
-	rows := make([]temporal.SeqRow, c)
-	i := kn.N()
-	for k := c; k >= 1; k-- {
+// walkSplits follows the split points from cell (len(dst), n) down to row
+// 1, reading the one cell J[k][i] each row contributes through split, and
+// merges every segment into dst from kn, whose rows off+1..off+n are the
+// walked sequence (off > 0 for one run of a larger series). A visited split
+// point must satisfy k−1 ≤ j < i, and j = 0 at k = 1: then the segments
+// tile 1..n. Any other value (a corrupt restored row) is a *WarmLostError
+// naming the row, never a panic in MergeRange or a reduction that does not
+// cover the series.
+func walkSplits(dst []temporal.SeqRow, kn *CostKernel, off, n int, split func(k, i int) int) error {
+	i := n
+	for k := len(dst); k >= 1; k-- {
 		j, lo, hi := split(k, i), k-1, i-1
 		if k == 1 {
 			hi = 0
 		}
 		if j < lo || j > hi {
-			return nil, &WarmLostError{Row: k, Err: fmt.Errorf("split point J[%d][%d] = %d outside %d..%d", k, i, j, lo, hi)}
+			return &WarmLostError{Row: k, Err: fmt.Errorf("split point J[%d][%d] = %d outside %d..%d", k, i, j, lo, hi)}
 		}
-		rows[k-1] = kn.MergeRange(j+1, i)
+		dst[k-1] = kn.MergeRange(off+j+1, off+i)
 		i = j
 	}
-	return rows, nil
+	return nil
 }
 
 // PruneMode selects which of the two Section 5.3 search-space bounds the
@@ -360,49 +359,17 @@ func (m PruneMode) String() string {
 // modes return the same optimal reduction; they differ only in the work
 // counted by Stats and in runtime.
 func PTAcAblation(seq *temporal.Sequence, c int, opts Options, mode PruneMode) (*DPResult, error) {
-	return runSizeBoundedMode(seq, c, opts, mode == PruneIMax || mode == PruneBoth,
+	return solveSize(seq, c, opts, mode == PruneIMax || mode == PruneBoth,
 		mode == PruneJMin || mode == PruneBoth)
 }
 
-// runSizeBounded drives the DP for a size bound c with or without pruning.
-func runSizeBounded(seq *temporal.Sequence, c int, opts Options, pruned bool) (*DPResult, error) {
-	return runSizeBoundedMode(seq, c, opts, pruned, pruned)
-}
-
-func runSizeBoundedMode(seq *temporal.Sequence, c int, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
-	n := seq.Len()
-	if n == 0 {
-		if c != 0 {
-			return nil, fmt.Errorf("core: size bound %d for an empty relation", c)
-		}
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
+// solveSize is a one-budget size-bounded DPMulti call.
+func solveSize(seq *temporal.Sequence, c int, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
+	budgets, err := oneSize(seq, c)
 	if err != nil {
 		return nil, err
 	}
-	if cmin := kn.CMin(); c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
-	}
-	if c >= n {
-		// ρ(s, c) = s when |s| ≤ c: nothing to merge.
-		out := seq.Clone()
-		return &DPResult{Sequence: out, C: n}, nil
-	}
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	var finalErr float64
-	for k := 1; k <= c; k++ {
-		if finalErr, err = st.fillRow(k); err != nil {
-			return nil, err
-		}
-	}
-	rows := st.reconstruct(c)
-	return &DPResult{
-		Sequence: seq.WithRows(rows),
-		C:        c,
-		Error:    finalErr,
-		Stats:    st.stats,
-	}, nil
+	return first(DPMulti(seq, budgets, opts, pruneI, pruneJ))
 }
 
 // PTAc evaluates size-bounded PTA exactly (Definition 6, algorithm of
@@ -413,7 +380,7 @@ func runSizeBoundedMode(seq *temporal.Sequence, c int, opts Options, pruneI, pru
 // fills; space is O(n·c) either way. With temporal gaps and aggregation
 // groups the Section 5.3 bounds prune most cells.
 func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
-	return runSizeBounded(seq, c, opts, true)
+	return solveSize(seq, c, opts, true, true)
 }
 
 // DPBasic evaluates size-bounded PTA with the basic dynamic-programming
@@ -421,7 +388,7 @@ func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 // pruning. It returns the same result as PTAc and exists as the baseline of
 // the performance experiments (Figs. 18 and 19).
 func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
-	return runSizeBounded(seq, c, opts, false)
+	return solveSize(seq, c, opts, false, false)
 }
 
 // PTAe evaluates error-bounded PTA exactly (Definition 7, algorithm of
@@ -429,57 +396,22 @@ func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 // introduces at most eps·SSEmax error, 0 ≤ eps ≤ 1, and returns that optimal
 // reduction.
 func PTAe(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, true, true)
+	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, true, true))
 }
 
 // PTAeAblation evaluates error-bounded PTA with an explicit pruning mode,
 // mirroring PTAcAblation: every mode returns the same minimal-size optimal
 // reduction and differs only in the work counted by Stats.
 func PTAeAblation(seq *temporal.Sequence, eps float64, opts Options, mode PruneMode) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, mode == PruneIMax || mode == PruneBoth,
-		mode == PruneJMin || mode == PruneBoth)
+	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, mode == PruneIMax || mode == PruneBoth,
+		mode == PruneJMin || mode == PruneBoth))
 }
 
 // DPBasicError evaluates error-bounded PTA with the basic dynamic-programming
 // scheme (no gap/group pruning) — the error-bounded counterpart of DPBasic,
 // used as the baseline of the performance experiments.
 func DPBasicError(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
-	return runErrorBoundedMode(seq, eps, opts, false, false)
-}
-
-func runErrorBoundedMode(seq *temporal.Sequence, eps float64, opts Options, pruneI, pruneJ bool) (*DPResult, error) {
-	if err := CheckErrorBound(eps); err != nil {
-		return nil, err
-	}
-	n := seq.Len()
-	if n == 0 {
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxErr := kn.MaxError()
-	bound := acceptErrorBound(eps*maxErr, maxErr)
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	for k := 1; k <= n; k++ {
-		e, err := st.fillRow(k)
-		if err != nil {
-			return nil, err
-		}
-		if e <= bound {
-			rows := st.reconstruct(k)
-			return &DPResult{
-				Sequence: seq.WithRows(rows),
-				C:        k,
-				Error:    e,
-				Stats:    st.stats,
-			}, nil
-		}
-	}
-	// E[n][n] = 0 ≤ bound always triggers; reaching this point means the
-	// matrix filling is broken.
-	panic("core: error-bounded DP did not terminate")
+	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, false, false))
 }
 
 // Matrices runs the pruned DP for k = 1..c and returns copies of the error

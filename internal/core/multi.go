@@ -7,11 +7,80 @@ import (
 )
 
 // MultiBudget is one budget of a DPMulti evaluation: C > 0 requests a
-// size-bounded reduction to at most C tuples, otherwise Eps requests an
-// error-bounded reduction to at most Eps·SSEmax introduced error.
+// size-bounded reduction to at most C tuples, C = 0 requests an
+// error-bounded reduction to at most Eps·SSEmax introduced error, and
+// C < 0 is an infeasible size.
 type MultiBudget struct {
 	C   int
 	Eps float64
+}
+
+// checkBudget is the one validation every exact driver applies to a budget
+// before it fills a row. Over an empty relation (n = 0) only error budgets
+// are valid; otherwise a size below cmin, negative sizes included, is an
+// InfeasibleSizeError, and Eps must lie in [0, 1]. For an error budget over
+// a non-empty relation it returns the acceptance threshold over SSEmax,
+// which maxErr supplies; size budgets never call maxErr.
+func checkBudget(b MultiBudget, n, cmin int, maxErr func() float64) (float64, error) {
+	if b.C != 0 {
+		return 0, checkSize(b.C, n, cmin)
+	}
+	if err := CheckErrorBound(b.Eps); err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	m := maxErr()
+	return acceptErrorBound(b.Eps*m, m), nil
+}
+
+// checkSize validates a size budget c: an empty relation reduces only to
+// c = 0, any other to cmin ≤ c.
+func checkSize(c, n, cmin int) error {
+	if n == 0 && c != 0 {
+		return fmt.Errorf("core: size bound %d for an empty relation", c)
+	}
+	if c < cmin {
+		return &InfeasibleSizeError{C: c, CMin: cmin}
+	}
+	return nil
+}
+
+// planBudgets checks every budget with checkBudget, so a bad budget fails
+// the whole call before the first row is filled. It returns each error
+// budget's acceptance threshold (bounds[i], unused for size budgets) and
+// sizeK, the deepest row a size budget below n needs.
+func planBudgets(budgets []MultiBudget, n, cmin int, maxErr func() float64) (bounds []float64, sizeK int, err error) {
+	bounds = make([]float64, len(budgets))
+	for i, b := range budgets {
+		if bounds[i], err = checkBudget(b, n, cmin, maxErr); err != nil {
+			return nil, 0, err
+		}
+		if b.C < n {
+			sizeK = max(sizeK, b.C)
+		}
+	}
+	return bounds, sizeK, nil
+}
+
+// emptyResults answers valid budgets over an empty relation, which every
+// budget reduces to itself.
+func emptyResults(seq *temporal.Sequence, budgets []MultiBudget) ([]*DPResult, error) {
+	if _, _, err := planBudgets(budgets, 0, 0, nil); err != nil {
+		return nil, err
+	}
+	results := make([]*DPResult, len(budgets))
+	for i := range results {
+		results[i] = &DPResult{Sequence: seq.WithRows(nil), C: 0}
+	}
+	return results, nil
+}
+
+// unreduced is the answer to a size budget of at least n: ρ(s, c) = s when
+// |s| ≤ c, with nothing to merge.
+func unreduced(seq *temporal.Sequence, stats DPStats) *DPResult {
+	return &DPResult{Sequence: seq.Clone(), C: seq.Len(), Stats: stats}
 }
 
 // DPMulti evaluates several budgets over the same sequence with one filling
@@ -25,107 +94,40 @@ type MultiBudget struct {
 // single shared pass, not a per-budget share. An infeasible size budget
 // (below cmin) fails the whole call with an InfeasibleSizeError.
 func DPMulti(seq *temporal.Sequence, budgets []MultiBudget, opts Options, pruneI, pruneJ bool) ([]*DPResult, error) {
-	if seq.Len() > 0 && len(budgets) > 0 {
-		kn, err := NewKernel(seq, opts)
-		if err != nil {
-			return nil, err
-		}
-		return DPMultiKernel(kn, budgets, opts, pruneI, pruneJ)
+	kn, err := NewKernel(seq, opts)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*DPResult, len(budgets))
-	for i, b := range budgets {
-		if b.C > 0 {
-			return nil, fmt.Errorf("core: size bound %d for an empty relation", b.C)
-		}
-		if err := CheckErrorBound(b.Eps); err != nil {
-			return nil, err
-		}
-		results[i] = &DPResult{Sequence: seq.WithRows(nil), C: 0}
-	}
-	return results, nil
+	return DPMultiKernel(kn, budgets, opts, pruneI, pruneJ)
 }
 
 // DPMultiKernel is DPMulti over a prebuilt cost kernel: callers that answer
 // several budget groups of one series (Engine.CompressMany) build the
 // kernel once and share its prefix slabs across every group's matrix pass.
 // opts must be the options the kernel was built with (weights are baked
-// into the kernel).
+// into the kernel). The pass is a Solver's: it fills to the deepest size
+// budget, then as far as the error budgets need.
 func DPMultiKernel(kn *CostKernel, budgets []MultiBudget, opts Options, pruneI, pruneJ bool) ([]*DPResult, error) {
-	seq := kn.Sequence()
-	n := kn.N()
-	results := make([]*DPResult, len(budgets))
-	if len(budgets) == 0 {
-		return results, nil
+	if kn.N() == 0 {
+		return emptyResults(kn.Sequence(), budgets)
 	}
-	cmin := kn.CMin()
+	return newSolver(kn, opts, pruneI, pruneJ).solveBudgets(opts.Ctx, budgets)
+}
 
-	// Per-budget validation and the target row of the shared pass: the
-	// largest size bound below n, plus every unmet error bound.
-	targetK := 0
-	pendingEps := 0
-	bounds := make([]float64, len(budgets)) // eps budgets: absolute bound
-	reachedK := make([]int, len(budgets))   // eps budgets: first feasible row
-	var maxErr float64
-	maxErrKnown := false
-	for i, b := range budgets {
-		if b.C > 0 {
-			if b.C < cmin {
-				return nil, &InfeasibleSizeError{C: b.C, CMin: cmin}
-			}
-			if b.C < n {
-				targetK = max(targetK, b.C)
-			}
-			continue
-		}
-		if err := CheckErrorBound(b.Eps); err != nil {
-			return nil, err
-		}
-		if !maxErrKnown {
-			maxErr = kn.MaxError()
-			maxErrKnown = true
-		}
-		bounds[i] = acceptErrorBound(b.Eps*maxErr, maxErr)
-		pendingEps++
+// oneSize is the budget list of a one-budget size-bounded call. It rejects
+// c = 0 over a non-empty relation itself, because MultiBudget{C: 0} is the
+// error budget 0.
+func oneSize(seq *temporal.Sequence, c int) ([]MultiBudget, error) {
+	if c == 0 && seq.Len() > 0 {
+		return nil, &InfeasibleSizeError{C: 0, CMin: seq.CMin()}
 	}
+	return []MultiBudget{{C: c}}, nil
+}
 
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	rowErr := make([]float64, n+1) // rowErr[k] = E[k][n]
-	for k := 1; k <= n && (k <= targetK || pendingEps > 0); k++ {
-		e, err := st.fillRow(k)
-		if err != nil {
-			return nil, err
-		}
-		rowErr[k] = e
-		for i, b := range budgets {
-			if b.C > 0 || reachedK[i] != 0 {
-				continue
-			}
-			if e <= bounds[i] {
-				reachedK[i] = k
-				pendingEps--
-			}
-		}
+// first unwraps the result of a one-budget call.
+func first(results []*DPResult, err error) (*DPResult, error) {
+	if err != nil {
+		return nil, err
 	}
-
-	for i, b := range budgets {
-		k := reachedK[i]
-		if b.C > 0 {
-			if b.C >= n {
-				results[i] = &DPResult{Sequence: seq.Clone(), C: n, Stats: st.stats}
-				continue
-			}
-			k = b.C
-		}
-		if k == 0 {
-			// E[n][n] = 0 means every error bound is reached by row n.
-			panic("core: multi-budget DP left a budget unserved")
-		}
-		results[i] = &DPResult{
-			Sequence: seq.WithRows(st.reconstruct(k)),
-			C:        k,
-			Error:    rowErr[k],
-			Stats:    st.stats,
-		}
-	}
-	return results, nil
+	return results[0], nil
 }

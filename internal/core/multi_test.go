@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/temporal"
 )
 
 // TestDPMultiMatchesSingle: one shared matrix pass serves every budget with
@@ -174,6 +177,67 @@ func TestScratchReuse(t *testing.T) {
 		}
 		if gotE.C != wantE.C || !gotE.Sequence.Equal(wantE.Sequence, 1e-9) {
 			t.Fatalf("iteration %d: scratch PTAe differs", i)
+		}
+	}
+}
+
+// TestSizeBudgetEdges pins what the size-bounded entry points return for
+// c ∈ {−1, 0}: an InfeasibleSizeError over a non-empty relation, the empty
+// reduction for c = 0 over the empty relation, and an error for c = −1
+// there. MultiBudget{C: 0} is the error budget 0, but a negative C is a
+// size, so the multi-budget drivers reject it the same way.
+func TestSizeBudgetEdges(t *testing.T) {
+	full := figure1c()
+	empty := full.WithRows(nil)
+	wantInfeasible := func(name string, c int, res *DPResult, err error) {
+		t.Helper()
+		var inf *InfeasibleSizeError
+		if !errors.As(err, &inf) || inf.C != c || inf.CMin != full.CMin() {
+			t.Errorf("%s(Fig. 1(c), %d) = %+v, %v; want InfeasibleSizeError{C: %d, CMin: %d}",
+				name, c, res, err, c, full.CMin())
+		}
+	}
+	for name, eval := range map[string]func(seq *temporal.Sequence, c int) (*DPResult, error){
+		"PTAc":    func(seq *temporal.Sequence, c int) (*DPResult, error) { return PTAc(seq, c, Options{}) },
+		"DPBasic": func(seq *temporal.Sequence, c int) (*DPResult, error) { return DPBasic(seq, c, Options{}) },
+		"PTAcAblation": func(seq *temporal.Sequence, c int) (*DPResult, error) {
+			return PTAcAblation(seq, c, Options{}, PruneIMax)
+		},
+		"PTAcParallel": func(seq *temporal.Sequence, c int) (*DPResult, error) {
+			return PTAcParallel(seq, c, Options{}, 2)
+		},
+	} {
+		for _, c := range []int{-1, 0} {
+			res, err := eval(full, c)
+			wantInfeasible(name, c, res, err)
+		}
+		if res, err := eval(empty, 0); err != nil || res.C != 0 || res.Sequence.Len() != 0 {
+			t.Errorf("%s(empty, 0) = %+v, %v; want the empty reduction", name, res, err)
+		}
+		if res, err := eval(empty, -1); err == nil {
+			t.Errorf("%s(empty, -1) = %+v; want an error", name, res)
+		}
+	}
+	sv, err := NewSolver(full, Options{}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []int{-1, 0} {
+		res, err := sv.SolveSize(context.Background(), c)
+		wantInfeasible("Solver.SolveSize", c, res, err)
+	}
+	for name, multi := range map[string]func(seq *temporal.Sequence, budgets []MultiBudget) ([]*DPResult, error){
+		"DPMulti": func(seq *temporal.Sequence, budgets []MultiBudget) ([]*DPResult, error) {
+			return DPMulti(seq, budgets, Options{}, true, true)
+		},
+		"DPMultiParallel": func(seq *temporal.Sequence, budgets []MultiBudget) ([]*DPResult, error) {
+			return DPMultiParallel(seq, budgets, Options{}, 2)
+		},
+	} {
+		res, err := first(multi(full, []MultiBudget{{C: -1}}))
+		wantInfeasible(name, -1, res, err)
+		if res, err := first(multi(empty, []MultiBudget{{C: -1}})); err == nil {
+			t.Errorf("%s(empty, C: -1) = %+v; want an error", name, res)
 		}
 	}
 }

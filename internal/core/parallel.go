@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,8 +15,7 @@ import (
 // that never interact, so
 //
 //  1. each run's optimal error curve can be computed independently (and
-//     concurrently — a bounded worker pool with per-run scratch
-//     buffers), and
+//     concurrently — a bounded worker pool, one Solver per run), and
 //  2. the global optimum is an allocation of the size budget c over the
 //     runs, found by a small dynamic program over run curves:
 //
@@ -30,65 +30,162 @@ import (
 // single-threaded; this is an engineering extension, reported by the
 // `parallel` and `engine` experiments.
 //
-// PTAcParallel serves size budgets; PTAeParallel computes full run curves
-// and picks the smallest total size whose optimal error fits eps·SSEmax;
-// DPMultiParallel (multiparallel.go) serves several budgets from one set of
-// run curves. Each keeps one CurveAllocation (allocate.go) across its
-// deepening rounds. CurveAllocation and AcceptErrorBound export the
-// recombination rules so distributed coordinators that gather run curves
-// from remote workers recombine them with exactly the in-process
-// tie-breaks.
+// SolveRuns is the one driver: it validates the budgets, deepens the run
+// curves, extends one CurveAllocation across the rounds, accepts error
+// bounds and reconstructs. Where the curves come from is behind RunCurves:
+// in-process Solvers here (DPMultiParallel, PTAcParallel, PTAeParallel),
+// curves gathered from remote workers in the distributed coordinator, which
+// therefore recombines with exactly the in-process tie-breaks.
 
-// runCurve is one maximal adjacent run with its reduction error curve and
-// the split matrices needed to reconstruct any reduction size. The DP fill
-// state is retained across computeCurves rounds, so iterative deepening and
-// multi-budget evaluation extend a curve row by row instead of recomputing
-// it from scratch.
-type runCurve struct {
-	lo, hi int // 1-based row bounds of the run, inclusive
-	curve  []float64
-	splits [][]int32
-
-	st *dpState // retained fill state; owns private buffers
+// RunCurves is the per-run state SolveRuns recombines, one entry per
+// maximal adjacent run of the kernel's series, in order. Curves only grow,
+// by appending.
+type RunCurves interface {
+	// Extend grows every run's curve to min(run length, kcap) sizes.
+	Extend(ctx context.Context, kcap int) error
+	// Curves lists the curves: Curves()[r][j−1] is run r's optimal error
+	// at size j. SolveRuns leaves them untouched.
+	Curves() [][]float64
+	// Rows fills dst with run r's optimal reduction to len(dst) tuples,
+	// merged from the whole series' kernel.
+	Rows(r int, dst []temporal.SeqRow) error
+	// Stats reports the fill work behind the curves.
+	Stats() DPStats
 }
 
-// decomposeRuns cuts the relation into its maximal adjacent runs.
-func decomposeRuns(kn *CostKernel) []*runCurve {
-	var runs []*runCurve
+// SolveRuns answers budgets over the maximal adjacent runs of kn's series
+// from the curves runs supplies. A total size of K needs per-run curves
+// only up to K−R+1 tuples (every other run keeps at least one), so size
+// budgets extend the curves once, to the deepest of them. Error budgets
+// deepen iteratively from K = R+63, doubling K until every bound is met,
+// which keeps the serial evaluator's early exit: loose bounds that stop at
+// a small K never pay for full curves, and the geometric growth bounds the
+// total work at a small constant of the final round's. Coexisting size
+// budgets only ever raise K, never change which k first fits a bound.
+//
+// Results align with budgets, and each carries the fill stats of the
+// shared curves. Like Options.Ctx, a nil ctx never cancels.
+func SolveRuns(ctx context.Context, kn *CostKernel, runs RunCurves, budgets []MultiBudget) ([]*DPResult, error) {
+	seq, n, R := kn.Sequence(), kn.N(), kn.CMin()
+	if n == 0 {
+		return emptyResults(seq, budgets)
+	}
+	bounds, K, err := planBudgets(budgets, n, R, sync.OnceValue(kn.MaxError))
+	if err != nil {
+		return nil, err
+	}
+	ks := make([]int, len(budgets)) // resolved size per budget; 0 = pending error budget
+	pending := 0
+	for i, b := range budgets {
+		if ks[i] = b.C; b.C == 0 {
+			pending++
+		}
+	}
+	if pending > 0 {
+		K = max(K, min(n, R+63))
+	}
+	var ca CurveAllocation
+	var final []float64
+	for K > 0 {
+		if err := runs.Extend(ctx, K-R+1); err != nil {
+			return nil, err
+		}
+		if final, err = ca.Extend(ctx, runs.Curves(), K); err != nil {
+			return nil, err
+		}
+		for i := range budgets {
+			for k := R; ks[i] == 0 && k <= K; k++ {
+				if final[k] <= bounds[i] {
+					ks[i] = k
+					pending--
+				}
+			}
+		}
+		if pending == 0 {
+			break
+		}
+		if K == n {
+			// A[n] = 0 meets every bound when the curves are exact; curves
+			// from elsewhere may not be.
+			return nil, fmt.Errorf("core: error bound not reached at full size")
+		}
+		K = min(n, 2*K)
+	}
+
+	stats := runs.Stats()
+	results := make([]*DPResult, len(budgets))
+	for i, k := range ks {
+		if budgets[i].C >= n {
+			results[i] = unreduced(seq, stats)
+			continue
+		}
+		alloc, err := ca.SplitAllocation(k)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]temporal.SeqRow, k)
+		at := 0
+		for r, j := range alloc {
+			if err := runs.Rows(r, rows[at:at+j]); err != nil {
+				return nil, err
+			}
+			at += j
+		}
+		results[i] = &DPResult{Sequence: seq.WithRows(rows), C: k, Error: final[k], Stats: stats}
+	}
+	return results, nil
+}
+
+// runSolvers is the in-process RunCurves: one Solver per run over the run's
+// own kernel, filled on a pool of workers goroutines (0 = GOMAXPROCS). A
+// solver is built on the first Extend and retained, so deepening rounds pay
+// only for new rows. Solvers own their buffers (no Scratch): their rows
+// outlive each round, and rounds may land on different goroutines.
+type runSolvers struct {
+	kn      *CostKernel
+	opts    Options
+	workers int
+	runs    []runSolver
+}
+
+type runSolver struct {
+	lo, hi int     // 1-based row bounds of the run, inclusive
+	sv     *Solver // nil until the first Extend
+}
+
+// newRunSolvers cuts kn's series into its maximal adjacent runs.
+func newRunSolvers(kn *CostKernel, opts Options, workers int) *runSolvers {
+	opts.Scratch = nil
+	rs := &runSolvers{kn: kn, opts: opts, workers: workers}
 	lo := 1
-	for _, g := range kn.gaps {
-		runs = append(runs, &runCurve{lo: lo, hi: g})
+	for _, g := range kn.Gaps() {
+		rs.runs = append(rs.runs, runSolver{lo: lo, hi: g})
 		lo = g + 1
 	}
-	runs = append(runs, &runCurve{lo: lo, hi: kn.n})
-	return runs
+	rs.runs = append(rs.runs, runSolver{lo: lo, hi: kn.N()})
+	return rs
 }
 
-// computeCurves fills every run's error curve up to min(run length, kcap) on
-// a pool of workers goroutines (0 = GOMAXPROCS). Curves that are already
-// long enough are untouched; shorter ones extend from their retained DP
-// state, so deepening rounds and multi-budget passes pay only for the new
-// rows. Each run owns a private Scratch, so the caller's Options.Scratch is
-// never shared across goroutines.
-func computeCurves(seq *temporal.Sequence, runs []*runCurve, kcap int, opts Options, workers int) error {
+func (rs *runSolvers) Extend(ctx context.Context, kcap int) error {
+	workers := rs.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(runs))
+	workers = min(workers, len(rs.runs))
 	jobs := make(chan int)
-	errs := make([]error, len(runs))
+	errs := make([]error, len(rs.runs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				errs[i] = runs[i].extend(seq, kcap, opts)
+			for r := range jobs {
+				errs[r] = rs.extend(ctx, r, kcap)
 			}
 		}()
 	}
-	for i := range runs {
-		jobs <- i
+	for r := range rs.runs {
+		jobs <- r
 	}
 	close(jobs)
 	wg.Wait()
@@ -100,201 +197,80 @@ func computeCurves(seq *temporal.Sequence, runs []*runCurve, kcap int, opts Opti
 	return nil
 }
 
-// curveStats sums the DP fill counters across runs — the aggregate cost of
-// the curves backing one parallel evaluation.
-func curveStats(runs []*runCurve) DPStats {
+// extend fills run r's solver to min(run length, kcap) rows.
+func (rs *runSolvers) extend(ctx context.Context, r, kcap int) error {
+	run := &rs.runs[r]
+	if run.sv == nil {
+		seq := rs.kn.Sequence()
+		kn, err := NewKernel(seq.WithRows(seq.Rows[run.lo-1:run.hi]), rs.opts)
+		if err != nil {
+			return err
+		}
+		run.sv = newSolver(kn, rs.opts, true, true)
+	}
+	return run.sv.ensure(ctx, min(run.hi-run.lo+1, kcap))
+}
+
+func (rs *runSolvers) Curves() [][]float64 {
+	curves := make([][]float64, len(rs.runs))
+	for r, run := range rs.runs {
+		if run.sv != nil {
+			curves[r] = run.sv.rowErr[1 : run.sv.filled+1]
+		}
+	}
+	return curves
+}
+
+// Rows walks run r's split rows and merges from the whole series' kernel,
+// so a run's rows are bit-identical to the same ranges merged serially.
+func (rs *runSolvers) Rows(r int, dst []temporal.SeqRow) error {
+	run := rs.runs[r]
+	return run.sv.backtrack(dst, rs.kn, run.lo-1)
+}
+
+func (rs *runSolvers) Stats() DPStats {
 	var st DPStats
-	for _, rc := range runs {
-		if rc.st != nil {
-			st.Cells += rc.st.stats.Cells
-			st.InnerIters += rc.st.stats.InnerIters
+	for _, run := range rs.runs {
+		if run.sv != nil {
+			st.Add(run.sv.st.stats)
 		}
 	}
 	return st
 }
 
-// AcceptErrorBound widens an error-budget acceptance threshold by the
-// relative-and-absolute tolerance every error-bounded evaluator in this
-// package applies, so "the error fits the bound" means the same thing
-// in-process and across a wire.
-func AcceptErrorBound(bound, maxErr float64) float64 {
-	return acceptErrorBound(bound, maxErr)
-}
-
-// runCurves lists the runs' curves, the input of their CurveAllocation.
-func runCurves(runs []*runCurve) [][]float64 {
-	curves := make([][]float64, len(runs))
-	for r, rc := range runs {
-		curves[r] = rc.curve
-	}
-	return curves
-}
-
-// reconstructRuns splits a total size k over the runs and expands each
-// run's own splits into rows.
-func reconstructRuns(kn *CostKernel, runs []*runCurve, ca *CurveAllocation, k int) ([]temporal.SeqRow, error) {
-	alloc, err := ca.SplitAllocation(k)
+// DPMultiParallel serves several budgets from one run-decomposed parallel
+// evaluation: per-run error curves are computed once, concurrently, on
+// workers goroutines (0 = GOMAXPROCS), then every budget is answered from
+// the shared curves by SolveRuns — the parallel analogue of DPMulti.
+//
+// Each result is bit-identical to the corresponding single-budget parallel
+// evaluation (and therefore to the serial DP wherever that holds): curves
+// are truncated to K−R+1 rows for a total size of K, which the allocation
+// DP provably never notices — a run can only receive more than K−R+1
+// tuples if some other run receives none.
+func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options, workers int) ([]*DPResult, error) {
+	kn, err := NewKernel(seq, opts)
 	if err != nil {
 		return nil, err
 	}
-	var rows []temporal.SeqRow
-	for r, rc := range runs {
-		rows = append(rows, rc.reconstruct(kn, alloc[r])...)
-	}
-	return rows, nil
+	return SolveRuns(opts.Ctx, kn, newRunSolvers(kn, opts, workers), budgets)
 }
 
 // PTAcParallel evaluates size-bounded PTA exactly, decomposing the work
 // over maximal adjacent runs and computing run curves on workers goroutines
 // (0 = GOMAXPROCS). It returns the same optimal reduction as PTAc.
 func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DPResult, error) {
-	n := seq.Len()
-	if n == 0 {
-		if c != 0 {
-			return nil, fmt.Errorf("core: size bound %d for an empty relation", c)
-		}
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
+	budgets, err := oneSize(seq, c)
 	if err != nil {
 		return nil, err
 	}
-	cmin := kn.CMin()
-	if c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
-	}
-	if c >= n {
-		return &DPResult{Sequence: seq.Clone(), C: n}, nil
-	}
-
-	runs := decomposeRuns(kn)
-	// A total size of c leaves any single run at most c−R+1 tuples (every
-	// other run keeps ≥ 1), so longer per-run curves can never be chosen —
-	// the same truncation the error-bounded deepening relies on.
-	if err := computeCurves(seq, runs, c-len(runs)+1, opts, workers); err != nil {
-		return nil, err
-	}
-	var ca CurveAllocation
-	final, err := ca.Extend(opts.Ctx, runCurves(runs), c)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := reconstructRuns(kn, runs, &ca, c)
-	if err != nil {
-		return nil, err
-	}
-	return &DPResult{
-		Sequence: seq.WithRows(rows),
-		C:        c,
-		Error:    final[c],
-		Stats:    curveStats(runs),
-	}, nil
+	return first(DPMultiParallel(seq, budgets, opts, workers))
 }
 
 // PTAeParallel evaluates error-bounded PTA exactly with the same run
-// decomposition: every run's full error curve is computed concurrently, the
-// combination DP yields the optimal error for every total size, and the
-// smallest size whose error fits eps·SSEmax wins — the same minimization as
-// PTAe (Definition 7), parallel over runs.
+// decomposition: the smallest total size whose optimal error fits
+// eps·SSEmax wins — the same minimization as PTAe (Definition 7), parallel
+// over runs.
 func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
-	if err := CheckErrorBound(eps); err != nil {
-		return nil, err
-	}
-	n := seq.Len()
-	if n == 0 {
-		return &DPResult{Sequence: seq.WithRows(nil), C: 0}, nil
-	}
-	kn, err := NewKernel(seq, opts)
-	if err != nil {
-		return nil, err
-	}
-	maxErr := kn.MaxError()
-	accept := acceptErrorBound(eps*maxErr, maxErr)
-
-	// Iterative deepening preserves the serial evaluator's early exit: a
-	// total size of K needs per-run curves only up to K−R+1 (every other
-	// run keeps ≥ 1 tuple), so loose bounds that stop at small K never pay
-	// for full curves. Each failed round doubles K and extends the retained
-	// per-run curves and the allocation in place; the geometric growth
-	// bounds total work at a small constant of the final round's.
-	runs := decomposeRuns(kn)
-	R := len(runs)
-	var ca CurveAllocation
-	for K := min(n, R+63); ; K = min(n, 2*K) {
-		if err := computeCurves(seq, runs, K-R+1, opts, workers); err != nil {
-			return nil, err
-		}
-		final, err := ca.Extend(opts.Ctx, runCurves(runs), K)
-		if err != nil {
-			return nil, err
-		}
-		for k := R; k <= K; k++ {
-			if final[k] <= accept {
-				// Curves cover every size ≤ K, so k is the exact minimum.
-				rows, err := reconstructRuns(kn, runs, &ca, k)
-				if err != nil {
-					return nil, err
-				}
-				return &DPResult{
-					Sequence: seq.WithRows(rows),
-					C:        k,
-					Error:    final[k],
-					Stats:    curveStats(runs),
-				}, nil
-			}
-		}
-		if K == n {
-			// A[n] = 0 ≤ bound always triggers; reaching this point means
-			// the curve combination is broken.
-			panic("core: error-bounded parallel DP did not terminate")
-		}
-	}
-}
-
-// extend grows the run's curve and split matrices to sizes 1..min(len, c)
-// using the gap-free DP restricted to the run, resuming from the retained
-// state when the curve is partially filled. The split rows must outlive
-// this call (reconstruction happens after all runs finish) and the state
-// must survive across rounds that may land on different worker goroutines,
-// so both use private allocations — never a caller- or worker-shared
-// Scratch.
-func (rc *runCurve) extend(seq *temporal.Sequence, c int, opts Options) error {
-	q := rc.hi - rc.lo + 1
-	kmax := min(q, c)
-	if len(rc.curve) >= kmax {
-		return nil
-	}
-	if rc.st == nil {
-		sub := seq.WithRows(seq.Rows[rc.lo-1 : rc.hi])
-		sopts := opts
-		sopts.Scratch = &Scratch{} // private: retained by the state
-		kn, err := NewKernel(sub, sopts)
-		if err != nil {
-			return err
-		}
-		rc.st = newDPState(kn, sopts, true, true, true)
-		rc.st.ownSplits = true
-	}
-	for k := len(rc.curve) + 1; k <= kmax; k++ {
-		e, err := rc.st.fillRow(k)
-		if err != nil {
-			return err
-		}
-		rc.curve = append(rc.curve, e)
-	}
-	rc.splits = rc.st.splits
-	return nil
-}
-
-// reconstruct expands the run's optimal reduction to size k into rows,
-// using the global prefix for the merges (indices shifted to run space).
-func (rc *runCurve) reconstruct(kn *CostKernel, k int) []temporal.SeqRow {
-	rows := make([]temporal.SeqRow, k)
-	hi := rc.hi - rc.lo + 1 // run-local 1-based end
-	for kk := k; kk >= 1; kk-- {
-		j := int(rc.splits[kk-1][hi])
-		rows[kk-1] = kn.MergeRange(rc.lo+j, rc.lo+hi-1)
-		hi = j
-	}
-	return rows
+	return first(DPMultiParallel(seq, []MultiBudget{{Eps: eps}}, opts, workers))
 }

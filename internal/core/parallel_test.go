@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dataset"
 )
 
 // TestPTAcParallelFigure1d: the decomposed evaluator reproduces the exact
@@ -106,5 +108,23 @@ func BenchmarkPTAcParallel(b *testing.B) {
 		if _, err := PTAcParallel(seq, c, Options{}, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPTAcParallelCountsEnvelopeSkips: a run-decomposed result carries every
+// fill counter of its run curves. Two mixed runs long enough for the
+// automatic fill to pick a monotone fill skip completion-scan candidates in
+// envelope ranges, and the result must report them.
+func TestPTAcParallelCountsEnvelopeSkips(t *testing.T) {
+	seq, err := dataset.Mixed(2, 256, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := PTAcParallel(seq, seq.Len()/10, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Cells == 0 || res.Stats.EnvelopeSkips == 0 {
+		t.Errorf("stats %+v: want cells and envelope skips", res.Stats)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,6 +154,93 @@ func TestPTAcPropOptimal(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExactEntryPointsMatchBruteForce anchors every exact entry point to
+// Definitions 6 and 7 stated directly, on small gapped inputs: the reported
+// error is the brute-force optimum at the returned size, a size budget
+// returns its size (n at most), and for an error budget no smaller size has
+// a brute-force optimum within the bound. The boundary tolerance is
+// relative to SSEmax, the scale of every error here.
+func TestExactEntryPointsMatchBruteForce(t *testing.T) {
+	ctx := context.Background()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		seq := randomSequence(rng, 1+rng.Intn(10), 1+rng.Intn(2), 0.3)
+		px, err := NewKernel(seq, Options{})
+		if err != nil {
+			return false
+		}
+		n, cmin, maxErr := seq.Len(), px.CMin(), px.MaxError()
+		opt := make([]float64, n+1)
+		for c := cmin; c <= n; c++ {
+			opt[c] = bruteForceOptimal(px, c)
+		}
+		slack := 1e-9 * (1 + maxErr)
+		var budgets []MultiBudget
+		for c := cmin; c <= n+1; c++ {
+			budgets = append(budgets, MultiBudget{C: c})
+		}
+		for _, eps := range []float64{0, rng.Float64(), 1} {
+			budgets = append(budgets, MultiBudget{Eps: eps})
+		}
+		fits := func(b MultiBudget, res *DPResult) bool {
+			if res.C < cmin || res.C > n || math.Abs(res.Error-opt[res.C]) > slack {
+				return false
+			}
+			if b.C > 0 {
+				return res.C == min(b.C, n)
+			}
+			bound := b.Eps * maxErr
+			for j := cmin; j < res.C; j++ {
+				if opt[j] <= bound-slack {
+					return false
+				}
+			}
+			return opt[res.C] <= bound+slack
+		}
+		multi, err := DPMulti(seq, budgets, Options{}, true, true)
+		if err != nil {
+			return false
+		}
+		parallel, err := DPMultiParallel(seq, budgets, Options{}, 2)
+		if err != nil {
+			return false
+		}
+		sv, err := NewSolver(seq, Options{}, true, true)
+		if err != nil {
+			return false
+		}
+		for i, b := range budgets {
+			got := map[string]*DPResult{"DPMulti": multi[i], "DPMultiParallel": parallel[i]}
+			var one, onePar, solved *DPResult
+			var err1, err2, err3 error
+			if b.C > 0 {
+				one, err1 = PTAc(seq, b.C, Options{})
+				onePar, err2 = PTAcParallel(seq, b.C, Options{}, 2)
+				solved, err3 = sv.SolveSize(ctx, b.C)
+			} else {
+				one, err1 = PTAe(seq, b.Eps, Options{})
+				onePar, err2 = PTAeParallel(seq, b.Eps, Options{}, 2)
+				solved, err3 = sv.SolveError(ctx, b.Eps)
+			}
+			if err := errors.Join(err1, err2, err3); err != nil {
+				t.Logf("seed %d %+v: %v", seed, b, err)
+				return false
+			}
+			got["PTAc/PTAe"], got["PTAcParallel/PTAeParallel"], got["Solver"] = one, onePar, solved
+			for name, res := range got {
+				if !fits(b, res) {
+					t.Logf("seed %d %+v: %s returned C=%d error %v; brute force %v", seed, b, name, res.C, res.Error, opt)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

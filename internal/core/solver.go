@@ -13,15 +13,16 @@ import (
 // retained, so answering a new budget reuses all rows filled by earlier
 // budgets and only extends the matrices when a deeper row is needed. It is
 // the unit a serving layer caches per hot series — a repeated budget costs
-// one backtrack, no DP fill at all.
+// one backtrack, no DP fill at all. It is also the one driver of the
+// whole-series DP: DPMulti and the evaluators built on it answer through a
+// transient Solver, and the run-decomposed evaluators fill one per run.
 //
 // A Solver is NOT safe for concurrent use; callers serialize access (the
 // serve-layer cache guards each entry with a mutex). The context travels per
 // call, so one cached Solver serves requests with different deadlines.
 type Solver struct {
 	kn     *CostKernel
-	st     *dpState
-	opts   Options   // construction options; Ctx is replaced per call
+	st     *dpState  // its options' Ctx is replaced per call
 	rowErr []float64 // rowErr[k] = E[k][n] for k = 1..filled
 	filled int
 	bound  float64 // SSEmax, resolved lazily for error budgets
@@ -62,14 +63,20 @@ func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solv
 	if err != nil {
 		return nil, err
 	}
-	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	st.ownSplits = true
+	return newSolver(kn, opts, pruneI, pruneJ), nil
+}
+
+// newSolver builds a solver over a prebuilt non-empty kernel with opts as
+// given: a Scratch in opts lends the rows (DPMultiKernel answers before
+// returning), and the fill stays what opts.Fill resolves to, so a
+// one-shot evaluation counts the cells and inner iterations of the batch
+// fills.
+func newSolver(kn *CostKernel, opts Options, pruneI, pruneJ bool) *Solver {
 	return &Solver{
 		kn:     kn,
-		st:     st,
-		opts:   opts,
+		st:     newDPState(kn, opts, pruneI, pruneJ, true),
 		rowErr: make([]float64, kn.N()+1),
-	}, nil
+	}
 }
 
 // N returns the input size n.
@@ -115,8 +122,9 @@ func (sv *Solver) Deepen(ctx context.Context, k int) error {
 	return sv.ensure(ctx, k)
 }
 
-// ensure fills rows filled+1..k under ctx. Rows are filled strictly in
-// order; already-filled rows are never recomputed.
+// ensure fills rows filled+1..k under ctx: the one loop that fills rows
+// toward a budget. Rows are filled strictly in order; already-filled rows
+// are never recomputed.
 func (sv *Solver) ensure(ctx context.Context, k int) error {
 	sv.st.opts.Ctx = ctx
 	for next := sv.filled + 1; next <= k; next++ {
@@ -134,23 +142,102 @@ func (sv *Solver) ensure(ctx context.Context, k int) error {
 // c tuples, reusing every previously filled row.
 func (sv *Solver) SolveSize(ctx context.Context, c int) (*DPResult, error) {
 	n := sv.kn.N()
-	if cmin := sv.kn.CMin(); c < cmin {
-		return nil, &InfeasibleSizeError{C: c, CMin: cmin}
+	if err := checkSize(c, n, sv.kn.CMin()); err != nil {
+		return nil, err
 	}
 	if c >= n {
-		return &DPResult{Sequence: sv.kn.Sequence().Clone(), C: n, Stats: sv.st.stats}, nil
+		return unreduced(sv.kn.Sequence(), sv.st.stats), nil
 	}
 	if err := sv.ensure(ctx, c); err != nil {
 		return nil, err
 	}
-	rows, err := sv.backtrack(c)
+	return sv.answer(c)
+}
+
+// SolveError answers an error budget eps ∈ [0, 1]: the smallest k whose
+// reduction introduces at most eps·SSEmax error. Rows filled while searching
+// are retained for later budgets.
+func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error) {
+	bound, err := checkBudget(MultiBudget{Eps: eps}, sv.kn.N(), sv.kn.CMin(), sv.maxError)
 	if err != nil {
+		return nil, err
+	}
+	k, err := sv.reach(ctx, bound)
+	if err != nil {
+		return nil, err
+	}
+	return sv.answer(k)
+}
+
+// solveBudgets answers every budget from one pass: it fills to the deepest
+// size budget, then searches each error budget's row, filling further only
+// as far as a search needs. Answers wait for the whole pass, so every
+// result carries its stats.
+func (sv *Solver) solveBudgets(ctx context.Context, budgets []MultiBudget) ([]*DPResult, error) {
+	n := sv.kn.N()
+	bounds, sizeK, err := planBudgets(budgets, n, sv.kn.CMin(), sv.maxError)
+	if err != nil {
+		return nil, err
+	}
+	if err := sv.ensure(ctx, sizeK); err != nil {
+		return nil, err
+	}
+	ks := make([]int, len(budgets))
+	for i, b := range budgets {
+		if ks[i] = b.C; b.C == 0 {
+			if ks[i], err = sv.reach(ctx, bounds[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	results := make([]*DPResult, len(budgets))
+	for i, k := range ks {
+		if budgets[i].C >= n {
+			results[i] = unreduced(sv.kn.Sequence(), sv.st.stats)
+		} else if results[i], err = sv.answer(k); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// maxError returns SSEmax, computed at most once per solver; a snapshot
+// carries it.
+func (sv *Solver) maxError() float64 {
+	if !sv.hasMax {
+		sv.bound, sv.hasMax = sv.kn.MaxError(), true
+	}
+	return sv.bound
+}
+
+// reach returns the smallest k whose row error E[k][n] fits bound, filling
+// rows as the search passes them.
+func (sv *Solver) reach(ctx context.Context, bound float64) (int, error) {
+	for k := 1; k <= sv.kn.N(); k++ {
+		if k > sv.filled {
+			if err := sv.ensure(ctx, k); err != nil {
+				return 0, err
+			}
+		}
+		if sv.rowErr[k] <= bound {
+			return k, nil
+		}
+	}
+	// E[n][n] = 0 ≤ bound always triggers within the loop.
+	panic("core: solver error-bounded search did not terminate")
+}
+
+// answer walks the filled rows from cell (k, n) into the optimal reduction
+// to k tuples.
+func (sv *Solver) answer(k int) (*DPResult, error) {
+	rows := make([]temporal.SeqRow, k)
+	if err := sv.backtrack(rows, sv.kn, 0); err != nil {
 		return nil, err
 	}
 	return &DPResult{
 		Sequence: sv.kn.Sequence().WithRows(rows),
-		C:        c,
-		Error:    sv.rowErr[c],
+		C:        k,
+		Error:    sv.rowErr[k],
 		Stats:    sv.st.stats,
 	}, nil
 }
@@ -214,19 +301,11 @@ func (sv *Solver) State() (*SolverState, error) {
 // checkSplitRow) so a corrupt snapshot fails cleanly instead of panicking
 // rows later; on error the solver is unchanged and still usable cold.
 func (sv *Solver) Restore(st *SolverState) error {
+	if err := sv.checkSnapshot(st); err != nil {
+		return err
+	}
 	n := sv.kn.N()
-	switch {
-	case sv.filled != 0:
-		return fmt.Errorf("core: restore into a solver with %d filled rows", sv.filled)
-	case st.N != n:
-		return fmt.Errorf("core: snapshot n=%d, solver n=%d", st.N, n)
-	case st.Filled < 1 || st.Filled > n:
-		return fmt.Errorf("core: snapshot filled=%d outside 1..%d", st.Filled, n)
-	case len(st.RowErr) != st.Filled:
-		return fmt.Errorf("core: snapshot has %d row errors, want %d", len(st.RowErr), st.Filled)
-	case len(st.LastE) != n+1:
-		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
-	case len(st.Splits) != st.Filled*(n+1):
+	if len(st.Splits) != st.Filled*(n+1) {
 		return fmt.Errorf("core: snapshot has %d split cells, want %d", len(st.Splits), st.Filled*(n+1))
 	}
 	for k := 1; k <= st.Filled; k++ {
@@ -241,11 +320,37 @@ func (sv *Solver) Restore(st *SolverState) error {
 	for k := 0; k < st.Filled; k++ {
 		sv.st.splits = append(sv.st.splits, slab[k*(n+1):(k+1)*(n+1)])
 	}
+	sv.adopt(st)
+	return nil
+}
+
+// checkSnapshot is the shape check Restore and RestoreLazy share: the
+// solver is fresh, and the snapshot is of this n with 1..n rows, one error
+// per row and a whole resume row.
+func (sv *Solver) checkSnapshot(st *SolverState) error {
+	n := sv.kn.N()
+	switch {
+	case sv.filled != 0:
+		return fmt.Errorf("core: restore into a solver with %d filled rows", sv.filled)
+	case st.N != n:
+		return fmt.Errorf("core: snapshot n=%d, solver n=%d", st.N, n)
+	case st.Filled < 1 || st.Filled > n:
+		return fmt.Errorf("core: snapshot filled=%d outside 1..%d", st.Filled, n)
+	case len(st.RowErr) != st.Filled:
+		return fmt.Errorf("core: snapshot has %d row errors, want %d", len(st.RowErr), st.Filled)
+	case len(st.LastE) != n+1:
+		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
+	}
+	return nil
+}
+
+// adopt installs a checked snapshot's scalar state: the row errors, the
+// resume row and SSEmax.
+func (sv *Solver) adopt(st *SolverState) {
 	copy(sv.st.curE, st.LastE) // fillRow(Filled+1) swaps this in as the previous row
 	copy(sv.rowErr[1:], st.RowErr)
 	sv.filled = st.Filled
 	sv.bound, sv.hasMax = st.Bound, st.HasMax
-	return nil
 }
 
 // SplitRowSource supplies individual restored split-point rows on demand:
@@ -292,28 +397,16 @@ func (e *WarmLostError) Unwrap() error { return e.Err }
 // ignored, and the solver retains what rows returns, so a row is read (and
 // its CRC paid) at most once per solver lifetime.
 func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
-	n := sv.kn.N()
-	switch {
-	case rows == nil:
+	if rows == nil {
 		return fmt.Errorf("core: lazy restore without a row source")
-	case sv.filled != 0:
-		return fmt.Errorf("core: restore into a solver with %d filled rows", sv.filled)
-	case st.N != n:
-		return fmt.Errorf("core: snapshot n=%d, solver n=%d", st.N, n)
-	case st.Filled < 1 || st.Filled > n:
-		return fmt.Errorf("core: snapshot filled=%d outside 1..%d", st.Filled, n)
-	case len(st.RowErr) != st.Filled:
-		return fmt.Errorf("core: snapshot has %d row errors, want %d", len(st.RowErr), st.Filled)
-	case len(st.LastE) != n+1:
-		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
+	}
+	if err := sv.checkSnapshot(st); err != nil {
+		return err
 	}
 	// Unread rows are nil slots; fillRow appends deeper rows after them, so
 	// Deepen works before any walk forces a read.
 	sv.st.splits = append(sv.st.splits[:0], make([][]int32, st.Filled)...)
-	copy(sv.st.curE, st.LastE)
-	copy(sv.rowErr[1:], st.RowErr)
-	sv.filled = st.Filled
-	sv.bound, sv.hasMax = st.Bound, st.HasMax
+	sv.adopt(st)
 	sv.lazy, sv.restored = rows, st.Filled
 	return nil
 }
@@ -332,13 +425,14 @@ func checkSplitRow(k int, row []int32) error {
 	return nil
 }
 
-// backtrack makes rows 1..c resident and walks them from cell (c, n),
-// decoding one split point per row.
-func (sv *Solver) backtrack(c int) ([]temporal.SeqRow, error) {
-	if err := sv.load(c); err != nil {
-		return nil, err
+// backtrack makes rows 1..len(dst) resident and walks them from cell
+// (len(dst), n), decoding one split point per row, into dst: the reduction
+// merged from kn, whose rows off+1..off+n are the solver's sequence.
+func (sv *Solver) backtrack(dst []temporal.SeqRow, kn *CostKernel, off int) error {
+	if err := sv.load(len(dst)); err != nil {
+		return err
 	}
-	return walkSplits(sv.kn, c, sv.split)
+	return walkSplits(dst, kn, off, sv.kn.N(), sv.split)
 }
 
 // split reads J[k][i] from the row's resident form.
@@ -390,40 +484,4 @@ func (sv *Solver) materialize(k int) error {
 		sv.read = r
 	}
 	return nil
-}
-
-// SolveError answers an error budget eps ∈ [0, 1]: the smallest k whose
-// reduction introduces at most eps·SSEmax error. Rows filled while searching
-// are retained for later budgets.
-func (sv *Solver) SolveError(ctx context.Context, eps float64) (*DPResult, error) {
-	if err := CheckErrorBound(eps); err != nil {
-		return nil, err
-	}
-	if !sv.hasMax {
-		sv.bound = sv.kn.MaxError()
-		sv.hasMax = true
-	}
-	bound := acceptErrorBound(eps*sv.bound, sv.bound)
-	n := sv.kn.N()
-	for k := 1; k <= n; k++ {
-		if k > sv.filled {
-			if err := sv.ensure(ctx, k); err != nil {
-				return nil, err
-			}
-		}
-		if sv.rowErr[k] <= bound {
-			rows, err := sv.backtrack(k)
-			if err != nil {
-				return nil, err
-			}
-			return &DPResult{
-				Sequence: sv.kn.Sequence().WithRows(rows),
-				C:        k,
-				Error:    sv.rowErr[k],
-				Stats:    sv.st.stats,
-			}, nil
-		}
-	}
-	// E[n][n] = 0 ≤ bound always triggers within the loop.
-	panic("core: solver error-bounded search did not terminate")
 }

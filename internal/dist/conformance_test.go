@@ -8,9 +8,9 @@ package dist
 // What is asserted, and why:
 //
 //   - vs the parallel engine (WithParallelism): everything bitwise — rows,
-//     C, and the Error float's exact bits. dist reimplements PTAcParallel /
-//     PTAeParallel with the curve computation moved across HTTP, so any
-//     drift here is a bug.
+//     C, and the Error float's exact bits. dist runs the same driver as
+//     PTAcParallel / PTAeParallel (core.SolveRuns) with the curve
+//     computation moved across HTTP, so any drift here is a bug.
 //   - vs the serial evaluator: C always equal, Error equal to within float
 //     summation reassociation (the run-decomposed pass adds per-run errors
 //     in a different order), and rows BITWISE equal whenever the optimum is

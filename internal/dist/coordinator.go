@@ -36,11 +36,12 @@ const (
 // each shard's error curve is fetched from the worker that consistent
 // hashing assigns its fingerprint, so repeated compressions of the same
 // series hit the same workers' matrix and spill caches, and the curves are
-// recombined locally with the in-process allocation DP and the global cost
-// kernel. Workers therefore only contribute curve values and split
-// boundaries — every returned row is re-derived from the coordinator's own
-// kernel, which is what makes the distributed result bit-identical to
-// core.PTAcParallel/PTAeParallel (see docs/ARCHITECTURE.md § Distribution).
+// recombined locally by core.SolveRuns, the run-decomposed driver behind
+// core.PTAcParallel/PTAeParallel, over the global cost kernel. Workers
+// therefore only contribute curve values and split boundaries — every
+// returned row is re-derived from the coordinator's own kernel, which is
+// what makes the distributed result bit-identical to the in-process
+// parallel evaluators (see docs/ARCHITECTURE.md § Distribution).
 //
 // A Coordinator is safe for concurrent use.
 type Coordinator struct {
@@ -278,12 +279,11 @@ type shard struct {
 	fp     string
 	curve  []float64
 	ranges [][][2]int32 // ranges[k-1][i] = global (first,last) of merged row i
-	cells  int64        // worker-reported DP cost, summed over rounds
-	inner  int64
+	stats  core.DPStats // worker-reported DP cost, summed over rounds
 }
 
 // makeShards cuts the series into shards along the kernel's gap positions —
-// exactly core.decomposeRuns' decomposition.
+// exactly the runs core.SolveRuns recombines, in order.
 func makeShards(s *pta.Series, kn *core.CostKernel) []*shard {
 	bounds := append(append([]int(nil), kn.Gaps()...), s.Len())
 	shards := make([]*shard, 0, len(bounds))
@@ -317,102 +317,71 @@ func (c *Coordinator) compress(ctx context.Context, s *pta.Series, b pta.Budget,
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	n := s.Len()
-	if n == 0 {
-		if b.Kind() == pta.BudgetSize && b.C() != 0 {
-			return nil, fmt.Errorf("dist: size bound %d for an empty relation", b.C())
-		}
-		return &pta.Result{Series: s.WithRows(nil)}, nil
-	}
-	if len(c.Workers()) == 0 {
+	if s.Len() > 0 && len(c.Workers()) == 0 {
 		return nil, fmt.Errorf("dist: no workers configured")
 	}
 	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	c.m.compressions.Inc()
-
+	if s.Len() > 0 {
+		c.m.compressions.Inc()
+	}
+	budget := core.MultiBudget{Eps: b.Eps()}
 	if b.Kind() == pta.BudgetSize {
-		cb := b.C()
-		if cmin := kn.CMin(); cb < cmin {
-			return nil, &core.InfeasibleSizeError{C: cb, CMin: cmin}
-		}
-		if cb >= n {
-			return &pta.Result{Series: s.Clone(), C: n}, nil
-		}
-		shards := makeShards(s, kn)
-		// Per-shard curves past cb−R+1 rows can never be chosen (every
-		// other shard keeps ≥ 1 tuple) — the same truncation PTAcParallel
-		// applies.
-		if err := c.gather(ctx, shards, cb-len(shards)+1, opts); err != nil {
-			return nil, err
-		}
-		var ca core.CurveAllocation
-		final, err := ca.Extend(ctx, curvesOf(shards), cb)
-		if err != nil {
-			return nil, err
-		}
-		return finishResult(s, kn, shards, &ca, final, cb)
+		budget = core.MultiBudget{C: b.C()}
 	}
-
-	// Error bound: iterative deepening exactly like PTAeParallel — the
-	// acceptance threshold, the deepening schedule and the curve truncation
-	// all match, so the chosen size k is identical. Each round widens the
-	// per-shard fetch to only the new curve rows; the workers' matrix
-	// caches make the repeat visits cheap, and one allocation extends
-	// across the rounds.
-	maxErr := kn.MaxError()
-	accept := core.AcceptErrorBound(b.Eps()*maxErr, maxErr)
-	shards := makeShards(s, kn)
-	R := len(shards)
-	var ca core.CurveAllocation
-	for K := min(n, R+63); ; K = min(n, 2*K) {
-		if err := c.gather(ctx, shards, K-R+1, opts); err != nil {
-			return nil, err
-		}
-		final, err := ca.Extend(ctx, curvesOf(shards), K)
-		if err != nil {
-			return nil, err
-		}
-		for k := R; k <= K; k++ {
-			if final[k] <= accept {
-				return finishResult(s, kn, shards, &ca, final, k)
-			}
-		}
-		if K == n {
-			return nil, fmt.Errorf("dist: internal error: error bound not reached at full size")
-		}
+	fleet := &fleetRuns{c: c, kn: kn, shards: makeShards(s, kn), opts: opts}
+	res, err := core.SolveRuns(ctx, kn, fleet, []core.MultiBudget{budget})
+	if err != nil {
+		return nil, err
 	}
+	st := res[0].Stats
+	return &pta.Result{
+		Series: res[0].Sequence,
+		C:      res[0].C,
+		Error:  res[0].Error,
+		Stats:  pta.Stats{Cells: st.Cells, InnerIters: st.InnerIters, EnvelopeSkips: st.EnvelopeSkips},
+	}, nil
 }
 
-func curvesOf(shards []*shard) [][]float64 {
-	curves := make([][]float64, len(shards))
-	for i, sh := range shards {
+// fleetRuns is the coordinator's core.RunCurves: one shard per run, its
+// curve gathered from the workers. Rows merge from the coordinator's own
+// kernel over the worker-reported split ranges, so workers never
+// contribute aggregate arithmetic.
+type fleetRuns struct {
+	c      *Coordinator
+	kn     *core.CostKernel
+	shards []*shard
+	opts   pta.Options
+}
+
+func (f *fleetRuns) Extend(ctx context.Context, kcap int) error {
+	return f.c.gather(ctx, f.shards, kcap, f.opts)
+}
+
+func (f *fleetRuns) Curves() [][]float64 {
+	curves := make([][]float64, len(f.shards))
+	for i, sh := range f.shards {
 		curves[i] = sh.curve
 	}
 	return curves
 }
 
-// finishResult recombines gathered shard state into the final reduction:
-// the allocation DP picks each shard's size, and every output row is
-// merged from the coordinator's own global kernel over the worker-reported
-// split ranges — workers never contribute aggregate arithmetic.
-func finishResult(s *pta.Series, kn *core.CostKernel, shards []*shard, ca *core.CurveAllocation, final []float64, k int) (*pta.Result, error) {
-	alloc, err := ca.SplitAllocation(k)
-	if err != nil {
-		return nil, err
+// Rows merges the ranges absorb checked: len(dst) of them, tiling the shard.
+func (f *fleetRuns) Rows(r int, dst []pta.Row) error {
+	for i, rg := range f.shards[r].ranges[len(dst)-1] {
+		dst[i] = f.kn.MergeRange(int(rg[0]), int(rg[1]))
 	}
-	rows := make([]pta.Row, 0, k)
-	var stats pta.Stats
-	for r, sh := range shards {
-		for _, rg := range sh.ranges[alloc[r]-1] {
-			rows = append(rows, kn.MergeRange(int(rg[0]), int(rg[1])))
-		}
-		stats.Cells += sh.cells
-		stats.InnerIters += sh.inner
+	return nil
+}
+
+func (f *fleetRuns) Stats() core.DPStats {
+	var st core.DPStats
+	for _, sh := range f.shards {
+		st.Add(sh.stats)
 	}
-	return &pta.Result{Series: s.WithRows(rows), C: k, Error: final[k], Stats: stats}, nil
+	return st
 }
 
 // gather extends every shard's curve to min(shard length, kcap) rows,
@@ -573,7 +542,7 @@ func (sh *shard) absorb(results []serve.ResultWire, from, to int) error {
 		return fmt.Errorf("internal error: curve has %d rows before absorbing size %d", len(sh.curve), from)
 	}
 	ranges := make([][][2]int32, len(results))
-	var cells, inner int64
+	var pass core.DPStats
 	for i, res := range results {
 		k := from + i
 		if res.C != k || len(res.Rows) != k {
@@ -589,15 +558,15 @@ func (sh *shard) absorb(results []serve.ResultWire, from, to int) error {
 		ranges[i] = rgs
 		// Every result of one amortized worker pass reports the shared
 		// fill cost; count it once per round trip.
-		cells = max(cells, res.Stats.Cells)
-		inner = max(inner, res.Stats.InnerIters)
+		pass.Cells = max(pass.Cells, res.Stats.Cells)
+		pass.InnerIters = max(pass.InnerIters, res.Stats.InnerIters)
+		pass.EnvelopeSkips = max(pass.EnvelopeSkips, res.Stats.EnvelopeSkips)
 	}
 	for i, res := range results {
 		sh.curve = append(sh.curve, res.Error)
 		sh.ranges = append(sh.ranges, ranges[i])
 	}
-	sh.cells += cells
-	sh.inner += inner
+	sh.stats.Add(pass)
 	return nil
 }
 

@@ -7,9 +7,14 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"log"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -342,5 +347,60 @@ func TestDistValidation(t *testing.T) {
 	}
 	if _, err := New(WithWorkers("")); err == nil {
 		t.Fatal("empty worker URL accepted")
+	}
+}
+
+// TestDistErrorShiftingWorker: the coordinator recombines whatever curves
+// its workers report, so a curve no exact fill produces must never panic
+// it. The only worker here is a real server whose responses carry every
+// result's error plus 1.0. No total size then meets eps = 0, which must
+// come back as an error; a size budget still answers with rows that tile
+// the series.
+func TestDistErrorShiftingWorker(t *testing.T) {
+	srv, err := serve.New(serve.Config{Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		backend.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && r.URL.Path == "/v1/compress/many" {
+			var out serve.ManyResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Errorf("worker response: %v", err)
+			}
+			for i := range out.Results {
+				out.Results[i].Error += 1.0
+			}
+			shifted, err := json.Marshal(out)
+			if err != nil {
+				t.Errorf("worker response: %v", err)
+			}
+			body = shifted
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	co, err := New(WithWorkers(ts.URL), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fixtureSeries(t)
+	ctx := context.Background()
+
+	res, err := co.Compress(ctx, s, pta.ErrorBound(0), pta.Options{})
+	if err == nil || !strings.Contains(err.Error(), "error bound not reached at full size") {
+		t.Fatalf("eps = 0 over shifted curves: %+v, %v; want the unreached-bound error", res, err)
+	}
+	c := min(s.Len(), s.CMin()+2)
+	res, err = co.Compress(ctx, s, pta.Size(c), pta.Options{})
+	if err != nil {
+		t.Fatalf("size budget over shifted curves: %v", err)
+	}
+	if res.C != c || res.Series.Len() != c || res.Series.Validate() != nil || res.Series.TotalLen() != s.TotalLen() {
+		t.Fatalf("size budget over shifted curves: C=%d over %d rows, want %d rows tiling the series", res.C, res.Series.Len(), c)
 	}
 }

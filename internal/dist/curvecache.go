@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/pta"
 )
 
@@ -33,8 +34,7 @@ type curveEntry struct {
 	key    string
 	curve  []float64
 	ranges [][][2]int32 // ranges[k-1][i] = 0-based (first,last) within the run
-	cells  int64
-	inner  int64
+	stats  core.DPStats
 }
 
 func newCurveCache(capacity int) *curveCache {
@@ -86,8 +86,7 @@ func (cc *curveCache) seed(sh *shard, key string) bool {
 		}
 		sh.ranges[k] = out
 	}
-	sh.cells = e.cells
-	sh.inner = e.inner
+	sh.stats = e.stats
 	cc.mu.Unlock()
 	return true
 }
@@ -99,8 +98,7 @@ func (cc *curveCache) store(sh *shard, key string) {
 		key:    key,
 		curve:  append([]float64(nil), sh.curve...),
 		ranges: make([][][2]int32, len(sh.ranges)),
-		cells:  sh.cells,
-		inner:  sh.inner,
+		stats:  sh.stats,
 	}
 	lo := int32(sh.lo)
 	for k, rgs := range sh.ranges {

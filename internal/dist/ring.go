@@ -4,8 +4,9 @@
 // routes each shard to a worker by consistent hashing on its fingerprint,
 // gathers per-shard error curves over the /v1/compress/many wire schema
 // with per-shard deadlines and retry-with-backoff, and recombines the
-// curves locally with a core.CurveAllocation, so the distributed result is
-// bit-identical to the in-process parallel evaluators. The registry name is
+// curves locally in core.SolveRuns, the driver the in-process parallel
+// evaluators run, so the distributed result is bit-identical to theirs.
+// The registry name is
 // "dist" (strategy.go); docs/ARCHITECTURE.md § Distribution has the
 // exactness argument.
 package dist
