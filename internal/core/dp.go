@@ -13,7 +13,7 @@ type DPStats struct {
 	// Cells is the number of matrix cells (k, i) evaluated.
 	Cells int64
 	// InnerIters is the number of split-point candidates evaluated across
-	// all cells (for the monotone fills: candidate-matrix evaluations;
+	// all cells (for the monotone fill: candidate-matrix evaluations;
 	// envelope bound probes are O(1) per block and not counted).
 	InnerIters int64
 	// EnvelopeSkips is the number of completion-scan candidates discarded
@@ -49,8 +49,8 @@ type DPResult struct {
 // The two Section 5.3 bounds can be toggled independently (the ablation
 // experiment exercises each in isolation): pruneI skips columns beyond the
 // k-th gap (imax), pruneJ lower-bounds the split point at the rightmost gap
-// (jmin). The row-fill algorithm (Options.Fill) is orthogonal: every
-// algorithm produces bitwise-identical E and J rows; see fill.go.
+// (jmin). The row-fill algorithm (Options.Fill) is orthogonal: both
+// algorithms produce bitwise-identical E and J rows; see fill.go.
 type dpState struct {
 	kn             *CostKernel
 	opts           Options
@@ -64,22 +64,18 @@ type dpState struct {
 	stats          DPStats
 
 	rerr       func(i, j int) float64 // kernel merge-cost hot path
-	segs       []int32                // monotone fills: piecewise-monotone segment starts
-	rightGap   []int32                // monotone fills: rightmostGapBefore per position
-	smawkArg   []int32                // FillSMAWK: per-cell argmins of the current row
-	smawkBuf   []int32                // FillSMAWK: column-list arena (see smawkCarve)
-	smawkOff   int
-	envMin     []float64 // envelope completion: per-block progressive lower bounds (see ensureEnvelope)
-	envMinPrev []float64 // envelope completion: per-block min of prevE (static bound)
-	envAt      []int32   // envelope completion: cell of each block's last refresh, −1 = never
-	envLo      []int32   // envelope completion: leftmost leaf the block's refresh state covers
-	envHi      []int32   // envelope completion: rightmost leaf the block's refresh state covers
-	envMuLo    []float64 // envelope completion: per-block per-dimension run-mean minima at refresh
-	envMuHi    []float64 // envelope completion: per-block per-dimension run-mean maxima at refresh
-	envHint    int       // envelope completion: previous cell's completion argmin, −1 = none
-	envValid   bool      // envelope state describes the current prevE row
-	onJ, onS   []int32   // FillOnline: frontier candidates and interval starts
-	fillSteps  int64     // candidate evaluations since the last context poll
+	segs       []int32                // FillDC: piecewise-monotone segment starts
+	rightGap   []int32                // FillDC: rightmostGapBefore per position
+	envMin     []float64              // envelope completion: per-block progressive lower bounds (see ensureEnvelope)
+	envMinPrev []float64              // envelope completion: per-block min of prevE (static bound)
+	envAt      []int32                // envelope completion: cell of each block's last refresh, −1 = never
+	envLo      []int32                // envelope completion: leftmost leaf the block's refresh state covers
+	envHi      []int32                // envelope completion: rightmost leaf the block's refresh state covers
+	envMuLo    []float64              // envelope completion: per-block per-dimension run-mean minima at refresh
+	envMuHi    []float64              // envelope completion: per-block per-dimension run-mean maxima at refresh
+	envHint    int                    // envelope completion: previous cell's completion argmin, −1 = none
+	envValid   bool                   // envelope state describes the current prevE row
+	fillSteps  int64                  // candidate evaluations since the last context poll
 }
 
 // cancelCheckCells is how many DP candidate evaluations happen between
@@ -93,14 +89,14 @@ func newDPState(kn *CostKernel, opts Options, pruneI, pruneJ, storeSplits bool) 
 		// The ablation modes (dpbasic, ptac-imax, ptac-jmin) exist to
 		// measure the scan's Section 5.3 bounds in isolation; auto never
 		// swaps their fill out from under them. An explicitly pinned
-		// monotone fill is still honored — results are identical, only the
+		// FillDC is still honored — results are identical, only the
 		// work counters change meaning.
 		algo = FillPruned
 	}
 	algo = algo.resolve(kn.N())
 	var segs []int32
 	if algo != FillPruned {
-		// The monotone fills are only exact inside certified monotone
+		// The monotone fill is only exact inside certified monotone
 		// segments (the quadrangle inequality genuinely fails across a
 		// direction change); dispatch is per segment, and when no segment is
 		// long enough for the dispatch to engage the scan runs outright.
@@ -161,8 +157,8 @@ func (st *dpState) fillRow(k int) (float64, error) {
 	switch {
 	case k == 1:
 		err = st.fillFirstRow(imax)
-	case st.algo == FillDC, st.algo == FillSMAWK, st.algo == FillOnline:
-		err = st.fillRowSegmented(k, imax, jrow, st.algo)
+	case st.algo == FillDC:
+		err = st.fillRowSegmented(k, imax, jrow)
 	default:
 		err = st.fillRowScan(k, imax, jrow)
 	}
@@ -377,7 +373,7 @@ func solveSize(seq *temporal.Sequence, c int, opts Options, pruneI, pruneJ bool)
 // minimal possible sum-squared error. It requires cmin ≤ c; when c ≥ n the
 // input is returned unchanged. Worst-case complexity is O(n²·c·p) time
 // with the default scan fill and O(n log n · c · p) with the monotone
-// fills; space is O(n·c) either way. With temporal gaps and aggregation
+// fill; space is O(n·c) either way. With temporal gaps and aggregation
 // groups the Section 5.3 bounds prune most cells.
 func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 	return solveSize(seq, c, opts, true, true)

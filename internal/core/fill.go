@@ -5,7 +5,7 @@ import (
 )
 
 // FillAlgo selects the algorithm that fills one row of the DP error matrix
-// E[k] given row E[k−1]. All algorithms produce bitwise-identical E and J
+// E[k] given row E[k−1]. Both algorithms produce bitwise-identical E and J
 // rows — they share the CostKernel's merge-cost arithmetic and the same
 // rightmost-argmin tie handling — and differ only in how many candidate
 // split points they evaluate:
@@ -24,22 +24,13 @@ import (
 //     the concave quadrangle inequality, so optimal in-segment split
 //     points are monotone across the segment's cells: divide and conquer
 //     evaluates O(m log m) in-segment candidates for a segment of m cells.
-//   - FillSMAWK applies the SMAWK row-minima algorithm to the same
-//     totally monotone candidate matrix: O(m) candidate evaluations per
-//     segment, the asymptotic optimum.
-//   - FillOnline maintains a concave candidate frontier incrementally as
-//     cells are answered left to right (segOnline): O(1) amortized
-//     evaluations per cell plus one O(log m) crossover search per
-//     candidate, without ever consulting candidates that have not arrived
-//     yet — the fill of the incremental Solver and the streaming exact-DP
-//     path.
 //
 // Dispatch is per segment, not all-or-nothing: every row's cells are
 // partitioned by the kernel's piecewise-monotone segmentation, segments of
-// at least fillSegmentMin rows run the selected monotone fill over their
-// in-segment candidates and then complete each cell over the remaining
-// out-of-segment candidates (where the quadrangle inequality genuinely
-// fails — e.g. values 0, 100, 0) with the envelope-pruned scan: a blocked
+// at least fillSegmentMin rows run FillDC over their in-segment candidates
+// and then complete each cell over the remaining out-of-segment candidates
+// (where the quadrangle inequality genuinely fails — e.g. values 0, 100, 0)
+// with the envelope-pruned scan: a blocked
 // right-to-left scan that discards whole candidate blocks in O(1) against
 // a progressive lower envelope of min(prevE)+MergeErr (envComplete).
 // Shorter segments run the same envelope-pruned scan over their windows.
@@ -47,8 +38,9 @@ import (
 // stretches instead of losing it to a single direction change; results are
 // identical for every selection on every input.
 // FillAuto (the zero value) picks FillPruned below fillAutoThreshold rows
-// and FillDC at or above it — except for the pruning-ablation modes, whose
-// scan-work measurements auto never replaces.
+// and FillDC at or above it — on every exact path, the incremental Solver
+// included — except for the pruning-ablation modes, whose scan-work
+// measurements auto never replaces.
 type FillAlgo uint8
 
 const (
@@ -58,15 +50,6 @@ const (
 	FillPruned
 	// FillDC is the monotone divide-and-conquer row fill.
 	FillDC
-	// FillSMAWK is the SMAWK totally-monotone row-minima fill.
-	FillSMAWK
-	// FillOnline is the incremental concave-frontier fill: cells are
-	// answered strictly left to right while a per-segment candidate
-	// frontier is maintained as split points become available. It is the
-	// fill the incremental core.Solver auto-selects (and the streaming
-	// exact-DP path uses), since its per-cell work does not depend on
-	// seeing the whole row's candidate set up front.
-	FillOnline
 )
 
 // fillAutoThreshold is the input size at which FillAuto switches from the
@@ -79,9 +62,9 @@ const (
 const fillAutoThreshold = 256
 
 // fillSegmentMin is the smallest monotone segment the per-segment dispatch
-// hands to a monotone fill; shorter segments use the pruned scan for their
-// cells. The monotone fills win asymptotically, so the bound only keeps
-// recursion/arena setup and the per-cell completion probe off stretches too
+// hands to the monotone fill; shorter segments use the pruned scan for
+// their cells. The monotone fill wins asymptotically, so the bound only
+// keeps recursion setup and the per-cell completion probe off stretches too
 // short to repay them — oscillating noise decomposes into segments of two
 // or three rows, which the scan handles in as many candidate evaluations.
 // CostKernel.MonotoneCoverage reports the row fraction above this bound.
@@ -96,28 +79,26 @@ func (a FillAlgo) String() string {
 		return "pruned"
 	case FillDC:
 		return "dc"
-	case FillSMAWK:
-		return "smawk"
-	case FillOnline:
-		return "online"
 	}
 	return fmt.Sprintf("fill(%d)", uint8(a))
 }
 
-// ParseFillAlgo resolves a row-fill algorithm name ("auto", "pruned", "dc",
-// "smawk" or "online").
+// Valid reports whether a is one of the defined algorithms. NewKernel
+// rejects every other value, so no exact path runs with one.
+func (a FillAlgo) Valid() bool { return a <= FillDC }
+
+// ParseFillAlgo resolves a row-fill algorithm name ("auto", "pruned" or
+// "dc"). The retired names "smawk" and "online" resolve to FillAuto: they
+// named fills that produced the same matrices as every other fill, so a
+// request that still pins one gets the same answer from the default.
 func ParseFillAlgo(s string) (FillAlgo, error) {
 	switch s {
-	case "", "auto":
+	case "", "auto", "smawk", "online":
 		return FillAuto, nil
 	case "pruned":
 		return FillPruned, nil
 	case "dc":
 		return FillDC, nil
-	case "smawk":
-		return FillSMAWK, nil
-	case "online":
-		return FillOnline, nil
 	}
 	return FillAuto, fmt.Errorf("core: unknown fill algorithm %q (have %v)", s, FillAlgoNames())
 }
@@ -125,7 +106,7 @@ func ParseFillAlgo(s string) (FillAlgo, error) {
 // FillAlgoNames lists the recognized fill-algorithm names in definition
 // order.
 func FillAlgoNames() []string {
-	return []string{"auto", "pruned", "dc", "smawk", "online"}
+	return []string{"auto", "pruned", "dc"}
 }
 
 // resolve maps FillAuto onto a concrete algorithm for an input of size n.
@@ -139,7 +120,7 @@ func (a FillAlgo) resolve(n int) FillAlgo {
 	return FillPruned
 }
 
-// The monotone row fills below compute, for every cell i of row k ≥ 2,
+// The monotone row fill below computes, for every cell i of row k ≥ 2,
 //
 //	E[k][i] = min_j E[k−1][j] + w(j+1, i),   J[k][i] = the LARGEST argmin,
 //
@@ -159,7 +140,7 @@ func (a FillAlgo) resolve(n int) FillAlgo {
 // stays at least as good at every later cell. The rightmost in-segment
 // argmin is therefore non-decreasing in i, which is exactly the tie-break
 // the pruned scan applies (it scans right to left and keeps the first
-// strict improvement), so the monotone fills reproduce the scan's
+// strict improvement), so the monotone fill reproduces the scan's
 // in-segment minima bit for bit.
 //
 // Each cell's remaining candidates — split points left of the segment,
@@ -181,8 +162,8 @@ func (a FillAlgo) resolve(n int) FillAlgo {
 //
 // Gaps integrate into the same framework: segments never span a gap, a
 // merge cost across a gap is Inf, and those Inf cells persist downward (the
-// rightmost gap before i is non-decreasing in i). Both fills therefore
-// restrict each cell's candidate window to
+// rightmost gap before i is non-decreasing in i). The segmented fill
+// therefore restricts each cell's candidate window to
 // [max(k−1, rightmostGapBefore(i)), i−1] — the Section 5.3 jmin bound — and
 // cap the cell range at the k-th gap — the imax bound — unconditionally:
 // outside those bounds every candidate is infinite, so the produced rows
@@ -190,7 +171,7 @@ func (a FillAlgo) resolve(n int) FillAlgo {
 // ablation modes).
 
 // ensureRightGap materializes rightmostGapBefore(i) for every position so
-// the monotone fills resolve candidate windows in O(1) under random access.
+// the monotone fill resolves candidate windows in O(1) under random access.
 func (st *dpState) ensureRightGap() {
 	if st.rightGap != nil {
 		return
@@ -208,8 +189,8 @@ func (st *dpState) ensureRightGap() {
 }
 
 // effectiveIMax caps a row's cell range at the k-th gap: beyond it every
-// cell of row k is infinite regardless of the pruning mode, so the monotone
-// fills never visit those cells (the initialization already left them Inf
+// cell of row k is infinite regardless of the pruning mode, so the
+// segmented fill never visits those cells (the initialization already left them Inf
 // with split point 0, matching the scan's output).
 func (st *dpState) effectiveIMax(k, imax int) int {
 	if k <= len(st.kn.gaps) && st.kn.gaps[k-1] < imax {
@@ -219,7 +200,7 @@ func (st *dpState) effectiveIMax(k, imax int) int {
 }
 
 // pollFill polls cancellation every cancelCheckCells candidate evaluations,
-// amortizing the context check off the monotone fills' hot path.
+// amortizing the context check off the segmented fill's hot path.
 func (st *dpState) pollFill(evals int) error {
 	st.fillSteps += int64(evals)
 	if st.fillSteps < cancelCheckCells {
@@ -233,13 +214,13 @@ func (st *dpState) pollFill(evals int) error {
 
 // fillRowSegmented walks the kernel's piecewise-monotone segmentation over
 // the row's cells [k, imax]: segments of at least fillSegmentMin rows run
-// the selected monotone fill (FillDC, FillSMAWK or FillOnline) over their
-// in-segment candidates and then complete every cell with the
-// envelope-pruned out-of-segment scan; shorter segments run the
-// envelope-pruned scan over their whole candidate windows. On fully
-// monotone data (one segment per run) the completion windows are empty and
-// this reduces to a whole-row monotone fill.
-func (st *dpState) fillRowSegmented(k, imax int, jrow []int32, algo FillAlgo) error {
+// the monotone divide and conquer (FillDC) over their in-segment candidates
+// and then complete every cell with the envelope-pruned out-of-segment
+// scan; shorter segments run the envelope-pruned scan over their whole
+// candidate windows. On fully monotone data (one segment per run) the
+// completion windows are empty and this reduces to a whole-row monotone
+// fill.
+func (st *dpState) fillRowSegmented(k, imax int, jrow []int32) error {
 	imax = st.effectiveIMax(k, imax)
 	if k > imax {
 		return nil
@@ -269,16 +250,7 @@ func (st *dpState) fillRowSegmented(k, imax int, jrow []int32, algo FillAlgo) er
 			}
 			continue
 		}
-		var err error
-		switch algo {
-		case FillSMAWK:
-			err = st.segSMAWK(k, a, ilo, ihi, jrow)
-		case FillOnline:
-			err = st.segOnline(k, a, ilo, ihi, jrow)
-		default:
-			err = st.dcSolve(k, ilo, ihi, max(k-1, a-1), ihi-1, jrow)
-		}
-		if err != nil {
+		if err := st.dcSolve(k, ilo, ihi, max(k-1, a-1), ihi-1, jrow); err != nil {
 			return err
 		}
 		if err := st.completeSegment(k, a, ilo, ihi, jrow); err != nil {
@@ -289,11 +261,11 @@ func (st *dpState) fillRowSegmented(k, imax int, jrow []int32, algo FillAlgo) er
 }
 
 // fillScanRange fills cells ilo..ihi of row k with the envelope-pruned
-// candidate scan under the monotone fills' conventions: the jmin/imax gap
+// candidate scan under the monotone fill's conventions: the jmin/imax gap
 // bounds apply unconditionally (outside them every candidate is infinite,
 // so the produced cells are identical for every PruneMode) and rightGap is
 // resolved from the materialized table. It serves the segments too short
-// for a monotone fill to repay its setup; the envelope bound (see
+// for the monotone fill to repay its setup; the envelope bound (see
 // envComplete) keeps those cells from scanning their whole windows.
 func (st *dpState) fillScanRange(k, ilo, ihi int, jrow []int32) error {
 	for i := ilo; i <= ihi; i++ {
@@ -663,265 +635,4 @@ func (st *dpState) dcSolve(k, ilo, ihi, jlo, jhi int, jrow []int32) error {
 		return err
 	}
 	return st.dcSolve(k, mid+1, ihi, rightLo, jhi, jrow)
-}
-
-// --- online concave frontier ---
-
-// segOnline fills cells ilo..ihi of the segment starting at a with the
-// incremental concave-frontier fill (FillOnline): cells are answered
-// strictly left to right, and the only state carried between cells is the
-// frontier — a stack of (candidate, firstCell) intervals partitioning the
-// remaining cells by their future rightmost argmin among the candidates
-// seen so far. When split point c = i−1 becomes available it pops every
-// tail interval it ties-or-beats at the start of that interval's remaining
-// domain (total monotonicity then makes it at least as good on the whole
-// domain, and the tie goes to c, the rightmost candidate); if it loses
-// against the surviving tail it takes over from the crossover cell located
-// by binary search (the comparison predicate is monotone in the cell for
-// the same reason). Each cell then answers from the front interval in one
-// candidate evaluation. The per-cell work is O(1) amortized plus one
-// O(log m) search per candidate, and never depends on candidates that have
-// not arrived yet — which is what lets the incremental Solver and the
-// streaming exact-DP path use it row by row. An all-Inf cell (extreme
-// weights saturating every candidate) writes the scan's Inf/0 sentinel;
-// Inf candidates are popped by ties like any other, and an Inf comparison
-// stays monotone because saturated merge costs only grow with the cell.
-func (st *dpState) segOnline(k, a, ilo, ihi int, jrow []int32) error {
-	if ilo > ihi {
-		return nil
-	}
-	rerr := st.rerr
-	prevE := st.prevE
-	val := func(t, j int) float64 { return prevE[j] + rerr(j+1, t) }
-	// onJ[q] answers cells [onS[q], onS[q+1]) — the last entry runs to ihi;
-	// entries before the front index f are consumed.
-	if cap(st.onJ) < ihi-ilo+1 {
-		st.onJ = make([]int32, 0, ihi-ilo+1)
-		st.onS = make([]int32, 0, ihi-ilo+1)
-	}
-	onJ, onS := st.onJ[:0], st.onS[:0]
-	onJ = append(onJ, int32(ilo-1)) // the one candidate available at cell ilo
-	onS = append(onS, int32(ilo))
-	f := 0
-	evals := 0
-	for i := ilo; i <= ihi; i++ {
-		st.stats.Cells++
-		cellStart := evals
-		if i > ilo {
-			c := i - 1 // the split point that became available this cell
-			for len(onJ) > f {
-				last := len(onJ) - 1
-				h := max(int(onS[last]), i)
-				evals += 2
-				if val(h, c) <= val(h, int(onJ[last])) {
-					onJ, onS = onJ[:last], onS[:last]
-					continue
-				}
-				break
-			}
-			if len(onJ) == f {
-				onJ = append(onJ, int32(c))
-				onS = append(onS, int32(i))
-			} else {
-				// c loses at the tail's domain start; binary-search the first
-				// cell where it ties or wins, if any.
-				last := len(onJ) - 1
-				d := int(onJ[last])
-				lo, hi := max(int(onS[last]), i)+1, ihi
-				for lo <= hi {
-					t := lo + (hi-lo)/2
-					evals += 2
-					if val(t, c) <= val(t, d) {
-						hi = t - 1
-					} else {
-						lo = t + 1
-					}
-				}
-				if lo <= ihi {
-					onJ = append(onJ, int32(c))
-					onS = append(onS, int32(lo))
-				}
-			}
-		}
-		for f+1 < len(onJ) && int(onS[f+1]) <= i {
-			f++
-		}
-		evals++
-		best := val(i, int(onJ[f]))
-		st.curE[i] = best
-		if jrow != nil {
-			if best == Inf {
-				jrow[i] = 0
-			} else {
-				jrow[i] = onJ[f]
-			}
-		}
-		if err := st.pollFill(evals - cellStart); err != nil {
-			st.onJ, st.onS = onJ[:0], onS[:0]
-			st.stats.InnerIters += int64(evals)
-			return err
-		}
-	}
-	st.onJ, st.onS = onJ[:0], onS[:0]
-	st.stats.InnerIters += int64(evals)
-	return nil
-}
-
-// --- SMAWK ---
-
-// smawkValue evaluates the candidate matrix entry M[i][j] for row k: Inf
-// for columns on or right of the diagonal (j ≥ i is not a feasible split
-// for cell i) and for split points whose merge would cross a gap,
-// E[k−1][j] + w(j+1, i) otherwise. Diagonal pads are handled structurally
-// — the reduce step never compares two pads and the interpolation scan
-// skips them — so no finite sentinel exists for genuine (arbitrarily
-// large) merge costs to undercut.
-func (st *dpState) smawkValue(i, j int) float64 {
-	if j >= i {
-		return Inf
-	}
-	if int(st.rightGap[i]) > j {
-		return Inf
-	}
-	return st.prevE[j] + st.rerr(j+1, i)
-}
-
-// smawkCarve hands out a zero-length int32 slice with the given capacity
-// from the per-state arena. The SMAWK recursion is a chain whose level
-// sizes halve, so one row fill carves at most 3·(rows+1) entries in total;
-// segSMAWK sizes the arena accordingly and resets it per segment, which
-// keeps the whole fill allocation-free after the first row.
-func (st *dpState) smawkCarve(capacity int) []int32 {
-	s := st.smawkBuf[st.smawkOff : st.smawkOff : st.smawkOff+capacity]
-	st.smawkOff += capacity
-	return s
-}
-
-// segSMAWK runs the SMAWK algorithm over one certified segment's totally
-// monotone candidate matrix: cells ilo..ihi, in-segment candidate columns
-// max(k−1, a−1)..ihi−1 (the two counts are always equal). O(m) candidate
-// evaluations for a segment of m cells; the column arena is reset per
-// segment, so a row fill stays allocation-free once the arena has grown to
-// the largest segment.
-func (st *dpState) segSMAWK(k, a, ilo, ihi int, jrow []int32) error {
-	if st.smawkArg == nil {
-		st.smawkArg = make([]int32, st.n+1)
-	}
-	m := ihi - ilo + 1
-	if need := 3 * (m + 1); cap(st.smawkBuf) < need {
-		st.smawkBuf = make([]int32, need)
-	}
-	st.smawkOff = 0
-	cols := st.smawkCarve(m)
-	jlo := max(k-1, a-1)
-	for t := 0; t < m; t++ {
-		cols = append(cols, int32(jlo+t))
-	}
-	if err := st.smawk(ilo, 1, m, cols); err != nil {
-		return err
-	}
-	st.stats.Cells += int64(m)
-	// smawk wrote minima and argmins directly; copy argmins out when the
-	// caller keeps split rows (completeSegment may still override them).
-	if jrow != nil {
-		copy(jrow[ilo:ihi+1], st.smawkArg[ilo:ihi+1])
-	}
-	return nil
-}
-
-// smawk computes the row minima of the candidate matrix restricted to the
-// cell arithmetic progression rStart, rStart+rStep, ... (rCount cells) and
-// the candidate columns cols, writing E values into curE and argmins into
-// smawkArg. cols must be ascending; rightmost argmins are selected.
-func (st *dpState) smawk(rStart, rStep, rCount int, cols []int32) error {
-	if rCount == 0 {
-		return nil
-	}
-	// Reduce: retain at most rCount columns that can hold a row minimum.
-	S := st.smawkCarve(min(rCount, len(cols)))
-	cmps := 0
-	for _, c := range cols {
-		for len(S) > 0 {
-			r := rStart + (len(S)-1)*rStep
-			top := int(S[len(S)-1])
-			if top >= r {
-				// top sits on/right of the diagonal at this cell, and so
-				// does c (it is further right): two pads are incomparable
-				// here — both may only matter for deeper cells, so keep
-				// the stack and push c below.
-				break
-			}
-			cmps++
-			// The rightmost-tie convention pops on ties: an equally good
-			// column further right shadows the stack top from this cell
-			// on. Inf-valued tops (gap-crossing or infeasible-prefix
-			// columns) tie with anything ≤ Inf and stay Inf at every
-			// deeper cell, so popping them is always sound.
-			if st.smawkValue(r, top) >= st.smawkValue(r, int(c)) {
-				S = S[:len(S)-1]
-			} else {
-				break
-			}
-		}
-		if len(S) < rCount {
-			S = append(S, c)
-		}
-	}
-	st.stats.InnerIters += int64(cmps)
-	if err := st.pollFill(2 * cmps); err != nil {
-		return err
-	}
-	// Recurse on the odd cells (1-based odd indices of the progression).
-	if err := st.smawk(rStart+rStep, 2*rStep, rCount/2, S); err != nil {
-		return err
-	}
-	// Interpolate the even cells: cell t's rightmost argmin lies between
-	// the argmins of its odd neighbors (argmins are monotone), scanned
-	// right to left so the first strict improvement is the rightmost.
-	loIdx := 0
-	evals := 0
-	for t := 0; t < rCount; t += 2 {
-		i := rStart + t*rStep
-		if t > 0 {
-			// Argmin 0 is the Inf-cell sentinel (real argmins are ≥ k−1 ≥ 1)
-			// and constrains nothing; loIdx then keeps the bound of the
-			// last finite neighbor, which is still a valid lower bound.
-			down := st.smawkArg[rStart+(t-1)*rStep]
-			for loIdx < len(S)-1 && S[loIdx] < down {
-				loIdx++
-			}
-		}
-		hiIdx := len(S) - 1
-		if t+1 < rCount {
-			// The next odd cell's argmin bounds this cell's window from
-			// above; walk up from loIdx (argmins are monotone, so the walk
-			// is amortized by the scan below, never a rescan from the top).
-			// A sentinel neighbor (all-Inf cell) leaves the window open.
-			if up := st.smawkArg[rStart+(t+1)*rStep]; up != 0 {
-				hiIdx = loIdx
-				for hiIdx < len(S)-1 && S[hiIdx] < up {
-					hiIdx++
-				}
-			}
-		}
-		best := Inf
-		bestJ := int32(0)
-		cellEvals := 0
-		for q := hiIdx; q >= loIdx; q-- {
-			j := int(S[q])
-			if j >= i {
-				continue // diagonal pad: not a feasible split for this cell
-			}
-			cellEvals++
-			if v := st.smawkValue(i, j); v < best {
-				best = v
-				bestJ = S[q]
-			}
-		}
-		evals += cellEvals
-		st.stats.InnerIters += int64(cellEvals)
-		st.curE[i] = best
-		st.smawkArg[i] = bestJ
-	}
-	return st.pollFill(evals)
 }

@@ -13,7 +13,7 @@ import (
 
 // monotoneFills are the row-fill algorithms that must reproduce the pruned
 // scan's matrices bit for bit.
-var monotoneFills = []FillAlgo{FillDC, FillSMAWK, FillOnline}
+var monotoneFills = []FillAlgo{FillDC}
 
 // monotoneSequence builds a random gap-ful sequence and then sorts each
 // aggregate dimension within every maximal run (ascending or descending per
@@ -128,11 +128,10 @@ func matricesBitwiseEqual(t *testing.T, label string, e1, e2 [][]float64, j1, j2
 	return true
 }
 
-// TestFillPropBitwiseIdentical: FillDC and FillSMAWK reproduce the pruned
-// scan's E and J matrices bit for bit on random gap-ful, weighted,
-// multi-attribute monotone-run sequences (the shape the kernel certifies,
-// so the monotone code paths genuinely execute), under every pruning-flag
-// combination.
+// TestFillPropBitwiseIdentical: FillDC reproduces the pruned scan's E and
+// J matrices bit for bit on random gap-ful, weighted, multi-attribute
+// monotone-run sequences (the shape the kernel certifies, so the monotone
+// code paths genuinely execute), under every pruning-flag combination.
 func TestFillPropBitwiseIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -271,7 +270,7 @@ func TestFillSolverAlgos(t *testing.T) {
 		budgetsC := []int{cmin, min(cmin+2, seq.Len()), seq.Len()}
 		budgetsEps := []float64{0, 0.05, 0.5, 1}
 		var want []*DPResult
-		for ai, algo := range []FillAlgo{FillPruned, FillDC, FillSMAWK} {
+		for ai, algo := range []FillAlgo{FillPruned, FillDC} {
 			sv, err := NewSolver(seq, Options{Fill: algo}, true, true)
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +359,7 @@ func TestFillAutoResolution(t *testing.T) {
 	if got := FillAuto.resolve(fillAutoThreshold); got != FillDC {
 		t.Errorf("auto at threshold = %v, want dc", got)
 	}
-	for _, a := range []FillAlgo{FillPruned, FillDC, FillSMAWK} {
+	for _, a := range []FillAlgo{FillPruned, FillDC} {
 		if got := a.resolve(1); got != a {
 			t.Errorf("resolve(%v) = %v", a, got)
 		}
@@ -395,7 +394,7 @@ func TestFillParallelAlgos(t *testing.T) {
 		kn, _ := NewKernel(seq, Options{})
 		c := kn.CMin() + rng.Intn(seq.Len()-kn.CMin()+1)
 		eps := rng.Float64()
-		for _, algo := range []FillAlgo{FillPruned, FillDC, FillSMAWK} {
+		for _, algo := range []FillAlgo{FillPruned, FillDC} {
 			opts := Options{Fill: algo}
 			want, err := PTAc(seq, c, opts)
 			if err != nil {
@@ -425,12 +424,11 @@ func TestFillParallelAlgos(t *testing.T) {
 	}
 }
 
-// TestFillSMAWKExtremeWeights is the regression test for the finite-pad
-// defect: merge costs above any finite sentinel (huge but legitimate
-// user-supplied weights, reachable through untrusted serve requests) must
-// not let a diagonal pad win a row minimum. All fills must agree, not
-// panic, and never emit out-of-range split points.
-func TestFillSMAWKExtremeWeights(t *testing.T) {
+// TestFillExtremeWeights: merge costs near the float64 limit (huge but
+// legitimate user-supplied weights, reachable through untrusted serve
+// requests) saturate some candidates to +Inf mid-row. Both fills must
+// agree, not panic, and never emit out-of-range split points.
+func TestFillExtremeWeights(t *testing.T) {
 	attrs := []temporal.Attribute(nil)
 	seq := temporal.NewSequence(attrs, []string{"v"})
 	gid := seq.Groups.Intern(nil)
@@ -490,8 +488,8 @@ func TestFillAutoKeepsAblationScan(t *testing.T) {
 		if st := newDPState(kn, Options{}, flags[0], flags[1], false); st.algo != FillPruned {
 			t.Errorf("ablation pruneI=%v pruneJ=%v: auto resolved to %v, want pruned", flags[0], flags[1], st.algo)
 		}
-		if st := newDPState(kn, Options{Fill: FillSMAWK}, flags[0], flags[1], false); st.algo != FillSMAWK {
-			t.Errorf("ablation pin: got %v, want smawk honored", st.algo)
+		if st := newDPState(kn, Options{Fill: FillDC}, flags[0], flags[1], false); st.algo != FillDC {
+			t.Errorf("ablation pin: got %v, want dc honored", st.algo)
 		}
 	}
 	if st := newDPState(kn, Options{}, true, true, false); st.algo != FillDC {

@@ -66,6 +66,9 @@ type CostKernel struct {
 // stay valid only for the current evaluation; retained states (Solver,
 // MatrixSet) must build kernels without a Scratch.
 func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
+	if !opts.Fill.Valid() {
+		return nil, fmt.Errorf("core: unknown fill algorithm %v (have %v)", opts.Fill, FillAlgoNames())
+	}
 	w2, err := opts.weightsSquared(seq.P())
 	if err != nil {
 		return nil, err
@@ -394,10 +397,10 @@ func (kn *CostKernel) rangeErr() func(i, j int) float64 {
 // for a ≤ b ≤ e₁ ≤ e₂ with all merges contained in the segment (the
 // classical sorted 1-D k-means Monge property, summed over dimensions), so
 // the DP candidate matrix restricted to a segment's cells and in-segment
-// split points is totally monotone and the FillDC/FillSMAWK row fills apply
-// there; across a segment boundary the inequality genuinely fails (e.g.
-// values 0, 100, 0), which is why the fills complete each cell with a
-// pruned scan over the out-of-segment candidates (see fill.go).
+// split points is totally monotone and the FillDC row fill applies there;
+// across a segment boundary the inequality genuinely fails (e.g. values 0,
+// 100, 0), which is why the fill completes each cell with a pruned scan
+// over the out-of-segment candidates (see fill.go).
 //
 // The segmentation is computed at most once per kernel under a sync.Once,
 // so, unlike most kernel methods, MonotoneSegments (and MonotoneRuns /
@@ -411,7 +414,7 @@ func (kn *CostKernel) MonotoneSegments() []int32 {
 // MonotoneRuns reports whether every maximal gap-free run is monotone in
 // every dimension as a whole — the shape of cumulative counters and other
 // accumulating series, and the strongest certificate: the monotone row
-// fills then apply to entire rows. Equivalent to the piecewise segmentation
+// fill then applies to entire rows. Equivalent to the piecewise segmentation
 // having exactly one segment per run.
 func (kn *CostKernel) MonotoneRuns() bool {
 	kn.monoOnce.Do(kn.computeSegments)

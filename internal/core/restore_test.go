@@ -289,7 +289,7 @@ func TestFillSplitRowsPassRestoreCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []FillAlgo{FillPruned, FillDC, FillSMAWK, FillOnline} {
+		for _, algo := range []FillAlgo{FillPruned, FillDC} {
 			for _, flags := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
 				_, jm := fillMatrices(t, kn, Options{Fill: algo}, flags[0], flags[1], seq.Len())
 				for k, row := range jm {

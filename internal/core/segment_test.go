@@ -418,7 +418,7 @@ func TestFillPiecewiseParallel(t *testing.T) {
 		kn, _ := NewKernel(seq, Options{})
 		c := kn.CMin() + rng.Intn(seq.Len()-kn.CMin()+1)
 		eps := rng.Float64()
-		for _, algo := range []FillAlgo{FillPruned, FillDC, FillSMAWK} {
+		for _, algo := range []FillAlgo{FillPruned, FillDC} {
 			opts := Options{Fill: algo}
 			want, err := PTAc(seq, c, opts)
 			if err != nil {

@@ -41,24 +41,16 @@ type Solver struct {
 
 // NewSolver builds a solver for the sequence with the given pruning flags
 // (PruneBoth semantics split into its two Section 5.3 bounds, matching
-// DPMulti). Options.Fill selects the row-fill algorithm; every algorithm
-// fills bitwise-identical matrices, so cached solvers built with different
-// fills stay interchangeable. The options' Ctx and Scratch are ignored:
-// rows and kernel slabs must outlive any single call, so the solver always
-// owns its buffers.
+// DPMulti). Options.Fill selects the row-fill algorithm, resolved as on
+// every other exact path; both algorithms fill bitwise-identical matrices,
+// so cached solvers built with different fills stay interchangeable. The
+// options' Ctx and Scratch are ignored: rows and kernel slabs must outlive
+// any single call, so the solver always owns its buffers.
 func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solver, error) {
 	if seq.Len() == 0 {
 		return nil, fmt.Errorf("core: solver over an empty relation")
 	}
 	opts.Ctx, opts.Scratch = nil, nil
-	if opts.Fill == FillAuto && pruneI && pruneJ && seq.Len() >= fillAutoThreshold {
-		// The incremental path answers rows one at a time (Deepen), where
-		// the batch fills would redo their whole-row setup per row; the
-		// online frontier fill is built for exactly this shape. Matrices
-		// are bitwise-identical across fills, so the swap is invisible to
-		// cache keys (FillAuto shares the DPClass) and to results.
-		opts.Fill = FillOnline
-	}
 	kn, err := NewKernel(seq, opts)
 	if err != nil {
 		return nil, err
@@ -68,9 +60,7 @@ func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solv
 
 // newSolver builds a solver over a prebuilt non-empty kernel with opts as
 // given: a Scratch in opts lends the rows (DPMultiKernel answers before
-// returning), and the fill stays what opts.Fill resolves to, so a
-// one-shot evaluation counts the cells and inner iterations of the batch
-// fills.
+// returning).
 func newSolver(kn *CostKernel, opts Options, pruneI, pruneJ bool) *Solver {
 	return &Solver{
 		kn:     kn,
@@ -105,7 +95,7 @@ func (sv *Solver) MemBytes() int64 {
 func (sv *Solver) Fill() FillAlgo { return sv.st.algo }
 
 // MonotoneCoverage reports the kernel's certified dispatch coverage — the
-// fraction of rows the monotone fills accelerate. The certification is
+// fraction of rows the monotone fill accelerates. The certification is
 // computed at most once per solver lifetime (see CostKernel), so scraping
 // this per request is free.
 func (sv *Solver) MonotoneCoverage() float64 { return sv.kn.MonotoneCoverage() }

@@ -262,9 +262,8 @@ func Mixed(groups, perGroup, p int, seed int64) (*temporal.Sequence, error) {
 // monotone non-decreasing within every maximal run, the shape of request
 // counters, cumulative sensor integrals and other accumulating telemetry.
 // Monotone runs are exactly the precondition under which the DP cost kernel
-// certifies the quadrangle inequality and the monotone row-fill algorithms
-// (FillDC/FillSMAWK) apply; the `fill` experiment sweeps them on this
-// dataset. Like Uniform, rows are unit-length and consecutive per group, so
+// certifies the quadrangle inequality and the monotone row fill (FillDC)
+// applies; the `fill` experiment sweeps it on this dataset. Like Uniform, rows are unit-length and consecutive per group, so
 // the ITA result size equals the input size.
 func Counter(groups, perGroup, p int, seed int64) (*temporal.Sequence, error) {
 	if groups < 1 || perGroup < 1 || p < 1 {

@@ -320,7 +320,7 @@ func (c *Coordinator) compress(ctx context.Context, s *pta.Series, b pta.Budget,
 	if s.Len() > 0 && len(c.Workers()) == 0 {
 		return nil, fmt.Errorf("dist: no workers configured")
 	}
-	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Ctx: ctx})
+	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Fill: opts.FillAlgo, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -17,8 +17,18 @@ func init() {
 // runParallel contrasts the monolithic PTAc with the run-decomposed,
 // multicore evaluator on gapped workloads. Both produce the identical
 // optimum (property-tested in internal/core); only the work distribution
-// differs.
+// differs. The two arms run on engines of their own — one serial, one
+// with WithParallelism(0) — so the configured engine's parallelism cannot
+// turn the monolithic arm into a second decomposed one.
 func runParallel(ctx context.Context, cfg Config) (*Table, error) {
+	serial, err := pta.New()
+	if err != nil {
+		return nil, err
+	}
+	parallel, err := pta.New(pta.WithParallelism(0))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID: "parallel", Title: "monolithic PTAc vs run-decomposed parallel evaluation",
 		Header: []string{"workload", "n", "runs", "c", "PTAc_ms", "parallel_ms", "speedup", "same_error"},
@@ -36,10 +46,11 @@ func runParallel(ctx context.Context, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		c := max(seq.CMin(), seq.Len()/5)
+		plan := pta.Plan{Strategy: "ptac", Budget: pta.Size(c)}
 		var mono, par *pta.Result
 		dMono, err := timeIt(func() error {
 			var err error
-			mono, err = cfg.compress(ctx, seq, "ptac", pta.Size(c), pta.Options{})
+			mono, err = serial.Compress(ctx, seq, plan)
 			return err
 		})
 		if err != nil {
@@ -47,7 +58,7 @@ func runParallel(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		dPar, err := timeIt(func() error {
 			var err error
-			par, err = cfg.compress(ctx, seq, "ptac-parallel", pta.Size(c), pta.Options{})
+			par, err = parallel.Compress(ctx, seq, plan)
 			return err
 		})
 		if err != nil {

@@ -10,28 +10,29 @@ import (
 )
 
 func init() {
-	register("fill", "DP row-fill algorithms over input size: pruned scan vs monotone DC/SMAWK/online", runFill)
+	register("fill", "DP row-fill algorithms over input size: pruned scan vs monotone DC", runFill)
 }
 
 // fillAlgos are the pinned selections the sweep compares; "pruned" is the
 // paper's scan and the baseline.
-var fillAlgos = []pta.FillAlgo{pta.FillPruned, pta.FillDC, pta.FillSMAWK, pta.FillOnline}
+var fillAlgos = []pta.FillAlgo{pta.FillPruned, pta.FillDC}
 
 // runFill sweeps input size × row-fill algorithm on two workload families:
 // Counter (cumulative counters — fully monotone per run, coverage 1.0) and
 // Mixed (counter ramps interleaved with oscillating noise — the kernel
-// certifies the ramps as monotone segments and the fills dispatch a monotone
-// fill inside them, completing the rest with the envelope-pruned scan). The
-// coverage column is the certified fraction pta.MonotoneCoverage reports; it
-// predicts how much of the row fill runs at the monotone algorithms' cost.
+// certifies the ramps as monotone segments and the fill dispatches the
+// monotone fill inside them, completing the rest with the envelope-pruned
+// scan). The coverage column is the certified fraction pta.MonotoneCoverage
+// reports; it predicts how much of the row fill runs at the monotone cost.
 // The env_skips column counts candidates the completion scan discarded in
 // O(1) range skips (zero for the pruned baseline, which never consults the
-// envelope). Every algorithm must return the exact same reduction — the
+// envelope). Both algorithms must return the exact same reduction — the
 // sweep verifies C and Error bit for bit against the scan — so the table
 // isolates pure fill speed. A final "stream" row per workload drives the
 // same budget through CompressStream (the incremental Solver path, which
-// auto-selects the online fill) and verifies it too. The committed
-// BENCH_fill.json pins this table as the perf trajectory of the DP kernel.
+// resolves FillAuto as the batch path does) and verifies it too. The
+// committed BENCH_fill.json pins this table as the perf trajectory of the
+// DP kernel.
 func runFill(ctx context.Context, cfg Config) (*Table, error) {
 	const c = 48
 	t := &Table{
@@ -106,7 +107,7 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 			}
 			// Streaming fill: the same budget answered through CompressStream
 			// — the exact DP materializes the stream into an incremental
-			// Solver, whose Deepen path auto-selects the online fill.
+			// Solver, which resolves FillAuto to dc at these sizes.
 			var sres *pta.Result
 			d, err := timeIt(func() error {
 				var cerr error
@@ -124,11 +125,11 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 			addRow("stream", ms, sres, fmt.Sprintf("%.2fx", baselineMS/math.Max(ms, 0.001)))
 		}
 	}
-	t.AddNote("all algorithms verified bitwise-identical (C and Error) against the pruned scan per row")
+	t.AddNote("every row verified bitwise-identical (C and Error) against the pruned scan")
 	t.AddNote("coverage = fraction of rows inside certified monotone segments long enough for a monotone fill (pta.MonotoneCoverage);")
-	t.AddNote("counter certifies fully (1.00), mixed partially — the fills dispatch per segment and envelope-prune the rest;")
+	t.AddNote("counter certifies fully (1.00), mixed partially — dc dispatches per segment and envelope-prunes the rest;")
 	t.AddNote("env_skips = candidates discarded in O(1) range skips by the envelope bound (pruned baseline never consults it);")
-	t.AddNote("stream = CompressStream through the incremental Solver, which auto-selects the online fill at n >= 256;")
-	t.AddNote("at coverage 0 the kernel demotes to the scan outright, so pinning dc/smawk/online is always safe")
+	t.AddNote("stream = CompressStream through the incremental Solver, which resolves auto to dc at n >= 256;")
+	t.AddNote("at coverage 0 the kernel demotes to the scan outright, so pinning dc is always safe")
 	return t, nil
 }

@@ -8,25 +8,24 @@ import (
 	"repro/pta"
 )
 
-// Committed ceilings for the envelope-pruned fill guard below. InnerIters
+// Committed ceiling for the envelope-pruned fill guard below. InnerIters
 // counts candidate evaluations — a pure function of the pinned dataset and
 // the algorithm, independent of machine load — so the guard asserts
 // algorithmic work, not wall time, and holds on saturated CI runners. The
-// ceilings sit at roughly 2x the measured counts (mixed n=8192, seed 23:
-// dc 17.78M, online 19.54M, against a 175.7M pruned baseline), so they trip
-// on a pruning regression an order of magnitude before the speedup claim in
+// ceiling sits at roughly 2x the measured count (mixed n=8192, seed 23:
+// dc 17.78M against a 175.7M pruned baseline), so it trips on a pruning
+// regression an order of magnitude before the speedup claim in
 // BENCH_fill.json is lost, while tolerating drift from dispatch tweaks.
 const (
 	guardMixedN          = 8192
 	guardSeed            = 23 // bench default (7) + the fill sweep's offset (16)
 	guardMixedDCIters    = 36_000_000
-	guardMixedOnIters    = 40_000_000
-	guardStreamReduction = 5 // ISSUE floor: streaming iters vs pruned, counter workload
+	guardStreamReduction = 5 // floor: streaming iters vs pruned, counter workload
 )
 
 // TestFillIterationCeilings is the CI perf guard for the envelope-pruned
-// completion scan: on the mixed workload the monotone fills' candidate
-// evaluations must stay under the committed ceilings, with the envelope
+// completion scan: on the mixed workload the monotone fill's candidate
+// evaluations must stay under the committed ceiling, with the envelope
 // recording genuine O(1) range skips. Results are still verified against
 // the pruned scan so a "fast but wrong" regression cannot pass.
 func TestFillIterationCeilings(t *testing.T) {
@@ -44,39 +43,32 @@ func TestFillIterationCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []struct {
-		algo    pta.FillAlgo
-		ceiling int64
-	}{
-		{pta.FillDC, guardMixedDCIters},
-		{pta.FillOnline, guardMixedOnIters},
-	} {
-		res, err := cfg.compress(ctx, seq, "ptac", budget, pta.Options{FillAlgo: g.algo})
-		if err != nil {
-			t.Fatalf("%v: %v", g.algo, err)
-		}
-		if res.C != want.C || res.Error != want.Error {
-			t.Fatalf("%v diverged from the pruned scan: C=%d err=%v, want C=%d err=%v",
-				g.algo, res.C, res.Error, want.C, want.Error)
-		}
-		if res.Stats.InnerIters > g.ceiling {
-			t.Errorf("%v mixed n=%d: %d inner iterations, ceiling %d — the envelope-pruned completion regressed",
-				g.algo, guardMixedN, res.Stats.InnerIters, g.ceiling)
-		}
-		if res.Stats.EnvelopeSkips <= 0 {
-			t.Errorf("%v mixed n=%d: no envelope skips recorded — the bound never engaged", g.algo, guardMixedN)
-		}
-		if res.Stats.InnerIters*2 >= want.Stats.InnerIters {
-			t.Errorf("%v mixed n=%d: %d iterations vs pruned %d — under 2x reduction",
-				g.algo, guardMixedN, res.Stats.InnerIters, want.Stats.InnerIters)
-		}
+	res, err := cfg.compress(ctx, seq, "ptac", budget, pta.Options{FillAlgo: pta.FillDC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.C != want.C || res.Error != want.Error {
+		t.Fatalf("dc diverged from the pruned scan: C=%d err=%v, want C=%d err=%v",
+			res.C, res.Error, want.C, want.Error)
+	}
+	if res.Stats.InnerIters > guardMixedDCIters {
+		t.Errorf("dc mixed n=%d: %d inner iterations, ceiling %d — the envelope-pruned completion regressed",
+			guardMixedN, res.Stats.InnerIters, guardMixedDCIters)
+	}
+	if res.Stats.EnvelopeSkips <= 0 {
+		t.Errorf("dc mixed n=%d: no envelope skips recorded — the bound never engaged", guardMixedN)
+	}
+	if res.Stats.InnerIters*2 >= want.Stats.InnerIters {
+		t.Errorf("dc mixed n=%d: %d iterations vs pruned %d — under 2x reduction",
+			guardMixedN, res.Stats.InnerIters, want.Stats.InnerIters)
 	}
 }
 
-// TestStreamIterationReduction guards the ISSUE's streaming criterion: the
-// incremental path (CompressStream through the Solver, which auto-selects
-// the online fill) must evaluate at least guardStreamReduction times fewer
-// candidates than the pruned scan on counter data, with identical results.
+// TestStreamIterationReduction guards the streaming path's work: the
+// incremental path (CompressStream through the Solver, which resolves
+// FillAuto to dc at this size) must evaluate at least guardStreamReduction
+// times fewer candidates than the pruned scan on counter data, with
+// identical results.
 func TestStreamIterationReduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size guard workload")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/pta"
 )
@@ -73,14 +74,73 @@ func (s *Server) admit(ctx context.Context, cells int64) (release func(), err er
 		return func() {}, nil
 	}
 	if s.cfg.AdmissionPolicy == AdmissionQueue {
-		s.metrics.admissionQueued.Inc()
-		select {
-		case s.oversized <- struct{}{}:
-			return func() { <-s.oversized }, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if err := s.oversized.acquire(ctx, s.metrics.admissionQueued.Inc); err != nil {
+			return nil, err
 		}
+		if s.onSlot != nil {
+			s.onSlot(cells)
+		}
+		return s.oversized.release, nil
 	}
 	s.metrics.admissionRejected.Inc()
 	return nil, admissionError{cells: cells, budget: s.cfg.AdmissionMaxCells}
+}
+
+// fifoSlot is a one-holder lock whose waiters take it in the order they
+// joined: release hands the slot straight to the oldest waiter, so a later
+// arrival never overtakes an earlier one. The zero value is a free slot.
+type fifoSlot struct {
+	mu      sync.Mutex
+	held    bool
+	waiters []chan struct{} // oldest first; closing one hands it the slot
+}
+
+// acquire takes the slot, waiting behind earlier arrivals, or returns
+// ctx's error once the context ends first. joined runs once the caller
+// holds the slot or has its place in the queue, so a count it keeps never
+// runs ahead of the queue.
+func (q *fifoSlot) acquire(ctx context.Context, joined func()) error {
+	q.mu.Lock()
+	if !q.held {
+		q.held = true
+		q.mu.Unlock()
+		joined()
+		return nil
+	}
+	turn := make(chan struct{})
+	q.waiters = append(q.waiters, turn)
+	q.mu.Unlock()
+	joined()
+	select {
+	case <-turn:
+		return nil
+	case <-ctx.Done():
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, w := range q.waiters {
+		if w == turn {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return ctx.Err()
+		}
+	}
+	q.handOff() // the slot arrived as the context ended: pass it on
+	return ctx.Err()
+}
+
+// release gives the slot to the oldest waiter, or frees it.
+func (q *fifoSlot) release() {
+	q.mu.Lock()
+	q.handOff()
+	q.mu.Unlock()
+}
+
+// handOff passes the held slot on; q.mu must be held.
+func (q *fifoSlot) handOff() {
+	if len(q.waiters) == 0 {
+		q.held = false
+		return
+	}
+	close(q.waiters[0])
+	q.waiters = append(q.waiters[:0], q.waiters[1:]...)
 }

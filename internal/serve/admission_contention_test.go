@@ -6,10 +6,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,17 +94,33 @@ func bigWire(seed int64, n int) seriesWire {
 
 // TestAdmissionQueueOrderingUnderContention: with the oversized slot held,
 // several over-budget requests queue instead of rejecting; none may
-// complete while the slot is held; on release they run one at a time in
-// arrival order, each to a 200.
+// complete while the slot is held; on release they take the slot one at a
+// time in arrival order, each to a 200. The order is recorded on the
+// server, as each request takes the slot, and a request counts as arrived
+// only once the admission counter shows it in the queue.
 func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 	const waiters = 3
 	const n = 300
 	s, ts := newTestServer(t, Config{AdmissionMaxCells: 1000, AdmissionPolicy: AdmissionQueue})
-	s.oversized <- struct{}{} // hold the single oversized slot
+
+	// Request i asks for c = n/2 + i, so the cells estimate n·c that
+	// admission hands the hook names the request.
+	var (
+		mu    sync.Mutex
+		taken []int
+	)
+	s.onSlot = func(cells int64) {
+		mu.Lock()
+		taken = append(taken, int(cells/n)-n/2)
+		mu.Unlock()
+	}
+	// Hold the single oversized slot; taking it also publishes the hook to
+	// every later acquirer.
+	if err := s.oversized.acquire(context.Background(), func() {}); err != nil {
+		t.Fatal(err)
+	}
 
 	var (
-		mu        sync.Mutex
-		finished  []int
 		completed atomic.Int64
 		wg        sync.WaitGroup
 		errs      [waiters]error
@@ -111,7 +129,7 @@ func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		raw, _ := json.Marshal(compressRequest{
 			Series:    bigWire(int64(i), n),
-			Plan:      planWire{Strategy: "ptac", Budget: fmt.Sprintf("c=%d", n/2)},
+			Plan:      planWire{Strategy: "ptac", Budget: fmt.Sprintf("c=%d", n/2+i)},
 			TimeoutMS: 60_000,
 		})
 		wg.Add(1)
@@ -124,14 +142,11 @@ func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 			}
 			resp.Body.Close()
 			statuses[i] = resp.StatusCode
-			mu.Lock()
-			finished = append(finished, i)
-			mu.Unlock()
 			completed.Add(1)
 		}(i, raw)
 
-		// Don't launch the next request until this one is provably parked
-		// on the slot, so arrival order is deterministic.
+		// The counter moves only once the request holds its place in the
+		// queue, so the next request cannot get ahead of this one.
 		deadline := time.Now().Add(10 * time.Second)
 		for s.metrics.admissionQueued.Value() != uint64(i+1) {
 			if time.Now().After(deadline) {
@@ -150,7 +165,7 @@ func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 		t.Fatalf("queue policy rejected %d requests", got)
 	}
 
-	<-s.oversized // release: the queue drains one at a time
+	s.oversized.release() // the queue drains one at a time
 	wg.Wait()
 	for i := 0; i < waiters; i++ {
 		if errs[i] != nil {
@@ -161,12 +176,42 @@ func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 		}
 	}
 	mu.Lock()
-	order := append([]int(nil), finished...)
+	order := append([]int(nil), taken...)
 	mu.Unlock()
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("completion order %v, want FIFO arrival order [0 1 2]", order)
-		}
+	if want := []int{0, 1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("slot taken in order %v, want FIFO arrival order %v", order, want)
+	}
+}
+
+// TestFIFOSlotCancelNeverLeaks: waiters whose deadlines end while they
+// queue, some just as the slot reaches them, never strand the slot or let
+// two holders in: once every goroutine has returned, the slot is free.
+func TestFIFOSlotCancelNeverLeaks(t *testing.T) {
+	var q fifoSlot
+	var holders atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration((g+i)%5)*10*time.Microsecond)
+				if q.acquire(ctx, func() {}) == nil {
+					if holders.Add(1) != 1 {
+						t.Error("two holders at once")
+					}
+					holders.Add(-1)
+					q.release()
+				}
+				cancel()
+			}
+		}(g)
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := q.acquire(ctx, func() {}); err != nil {
+		t.Fatalf("slot stranded after every waiter returned: %v", err)
 	}
 }
 
@@ -174,8 +219,10 @@ func TestAdmissionQueueOrderingUnderContention(t *testing.T) {
 // deadline with 504 instead of waiting behind the slot unboundedly.
 func TestAdmissionQueueHonorsDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{AdmissionMaxCells: 10, AdmissionPolicy: AdmissionQueue})
-	s.oversized <- struct{}{}
-	defer func() { <-s.oversized }()
+	if err := s.oversized.acquire(context.Background(), func() {}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.oversized.release()
 
 	raw, _ := json.Marshal(compressRequest{
 		Series:    projWire(),

@@ -51,9 +51,10 @@ type seriesWire struct {
 
 // planWire names one compression: a registry strategy, a budget in the
 // ParseBudget syntax ("c=12" or "eps=0.05"), and optional per-plan options.
-// FillAlgo pins the exact-DP row-fill algorithm ("auto", "pruned", "dc",
-// "smawk"; empty means auto) — results are identical for every value, so
-// clients use it to A/B performance; unknown values are a 400.
+// FillAlgo pins the exact-DP row-fill algorithm ("auto", "pruned" or "dc";
+// empty means auto, and the retired "smawk" and "online" answer as auto) —
+// results are identical for every value, so clients use it to A/B
+// performance; unknown values are a 400.
 type planWire struct {
 	Strategy  string    `json:"strategy"`
 	Budget    string    `json:"budget"`

@@ -6,8 +6,9 @@ import (
 )
 
 // TestFillAlgoPlans: pinned fill algorithms return the same reduction as
-// the default, key separate cache entries per algorithm, and unknown names
-// are a 400.
+// the default, key separate cache entries per algorithm, the retired names
+// "smawk" and "online" answer as the default does, and unknown names are a
+// 400.
 func TestFillAlgoPlans(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	defer ts.Close()
@@ -31,10 +32,11 @@ func TestFillAlgoPlans(t *testing.T) {
 		}
 	}
 
-	// "" and "auto" share the default class; each pinned algorithm owns a
-	// class, so the sequence above built 1 + 4 distinct cache entries.
-	if st := s.cache.stats(); st.Entries != 5 {
-		t.Fatalf("cache entries = %d, want 5 (default + four pinned classes)", st.Entries)
+	// "", "auto" and the retired "smawk" and "online" share the default
+	// class; each pinned algorithm owns a class, so the sequence above built
+	// 1 + 2 distinct cache entries.
+	if st := s.cache.stats(); st.Entries != 3 {
+		t.Fatalf("cache entries = %d, want 3 (default + two pinned classes)", st.Entries)
 	}
 
 	status, body := post(t, ts.URL+"/v1/compress", compressRequest{
@@ -115,7 +117,7 @@ func TestStrategiesExposeFillAlgos(t *testing.T) {
 		t.Fatalf("status %d", status)
 	}
 	algos, ok := body["fill_algos"].([]any)
-	if !ok || len(algos) != 5 {
+	if !ok || len(algos) != 3 {
 		t.Fatalf("fill_algos = %v", body["fill_algos"])
 	}
 	strategies := body["strategies"].([]any)

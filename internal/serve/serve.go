@@ -91,7 +91,7 @@ type Server struct {
 
 	started   time.Time
 	inflight  chan struct{}
-	oversized chan struct{} // the single queue-policy slot; see admission.go
+	oversized *fifoSlot // the single queue-policy slot; see admission.go
 
 	// request counters by endpoint, surfaced on /v1/stats
 	nCompress, nCompressMany, nStrategies, nStats, nHealth, nMatrix atomic.Int64
@@ -100,6 +100,11 @@ type Server struct {
 	// decodedRows counts series rows the fast decoder built and
 	// fingerprints the series it hashed: the work a memo hit skips.
 	decodedRows, fingerprints atomic.Int64
+
+	// onSlot, when set, runs each time a request takes the oversized slot,
+	// with the request's estimated cells. Tests set it before the slot is
+	// first taken.
+	onSlot func(cells int64)
 }
 
 // New validates the config and builds a ready-to-mount server.
@@ -172,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		log:            cfg.Logger,
 		started:        time.Now(),
 		inflight:       make(chan struct{}, cfg.MaxInflight),
-		oversized:      make(chan struct{}, 1),
+		oversized:      new(fifoSlot),
 	}
 	if cfg.SpillDir != "" {
 		store, err := newCacheStore(cfg.SpillDir, cfg.SpillMaxBytes)

@@ -57,7 +57,7 @@ func WithReadAhead(delta int) Option {
 // hook, overridable per plan through Options.FillAlgo.
 func WithFillAlgo(a FillAlgo) Option {
 	return func(e *Engine) error {
-		if _, err := core.ParseFillAlgo(a.String()); err != nil {
+		if !a.Valid() {
 			return fmt.Errorf("pta: WithFillAlgo(%d): unknown algorithm", uint8(a))
 		}
 		e.opts.FillAlgo = a

@@ -2,11 +2,13 @@ package pta_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/temporal"
 	"repro/pta"
 )
@@ -47,7 +49,7 @@ func TestFillAlgoResultsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC, pta.FillSMAWK} {
+	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC} {
 		eng, err := pta.New(pta.WithFillAlgo(algo))
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +86,7 @@ func TestDPClassWith(t *testing.T) {
 		t.Errorf("pta.FillAuto class %q != pta.DPClass %q", auto, shared)
 	}
 	seen := map[string]bool{shared: true}
-	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC, pta.FillSMAWK} {
+	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC} {
 		class, ok := pta.DPClassWith("ptae", algo)
 		if !ok {
 			t.Fatalf("pta.DPClassWith(ptae, %v) not cacheable", algo)
@@ -104,11 +106,11 @@ func TestDPClassWith(t *testing.T) {
 func TestMatrixSetClassReflectsFill(t *testing.T) {
 	s := fillSeries(t)
 	ctx := context.Background()
-	set, err := pta.NewMatrixSet(s, "ptac", pta.Options{FillAlgo: pta.FillSMAWK})
+	set, err := pta.NewMatrixSet(s, "ptac", pta.Options{FillAlgo: pta.FillDC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := pta.DPClassWith("ptac", pta.FillSMAWK); set.Class() != want {
+	if want, _ := pta.DPClassWith("ptac", pta.FillDC); set.Class() != want {
 		t.Fatalf("Class() = %q, want %q", set.Class(), want)
 	}
 	got, err := set.Compress(ctx, pta.Size(6))
@@ -123,6 +125,81 @@ func TestMatrixSetClassReflectsFill(t *testing.T) {
 		!reflect.DeepEqual(got.Series.Rows, want.Series.Rows) {
 		t.Fatal("pinned-fill matrix set diverged from the engine result")
 	}
+}
+
+// TestInvalidFillAlgoRejected: a FillAlgo outside FillAuto, FillPruned and
+// FillDC — the retired values 3 and 4 included — fails every exact entry
+// point instead of answering under a made-up cache class.
+func TestInvalidFillAlgoRejected(t *testing.T) {
+	s := fillSeries(t)
+	ctx := context.Background()
+	eng, err := pta.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Compress(ctx, pta.Size(6)); err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []pta.FillAlgo{3, 4, 9} {
+		if _, err := core.PTAc(s, 6, core.Options{Fill: fill}); err == nil {
+			t.Errorf("core.PTAc with fill %d answered", fill)
+		}
+		plan := pta.Plan{Strategy: "ptac", Budget: pta.Size(6), Options: &pta.Options{FillAlgo: fill}}
+		if _, err := eng.Compress(ctx, s, plan); err == nil {
+			t.Errorf("Engine.Compress with fill %d answered", fill)
+		}
+		if set, err := pta.NewMatrixSet(s, "ptac", pta.Options{FillAlgo: fill}); err == nil {
+			t.Errorf("NewMatrixSet with fill %d built class %q", fill, set.Class())
+		}
+		// A snapshot labelled with the class an unchecked fill would key.
+		snap, err := warm.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Class = "dp+imax+jmin/fill=" + fill.String()
+		if _, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{FillAlgo: fill}, snap); err == nil {
+			t.Errorf("RestoreMatrixSet with fill %d restored", fill)
+		}
+		if class, ok := pta.DPClassWith("ptac", fill); ok {
+			t.Errorf("DPClassWith(ptac, %d) = %q, ok", fill, class)
+		}
+		if _, err := pta.New(pta.WithFillAlgo(fill)); err == nil {
+			t.Errorf("WithFillAlgo(%d) accepted", fill)
+		}
+	}
+}
+
+// FuzzParseFillAlgo: ParseFillAlgo never panics; a name it accepts yields a
+// valid fill whose String() re-parses to the same value; the retired names
+// resolve to FillAuto; every rejection lists the recognized names.
+func FuzzParseFillAlgo(f *testing.F) {
+	for _, s := range []string{"", "auto", "pruned", "dc", "smawk", "online", "bogus", "DC", " dc",
+		"fill(3)", "fill(9)", "auto\x00", "pruned,dc"} {
+		f.Add(s)
+	}
+	names := fmt.Sprint(pta.FillAlgoNames())
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := pta.ParseFillAlgo(s)
+		if err != nil {
+			if !strings.Contains(err.Error(), names) {
+				t.Fatalf("ParseFillAlgo(%q) error %q does not list %s", s, err, names)
+			}
+			return
+		}
+		if _, ok := pta.DPClassWith("ptac", a); !ok {
+			t.Fatalf("ParseFillAlgo(%q) accepted %v, which is not a valid fill", s, a)
+		}
+		if again, err := pta.ParseFillAlgo(a.String()); err != nil || again != a {
+			t.Fatalf("ParseFillAlgo(%q) = %v, but its String %q re-parses to %v, %v", s, a, a.String(), again, err)
+		}
+		if (s == "smawk" || s == "online") && a != pta.FillAuto {
+			t.Fatalf("retired name %q parsed to %v, want auto", s, a)
+		}
+	})
 }
 
 // TestCompressManySharedKernel: a mixed batch — two DP classes plus a

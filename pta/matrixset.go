@@ -54,14 +54,15 @@ func DPClass(strategy string) (string, bool) {
 
 // DPClassWith is DPClass for an explicit row-fill algorithm: requests that
 // pin an algorithm (the serve codec's fill_algo, Options.FillAlgo) key
-// their cached matrices per algorithm — "dp+imax+jmin/fill=smawk" — so an
+// their cached matrices per algorithm — "dp+imax+jmin/fill=dc" — so an
 // A/B experiment never mixes entries between arms, while the default
-// FillAuto keeps the shared "dp+imax+jmin" class. Every algorithm fills
+// FillAuto keeps the shared "dp+imax+jmin" class. Both algorithms fill
 // bit-identical matrices, so the split is a bookkeeping guarantee, not a
-// correctness requirement.
+// correctness requirement. ok is false for a fill outside the defined
+// algorithms too: no exact evaluation runs with one.
 func DPClassWith(strategy string, fill FillAlgo) (string, bool) {
 	pruneI, pruneJ, ok := dpFlags(strategy)
-	if !ok {
+	if !ok || !fill.Valid() {
 		return "", false
 	}
 	class := "dp"

@@ -130,7 +130,6 @@ func TestDPClass(t *testing.T) {
 		{"dpbasic", "dp", true},
 		{"ptac-imax", "dp+imax", true},
 		{"ptac-jmin", "dp+jmin", true},
-		{"ptac-parallel", "", false},
 		{"gms", "", false},
 		{"gptac", "", false},
 		{"paa", "", false},

@@ -77,8 +77,8 @@ type Estimate = core.Estimate
 // result while it is still being produced.
 type Stream = core.Stream
 
-// FillAlgo selects the row-fill algorithm of the exact DP strategies. Every
-// algorithm produces bitwise-identical matrices and results; they differ
+// FillAlgo selects the row-fill algorithm of the exact DP strategies. Both
+// algorithms produce bitwise-identical matrices and results; they differ
 // only in speed (see the core documentation and docs/ARCHITECTURE.md).
 type FillAlgo = core.FillAlgo
 
@@ -92,19 +92,12 @@ const (
 	// FillDC is the monotone divide-and-conquer fill, O(n log n) per row
 	// on counter-like (per-run monotone) series.
 	FillDC = core.FillDC
-	// FillSMAWK is the SMAWK row-minima fill, O(n) per row on counter-like
-	// series.
-	FillSMAWK = core.FillSMAWK
-	// FillOnline is the online (LARSCH-style) monotone frontier fill: cells
-	// answered left to right with incremental candidate maintenance, the
-	// algorithm the incremental Solver and the streaming exact-DP path
-	// auto-select.
-	FillOnline = core.FillOnline
 )
 
-// ParseFillAlgo resolves a fill-algorithm name ("auto", "pruned", "dc",
-// "smawk", "online"). Unknown names fail with a facade-level error listing
-// the recognized names.
+// ParseFillAlgo resolves a fill-algorithm name ("auto", "pruned" or "dc";
+// the retired names "smawk" and "online" resolve to FillAuto, which answers
+// identically). Unknown names fail with a facade-level error listing the
+// recognized names.
 func ParseFillAlgo(s string) (FillAlgo, error) {
 	a, err := core.ParseFillAlgo(s)
 	if err != nil {
@@ -165,7 +158,8 @@ type Options struct {
 	// FillAlgo selects the exact-DP row-fill algorithm (FillAuto picks by
 	// input size). Results are identical for every selection; pin one to
 	// A/B performance or to keep cache classes separated (DPClassWith).
-	// Non-DP strategies ignore it.
+	// Non-DP strategies ignore it, but a value outside FillAuto, FillPruned
+	// and FillDC fails every evaluation that builds a cost kernel.
 	FillAlgo FillAlgo
 
 	// scratch carries the engine's reusable DP buffers for this call; it is
@@ -269,9 +263,9 @@ func MaxError(s *Series, opts Options) (float64, error) {
 
 // MonotoneCoverage reports the fraction of the series' rows lying inside
 // piecewise-monotone segments long enough for the exact DP's monotone row
-// fills (FillDC/FillSMAWK/FillOnline) to engage — 1.0 on counter-like data, 0.0 on
-// pure oscillating noise. It predicts how much of an evaluation runs at the
-// monotone fills' O(n log n)/O(n) per-row cost instead of the pruned scan's;
+// fill (FillDC) to engage — 1.0 on counter-like data, 0.0 on pure
+// oscillating noise. It predicts how much of an evaluation runs at the
+// monotone fill's O(n log n) per-row cost instead of the pruned scan's;
 // results are bit-identical either way. The weights only validate (the
 // segmentation is weight-independent).
 func MonotoneCoverage(s *Series, opts Options) (float64, error) {

@@ -51,7 +51,7 @@ func projITA(t *testing.T) *pta.Series {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"amnesic", "apca", "dpbasic", "gms", "gms-bridged", "gptac", "gptae",
-		"paa", "pla", "ptac", "ptac-imax", "ptac-jmin", "ptac-parallel", "ptae",
+		"paa", "pla", "ptac", "ptac-imax", "ptac-jmin", "ptae",
 	}
 	got := pta.Strategies()
 	if len(got) < 8 {

@@ -65,17 +65,7 @@ func (m *MatrixSet) Snapshot() (*MatrixSnapshot, error) {
 // a cold build. Split points that pass but cannot be followed surface as a
 // WarmLostError from Compress.
 func RestoreMatrixSet(s *Series, strategy string, opts Options, snap *MatrixSnapshot) (*MatrixSet, error) {
-	if snap == nil || snap.Filled == 0 {
-		return nil, fmt.Errorf("pta: empty matrix snapshot")
-	}
-	class, ok := DPClassWith(strategy, opts.FillAlgo)
-	if !ok {
-		return nil, fmt.Errorf("pta: strategy %q is not an exact DP: nothing to restore", strategy)
-	}
-	if class != snap.Class {
-		return nil, fmt.Errorf("pta: snapshot class %q does not match %q for %s", snap.Class, class, strategy)
-	}
-	m, err := NewMatrixSet(s, strategy, opts)
+	m, err := restoreTarget(s, strategy, opts, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -115,17 +105,7 @@ type WarmLostError = core.WarmLostError
 // or a row holds a split point the walk cannot follow, the evaluation
 // returns a WarmLostError and the set must be discarded.
 func RestoreMatrixSetLazy(s *Series, strategy string, opts Options, snap *MatrixSnapshot, src SplitRowSource) (*MatrixSet, error) {
-	if snap == nil || snap.Filled == 0 {
-		return nil, fmt.Errorf("pta: empty matrix snapshot")
-	}
-	class, ok := DPClassWith(strategy, opts.FillAlgo)
-	if !ok {
-		return nil, fmt.Errorf("pta: strategy %q is not an exact DP: nothing to restore", strategy)
-	}
-	if class != snap.Class {
-		return nil, fmt.Errorf("pta: snapshot class %q does not match %q for %s", snap.Class, class, strategy)
-	}
-	m, err := NewMatrixSet(s, strategy, opts)
+	m, err := restoreTarget(s, strategy, opts, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -140,4 +120,20 @@ func RestoreMatrixSetLazy(s *Series, strategy string, opts Options, snap *Matrix
 		return nil, fmt.Errorf("pta: %w", err)
 	}
 	return m, nil
+}
+
+// restoreTarget checks that a snapshot fits the strategy and options, and
+// builds the fresh set it restores into.
+func restoreTarget(s *Series, strategy string, opts Options, snap *MatrixSnapshot) (*MatrixSet, error) {
+	if snap == nil || snap.Filled == 0 {
+		return nil, fmt.Errorf("pta: empty matrix snapshot")
+	}
+	class, ok := DPClassWith(strategy, opts.FillAlgo)
+	if !ok {
+		return nil, fmt.Errorf("pta: strategy %q with fill %v is not an exact DP: nothing to restore", strategy, opts.FillAlgo)
+	}
+	if class != snap.Class {
+		return nil, fmt.Errorf("pta: snapshot class %q does not match %q for %s", snap.Class, class, strategy)
+	}
+	return NewMatrixSet(s, strategy, opts)
 }

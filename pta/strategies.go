@@ -87,9 +87,9 @@ type parallelDPEvaluator struct {
 }
 
 // streamDPEvaluator makes the fully pruned exact DP stream-capable: the
-// stream is materialized and answered by an incremental core.Solver, whose
-// row-at-a-time Deepen path auto-selects the online monotone fill
-// (FillOnline) on certified data. Unlike the greedy gPTA evaluators this is
+// stream is materialized and answered by an incremental core.Solver, which
+// resolves FillAuto like every other exact path (FillDC at n ≥ 256 on
+// certified data, the pruned scan otherwise). Unlike the greedy gPTA evaluators this is
 // not bounded-memory — exactness requires the whole input — but it lets a
 // CompressStream pipeline keep one code path while choosing exact results,
 // and error budgets need no (N, EMax) estimate: the exact SSEmax is
@@ -213,18 +213,6 @@ func init() {
 		"exact DP, column bound imax only (Section 5.3 ablation)", core.PruneIMax))
 	Register(dpStrategy("ptac-jmin",
 		"exact DP, split-point bound jmin only (Section 5.3 ablation)", core.PruneJMin))
-
-	// Run-decomposed multicore exact evaluation (engineering extension).
-	// Engine.Compress with WithParallelism reaches the same code path for
-	// plain "ptac"/"ptae"; this registry entry keeps the decomposition
-	// directly addressable and always uses every core.
-	Register(&funcEvaluator{
-		name: "ptac-parallel",
-		desc: "exact DP decomposed over maximal runs, evaluated on all cores",
-		size: func(ctx context.Context, s *Series, c int, opts Options) (*Result, error) {
-			return fromDP(core.PTAcParallel(s, c, opts.coreOptionsCtx(ctx), 0))
-		},
-	})
 
 	// Greedy merging strategy (Section 6.1).
 	Register(&funcEvaluator{
