@@ -9,106 +9,12 @@ import "repro/internal/temporal"
 // them. The merged tuple's timestamp spans the gap, but its aggregate values
 // and its error contribution are weighted by the chronons the constituents
 // actually cover — the gap itself carries no data and no error. The greedy
-// strategy carries the covered length alongside each node for that purpose.
-
-// bridgeNode augments the heap node with the covered (non-gap) length.
-type bridgeNode struct {
-	id   int
-	row  temporal.SeqRow
-	cov  float64 // Σ|T| of the constituents, excluding bridged gaps
-	prev *bridgeNode
-	next *bridgeNode
-	key  float64
-	hpos int
-}
-
-// bridgeHeap is a binary min-heap over bridge nodes, ordered like mergeHeap.
-type bridgeHeap struct{ ns []*bridgeNode }
-
-func (h *bridgeHeap) len() int { return len(h.ns) }
-func (h *bridgeHeap) peek() *bridgeNode {
-	if len(h.ns) == 0 {
-		return nil
-	}
-	return h.ns[0]
-}
-
-func bridgeLess(a, b *bridgeNode) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.row.T.Start != b.row.T.Start {
-		return a.row.T.Start < b.row.T.Start
-	}
-	return a.id < b.id
-}
-
-func (h *bridgeHeap) swap(i, j int) {
-	h.ns[i], h.ns[j] = h.ns[j], h.ns[i]
-	h.ns[i].hpos = i
-	h.ns[j].hpos = j
-}
-
-func (h *bridgeHeap) push(n *bridgeNode) {
-	n.hpos = len(h.ns)
-	h.ns = append(h.ns, n)
-	h.up(n.hpos)
-}
-
-func (h *bridgeHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if !bridgeLess(h.ns[i], h.ns[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-		moved = true
-	}
-	return moved
-}
-
-func (h *bridgeHeap) down(i int) {
-	n := len(h.ns)
-	for {
-		l, r, best := 2*i+1, 2*i+2, i
-		if l < n && bridgeLess(h.ns[l], h.ns[best]) {
-			best = l
-		}
-		if r < n && bridgeLess(h.ns[r], h.ns[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *bridgeHeap) fix(n *bridgeNode) {
-	if !h.up(n.hpos) {
-		h.down(n.hpos)
-	}
-}
-
-func (h *bridgeHeap) remove(n *bridgeNode) {
-	i := n.hpos
-	last := len(h.ns) - 1
-	h.swap(i, last)
-	h.ns = h.ns[:last]
-	if i < last {
-		if !h.up(i) {
-			h.down(i)
-		}
-	}
-	n.hpos = -1
-}
+// strategy carries the covered length in each heap node (node.cov) for that
+// purpose.
 
 // bridgeDsim is the covered-length-weighted dissimilarity: the SSE increase
 // of merging a and b over the chronons they actually cover.
-func bridgeDsim(a, b *bridgeNode, w2 []float64) float64 {
+func bridgeDsim(a, b *node, w2 []float64) float64 {
 	factor := a.cov * b.cov / (a.cov + b.cov)
 	var sse float64
 	for d := range a.row.Aggs {
@@ -133,8 +39,8 @@ func GMSBridged(seq *temporal.Sequence, c int, opts Options) (*GreedyResult, err
 		return nil, err
 	}
 	var (
-		h       bridgeHeap
-		tail    *bridgeNode
+		h       mergeHeap
+		tail    *node
 		maxHeap int
 	)
 	for i, row := range seq.Rows {
@@ -143,7 +49,7 @@ func GMSBridged(seq *temporal.Sequence, c int, opts Options) (*GreedyResult, err
 				return nil, err
 			}
 		}
-		n := &bridgeNode{id: i + 1, row: row.CloneAggs(), cov: float64(row.T.Len()), key: Inf}
+		n := &node{id: i + 1, row: row.CloneAggs(), cov: float64(row.T.Len()), key: Inf}
 		if tail != nil {
 			n.prev = tail
 			tail.next = n
@@ -203,7 +109,7 @@ func GMSBridged(seq *temporal.Sequence, c int, opts Options) (*GreedyResult, err
 		}
 	}
 
-	var head *bridgeNode
+	var head *node
 	for n := tail; n != nil; n = n.prev {
 		head = n
 	}

@@ -19,6 +19,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -41,7 +42,8 @@ type Options struct {
 	Weights []float64
 	// Fill selects the DP row-fill algorithm (see FillAlgo). The zero
 	// value FillAuto picks by input size. Every algorithm produces
-	// bitwise-identical E/J matrices; they differ only in speed.
+	// bitwise-identical E/J matrices; they differ only in speed. Outside
+	// this package only the `fill` experiment and tests pin one.
 	Fill FillAlgo
 	// Ctx, when non-nil, is polled inside the evaluation loops so that
 	// long-running reductions abort promptly when the caller cancels.
@@ -87,6 +89,24 @@ func CheckErrorBound(eps float64) error {
 		return fmt.Errorf("core: error bound %v outside [0, 1]", eps)
 	}
 	return nil
+}
+
+// ErrOverflow reports weighted error sums beyond float64's range: SSEmax,
+// or the optimal error at the size a budget asks for, is not a finite
+// number, so no budget can be judged against it. Smaller weights or values
+// avoid it.
+var ErrOverflow = errors.New("error sums overflow float64")
+
+// checkFinite returns ErrOverflow unless e, the optimal error at size k
+// (SSEmax for k = 0), is a finite number.
+func checkFinite(k int, e float64) error {
+	switch {
+	case !math.IsInf(e, 0) && !math.IsNaN(e):
+		return nil
+	case k == 0:
+		return fmt.Errorf("core: SSEmax is %v: %w", e, ErrOverflow)
+	}
+	return fmt.Errorf("core: optimal error at size %d is %v: %w", k, e, ErrOverflow)
 }
 
 // InfeasibleSizeError reports a size budget below the smallest reachable

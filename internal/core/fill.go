@@ -89,8 +89,9 @@ func (a FillAlgo) Valid() bool { return a <= FillDC }
 
 // ParseFillAlgo resolves a row-fill algorithm name ("auto", "pruned" or
 // "dc"). The retired names "smawk" and "online" resolve to FillAuto: they
-// named fills that produced the same matrices as every other fill, so a
-// request that still pins one gets the same answer from the default.
+// named fills that produced the same matrices as every other fill. It is
+// also the name check of the serve wire's fill_algo field, which answers
+// every name it accepts as FillAuto.
 func ParseFillAlgo(s string) (FillAlgo, error) {
 	switch s {
 	case "", "auto", "smawk", "online":

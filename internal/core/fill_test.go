@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +385,36 @@ func TestParseFillAlgo(t *testing.T) {
 	if _, err := ParseFillAlgo("bogus"); err == nil {
 		t.Error("unknown name must fail")
 	}
+}
+
+// FuzzParseFillAlgo: ParseFillAlgo, the name check behind the serve wire's
+// fill_algo field, never panics; a name it accepts yields a valid fill
+// whose String re-parses to the same value; the retired names resolve to
+// FillAuto; every rejection lists the recognized names.
+func FuzzParseFillAlgo(f *testing.F) {
+	for _, s := range []string{"", "auto", "pruned", "dc", "smawk", "online", "bogus", "DC", " dc",
+		"fill(3)", "fill(9)", "auto\x00", "pruned,dc"} {
+		f.Add(s)
+	}
+	names := fmt.Sprint(FillAlgoNames())
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseFillAlgo(s)
+		if err != nil {
+			if !strings.Contains(err.Error(), names) {
+				t.Fatalf("ParseFillAlgo(%q) error %q does not list %s", s, err, names)
+			}
+			return
+		}
+		if !a.Valid() {
+			t.Fatalf("ParseFillAlgo(%q) accepted %v, which is not a valid fill", s, a)
+		}
+		if again, err := ParseFillAlgo(a.String()); err != nil || again != a {
+			t.Fatalf("ParseFillAlgo(%q) = %v, but its String %q re-parses to %v, %v", s, a, a.String(), again, err)
+		}
+		if (s == "smawk" || s == "online") && a != FillAuto {
+			t.Fatalf("retired name %q parsed to %v, want auto", s, a)
+		}
+	})
 }
 
 // TestFillParallelAlgos: the run-decomposed parallel evaluators agree with

@@ -21,6 +21,9 @@ type node struct {
 	key float64
 	// hpos is the node's index in the heap array, maintained by the heap.
 	hpos int
+	// cov is the length the node's constituents cover, bridged gaps
+	// excluded; only GMSBridged, which merges across gaps, sets it.
+	cov float64
 }
 
 // mergeHeap is a binary min-heap of nodes ordered by (key, start timestamp,

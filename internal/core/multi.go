@@ -20,7 +20,9 @@ type MultiBudget struct {
 // are valid; otherwise a size below cmin, negative sizes included, is an
 // InfeasibleSizeError, and Eps must lie in [0, 1]. For an error budget over
 // a non-empty relation it returns the acceptance threshold over SSEmax,
-// which maxErr supplies; size budgets never call maxErr.
+// which maxErr supplies and which must be finite (ErrOverflow otherwise:
+// no row error could be judged against it); size budgets never call
+// maxErr.
 func checkBudget(b MultiBudget, n, cmin int, maxErr func() float64) (float64, error) {
 	if b.C != 0 {
 		return 0, checkSize(b.C, n, cmin)
@@ -32,6 +34,9 @@ func checkBudget(b MultiBudget, n, cmin int, maxErr func() float64) (float64, er
 		return 0, nil
 	}
 	m := maxErr()
+	if err := checkFinite(0, m); err != nil {
+		return 0, err
+	}
 	return acceptErrorBound(b.Eps*m, m), nil
 }
 

@@ -119,6 +119,9 @@ func SolveRuns(ctx context.Context, kn *CostKernel, runs RunCurves, budgets []Mu
 			results[i] = unreduced(seq, stats)
 			continue
 		}
+		if err := checkFinite(k, final[k]); err != nil {
+			return nil, err
+		}
 		alloc, err := ca.SplitAllocation(k)
 		if err != nil {
 			return nil, err

@@ -245,6 +245,44 @@ func TestExactEntryPointsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestOverflowBudgetsTypedError: weights that overflow the error sums
+// (SSEmax is +Inf over 1, 5, 2, 9, 3 at weight 1e160) make every exact
+// entry point of TestExactEntryPointsMatchBruteForce answer eps = 0,
+// eps = 0.5 and c = 3 with ErrOverflow: no panic, no +Inf answer, no walk
+// over split rows that were never written.
+func TestOverflowBudgetsTypedError(t *testing.T) {
+	ctx := context.Background()
+	seq := temporal.NewSequence(nil, []string{"v"})
+	gid := seq.Groups.Intern(nil)
+	for i, v := range []float64{1, 5, 2, 9, 3} {
+		seq.Rows = append(seq.Rows, temporal.SeqRow{Group: gid, Aggs: []float64{v}, T: temporal.Inst(temporal.Chronon(i))})
+	}
+	opts := Options{Weights: []float64{1e160}}
+	for _, b := range []MultiBudget{{Eps: 0}, {Eps: 0.5}, {C: 3}} {
+		sv, err := NewSolver(seq, opts, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := map[string]error{}
+		_, errs["DPMulti"] = DPMulti(seq, []MultiBudget{b}, opts, true, true)
+		_, errs["DPMultiParallel"] = DPMultiParallel(seq, []MultiBudget{b}, opts, 2)
+		if b.C > 0 {
+			_, errs["PTAc/PTAe"] = PTAc(seq, b.C, opts)
+			_, errs["PTAcParallel/PTAeParallel"] = PTAcParallel(seq, b.C, opts, 2)
+			_, errs["Solver"] = sv.SolveSize(ctx, b.C)
+		} else {
+			_, errs["PTAc/PTAe"] = PTAe(seq, b.Eps, opts)
+			_, errs["PTAcParallel/PTAeParallel"] = PTAeParallel(seq, b.Eps, opts, 2)
+			_, errs["Solver"] = sv.SolveError(ctx, b.Eps)
+		}
+		for name, err := range errs {
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("%+v: %s returned %v, want ErrOverflow", b, name, err)
+			}
+		}
+	}
+}
+
 // TestPTAcPropMatchesBasic: pruning never changes the DP result.
 func TestPTAcPropMatchesBasic(t *testing.T) {
 	f := func(seed int64) bool {

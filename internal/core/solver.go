@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/temporal"
 )
@@ -27,6 +28,7 @@ type Solver struct {
 	filled int
 	bound  float64 // SSEmax, resolved lazily for error budgets
 	hasMax bool
+	warm   bool // state adopted from a snapshot (Restore or RestoreLazy)
 
 	// After RestoreLazy, rows 1..restored come from lazy and rows 1..read of
 	// them are resident. Every walk needs a prefix 1..k, so the resident
@@ -201,9 +203,11 @@ func (sv *Solver) maxError() float64 {
 }
 
 // reach returns the smallest k whose row error E[k][n] fits bound, filling
-// rows as the search passes them.
+// rows as the search passes them. Filled exactly, E[n][n] = 0 fits every
+// bound checkBudget returns; rows that say otherwise were restored wrong.
 func (sv *Solver) reach(ctx context.Context, bound float64) (int, error) {
-	for k := 1; k <= sv.kn.N(); k++ {
+	n := sv.kn.N()
+	for k := 1; k <= n; k++ {
 		if k > sv.filled {
 			if err := sv.ensure(ctx, k); err != nil {
 				return 0, err
@@ -213,13 +217,26 @@ func (sv *Solver) reach(ctx context.Context, bound float64) (int, error) {
 			return k, nil
 		}
 	}
-	// E[n][n] = 0 ≤ bound always triggers within the loop.
-	panic("core: solver error-bounded search did not terminate")
+	return 0, sv.lost(n, fmt.Errorf("core: no row error fits the error bound %v (E[%d][%d] = %v)", bound, n, n, sv.rowErr[n]))
+}
+
+// lost reports err as a WarmLostError at row k when the solver's state was
+// adopted from a snapshot, which may be what went wrong: the caller then
+// rebuilds cold, and a cold solver reports err itself.
+func (sv *Solver) lost(k int, err error) error {
+	if sv.warm {
+		return &WarmLostError{Row: k, Err: err}
+	}
+	return err
 }
 
 // answer walks the filled rows from cell (k, n) into the optimal reduction
-// to k tuples.
+// to k tuples. A non-finite E[k][n] is ErrOverflow, not a walk: its split
+// points were never written.
 func (sv *Solver) answer(k int) (*DPResult, error) {
+	if err := checkFinite(k, sv.rowErr[k]); err != nil {
+		return nil, sv.lost(k, err)
+	}
 	rows := make([]temporal.SeqRow, k)
 	if err := sv.backtrack(rows, sv.kn, 0); err != nil {
 		return nil, err
@@ -314,9 +331,12 @@ func (sv *Solver) Restore(st *SolverState) error {
 	return nil
 }
 
-// checkSnapshot is the shape check Restore and RestoreLazy share: the
-// solver is fresh, and the snapshot is of this n with 1..n rows, one error
-// per row and a whole resume row.
+// checkSnapshot is the check Restore and RestoreLazy share: the solver is
+// fresh, and the snapshot is of this n with 1..n rows, one error per row
+// and a whole resume row. Every error is one a fill can write — not NaN,
+// not negative (+Inf is a merge across a gap, or an overflow) — and
+// SSEmax, when present, is finite and not negative: an error budget
+// scales it.
 func (sv *Solver) checkSnapshot(st *SolverState) error {
 	n := sv.kn.N()
 	switch {
@@ -330,6 +350,18 @@ func (sv *Solver) checkSnapshot(st *SolverState) error {
 		return fmt.Errorf("core: snapshot has %d row errors, want %d", len(st.RowErr), st.Filled)
 	case len(st.LastE) != n+1:
 		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
+	case st.HasMax && !(st.Bound >= 0 && st.Bound <= math.MaxFloat64):
+		return fmt.Errorf("core: snapshot SSEmax %v", st.Bound)
+	}
+	for k, e := range st.RowErr {
+		if !(e >= 0) {
+			return fmt.Errorf("core: snapshot E[%d][%d] = %v", k+1, n, e)
+		}
+	}
+	for i, e := range st.LastE {
+		if !(e >= 0) {
+			return fmt.Errorf("core: snapshot E[%d][%d] = %v", st.Filled, i, e)
+		}
 	}
 	return nil
 }
@@ -341,6 +373,7 @@ func (sv *Solver) adopt(st *SolverState) {
 	copy(sv.rowErr[1:], st.RowErr)
 	sv.filled = st.Filled
 	sv.bound, sv.hasMax = st.Bound, st.HasMax
+	sv.warm = true
 }
 
 // SplitRowSource supplies individual restored split-point rows on demand:

@@ -23,14 +23,19 @@ package dist
 //     to the parallel engine, which pins ONE deterministic choice.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist/disttest"
 	"repro/internal/serve"
 	"repro/internal/temporal"
@@ -287,11 +292,36 @@ func checkCell(t *testing.T, ctx context.Context, co *Coordinator, serial, par *
 	return true
 }
 
-// TestDistConformanceFillAlgos pins the fill-algorithm matrix: every row
-// fill must produce byte-identical distributed results.
+// TestDistConformanceFillAlgos pins the fill-algorithm matrix: the
+// coordinator sends its shards no fill_algo, and its answer meets the
+// serial contract against core's exact DP under every pinned row fill.
 func TestDistConformanceFillAlgos(t *testing.T) {
 	cluster := disttest.NewCluster(t, 3, serve.Config{})
-	co := newTestCoordinator(t, cluster)
+	var urls []string
+	for _, u := range cluster.URLs() {
+		spy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				panic(http.ErrAbortHandler)
+			}
+			if bytes.Contains(body, []byte("fill_algo")) {
+				t.Errorf("shard request carries a fill_algo: %.200s", body)
+			}
+			resp, err := http.Post(u+r.URL.RequestURI(), r.Header.Get("Content-Type"), bytes.NewReader(body))
+			if err != nil {
+				panic(http.ErrAbortHandler)
+			}
+			defer resp.Body.Close()
+			w.WriteHeader(resp.StatusCode)
+			_, _ = io.Copy(w, resp.Body)
+		}))
+		t.Cleanup(spy.Close)
+		urls = append(urls, spy.URL)
+	}
+	co, err := New(WithWorkers(urls...), WithBackoff(time.Millisecond), WithRetries(4), WithShardTimeout(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
 	serial, err := pta.New()
 	if err != nil {
 		t.Fatal(err)
@@ -305,15 +335,27 @@ func TestDistConformanceFillAlgos(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := genSeries(rng, "mixed")
 	n, cmin := s.Len(), s.CMin()
-	budgets := []pta.Budget{pta.Size((cmin + n) / 2), pta.ErrorBound(0.35)}
-	for _, name := range pta.FillAlgoNames() {
-		algo, err := pta.ParseFillAlgo(name)
+	for _, b := range []pta.Budget{pta.Size((cmin + n) / 2), pta.ErrorBound(0.35)} {
+		if !checkCell(t, ctx, co, serial, par, s, b, pta.Options{}, "mixed", 7) {
+			t.Fatalf("budget %v failed conformance", b)
+		}
+		dres, err := co.Compress(ctx, s, b, pta.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range budgets {
-			if !checkCell(t, ctx, co, serial, par, s, b, pta.Options{FillAlgo: algo}, "mixed", 7) {
-				t.Fatalf("fill algo %s failed conformance", name)
+		for _, fill := range []core.FillAlgo{core.FillPruned, core.FillDC} {
+			opts := core.Options{Fill: fill}
+			var want *core.DPResult
+			if b.Kind() == pta.BudgetSize {
+				want, err = core.PTAc(s, b.C(), opts)
+			} else {
+				want, err = core.PTAe(s, b.Eps(), opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dres.C != want.C || !relClose(dres.Error, want.Error, 1e-9) || !bitIdentical(dres.Series, want.Sequence) {
+				t.Fatalf("budget %v: dist C=%d err=%v, %v fill C=%d err=%v", b, dres.C, dres.Error, fill, want.C, want.Error)
 			}
 		}
 	}

@@ -298,8 +298,8 @@ func makeShards(s *pta.Series, kn *core.CostKernel) []*shard {
 
 // Compress evaluates one budget over the series using the worker fleet and
 // returns a result bit-identical to the in-process parallel evaluators.
-// opts forwards Weights and FillAlgo to the workers; ReadAhead does not
-// apply to the exact DP.
+// opts forwards Weights to the workers; ReadAhead does not apply to the
+// exact DP.
 func (c *Coordinator) Compress(ctx context.Context, s *pta.Series, b pta.Budget, opts pta.Options) (*pta.Result, error) {
 	res, err := c.compress(ctx, s, b, opts)
 	if err != nil {
@@ -320,7 +320,7 @@ func (c *Coordinator) compress(ctx context.Context, s *pta.Series, b pta.Budget,
 	if s.Len() > 0 && len(c.Workers()) == 0 {
 		return nil, fmt.Errorf("dist: no workers configured")
 	}
-	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Fill: opts.FillAlgo, Ctx: ctx})
+	kn, err := core.NewKernel(s, core.Options{Weights: opts.Weights, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -447,16 +447,11 @@ func (c *Coordinator) gather(ctx context.Context, shards []*shard, kcap int, opt
 // depends on placement; placement is only cache affinity).
 func (c *Coordinator) fetchShard(ctx context.Context, sh *shard, from, to int, opts pta.Options) error {
 	plans := make([]serve.PlanWire, 0, to-from+1)
-	fill := ""
-	if opts.FillAlgo != 0 {
-		fill = opts.FillAlgo.String()
-	}
 	for k := from; k <= to; k++ {
 		plans = append(plans, serve.PlanWire{
 			Strategy: "ptac",
 			Budget:   fmt.Sprintf("c=%d", k),
 			Weights:  opts.Weights,
-			FillAlgo: fill,
 		})
 	}
 	body, err := json.Marshal(serve.CompressManyRequest{Series: serve.EncodeSeries(sh.sub), Plans: plans})

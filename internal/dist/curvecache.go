@@ -12,13 +12,12 @@ import (
 
 // curveCache is the coordinator's sub-request cache: the gathered per-run
 // state — error curve, split ranges, worker-reported DP cost — keyed by the
-// run's content fingerprint plus the options that change curve values
-// (weights, pinned fill algorithm). Repeat compressions of a series whose
-// runs did not change seed their shards from the cache and skip the worker
-// scatter entirely; an edited run fingerprints to a new key and only that
-// run is re-fetched. Like every cache tier here, invalidation is by
-// displacement only — the key is a content address, so an entry can never
-// go stale in place.
+// run's content fingerprint plus the options that change curve values (the
+// weights). Repeat compressions of a series whose runs did not change seed
+// their shards from the cache and skip the worker scatter entirely; an
+// edited run fingerprints to a new key and only that run is re-fetched.
+// Like every cache tier here, invalidation is by displacement only — the
+// key is a content address, so an entry can never go stale in place.
 //
 // Ranges are stored relative to the run (the shard's lo subtracted), because
 // the same run content can sit at a different global offset in another
@@ -46,19 +45,14 @@ func newCurveCache(capacity int) *curveCache {
 }
 
 // curveKey derives a shard's cache key. The fingerprint already hashes the
-// run's rows and schema; weights and the pinned fill algorithm are folded in
-// because they change curve values (weights) or the worker's DP class
-// (fill), mirroring the serve tier's matrix-cache key.
+// run's rows and schema; the weights are folded in because they change the
+// curve values, mirroring the serve tier's matrix-cache key.
 func curveKey(fp string, opts pta.Options) string {
 	var sb strings.Builder
 	sb.WriteString(fp)
 	for _, w := range opts.Weights {
 		sb.WriteByte('|')
 		sb.WriteString(strconv.FormatFloat(w, 'b', -1, 64))
-	}
-	sb.WriteByte('|')
-	if opts.FillAlgo != 0 {
-		sb.WriteString(opts.FillAlgo.String())
 	}
 	return sb.String()
 }

@@ -87,9 +87,8 @@ func TestDistCurveCacheSkipsRescatter(t *testing.T) {
 	}
 }
 
-// TestDistCurveCacheDistinguishesOptions: weights and a pinned fill
-// algorithm are part of the curve key — a change must re-scatter, not reuse
-// the cached curves.
+// TestDistCurveCacheDistinguishesOptions: the weights are part of the curve
+// key — a change must re-scatter, not reuse the cached curves.
 func TestDistCurveCacheDistinguishesOptions(t *testing.T) {
 	cluster := disttest.NewCluster(t, 2, serve.Config{})
 	co := newTestCoordinator(t, cluster)
@@ -103,17 +102,6 @@ func TestDistCurveCacheDistinguishesOptions(t *testing.T) {
 	}
 	if co.m.shards.Value() == before {
 		t.Fatal("changed weights reused cached curves — wrong key")
-	}
-	before = co.m.shards.Value()
-	algo, err := pta.ParseFillAlgo("dc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Compress(t.Context(), s, b, pta.Options{FillAlgo: algo}); err != nil {
-		t.Fatal(err)
-	}
-	if co.m.shards.Value() == before {
-		t.Fatal("changed fill algorithm reused cached curves — wrong key")
 	}
 }
 

@@ -54,7 +54,8 @@ func (c Config) engine() *pta.Engine {
 }
 
 // compress routes one facade compression through the configured engine —
-// the single evaluation call site of the whole experiment suite.
+// the evaluation call site of the whole experiment suite but the fill
+// sweep, which pins its row fills through internal/core.
 func (c Config) compress(ctx context.Context, seq *pta.Series, strategy string, b pta.Budget, opts pta.Options) (*pta.Result, error) {
 	return c.engine().Compress(ctx, seq, pta.Plan{Strategy: strategy, Budget: b, Options: &opts})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
 )
@@ -14,8 +15,11 @@ func init() {
 }
 
 // fillAlgos are the pinned selections the sweep compares; "pruned" is the
-// paper's scan and the baseline.
-var fillAlgos = []pta.FillAlgo{pta.FillPruned, pta.FillDC}
+// paper's scan and the baseline. Only internal/core can pin a fill, so the
+// sweep calls core.PTAc directly, serially whatever the configured engine:
+// its rows measure one fill each, and the stream row (a serial Solver) must
+// match them bit for bit.
+var fillAlgos = []core.FillAlgo{core.FillPruned, core.FillDC}
 
 // runFill sweeps input size × row-fill algorithm on two workload families:
 // Counter (cumulative counters — fully monotone per run, coverage 1.0) and
@@ -66,28 +70,27 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			budget := pta.Size(max(seq.CMin(), min(c, seq.Len())))
-			addRow := func(algo string, d float64, res *pta.Result, speedup string) {
+			size := max(seq.CMin(), min(c, seq.Len()))
+			addRow := func(algo string, d float64, res *core.DPResult, speedup string) {
 				t.AddRow(sw.name, fmt.Sprintf("%d", seq.Len()), fmt.Sprintf("%.2f", coverage),
 					algo, fmt.Sprintf("%.2f", d),
 					fmt.Sprintf("%d", res.Stats.Cells), fmt.Sprintf("%d", res.Stats.InnerIters),
 					fmt.Sprintf("%d", res.Stats.EnvelopeSkips), speedup)
 			}
-			verify := func(algo string, res, baseline *pta.Result) error {
+			verify := func(algo string, res, baseline *core.DPResult) error {
 				if res.C != baseline.C || math.Float64bits(res.Error) != math.Float64bits(baseline.Error) {
 					return fmt.Errorf("fill: %s %s n=%d diverged from the scan: C=%d err=%v, want C=%d err=%v",
 						sw.name, algo, seq.Len(), res.C, res.Error, baseline.C, baseline.Error)
 				}
 				return nil
 			}
-			var baseline *pta.Result
+			var baseline *core.DPResult
 			var baselineMS float64
 			for _, algo := range fillAlgos {
-				opts := pta.Options{FillAlgo: algo}
-				var res *pta.Result
+				var res *core.DPResult
 				d, err := timeIt(func() error {
 					var cerr error
-					res, cerr = cfg.compress(ctx, seq, "ptac", budget, opts)
+					res, cerr = core.PTAc(seq, size, core.Options{Fill: algo, Ctx: ctx})
 					return cerr
 				})
 				if err != nil {
@@ -95,7 +98,7 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 				}
 				ms := float64(d.Microseconds()) / 1000
 				speedup := "1.00x"
-				if algo == pta.FillPruned {
+				if algo == core.FillPruned {
 					baseline, baselineMS = res, ms
 				} else {
 					if err := verify(algo.String(), res, baseline); err != nil {
@@ -112,17 +115,19 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 			d, err := timeIt(func() error {
 				var cerr error
 				sres, cerr = cfg.engine().CompressStream(ctx, pta.NewStream(seq),
-					pta.Plan{Strategy: "ptac", Budget: budget, Options: &pta.Options{}}, nil)
+					pta.Plan{Strategy: "ptac", Budget: pta.Size(size), Options: &pta.Options{}}, nil)
 				return cerr
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fill: %s stream n=%d: %v", sw.name, seq.Len(), err)
 			}
-			if err := verify("stream", sres, baseline); err != nil {
+			stream := &core.DPResult{C: sres.C, Error: sres.Error, Stats: core.DPStats{
+				Cells: sres.Stats.Cells, InnerIters: sres.Stats.InnerIters, EnvelopeSkips: sres.Stats.EnvelopeSkips}}
+			if err := verify("stream", stream, baseline); err != nil {
 				return nil, err
 			}
 			ms := float64(d.Microseconds()) / 1000
-			addRow("stream", ms, sres, fmt.Sprintf("%.2fx", baselineMS/math.Max(ms, 0.001)))
+			addRow("stream", ms, stream, fmt.Sprintf("%.2fx", baselineMS/math.Max(ms, 0.001)))
 		}
 	}
 	t.AddNote("every row verified bitwise-identical (C and Error) against the pruned scan")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
 )
@@ -32,18 +33,16 @@ func TestFillIterationCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size guard workload")
 	}
-	ctx := context.Background()
-	cfg := Config{Scale: 1, Seed: 7}
 	seq, err := dataset.Mixed(1, guardMixedN, 1, guardSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := pta.Size(max(seq.CMin(), 48))
-	want, err := cfg.compress(ctx, seq, "ptac", budget, pta.Options{FillAlgo: pta.FillPruned})
+	size := max(seq.CMin(), 48)
+	want, err := core.PTAc(seq, size, core.Options{Fill: core.FillPruned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cfg.compress(ctx, seq, "ptac", budget, pta.Options{FillAlgo: pta.FillDC})
+	res, err := core.PTAc(seq, size, core.Options{Fill: core.FillDC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +78,13 @@ func TestStreamIterationReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := pta.Size(max(seq.CMin(), 48))
-	want, err := cfg.compress(ctx, seq, "ptac", budget, pta.Options{FillAlgo: pta.FillPruned})
+	size := max(seq.CMin(), 48)
+	want, err := core.PTAc(seq, size, core.Options{Fill: core.FillPruned})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := cfg.engine().CompressStream(ctx, pta.NewStream(seq),
-		pta.Plan{Strategy: "ptac", Budget: budget, Options: &pta.Options{}}, nil)
+		pta.Plan{Strategy: "ptac", Budget: pta.Size(size), Options: &pta.Options{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,5 +95,41 @@ func TestStreamIterationReduction(t *testing.T) {
 	if res.Stats.InnerIters*guardStreamReduction > want.Stats.InnerIters {
 		t.Errorf("stream counter n=%d: %d inner iterations vs pruned %d — under the %dx floor",
 			guardMixedN, res.Stats.InnerIters, want.Stats.InnerIters, guardStreamReduction)
+	}
+}
+
+// TestFillSweepParallelEngine: the fill sweep pins its fills through serial
+// core calls, so a parallel engine in Config (ptabench -parallel 2) neither
+// breaks its bitwise check against the scan nor moves a deterministic
+// column (n, coverage, cells, inner_iters, env_skips) of any row.
+func TestFillSweepParallelEngine(t *testing.T) {
+	eng, err := pta.New(pta.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, _ := ByID("fill")
+	serialCfg := Config{Scale: 1, Seed: 42, Quick: true}
+	parallelCfg := serialCfg
+	parallelCfg.Engine = eng
+	serial, err := exp.Run(context.Background(), serialCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := exp.Run(context.Background(), parallelCfg)
+	if err != nil {
+		t.Fatalf("fill sweep on a parallel engine: %v", err)
+	}
+	if len(parallel.Rows) != len(serial.Rows) {
+		t.Fatalf("%d rows on a parallel engine, %d on a serial one", len(parallel.Rows), len(serial.Rows))
+	}
+	for i, row := range parallel.Rows {
+		for c, name := range parallel.Header {
+			if name == "ms" || name == "vs_pruned" {
+				continue
+			}
+			if row[c] != serial.Rows[i][c] {
+				t.Errorf("row %d %s = %s on a parallel engine, %s on a serial one", i, name, row[c], serial.Rows[i][c])
+			}
+		}
 	}
 }

@@ -51,10 +51,15 @@ type seriesWire struct {
 
 // planWire names one compression: a registry strategy, a budget in the
 // ParseBudget syntax ("c=12" or "eps=0.05"), and optional per-plan options.
-// FillAlgo pins the exact-DP row-fill algorithm ("auto", "pruned" or "dc";
-// empty means auto, and the retired "smawk" and "online" answer as auto) —
-// results are identical for every value, so clients use it to A/B
-// performance; unknown values are a 400.
+// FillAlgo is read for compatibility and ignored: the server picks the
+// exact DP's row fill from the series size (the pruned scan below 256 rows,
+// the monotone dc fill at or above). Every name it once accepted — "",
+// "auto", "pruned", "dc" and the retired "smawk" and "online" — answers as
+// the unpinned plan does, from the same cache entry; any other name is a
+// 400. A plan that pinned "pruned" at n ≥ 256 thus gets the dc answer,
+// which can differ from the scan's in its last bits when values sit at
+// offsets of 10⁶ or more, where the kernel's raw prefix sums lose
+// precision.
 type planWire struct {
 	Strategy  string    `json:"strategy"`
 	Budget    string    `json:"budget"`

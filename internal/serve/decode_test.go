@@ -458,7 +458,7 @@ func randomRequest(rng *rand.Rand, many bool) any {
 		rng.Shuffle(len(w.Rows), func(i, j int) { w.Rows[i], w.Rows[j] = w.Rows[j], w.Rows[i] })
 	}
 	strategies := []string{"ptac", "ptae", "gms", "gptac"}
-	fills := append([]string{""}, pta.FillAlgoNames()...)
+	fills := []string{"", "auto", "pruned", "dc", "smawk", "online"}
 	plan := func() planWire {
 		pw := planWire{
 			Strategy:  strategies[rng.Intn(len(strategies))],

@@ -1,50 +1,48 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// TestFillAlgoPlans: pinned fill algorithms return the same reduction as
-// the default, key separate cache entries per algorithm, the retired names
-// "smawk" and "online" answer as the default does, and unknown names are a
-// 400.
+// TestFillAlgoPlans: fill_algo is read and ignored. Each name the wire
+// ever accepted answers with the unpinned plan's bytes from the one cache
+// entry the first request built, on a series that resolves to the pruned
+// scan (7 rows) and on one that resolves to dc (300 rows); any other name
+// is a 400.
 func TestFillAlgoPlans(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	defer ts.Close()
-
-	want := map[string]any{}
-	for i, algo := range []string{"", "auto", "pruned", "dc", "smawk", "online"} {
-		status, body := post(t, ts.URL+"/v1/compress", compressRequest{
-			Series: projWire(),
-			Plan:   planWire{Strategy: "ptac", Budget: "c=4", FillAlgo: algo},
-		})
-		if status != 200 {
-			t.Fatalf("fill_algo %q: status %d: %v", algo, status, body)
+	for _, series := range []seriesWire{projWire(), memoSeriesWire(1, 300)} {
+		s, ts := newTestServer(t, Config{})
+		send := func(algo string) (int, []byte) {
+			body, err := json.Marshal(compressRequest{
+				Series: series,
+				Plan:   planWire{Strategy: "ptac", Budget: "c=4", FillAlgo: algo},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return postRaw(t, ts.URL+"/v1/compress", body)
 		}
-		if i == 0 {
-			want = body
-			continue
+		if status, body := send(""); status != 200 || !bytes.Contains(body, []byte(`"cache":"miss"`)) {
+			t.Fatalf("n=%d unpinned: status %d: %s", len(series.Rows), status, body)
 		}
-		if body["c"] != want["c"] || body["error"] != want["error"] {
-			t.Fatalf("fill_algo %q: c=%v err=%v, want c=%v err=%v",
-				algo, body["c"], body["error"], want["c"], want["error"])
+		_, want := send("")
+		for _, algo := range []string{"auto", "pruned", "dc", "smawk", "online"} {
+			status, body := send(algo)
+			if status != 200 || !bytes.Equal(body, want) {
+				t.Fatalf("n=%d fill_algo %q: status %d\n%s\nwant the unpinned hit\n%s", len(series.Rows), algo, status, body, want)
+			}
 		}
-	}
-
-	// "", "auto" and the retired "smawk" and "online" share the default
-	// class; each pinned algorithm owns a class, so the sequence above built
-	// 1 + 2 distinct cache entries.
-	if st := s.cache.stats(); st.Entries != 3 {
-		t.Fatalf("cache entries = %d, want 3 (default + two pinned classes)", st.Entries)
-	}
-
-	status, body := post(t, ts.URL+"/v1/compress", compressRequest{
-		Series: projWire(),
-		Plan:   planWire{Strategy: "ptac", Budget: "c=4", FillAlgo: "bogus"},
-	})
-	if status != 400 {
-		t.Fatalf("unknown fill_algo: status %d, want 400 (%v)", status, body)
+		if st := s.cache.stats(); st.Entries != 1 || st.Misses != 1 {
+			t.Fatalf("n=%d: %d cache entries, %d misses; want one entry built once", len(series.Rows), st.Entries, st.Misses)
+		}
+		status, body := send("bogus")
+		if status != 400 || !bytes.Contains(body, []byte(`"code":"bad_request"`)) {
+			t.Fatalf("n=%d unknown fill_algo: status %d, want 400 bad_request: %s", len(series.Rows), status, body)
+		}
+		ts.Close()
 	}
 }
 
@@ -104,30 +102,5 @@ func TestFillMetrics(t *testing.T) {
 	}
 	if fill["coverage_observed"].(float64) != 1 {
 		t.Errorf("coverage_observed = %v, want 1 (one cold build)", fill["coverage_observed"])
-	}
-}
-
-// TestStrategiesExposeFillAlgos: /v1/strategies lists the fill algorithms
-// (one global list — they apply to every matrix-cacheable strategy).
-func TestStrategiesExposeFillAlgos(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	defer ts.Close()
-	status, body := get(t, ts.URL+"/v1/strategies")
-	if status != 200 {
-		t.Fatalf("status %d", status)
-	}
-	algos, ok := body["fill_algos"].([]any)
-	if !ok || len(algos) != 3 {
-		t.Fatalf("fill_algos = %v", body["fill_algos"])
-	}
-	strategies := body["strategies"].([]any)
-	sawDP := false
-	for _, raw := range strategies {
-		entry := raw.(map[string]any)
-		_, cacheable := entry["matrix_cache_class"]
-		sawDP = sawDP || cacheable
-	}
-	if !sawDP {
-		t.Fatal("no matrix-cacheable strategy listed")
 	}
 }

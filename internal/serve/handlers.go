@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/pta"
 )
@@ -27,7 +28,6 @@ const (
 const statusClientClosedRequest = 499
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.nHealth.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.started).Seconds(),
@@ -35,7 +35,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
-	s.nStrategies.Add(1)
 	infos := pta.Describe()
 	out := make([]map[string]any, len(infos))
 	for i, info := range infos {
@@ -52,13 +51,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = entry
 	}
-	// Every exact DP strategy (the matrix-cacheable ones) accepts a pinned
-	// row-fill algorithm via the plan's fill_algo field; results are
-	// identical per value, so the list is global rather than per entry.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"strategies": out,
-		"fill_algos": pta.FillAlgoNames(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"strategies": out})
 }
 
 // handleMetrics serves the Prometheus text-format exposition.
@@ -67,20 +60,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.reg.WritePrometheus(w)
 }
 
+// handleStats serves the JSON counters. Its request counts are completed
+// requests per endpoint, read from the latency histogram the middleware
+// observes as each response finishes, so this request is not among them.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.nStats.Add(1)
-	uptime := time.Since(s.started).Seconds()
+	requests := make(map[string]uint64, len(endpointNames))
+	for _, name := range endpointNames {
+		requests[name] = s.metrics.endpoints[name].dur.Count()
+	}
 	body := map[string]any{
-		"uptime_seconds": uptime,
-		"uptime_s":       uptime,
-		"requests": map[string]int64{
-			"compress":      s.nCompress.Load(),
-			"compress_many": s.nCompressMany.Load(),
-			"strategies":    s.nStrategies.Load(),
-			"stats":         s.nStats.Load(),
-			"healthz":       s.nHealth.Load(),
-			"matrix":        s.nMatrix.Load(),
-		},
+		"uptime_seconds":  time.Since(s.started).Seconds(),
+		"requests":        requests,
 		"compressions":    s.compressions.Load(),
 		"dp_cells_filled": s.metrics.dpCells.Value(),
 		"inflight":        len(s.inflight),
@@ -112,7 +102,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // The requester validates everything (key, CRCs); serving is unauthenticated
 // reads of content-addressed bytes.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	s.nMatrix.Add(1)
 	hash := r.PathValue("hash")
 	if len(hash) != 32 || !isHex(hash) {
 		s.peers.serveMisses.Add(1)
@@ -171,7 +160,6 @@ func isHex(s string) bool {
 }
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	s.nCompress.Add(1)
 	req, err := s.readCompressBody(w, r, false)
 	defer req.release()
 	if err != nil {
@@ -217,7 +205,6 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
-	s.nCompressMany.Add(1)
 	req, err := s.readCompressBody(w, r, true)
 	defer req.release()
 	if err != nil {
@@ -329,15 +316,9 @@ func (s *Server) effectiveWeights(pw planWire) []float64 {
 // cacheClass reports the DP class of one plan's matrix-cache key, and
 // whether the plan is cacheable at all: the strategy must be an exact DP and
 // the plan must not carry options the DP ignores anyway except weights
-// (which are part of the key, engine defaults included) and a pinned fill
-// algorithm (which selects a per-algo DP class, so A/B arms never share
-// entries).
+// (which are part of the key, engine defaults included).
 func cacheClass(pw planWire) (string, bool) {
-	fill, err := pta.ParseFillAlgo(pw.FillAlgo)
-	if err != nil {
-		return "", false
-	}
-	class, ok := pta.DPClassWith(pw.Strategy, fill)
+	class, ok := pta.DPClass(pw.Strategy)
 	if !ok || pw.ReadAhead != 0 {
 		return "", false
 	}
@@ -363,13 +344,14 @@ func resolvePlan(pw planWire) (pta.Plan, error) {
 	if err != nil {
 		return pta.Plan{}, badRequest(err)
 	}
-	fill, err := pta.ParseFillAlgo(pw.FillAlgo)
-	if err != nil {
-		return pta.Plan{}, badRequest(fmt.Errorf("plan: %w", err))
+	// fill_algo only has to name a fill this server once accepted; the
+	// exact DP picks its own (see planWire).
+	if _, err := core.ParseFillAlgo(pw.FillAlgo); err != nil {
+		return pta.Plan{}, badRequest(fmt.Errorf("plan: fill_algo: %w", err))
 	}
 	plan := pta.Plan{Strategy: pw.Strategy, Budget: b}
-	if pw.Weights != nil || pw.ReadAhead != 0 || fill != pta.FillAuto {
-		plan.Options = &pta.Options{Weights: pw.Weights, ReadAhead: pw.ReadAhead, FillAlgo: fill}
+	if pw.Weights != nil || pw.ReadAhead != 0 {
+		plan.Options = &pta.Options{Weights: pw.Weights, ReadAhead: pw.ReadAhead}
 	}
 	return plan, nil
 }
@@ -395,8 +377,7 @@ func (s *Server) compressOne(ctx context.Context, req *compressBody, pw planWire
 	}
 	key := cacheKey(s.fingerprint(req), class, s.effectiveWeights(pw))
 
-	fill, _ := pta.ParseFillAlgo(pw.FillAlgo) // validated by resolvePlan
-	opts := pta.Options{Weights: s.effectiveWeights(pw), FillAlgo: fill}
+	opts := pta.Options{Weights: s.effectiveWeights(pw)}
 	// Cold builds observe the kernel's certified monotone coverage; every
 	// answered budget counts against the set's resolved fill algorithm
 	// (ptafill_* family).
@@ -444,7 +425,7 @@ func (s *Server) compressOne(ctx context.Context, req *compressBody, pw planWire
 				if err != nil {
 					return res, err
 				}
-				s.metrics.fillServed(set.FillAlgo())
+				s.metrics.fillServed(set.Fill())
 				// The set's Stats.Cells is cumulative; the delta since this
 				// entry's last evaluation is this worker's own fill work.
 				if delta := res.Stats.Cells - entry.cells.Swap(res.Stats.Cells); delta > 0 {
@@ -541,6 +522,8 @@ func statusFor(err error) (int, string) {
 		return http.StatusBadRequest, "not_streaming"
 	case errors.Is(err, pta.ErrBudgetInfeasible):
 		return http.StatusUnprocessableEntity, "budget_infeasible"
+	case errors.Is(err, pta.ErrOverflow):
+		return http.StatusUnprocessableEntity, "error_overflow"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, pta.ErrCanceled), errors.Is(err, context.Canceled):

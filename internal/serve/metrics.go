@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/pta"
 )
 
 // serverMetrics is the observability tier of one Server: an obs.Registry
@@ -102,7 +102,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	fillVec := reg.NewCounterVec("ptafill_requests_total",
 		"Compress requests answered by the exact DP, by resolved row-fill algorithm.", "algo")
-	for _, name := range pta.FillAlgoNames() {
+	for _, name := range core.FillAlgoNames() {
 		if name == "auto" {
 			continue // auto always resolves to a concrete algorithm
 		}
@@ -213,11 +213,11 @@ func (s *Server) fillRequestCounts() map[string]uint64 {
 	return out
 }
 
-// fillServed records one exact-DP compression under the row-fill algorithm
-// its matrix set resolved to (a pre-resolved child; unknown names — never
+// fillServed records one exact-DP compression under the row fill its
+// matrix set resolved to (a pre-resolved child; unknown names — never
 // produced by the solver — are dropped rather than allocated).
-func (m *serverMetrics) fillServed(algo pta.FillAlgo) {
-	if c := m.fillRequests[algo.String()]; c != nil {
+func (m *serverMetrics) fillServed(name string) {
+	if c := m.fillRequests[name]; c != nil {
 		c.Inc()
 	}
 }

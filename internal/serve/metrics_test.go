@@ -153,8 +153,16 @@ func TestMetricsEndpointLintsAndAgreesWithStats(t *testing.T) {
 	if got, want := metricValue(t, text, "ptaserve_http_inflight"), stats["inflight"].(float64); got != want {
 		t.Errorf("metrics inflight %v != stats %v", got, want)
 	}
-	if _, ok := stats["uptime_s"].(float64); !ok {
-		t.Error("/v1/stats has no uptime_s")
+	if _, ok := stats["uptime_seconds"].(float64); !ok {
+		t.Error("/v1/stats has no uptime_seconds")
+	}
+	// Request counts are the latency histogram's: completed requests.
+	requests := stats["requests"].(map[string]any)
+	for _, endpoint := range []string{"compress", "healthz"} {
+		sample := `ptaserve_http_request_duration_seconds_count{endpoint="` + endpoint + `"}`
+		if got, want := requests[endpoint], metricValue(t, text, sample); got != want {
+			t.Errorf("stats requests[%s] = %v, %s = %v", endpoint, got, sample, want)
+		}
 	}
 	if _, ok := stats["admission"].(map[string]any); !ok {
 		t.Error("/v1/stats has no admission block")

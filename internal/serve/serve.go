@@ -93,9 +93,7 @@ type Server struct {
 	inflight  chan struct{}
 	oversized *fifoSlot // the single queue-policy slot; see admission.go
 
-	// request counters by endpoint, surfaced on /v1/stats
-	nCompress, nCompressMany, nStrategies, nStats, nHealth, nMatrix atomic.Int64
-	compressions                                                    atomic.Int64
+	compressions atomic.Int64 // plan evaluations, surfaced on /v1/stats
 
 	// decodedRows counts series rows the fast decoder built and
 	// fingerprints the series it hashed: the work a memo hit skips.

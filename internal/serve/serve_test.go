@@ -311,6 +311,33 @@ func TestTypedErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestOverflowingWeightsAre422: weights large enough to overflow the error
+// sums (SSEmax is +Inf over 1, 5, 2, 9, 3 at weight 1e160) answer each
+// budget kind with a 422 error_overflow, on a fresh server each: no panic
+// that drops the connection, no "error": null answer, no 500 from a split
+// walk over a row that was never written.
+func TestOverflowingWeightsAre422(t *testing.T) {
+	series := seriesWire{AggNames: []string{"v"}}
+	for i, v := range []float64{1, 5, 2, 9, 3} {
+		series.Rows = append(series.Rows, rowWire{Aggs: []float64{v}, Start: int64(i), End: int64(i)})
+	}
+	for _, plan := range []planWire{
+		{Strategy: "ptae", Budget: "eps=0", Weights: []float64{1e160}},
+		{Strategy: "ptae", Budget: "eps=0.5", Weights: []float64{1e160}},
+		{Strategy: "ptac", Budget: "c=3", Weights: []float64{1e160}},
+	} {
+		_, ts := newTestServer(t, Config{})
+		status, out, err := tryPost(ts.URL+"/v1/compress", mustMarshal(t, compressRequest{Series: series, Plan: plan}))
+		ts.Close()
+		if err != nil {
+			t.Fatalf("%s %s: %v", plan.Strategy, plan.Budget, err)
+		}
+		if status != http.StatusUnprocessableEntity || !bytes.Contains(out, []byte(`"code":"error_overflow"`)) {
+			t.Errorf("%s %s: status %d %s, want 422 error_overflow", plan.Strategy, plan.Budget, status, out)
+		}
+	}
+}
+
 // TestDeadlineMapsTo504: a request whose deadline expires mid-evaluation
 // returns 504 deadline_exceeded.
 func TestDeadlineMapsTo504(t *testing.T) {

@@ -328,13 +328,58 @@ func tiles(series *pta.Series, res *pta.Result) error {
 	return nil
 }
 
+// spillLadder is the budget ladder the spill fuzz targets answer from a
+// restored set, with each budget's answer from a cold set over series.
+func spillLadder(f *testing.F, series *pta.Series) (budgets []pta.Budget, cold []*pta.Result) {
+	budgets = []pta.Budget{
+		pta.Size(3), pta.Size(4), pta.Size(5), pta.Size(6),
+		pta.ErrorBound(0), pta.ErrorBound(0.05), pta.ErrorBound(0.3), pta.ErrorBound(1),
+	}
+	cold = make([]*pta.Result, len(budgets))
+	for i, b := range budgets {
+		set, err := pta.NewMatrixSet(series, "ptac", pta.Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if cold[i], err = set.Compress(context.Background(), b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return budgets, cold
+}
+
+// checkLadder answers every budget from a restored set: each answer is a
+// WarmLostError or rows that tile the series at a finite, non-negative
+// error, and a set restored from an unmutated blob answers as a cold set.
+func checkLadder(t *testing.T, how string, set *pta.MatrixSet, series *pta.Series, budgets []pta.Budget, cold []*pta.Result, pristine bool) {
+	t.Helper()
+	for i, b := range budgets {
+		res, err := set.Compress(context.Background(), b)
+		var lost *pta.WarmLostError
+		switch {
+		case err != nil && !errors.As(err, &lost):
+			t.Fatalf("%s %v: %v, want a WarmLostError or an answer", how, b, err)
+		case err != nil && pristine:
+			t.Fatalf("%s %v: unmutated blob lost: %v", how, b, err)
+		case err != nil:
+		case tiles(series, res) != nil:
+			t.Fatalf("%s %v: %v", how, b, tiles(series, res))
+		case !(res.Error >= 0) || math.IsInf(res.Error, 1):
+			t.Fatalf("%s %v: answered at error %v", how, b, res.Error)
+		case pristine && (res.C != cold[i].C || res.Error != cold[i].Error || !res.Series.Equal(cold[i].Series, 0)):
+			t.Fatalf("%s %v: unmutated blob answered C=%d E=%v, cold C=%d E=%v", how, b, res.C, res.Error, cold[i].C, cold[i].Error)
+		}
+	}
+}
+
 // FuzzSpillRows mutates split cells of a valid spill blob, re-sealing the
 // row CRCs or not, and answers a ladder of budgets from it both ways a
 // worker restores one: lazily through a spill file, and eagerly through
 // decodeSnapshot and RestoreMatrixSet. Nothing may panic, and every answer
-// is a WarmLostError or rows that tile the series. A CRC is not
-// authentication, so a re-sealed mutation may change the answer; an
-// unmutated blob must answer exactly like a cold set.
+// is a WarmLostError or rows that tile the series at a finite,
+// non-negative error (checkLadder). A CRC is not authentication, so a
+// re-sealed mutation may change the answer; an unmutated blob must answer
+// exactly like a cold set.
 //
 // Each mutation is three bytes: the row (mod the rows spilled), the column
 // (mod n+1) and the new split point as a signed byte.
@@ -352,21 +397,7 @@ func FuzzSpillRows(f *testing.F) {
 		f.Fatal(err)
 	}
 	const filled = 5
-	budgets := []pta.Budget{
-		pta.Size(3), pta.Size(4), pta.Size(5), pta.Size(6),
-		pta.ErrorBound(0), pta.ErrorBound(0.05), pta.ErrorBound(0.3), pta.ErrorBound(1),
-	}
-	ctx := context.Background()
-	cold := make([]*pta.Result, len(budgets))
-	for i, b := range budgets {
-		set, err := pta.NewMatrixSet(series, "ptac", pta.Options{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		if cold[i], err = set.Compress(ctx, b); err != nil {
-			f.Fatal(err)
-		}
-	}
+	budgets, cold := spillLadder(f, series)
 
 	f.Add([]byte{}, false)
 	f.Add([]byte{3, 7, 7}, true)          // J[4][7] = 7: at its own column
@@ -381,30 +412,12 @@ func FuzzSpillRows(f *testing.F) {
 			patchSplit(data, n, int(muts[m])%filled+1, int(muts[m+1])%(n+1), int32(int8(muts[m+2])), reseal)
 		}
 		pristine := bytes.Equal(data, blob)
-		answer := func(how string, set *pta.MatrixSet) {
-			for i, b := range budgets {
-				res, err := set.Compress(ctx, b)
-				var lost *pta.WarmLostError
-				switch {
-				case err != nil && !errors.As(err, &lost):
-					t.Fatalf("%s %v: %v, want a WarmLostError or an answer", how, b, err)
-				case err != nil && pristine:
-					t.Fatalf("%s %v: unmutated blob lost: %v", how, b, err)
-				case err != nil:
-				case tiles(series, res) != nil:
-					t.Fatalf("%s %v: %v", how, b, tiles(series, res))
-				case pristine && (res.C != cold[i].C || res.Error != cold[i].Error || !res.Series.Equal(cold[i].Series, 0)):
-					t.Fatalf("%s %v: unmutated blob answered C=%d E=%v, cold C=%d E=%v", how, b, res.C, res.Error, cold[i].C, cold[i].Error)
-				}
-			}
-		}
-
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		defer cs.drop(path)
 		if set := cs.load(key, series, "ptac", pta.Options{}); set != nil {
-			answer("lazy", set)
+			checkLadder(t, "lazy", set, series, budgets, cold, pristine)
 		} else {
 			t.Fatal("load refused a blob whose header is intact")
 		}
@@ -423,6 +436,145 @@ func FuzzSpillRows(f *testing.F) {
 			}
 			return
 		}
-		answer("eager", set)
+		checkLadder(t, "eager", set, series, budgets, cold, pristine)
+	})
+}
+
+// The header fields FuzzSpillHeader mutates.
+const (
+	hdrN = iota
+	hdrFilled
+	hdrHasMax
+	hdrBound
+	hdrRowErr     // one row error
+	hdrResumeCell // one cell of the resume row
+	hdrResumeRow  // every cell of the resume row
+	hdrStrategy
+	hdrClass
+	hdrFields
+)
+
+// hdrMut encodes one FuzzSpillHeader mutation: the field, an index into the
+// row errors or the resume row, and the new value's 64 bits.
+func hdrMut(field, at int, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{byte(field), byte(at)}, v)
+}
+
+// FuzzSpillHeader mutates header fields of a valid spill blob — n, filled,
+// has-max, SSEmax, row errors, resume cells, strategy and class — with the
+// header CRC re-sealed or left as it was, and restores the blob both ways a
+// worker does: lazily through cs.load, and through decodeSnapshot and
+// RestoreMatrixSet, the path a peer-fetched blob takes. Nothing may panic.
+// Either the blob is refused, or every budget of FuzzSpillRows' ladder
+// answers with a WarmLostError or with rows that tile the series at a
+// finite, non-negative error. An unmutated blob answers as a cold set does.
+//
+// Each mutation is ten bytes: the field (mod hdrFields), an index into the
+// row errors or the resume row, and the new value as eight little-endian
+// bytes: float bits, an integer, or an index into a list of names.
+func FuzzSpillHeader(f *testing.F) {
+	series, err := decodeSeries(projWire())
+	if err != nil {
+		f.Fatal(err)
+	}
+	const key = "fuzz-header"
+	cs := spillWarm(f, series, key, pta.Size(5), pta.ErrorBound(0.3))
+	path := cs.path(key)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base, err := decodeSnapshot(blob, key)
+	if err != nil || !base.HasMax {
+		f.Fatalf("warm blob: %v, has SSEmax %v", err, err == nil && base.HasMax)
+	}
+	hl := int(binary.LittleEndian.Uint32(blob[8:]))
+	sealed := blob[hl-4 : hl] // the pristine header CRC
+	budgets, cold := spillLadder(f, series)
+	names := []string{"ptac", "ptae", "dpbasic", "gms", "", "dp", "dp+imax+jmin", "dp+imax+jmin/fill=dc"}
+	nan, inf := math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1))
+	minus1 := math.Float64bits(-1)
+
+	f.Add([]byte{}, false)
+	f.Add(hdrMut(hdrBound, 0, nan), true)
+	f.Add(hdrMut(hdrBound, 0, minus1), true)
+	f.Add(hdrMut(hdrResumeRow, 0, inf), true)
+	f.Add(hdrMut(hdrResumeRow, 0, nan), true)
+	f.Add(hdrMut(hdrResumeRow, 0, minus1), true)
+	f.Add(hdrMut(hdrRowErr, 4, inf), true)
+	f.Add(hdrMut(hdrRowErr, 2, 0), true)
+	f.Add(hdrMut(hdrClass, 0, 7), true)
+	f.Add(hdrMut(hdrStrategy, 0, 3), true)
+	f.Add(hdrMut(hdrN, 0, 8), true)
+	f.Add(hdrMut(hdrFilled, 0, 3), true)
+	f.Add(hdrMut(hdrHasMax, 0, 0), true)
+	f.Add(hdrMut(hdrBound, 0, math.Float64bits(1)), false)
+	f.Fuzz(func(t *testing.T, muts []byte, reseal bool) {
+		snap := *base
+		snap.RowErr = append([]float64(nil), base.RowErr...)
+		snap.LastE = append([]float64(nil), base.LastE...)
+		var patches [][2]uint64 // (offset from the n field, value) for n and filled
+		for m := 0; m+10 <= len(muts); m += 10 {
+			at, v := int(muts[m+1]), binary.LittleEndian.Uint64(muts[m+2:])
+			switch muts[m] % hdrFields {
+			case hdrN:
+				patches = append(patches, [2]uint64{0, v})
+			case hdrFilled:
+				patches = append(patches, [2]uint64{8, v})
+			case hdrHasMax:
+				snap.HasMax = v&1 == 1
+			case hdrBound:
+				snap.Bound = math.Float64frombits(v)
+			case hdrRowErr:
+				snap.RowErr[at%len(snap.RowErr)] = math.Float64frombits(v)
+			case hdrResumeCell:
+				snap.LastE[at%len(snap.LastE)] = math.Float64frombits(v)
+			case hdrResumeRow:
+				for i := range snap.LastE {
+					snap.LastE[i] = math.Float64frombits(v)
+				}
+			case hdrStrategy:
+				snap.Strategy = names[v%uint64(len(names))]
+			case hdrClass:
+				snap.Class = names[v%uint64(len(names))]
+			}
+		}
+		data := encodeSnapshot(key, &snap)
+		hl := int(binary.LittleEndian.Uint32(data[8:]))
+		at := spillPreamble + 4 + len(key) + 4 + len(snap.Strategy) + 4 + len(snap.Class)
+		for _, p := range patches {
+			binary.LittleEndian.PutUint64(data[at+int(p[0]):], p[1])
+		}
+		if reseal {
+			binary.LittleEndian.PutUint32(data[hl-4:], crc32.ChecksumIEEE(data[:hl-4]))
+		} else {
+			copy(data[hl-4:hl], sealed)
+		}
+		pristine := bytes.Equal(data, blob)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		defer cs.drop(path)
+		if set := cs.load(key, series, "ptac", pta.Options{}); set != nil {
+			checkLadder(t, "lazy", set, series, budgets, cold, pristine)
+		} else if pristine {
+			t.Fatal("load refused the unmutated blob")
+		}
+
+		peer, err := decodeSnapshot(data, key)
+		if err != nil {
+			if pristine {
+				t.Fatalf("decode of the unmutated blob: %v", err)
+			}
+			return
+		}
+		set, err := pta.RestoreMatrixSet(series, "ptac", pta.Options{}, peer)
+		if err != nil {
+			if pristine {
+				t.Fatalf("restore of the unmutated blob: %v", err)
+			}
+			return
+		}
+		checkLadder(t, "eager", set, series, budgets, cold, pristine)
 	})
 }

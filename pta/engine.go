@@ -51,20 +51,6 @@ func WithReadAhead(delta int) Option {
 	}
 }
 
-// WithFillAlgo sets the default exact-DP row-fill algorithm of the engine
-// (see FillAlgo; the zero value FillAuto picks by input size). Results are
-// identical for every selection — this is a performance knob and an A/B
-// hook, overridable per plan through Options.FillAlgo.
-func WithFillAlgo(a FillAlgo) Option {
-	return func(e *Engine) error {
-		if !a.Valid() {
-			return fmt.Errorf("pta: WithFillAlgo(%d): unknown algorithm", uint8(a))
-		}
-		e.opts.FillAlgo = a
-		return nil
-	}
-}
-
 // WithParallelism sets how many worker goroutines group-parallel evaluation
 // may use: 1 (the default) evaluates serially, n > 1 decomposes eligible
 // strategies over maximal adjacent runs — aggregation groups compress
@@ -176,11 +162,6 @@ func (e *Engine) planOptions(p Plan) Options {
 	opts.scratch = nil
 	if opts.Weights == nil {
 		opts.Weights = e.opts.Weights
-	}
-	if opts.FillAlgo == FillAuto {
-		// FillAuto means "pick for me": an override that says nothing about
-		// the fill keeps the engine-level WithFillAlgo choice.
-		opts.FillAlgo = e.opts.FillAlgo
 	}
 	return opts
 }

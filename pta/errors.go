@@ -3,6 +3,8 @@ package pta
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // Sentinel errors of the facade. Every error the package returns matches
@@ -27,6 +29,11 @@ var (
 	// the classic time-series baselines need a single-group, gap-free,
 	// one-dimensional series.
 	ErrSeriesShape = errors.New("series shape unsupported by strategy")
+	// ErrOverflow reports weighted error sums beyond float64's range: an
+	// exact strategy found SSEmax, or the optimal error at the size a
+	// budget asks for, not finite, so no budget can be judged. Smaller
+	// weights or values avoid it.
+	ErrOverflow = core.ErrOverflow
 )
 
 // UnknownStrategyError is the concrete error behind ErrUnknownStrategy: it

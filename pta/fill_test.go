@@ -2,10 +2,8 @@ package pta_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -34,108 +32,79 @@ func fillSeries(t *testing.T) *pta.Series {
 	return s
 }
 
-// TestFillAlgoResultsIdentical: the same plan evaluated under every fill
-// algorithm — engine default via pta.WithFillAlgo and per-plan override via
-// pta.Options.FillAlgo — returns identical reductions.
+// TestFillAlgoResultsIdentical: pta picks its own row fill, and a plan
+// answered through the engine or a matrix set returns bit for bit the
+// reduction core computes under each fill pinned.
 func TestFillAlgoResultsIdentical(t *testing.T) {
-	s := fillSeries(t)
-	ctx := context.Background()
-	base, err := pta.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := pta.Plan{Strategy: "ptac", Budget: pta.Size(7)}
-	want, err := base.Compress(ctx, s, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC} {
-		eng, err := pta.New(pta.WithFillAlgo(algo))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Compress(ctx, s, plan)
-		if err != nil {
-			t.Fatalf("algo %v: %v", algo, err)
-		}
-		if got.C != want.C || math.Float64bits(got.Error) != math.Float64bits(want.Error) ||
-			!reflect.DeepEqual(got.Series.Rows, want.Series.Rows) {
-			t.Fatalf("algo %v: result diverged (C=%d err=%v, want C=%d err=%v)",
-				algo, got.C, got.Error, want.C, want.Error)
-		}
-		override := plan
-		override.Options = &pta.Options{FillAlgo: algo}
-		got, err = base.Compress(ctx, s, override)
-		if err != nil {
-			t.Fatalf("override %v: %v", algo, err)
-		}
-		if got.C != want.C || !reflect.DeepEqual(got.Series.Rows, want.Series.Rows) {
-			t.Fatalf("override %v: result diverged", algo)
-		}
-	}
-}
-
-// TestDPClassWith covers the per-algo cache classes: pta.FillAuto keeps the
-// shared class, pinned algorithms split it, non-DP strategies have none.
-func TestDPClassWith(t *testing.T) {
-	shared, ok := pta.DPClass("ptac")
-	if !ok || shared != "dp+imax+jmin" {
-		t.Fatalf("pta.DPClass(ptac) = %q, %v", shared, ok)
-	}
-	if auto, _ := pta.DPClassWith("ptac", pta.FillAuto); auto != shared {
-		t.Errorf("pta.FillAuto class %q != pta.DPClass %q", auto, shared)
-	}
-	seen := map[string]bool{shared: true}
-	for _, algo := range []pta.FillAlgo{pta.FillPruned, pta.FillDC} {
-		class, ok := pta.DPClassWith("ptae", algo)
-		if !ok {
-			t.Fatalf("pta.DPClassWith(ptae, %v) not cacheable", algo)
-		}
-		if !strings.HasPrefix(class, shared+"/fill=") || seen[class] {
-			t.Errorf("class %q for %v: want distinct %q/fill=... classes", class, algo, shared)
-		}
-		seen[class] = true
-	}
-	if _, ok := pta.DPClassWith("gms", pta.FillDC); ok {
-		t.Error("gms must not be matrix-cacheable")
-	}
-}
-
-// TestMatrixSetClassReflectsFill: a set built with a pinned algorithm
-// carries the per-algo class and answers budgets identically to the engine.
-func TestMatrixSetClassReflectsFill(t *testing.T) {
-	s := fillSeries(t)
-	ctx := context.Background()
-	set, err := pta.NewMatrixSet(s, "ptac", pta.Options{FillAlgo: pta.FillDC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := pta.DPClassWith("ptac", pta.FillDC); set.Class() != want {
-		t.Fatalf("Class() = %q, want %q", set.Class(), want)
-	}
-	got, err := set.Compress(ctx, pta.Size(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := pta.Compress(s, "ptac", pta.Size(6), pta.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.C != want.C || math.Float64bits(got.Error) != math.Float64bits(want.Error) ||
-		!reflect.DeepEqual(got.Series.Rows, want.Series.Rows) {
-		t.Fatal("pinned-fill matrix set diverged from the engine result")
-	}
-}
-
-// TestInvalidFillAlgoRejected: a FillAlgo outside FillAuto, FillPruned and
-// FillDC — the retired values 3 and 4 included — fails every exact entry
-// point instead of answering under a made-up cache class.
-func TestInvalidFillAlgoRejected(t *testing.T) {
 	s := fillSeries(t)
 	ctx := context.Background()
 	eng, err := pta.New()
 	if err != nil {
 		t.Fatal(err)
+	}
+	got, err := eng.Compress(ctx, s, pta.Plan{Strategy: "ptac", Budget: pta.Size(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := set.Compress(ctx, pta.Size(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []core.FillAlgo{core.FillPruned, core.FillDC} {
+		want, err := core.PTAc(s, 7, core.Options{Fill: fill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*pta.Result{"engine": got, "matrix set": warm} {
+			if res.C != want.C || math.Float64bits(res.Error) != math.Float64bits(want.Error) ||
+				!reflect.DeepEqual(res.Series.Rows, want.Sequence.Rows) {
+				t.Fatalf("%s: C=%d err=%v, want the %v fill's C=%d err=%v",
+					name, res.C, res.Error, fill, want.C, want.Error)
+			}
+		}
+	}
+}
+
+// TestMatrixSetClassReflectsFill: the fill a set picks shows in Fill, never
+// in its class. The class is the strategy's DPClass at every size, and Fill
+// names the pruned scan below 256 rows and dc at or above.
+func TestMatrixSetClassReflectsFill(t *testing.T) {
+	big := pta.NewSeries(nil, []string{"v"})
+	for i := 0; i < 300; i++ {
+		big.Rows = append(big.Rows, pta.Row{Aggs: []float64{float64(i * i)},
+			T: pta.Interval{Start: pta.Chronon(i), End: pta.Chronon(i)}})
+	}
+	class, _ := pta.DPClass("ptac")
+	for _, tc := range []struct {
+		s    *pta.Series
+		fill string
+	}{{fillSeries(t), "pruned"}, {big, "dc"}} {
+		set, err := pta.NewMatrixSet(tc.s, "ptac", pta.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Class() != class || set.Fill() != tc.fill {
+			t.Errorf("n=%d: Class() = %q, Fill() = %q; want %q, %q", tc.s.Len(), set.Class(), set.Fill(), class, tc.fill)
+		}
+	}
+}
+
+// TestInvalidFillAlgoRejected: a fill outside FillAuto, FillPruned and
+// FillDC — the retired values 3 and 4 included — fails core's exact entry
+// points, and a snapshot under a per-fill class ("dp+imax+jmin/fill=dc",
+// what a pinned plan was once cached under) restores neither eagerly nor
+// lazily.
+func TestInvalidFillAlgoRejected(t *testing.T) {
+	s := fillSeries(t)
+	ctx := context.Background()
+	for _, fill := range []core.FillAlgo{3, 4, 9} {
+		if _, err := core.PTAc(s, 6, core.Options{Fill: fill}); err == nil {
+			t.Errorf("core.PTAc with fill %d answered", fill)
+		}
 	}
 	warm, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
 	if err != nil {
@@ -144,62 +113,20 @@ func TestInvalidFillAlgoRejected(t *testing.T) {
 	if _, err := warm.Compress(ctx, pta.Size(6)); err != nil {
 		t.Fatal(err)
 	}
-	for _, fill := range []pta.FillAlgo{3, 4, 9} {
-		if _, err := core.PTAc(s, 6, core.Options{Fill: fill}); err == nil {
-			t.Errorf("core.PTAc with fill %d answered", fill)
-		}
-		plan := pta.Plan{Strategy: "ptac", Budget: pta.Size(6), Options: &pta.Options{FillAlgo: fill}}
-		if _, err := eng.Compress(ctx, s, plan); err == nil {
-			t.Errorf("Engine.Compress with fill %d answered", fill)
-		}
-		if set, err := pta.NewMatrixSet(s, "ptac", pta.Options{FillAlgo: fill}); err == nil {
-			t.Errorf("NewMatrixSet with fill %d built class %q", fill, set.Class())
-		}
-		// A snapshot labelled with the class an unchecked fill would key.
+	for _, fill := range []string{"pruned", "dc", "smawk", "online"} {
 		snap, err := warm.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Class = "dp+imax+jmin/fill=" + fill.String()
-		if _, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{FillAlgo: fill}, snap); err == nil {
-			t.Errorf("RestoreMatrixSet with fill %d restored", fill)
+		snap.Class += "/fill=" + fill
+		if _, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{}, snap); err == nil {
+			t.Errorf("RestoreMatrixSet took class %q", snap.Class)
 		}
-		if class, ok := pta.DPClassWith("ptac", fill); ok {
-			t.Errorf("DPClassWith(ptac, %d) = %q, ok", fill, class)
-		}
-		if _, err := pta.New(pta.WithFillAlgo(fill)); err == nil {
-			t.Errorf("WithFillAlgo(%d) accepted", fill)
+		src := &memRowSource{n: snap.N, splits: snap.Splits}
+		if _, err := pta.RestoreMatrixSetLazy(s, "ptac", pta.Options{}, snap, src); err == nil {
+			t.Errorf("RestoreMatrixSetLazy took class %q", snap.Class)
 		}
 	}
-}
-
-// FuzzParseFillAlgo: ParseFillAlgo never panics; a name it accepts yields a
-// valid fill whose String() re-parses to the same value; the retired names
-// resolve to FillAuto; every rejection lists the recognized names.
-func FuzzParseFillAlgo(f *testing.F) {
-	for _, s := range []string{"", "auto", "pruned", "dc", "smawk", "online", "bogus", "DC", " dc",
-		"fill(3)", "fill(9)", "auto\x00", "pruned,dc"} {
-		f.Add(s)
-	}
-	names := fmt.Sprint(pta.FillAlgoNames())
-	f.Fuzz(func(t *testing.T, s string) {
-		a, err := pta.ParseFillAlgo(s)
-		if err != nil {
-			if !strings.Contains(err.Error(), names) {
-				t.Fatalf("ParseFillAlgo(%q) error %q does not list %s", s, err, names)
-			}
-			return
-		}
-		if _, ok := pta.DPClassWith("ptac", a); !ok {
-			t.Fatalf("ParseFillAlgo(%q) accepted %v, which is not a valid fill", s, a)
-		}
-		if again, err := pta.ParseFillAlgo(a.String()); err != nil || again != a {
-			t.Fatalf("ParseFillAlgo(%q) = %v, but its String %q re-parses to %v, %v", s, a, a.String(), again, err)
-		}
-		if (s == "smawk" || s == "online") && a != pta.FillAuto {
-			t.Fatalf("retired name %q parsed to %v, want auto", s, a)
-		}
-	})
 }
 
 // TestCompressManySharedKernel: a mixed batch — two DP classes plus a

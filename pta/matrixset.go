@@ -47,22 +47,11 @@ func dpFlags(strategy string) (pruneI, pruneJ, ok bool) {
 // "dp+imax+jmin", so a size-bounded and an error-bounded request on the same
 // hot series hit the same cache entry. ok is false for strategies that are
 // not an exact dynamic program (greedy, streaming, amnesic, baselines):
-// their evaluations are not matrix-cacheable.
+// their evaluations are not matrix-cacheable. The row fill is not part of
+// the class: every fill writes the same matrices.
 func DPClass(strategy string) (string, bool) {
-	return DPClassWith(strategy, FillAuto)
-}
-
-// DPClassWith is DPClass for an explicit row-fill algorithm: requests that
-// pin an algorithm (the serve codec's fill_algo, Options.FillAlgo) key
-// their cached matrices per algorithm — "dp+imax+jmin/fill=dc" — so an
-// A/B experiment never mixes entries between arms, while the default
-// FillAuto keeps the shared "dp+imax+jmin" class. Both algorithms fill
-// bit-identical matrices, so the split is a bookkeeping guarantee, not a
-// correctness requirement. ok is false for a fill outside the defined
-// algorithms too: no exact evaluation runs with one.
-func DPClassWith(strategy string, fill FillAlgo) (string, bool) {
 	pruneI, pruneJ, ok := dpFlags(strategy)
-	if !ok || !fill.Valid() {
+	if !ok {
 		return "", false
 	}
 	class := "dp"
@@ -72,19 +61,15 @@ func DPClassWith(strategy string, fill FillAlgo) (string, bool) {
 	if pruneJ {
 		class += "+jmin"
 	}
-	if fill != FillAuto {
-		class += "/fill=" + fill.String()
-	}
 	return class, true
 }
 
 // NewMatrixSet builds a warm matrix set for the series under the named
 // exact-DP strategy ("ptac", "ptae", "dpbasic" or an ablation mode; see
-// DPClass). Options supply the error weights and the row-fill algorithm
-// (FillAlgo; the class reflects a pinned algorithm, see DPClassWith);
-// ReadAhead/Estimate/Amnesic do not apply to exact DP and are ignored. The
-// series must be non-empty, and the caller must not mutate it while the set
-// is alive — the matrices describe the rows as they were.
+// DPClass). Options supply the error weights; ReadAhead/Estimate/Amnesic
+// do not apply to exact DP and are ignored. The series must be non-empty,
+// and the caller must not mutate it while the set is alive — the matrices
+// describe the rows as they were.
 func NewMatrixSet(s *Series, strategy string, opts Options) (*MatrixSet, error) {
 	pruneI, pruneJ, ok := dpFlags(strategy)
 	if !ok {
@@ -97,7 +82,7 @@ func NewMatrixSet(s *Series, strategy string, opts Options) (*MatrixSet, error) 
 	if err != nil {
 		return nil, fmt.Errorf("pta: %s: %w", strategy, err)
 	}
-	class, _ := DPClassWith(strategy, opts.FillAlgo)
+	class, _ := DPClass(strategy)
 	return &MatrixSet{strategy: strategy, class: class, sv: sv}, nil
 }
 
@@ -118,10 +103,10 @@ func (m *MatrixSet) Rows() int { return m.sv.Rows() }
 // MemBytes estimates the retained matrix memory, for byte-bounded caches.
 func (m *MatrixSet) MemBytes() int64 { return m.sv.MemBytes() }
 
-// FillAlgo returns the concrete row-fill algorithm the set's solver
-// resolved to (never FillAuto) — what /metrics reports as the kernel path
-// production traffic takes.
-func (m *MatrixSet) FillAlgo() FillAlgo { return m.sv.Fill() }
+// Fill names the row fill the set's solver picked for its series ("pruned"
+// or "dc") — what /metrics reports as the kernel path production traffic
+// takes.
+func (m *MatrixSet) Fill() string { return m.sv.Fill().String() }
 
 // MonotoneCoverage reports the fraction of the series' rows the monotone
 // row fills accelerate (see pta.MonotoneCoverage); cached with the set's

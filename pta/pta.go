@@ -12,10 +12,11 @@
 //     classic time-series baselines PAA, PLA and APCA behind the same
 //     interface). Strategies lists the names.
 //   - Engine is the session-oriented entry point: New(opts...) configures
-//     weights, parallelism, estimators, the DP row-fill algorithm
-//     (WithFillAlgo) and reusable scratch buffers once, then
-//     Compress/CompressMany/CompressStream evaluate any number of plans
-//     under a context, concurrently safe.
+//     weights, parallelism, estimators and reusable scratch buffers once,
+//     then Compress/CompressMany/CompressStream evaluate any number of
+//     plans under a context, concurrently safe. How the exact DP fills
+//     each matrix row is not a setting: every exact path picks its row
+//     fill from the input size, and every fill gives the same matrices.
 //   - Fingerprint, MatrixSet and DPClass are the matrix-cache hooks: a
 //     serving layer keys warm DP matrices by (series content, strategy
 //     class, weights) and answers repeated budgets of a hot series without
@@ -42,7 +43,6 @@ package pta
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/temporal"
@@ -76,38 +76,6 @@ type Estimate = core.Estimate
 // ita.Iterator implements it, so streaming strategies can compress an ITA
 // result while it is still being produced.
 type Stream = core.Stream
-
-// FillAlgo selects the row-fill algorithm of the exact DP strategies. Both
-// algorithms produce bitwise-identical matrices and results; they differ
-// only in speed (see the core documentation and docs/ARCHITECTURE.md).
-type FillAlgo = core.FillAlgo
-
-// Fill-algorithm selections (Options.FillAlgo / WithFillAlgo / the serve
-// codec's fill_algo field).
-const (
-	// FillAuto picks the algorithm by input size (the default).
-	FillAuto = core.FillAuto
-	// FillPruned is the paper's pruned right-to-left candidate scan.
-	FillPruned = core.FillPruned
-	// FillDC is the monotone divide-and-conquer fill, O(n log n) per row
-	// on counter-like (per-run monotone) series.
-	FillDC = core.FillDC
-)
-
-// ParseFillAlgo resolves a fill-algorithm name ("auto", "pruned" or "dc";
-// the retired names "smawk" and "online" resolve to FillAuto, which answers
-// identically). Unknown names fail with a facade-level error listing the
-// recognized names.
-func ParseFillAlgo(s string) (FillAlgo, error) {
-	a, err := core.ParseFillAlgo(s)
-	if err != nil {
-		return a, fmt.Errorf("pta: unknown fill algorithm %q (have %v)", s, FillAlgoNames())
-	}
-	return a, nil
-}
-
-// FillAlgoNames lists the recognized fill-algorithm names.
-func FillAlgoNames() []string { return core.FillAlgoNames() }
 
 // NewSeries returns an empty series with the given grouping attributes and
 // aggregate attribute names.
@@ -155,13 +123,6 @@ type Options struct {
 	// AmnesicLinearAge over the series' own time span. Other strategies
 	// ignore it.
 	Amnesic func(Chronon) float64
-	// FillAlgo selects the exact-DP row-fill algorithm (FillAuto picks by
-	// input size). Results are identical for every selection; pin one to
-	// A/B performance or to keep cache classes separated (DPClassWith).
-	// Non-DP strategies ignore it, but a value outside FillAuto, FillPruned
-	// and FillDC fails every evaluation that builds a cost kernel.
-	FillAlgo FillAlgo
-
 	// scratch carries the engine's reusable DP buffers for this call; it is
 	// set by the engine only and never shared across concurrent calls.
 	scratch *core.Scratch
@@ -170,13 +131,13 @@ type Options struct {
 // coreOptions projects the options onto the internal evaluator options,
 // without cancellation.
 func (o Options) coreOptions() core.Options {
-	return core.Options{Weights: o.Weights, Fill: o.FillAlgo}
+	return core.Options{Weights: o.Weights}
 }
 
 // coreOptionsCtx projects the options onto the internal evaluator options,
 // carrying the call context and the engine scratch buffers.
 func (o Options) coreOptionsCtx(ctx context.Context) core.Options {
-	return core.Options{Weights: o.Weights, Fill: o.FillAlgo, Ctx: ctx, Scratch: o.scratch}
+	return core.Options{Weights: o.Weights, Ctx: ctx, Scratch: o.scratch}
 }
 
 // delta resolves the effective δ.
@@ -263,8 +224,8 @@ func MaxError(s *Series, opts Options) (float64, error) {
 
 // MonotoneCoverage reports the fraction of the series' rows lying inside
 // piecewise-monotone segments long enough for the exact DP's monotone row
-// fill (FillDC) to engage — 1.0 on counter-like data, 0.0 on pure
-// oscillating noise. It predicts how much of an evaluation runs at the
+// fill to engage — 1.0 on counter-like data, 0.0 on pure oscillating
+// noise. It predicts how much of an evaluation runs at the
 // monotone fill's O(n log n) per-row cost instead of the pruned scan's;
 // results are bit-identical either way. The weights only validate (the
 // segmentation is weight-independent).

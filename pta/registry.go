@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -123,9 +122,7 @@ func FormatStrategies(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "\nexact DP strategies accept a row-fill algorithm (%s): identical results,\ndifferent speed — pin one via pta.WithFillAlgo / Options.FillAlgo / the fill_algo plan field\n",
-		strings.Join(FillAlgoNames(), "|"))
-	return err
+	return nil
 }
 
 // Describe returns the registry as sorted StrategyInfo records.

@@ -21,7 +21,7 @@ import (
 // filled over this series.
 type MatrixSnapshot struct {
 	Strategy string    // registry name the set was built for
-	Class    string    // DPClassWith(strategy, fill) — must match on restore
+	Class    string    // DPClass(strategy) — must match on restore
 	N        int       // series length the rows were filled for
 	Filled   int       // rows 1..Filled are present
 	RowErr   []float64 // E[k][n] per filled row, len Filled
@@ -58,11 +58,11 @@ func (m *MatrixSet) Snapshot() (*MatrixSnapshot, error) {
 // a fresh set over the series (computing the cost kernel, which needs the
 // series anyway) and injects the snapshot's rows, so later budgets answer
 // with zero fill work and deeper budgets resume where the snapshot
-// stopped. The snapshot's class must match DPClassWith(strategy,
-// opts.FillAlgo), every shape is validated, and every split point must be
-// one a fill writes (0, or k−1 ≤ J[k][i] < i) — a corrupt or mismatched
-// snapshot returns an error and no set, leaving the caller to fall back to
-// a cold build. Split points that pass but cannot be followed surface as a
+// stopped. The snapshot's class must match DPClass(strategy), every shape
+// and error value is validated, and every split point must be one a fill
+// writes (0, or k−1 ≤ J[k][i] < i) — a corrupt or mismatched snapshot
+// returns an error and no set, leaving the caller to fall back to a cold
+// build. Split points that pass but cannot be followed surface as a
 // WarmLostError from Compress.
 func RestoreMatrixSet(s *Series, strategy string, opts Options, snap *MatrixSnapshot) (*MatrixSet, error) {
 	m, err := restoreTarget(s, strategy, opts, snap)
@@ -128,9 +128,9 @@ func restoreTarget(s *Series, strategy string, opts Options, snap *MatrixSnapsho
 	if snap == nil || snap.Filled == 0 {
 		return nil, fmt.Errorf("pta: empty matrix snapshot")
 	}
-	class, ok := DPClassWith(strategy, opts.FillAlgo)
+	class, ok := DPClass(strategy)
 	if !ok {
-		return nil, fmt.Errorf("pta: strategy %q with fill %v is not an exact DP: nothing to restore", strategy, opts.FillAlgo)
+		return nil, fmt.Errorf("pta: strategy %q is not an exact DP: nothing to restore", strategy)
 	}
 	if class != snap.Class {
 		return nil, fmt.Errorf("pta: snapshot class %q does not match %q for %s", snap.Class, class, strategy)

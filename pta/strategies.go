@@ -88,8 +88,8 @@ type parallelDPEvaluator struct {
 
 // streamDPEvaluator makes the fully pruned exact DP stream-capable: the
 // stream is materialized and answered by an incremental core.Solver, which
-// resolves FillAuto like every other exact path (FillDC at n ≥ 256 on
-// certified data, the pruned scan otherwise). Unlike the greedy gPTA evaluators this is
+// picks its row fill like every other exact path (the monotone dc fill at
+// n ≥ 256 on certified data, the pruned scan otherwise). Unlike the greedy gPTA evaluators this is
 // not bounded-memory — exactness requires the whole input — but it lets a
 // CompressStream pipeline keep one code path while choosing exact results,
 // and error budgets need no (N, EMax) estimate: the exact SSEmax is
