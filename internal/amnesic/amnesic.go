@@ -1,9 +1,9 @@
-// Package amnesic implements the user-defined amnesic approximation
-// framework of Palpanas, Vlachos, Keogh, Gunopulos and Truppel ("Online
-// amnesic approximation of streaming time series", ICDE 2004), which the
-// paper discusses at length in Section 2.2: older entries of a series may be
-// approximated with a higher error than recent ones, controlled by an
-// amnesic function over time.
+// Package amnesic holds the amnesic functions of the user-defined amnesic
+// approximation framework of Palpanas, Vlachos, Keogh, Gunopulos and
+// Truppel ("Online amnesic approximation of streaming time series", ICDE
+// 2004), which the paper discusses at length in Section 2.2: older entries
+// of a series may be approximated with a higher error than recent ones,
+// controlled by an amnesic function over time.
 //
 // Two variants exist, mirroring the PTA pair:
 //
@@ -12,21 +12,21 @@
 //     minimized greedily. The paper: "the problem is equivalent to
 //     size-bounded PTA when a relative amnesic function is used with
 //     RA(t) = 1 ... For time series data and parameter δ = 0 for gPTAc, the
-//     two algorithms are equivalent." TestReduceSizeEquivalentToGPTAc pins
-//     this equivalence against the core implementation.
+//     two algorithms are equivalent." The reduction runs on the greedy
+//     merge engine as core.Amnesic, which ranks pairs by dsim/RA;
+//     TestReduceSizeEquivalentToGPTAc in internal/core pins the
+//     equivalence.
 //
 //   - an *absolute* amnesic function AA(t) bounds the error each segment may
-//     carry; the result size is minimized in one pass. The paper: "For an
-//     absolute amnesic function AA(t) = ε the amnesic effect is eliminated
-//     and the problem becomes equivalent to ATC."
+//     carry; the result size is minimized in one pass (ReduceError). The
+//     paper: "For an absolute amnesic function AA(t) = ε the amnesic effect
+//     is eliminated and the problem becomes equivalent to ATC."
 //     TestReduceErrorEquivalentToATC pins this against internal/approx.
 package amnesic
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/temporal"
 )
 
@@ -49,244 +49,6 @@ func LinearAge(now temporal.Chronon, slope float64) Func {
 		}
 		return 1 + slope*age
 	}
-}
-
-// Result is the outcome of a relative-amnesic reduction.
-type Result struct {
-	// Sequence is the reduced series.
-	Sequence *temporal.Sequence
-	// Error is the *unscaled* sum squared error of the reduction.
-	Error float64
-	// ScaledError is the amnesic objective Σ dsim/RA actually minimized.
-	ScaledError float64
-	// MaxHeap is the largest number of simultaneously buffered segments.
-	MaxHeap int
-}
-
-// segNode is one buffered segment of the online algorithm.
-type segNode struct {
-	row        temporal.SeqRow
-	prev, next *segNode
-	key        float64 // scaled merge cost with prev
-	raw        float64 // unscaled merge cost with prev
-	hpos       int
-	seq        int
-}
-
-type segHeap struct{ ns []*segNode }
-
-func (h *segHeap) len() int { return len(h.ns) }
-func (h *segHeap) peek() *segNode {
-	if len(h.ns) == 0 {
-		return nil
-	}
-	return h.ns[0]
-}
-
-func segLess(a, b *segNode) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.row.T.Start != b.row.T.Start {
-		return a.row.T.Start < b.row.T.Start
-	}
-	return a.seq < b.seq
-}
-
-func (h *segHeap) swap(i, j int) {
-	h.ns[i], h.ns[j] = h.ns[j], h.ns[i]
-	h.ns[i].hpos = i
-	h.ns[j].hpos = j
-}
-
-func (h *segHeap) push(n *segNode) {
-	n.hpos = len(h.ns)
-	h.ns = append(h.ns, n)
-	h.up(n.hpos)
-}
-
-func (h *segHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if !segLess(h.ns[i], h.ns[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-		moved = true
-	}
-	return moved
-}
-
-func (h *segHeap) down(i int) {
-	n := len(h.ns)
-	for {
-		l, r, best := 2*i+1, 2*i+2, i
-		if l < n && segLess(h.ns[l], h.ns[best]) {
-			best = l
-		}
-		if r < n && segLess(h.ns[r], h.ns[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *segHeap) fix(n *segNode) {
-	if !h.up(n.hpos) {
-		h.down(n.hpos)
-	}
-}
-func (h *segHeap) remove(n *segNode) {
-	i := n.hpos
-	last := len(h.ns) - 1
-	h.swap(i, last)
-	h.ns = h.ns[:last]
-	if i < last {
-		if !h.up(i) {
-			h.down(i)
-		}
-	}
-	n.hpos = -1
-}
-
-// ReduceSize runs the online size-bounded amnesic reduction: rows arrive in
-// order; whenever more than c segments are buffered, the pair with the
-// smallest *amnesically scaled* merge cost dsim(a,b)/RA(midpoint) is merged
-// (only adjacent, same-group pairs merge). With RA ≡ 1 the algorithm is the
-// paper's gPTAc with δ = 0. The context is polled periodically so long
-// reductions abort promptly on cancellation; nil means no cancellation.
-// weights holds one positive error weight per aggregate attribute (w_d of
-// the paper's Definition 5); nil means all weights are 1.
-func ReduceSize(ctx context.Context, seq *temporal.Sequence, c int, ra Func, weights []float64) (*Result, error) {
-	if c < 1 {
-		return nil, fmt.Errorf("amnesic: size bound %d, want ≥ 1", c)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("amnesic: reduction canceled: %w", err)
-	}
-	if ra == nil {
-		ra = Constant(1)
-	}
-	p := seq.P()
-	w2 := make([]float64, p)
-	for d := range w2 {
-		w2[d] = 1
-	}
-	if weights != nil {
-		if len(weights) != p {
-			return nil, fmt.Errorf("amnesic: %d weights for %d aggregate attributes", len(weights), p)
-		}
-		for d, w := range weights {
-			if !(w > 0) {
-				return nil, fmt.Errorf("amnesic: weight %d is %v, want > 0", d, w)
-			}
-			w2[d] = w * w
-		}
-	}
-
-	var (
-		h          segHeap
-		tail       *segNode
-		seqNo      int
-		totalRaw   float64
-		totalScale float64
-		maxHeap    int
-	)
-	scaledKey := func(a, b *segNode) (raw, scaled float64, ok bool) {
-		if !core.RowsAdjacent(a.row, b.row) {
-			return 0, 0, false
-		}
-		raw = core.Dissimilarity(a.row, b.row, w2)
-		mid := (a.row.T.Start + b.row.T.End) / 2
-		f := ra(mid)
-		if f <= 0 {
-			f = 1e-12
-		}
-		return raw, raw / f, true
-	}
-	rekey := func(n *segNode) {
-		if n.prev == nil {
-			n.key, n.raw = core.Inf, core.Inf
-			return
-		}
-		raw, scaled, ok := scaledKey(n.prev, n)
-		if !ok {
-			n.key, n.raw = core.Inf, core.Inf
-			return
-		}
-		n.raw, n.key = raw, scaled
-	}
-	mergeTop := func() {
-		n := h.peek()
-		p := n.prev
-		totalRaw += n.raw
-		totalScale += n.key
-		p.row = core.MergeRows(p.row, n.row)
-		p.next = n.next
-		if n.next != nil {
-			n.next.prev = p
-		} else {
-			tail = p
-		}
-		h.remove(n)
-		rekey(p)
-		h.fix(p)
-		if s := p.next; s != nil {
-			rekey(s)
-			h.fix(s)
-		}
-	}
-
-	for _, row := range seq.Rows {
-		seqNo++
-		if seqNo%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("amnesic: reduction canceled: %w", err)
-			}
-		}
-		n := &segNode{row: row.CloneAggs(), seq: seqNo}
-		if tail != nil {
-			n.prev = tail
-			tail.next = n
-		}
-		tail = n
-		rekey(n)
-		h.push(n)
-		if h.len() > maxHeap {
-			maxHeap = h.len()
-		}
-		for h.len() > c {
-			top := h.peek()
-			if top.key == core.Inf {
-				break
-			}
-			mergeTop()
-		}
-	}
-
-	var head *segNode
-	for n := tail; n != nil; n = n.prev {
-		head = n
-	}
-	var rows []temporal.SeqRow
-	for n := head; n != nil; n = n.next {
-		rows = append(rows, n.row)
-	}
-	return &Result{
-		Sequence:    seq.WithRows(rows),
-		Error:       totalRaw,
-		ScaledError: totalScale,
-		MaxHeap:     maxHeap,
-	}, nil
 }
 
 // ReduceError runs the one-pass size-minimizing absolute-amnesic reduction:

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/approx"
-	"repro/internal/core"
 	"repro/internal/temporal"
 )
 
@@ -29,27 +28,6 @@ func randVals(rng *rand.Rand, n int) []float64 {
 	return vals
 }
 
-// TestReduceSizeEquivalentToGPTAc pins the paper's Section 2.2 claim: "For
-// time series data and parameter δ = 0 for gPTAc, the two algorithms are
-// equivalent" (with the amnesic effect disabled, RA ≡ 1).
-func TestReduceSizeEquivalentToGPTAc(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		seq := unitSequence(randVals(rng, 5+rng.Intn(60)))
-		c := 1 + rng.Intn(seq.Len())
-		am, err1 := ReduceSize(nil, seq, c, Constant(1), nil)
-		gp, err2 := core.GPTAc(core.NewSliceStream(seq), c, 0, core.Options{})
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return am.Sequence.Equal(gp.Sequence, 1e-9) &&
-			math.Abs(am.Error-gp.Error) <= 1e-9*(1+gp.Error)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestReduceErrorEquivalentToATC pins the second equivalence: "For an
 // absolute amnesic function AA(t) = ε ... the problem becomes equivalent to
 // ATC."
@@ -67,34 +45,6 @@ func TestReduceErrorEquivalentToATC(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReduceSizeAmnesiaPrefersOldMerges: with a relative amnesic function
-// that forgives old errors, merges concentrate on the old half of the
-// series.
-func TestReduceSizeAmnesiaPrefersOldMerges(t *testing.T) {
-	// Alternating values: any merge costs the same raw error everywhere, so
-	// only the amnesic scaling decides where merges happen.
-	vals := make([]float64, 64)
-	for i := range vals {
-		vals[i] = float64((i % 2) * 10)
-	}
-	seq := unitSequence(vals)
-	now := temporal.Chronon(len(vals) - 1)
-	res, err := ReduceSize(nil, seq, 40, LinearAge(now, 5), nil)
-	if err != nil {
-		t.Fatalf("ReduceSize: %v", err)
-	}
-	if res.Sequence.Len() != 40 {
-		t.Fatalf("C = %d, want 40", res.Sequence.Len())
-	}
-	// The first (oldest) rows should be merged into longer segments than
-	// the last (newest) rows.
-	firstLen := res.Sequence.Rows[0].T.Len()
-	lastLen := res.Sequence.Rows[res.Sequence.Len()-1].T.Len()
-	if firstLen <= lastLen {
-		t.Errorf("oldest segment length %d should exceed newest %d", firstLen, lastLen)
 	}
 }
 
@@ -127,36 +77,8 @@ func TestReduceErrorTighterRecentBound(t *testing.T) {
 	}
 }
 
-func TestReduceSizeValidation(t *testing.T) {
-	seq := unitSequence([]float64{1, 2})
-	if _, err := ReduceSize(nil, seq, 0, nil, nil); err == nil {
-		t.Error("c = 0 should fail")
-	}
-	res, err := ReduceSize(nil, seq, 5, nil, nil)
-	if err != nil || res.Sequence.Len() != 2 {
-		t.Errorf("c ≥ n should keep the input: %v, %v", res, err)
-	}
-}
-
 func TestReduceErrorValidation(t *testing.T) {
 	if _, err := ReduceError(unitSequence([]float64{1}), nil); err == nil {
 		t.Error("nil amnesic function should fail")
-	}
-}
-
-// TestReduceSizeRespectsGapsAndGroups: non-adjacent pairs never merge.
-func TestReduceSizeRespectsGapsAndGroups(t *testing.T) {
-	seq := temporal.NewSequence(nil, []string{"v"})
-	gid := seq.Groups.Intern(nil)
-	seq.Rows = []temporal.SeqRow{
-		{Group: gid, Aggs: []float64{1}, T: temporal.Inst(0)},
-		{Group: gid, Aggs: []float64{1}, T: temporal.Inst(5)}, // gap
-	}
-	res, err := ReduceSize(nil, seq, 1, Constant(1), nil)
-	if err != nil {
-		t.Fatalf("ReduceSize: %v", err)
-	}
-	if res.Sequence.Len() != 2 {
-		t.Errorf("C = %d; merging across the gap must be impossible", res.Sequence.Len())
 	}
 }

@@ -106,13 +106,13 @@ func BenchmarkMergeErrShort(b *testing.B) {
 }
 
 func BenchmarkDissimilarity(b *testing.B) {
-	a := temporal.SeqRow{Aggs: []float64{10, 20, 30}, T: temporal.Interval{Start: 0, End: 9}}
-	c := temporal.SeqRow{Aggs: []float64{12, 18, 33}, T: temporal.Interval{Start: 10, End: 14}}
+	a := leaf(temporal.SeqRow{Aggs: []float64{10, 20, 30}, T: temporal.Interval{Start: 0, End: 9}})
+	c := leaf(temporal.SeqRow{Aggs: []float64{12, 18, 33}, T: temporal.Interval{Start: 10, End: 14}})
 	w2 := []float64{1, 1, 1}
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += Dissimilarity(a, c, w2)
+		sink += dsim(a, c, w2)
 	}
 	_ = sink
 }

@@ -10,7 +10,10 @@
 //   - the exact dynamic-programming evaluators PTAc and PTAe (Sec. 5),
 //     including the unpruned DPBasic baseline of the experiments,
 //   - the greedy merging strategy GMS and the streaming greedy evaluators
-//     GPTAc and GPTAe with δ read-ahead (Sec. 6).
+//     GPTAc and GPTAe with δ read-ahead (Sec. 6), gap-bridging GMSBridged
+//     (Sec. 8) and the relative-amnesic reduction Amnesic (Sec. 2.2), all
+//     on one greedy merge engine (greedy.go): one heap of mergeable pairs,
+//     one merge loop, one overflow rule.
 //
 // Row indices handed to Prefix and the DP matrices are 1-based, matching the
 // paper's notation (s1 ... sn); slices of rows use ordinary 0-based Go

@@ -426,16 +426,16 @@ func Matrices(seq *temporal.Sequence, c int, opts Options) ([][]float64, [][]int
 	}
 	// The split rows leave the function, so they must not come from a
 	// caller-provided Scratch (whose rows are reused by the next call).
-	st := newDPState(kn, opts, true, true, true)
-	st.ownSplits = true
+	sv := newSolver(kn, opts, true, true)
+	sv.st.ownSplits = true
 	em := make([][]float64, c)
 	for k := 1; k <= c; k++ {
-		if _, err := st.fillRow(k); err != nil {
+		if err := sv.ensure(opts.Ctx, k); err != nil {
 			return nil, nil, err
 		}
-		em[k-1] = append([]float64(nil), st.curE...)
+		em[k-1] = append([]float64(nil), sv.st.curE...)
 	}
-	return em, st.splits, nil
+	return em, sv.st.splits, nil
 }
 
 // ErrorCurve returns the minimal error of reducing seq to k tuples for every
@@ -452,13 +452,10 @@ func ErrorCurve(seq *temporal.Sequence, kmax int, opts Options) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	st := newDPState(kn, opts, true, true, false)
-	curve := make([]float64, kmax)
-	for k := 1; k <= kmax; k++ {
-		var err error
-		if curve[k-1], err = st.fillRow(k); err != nil {
-			return nil, err
-		}
+	sv := newSolver(kn, opts, true, true)
+	sv.st.storeSplits = false
+	if err := sv.ensure(opts.Ctx, kmax); err != nil {
+		return nil, err
 	}
-	return curve, nil
+	return sv.rowErr[1 : kmax+1], nil
 }

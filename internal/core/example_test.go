@@ -424,28 +424,40 @@ func TestGPTAeExample22(t *testing.T) {
 	}
 }
 
+// leaf is a node holding row r alone, as the greedy engine inserts it.
+func leaf(r temporal.SeqRow) *node {
+	return &node{row: r.CloneAggs(), cov: float64(r.T.Len())}
+}
+
+// merged returns a ⊕ b through the greedy engine's in-place merge.
+func merged(a, b temporal.SeqRow) temporal.SeqRow {
+	n := leaf(a)
+	n.absorb(leaf(b))
+	return n.row
+}
+
 // TestDissimilarityMatchesSSE checks Proposition 2 on Fig. 10's key values.
 func TestDissimilarityMatchesSSE(t *testing.T) {
 	w2 := []float64{1}
 	s4 := temporal.SeqRow{Aggs: []float64{350}, T: temporal.Interval{Start: 5, End: 6}}
 	s5 := temporal.SeqRow{Aggs: []float64{300}, T: temporal.Interval{Start: 7, End: 7}}
-	approx(t, Dissimilarity(s4, s5, w2), 1666.666, 1e-2, "dsim(s4,s5)")
+	approx(t, dsim(leaf(s4), leaf(s5), w2), 1666.666, 1e-2, "dsim(s4,s5)")
 	s2 := temporal.SeqRow{Aggs: []float64{600}, T: temporal.Interval{Start: 3, End: 3}}
 	s3 := temporal.SeqRow{Aggs: []float64{500}, T: temporal.Interval{Start: 4, End: 4}}
-	approx(t, Dissimilarity(s2, s3, w2), 5000, 1e-6, "dsim(s2,s3)")
+	approx(t, dsim(leaf(s2), leaf(s3), w2), 5000, 1e-6, "dsim(s2,s3)")
 	s1 := temporal.SeqRow{Aggs: []float64{800}, T: temporal.Interval{Start: 1, End: 2}}
-	approx(t, Dissimilarity(s1, s2, w2), 26666.666, 1e-2, "dsim(s1,s2)")
+	approx(t, dsim(leaf(s1), leaf(s2), w2), 26666.666, 1e-2, "dsim(s1,s2)")
 	// Fig. 10(b): key of s4⊕s5 against s2⊕s3 after both merges.
-	s45 := MergeRows(s4, s5)
-	s23 := MergeRows(s2, s3)
-	approx(t, Dissimilarity(s23, s45, w2), 56333.333, 1e-2, "dsim(s2⊕s3, s4⊕s5)")
+	s45 := merged(s4, s5)
+	s23 := merged(s2, s3)
+	approx(t, dsim(leaf(s23), leaf(s45), w2), 56333.333, 1e-2, "dsim(s2⊕s3, s4⊕s5)")
 }
 
 // TestMergeRowsExample3 checks s1 ⊕ s2 = (A, 733.33, [1,3]).
 func TestMergeRowsExample3(t *testing.T) {
 	s1 := temporal.SeqRow{Aggs: []float64{800}, T: temporal.Interval{Start: 1, End: 2}}
 	s2 := temporal.SeqRow{Aggs: []float64{600}, T: temporal.Interval{Start: 3, End: 3}}
-	z := MergeRows(s1, s2)
+	z := merged(s1, s2)
 	approx(t, z.Aggs[0], 733.3333, 1e-3, "merged value")
 	if z.T != (temporal.Interval{Start: 1, End: 3}) {
 		t.Errorf("merged interval = %v", z.T)
@@ -457,7 +469,7 @@ func TestMergeRowsExample3(t *testing.T) {
 func TestSSEBetweenExample5(t *testing.T) {
 	seq := figure1c()
 	z := seq.WithRows([]temporal.SeqRow{
-		MergeRows(seq.Rows[0], seq.Rows[1]),
+		merged(seq.Rows[0], seq.Rows[1]),
 		seq.Rows[2], seq.Rows[3], seq.Rows[4], seq.Rows[5], seq.Rows[6],
 	})
 	got, err := SSEBetween(seq, z, Options{})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -59,31 +60,41 @@ type GreedyResult struct {
 	ReadAhead int
 }
 
-// greedyState carries the heap, the linked intermediate relation, and the
-// gap bookkeeping (LastGapId, BG, AG) shared by GMS, GPTAc and GPTAe.
+// greedyState is the one greedy merge engine behind GMS, GMSError, GPTAc,
+// GPTAe, GMSBridged and Amnesic: the intermediate relation as a list of
+// nodes in stream order, and a heap of the pairs each node forms with its
+// predecessor. The evaluators differ only in when the top pair merges, the
+// condition each passes mergeWhile; bridge decides which pairs may merge
+// and ra how they rank.
 type greedyState struct {
-	w2      []float64
+	src  Stream
+	meta *temporal.Sequence
+	w2   []float64
+	// bridge lets consecutive rows of one group merge across a temporal
+	// gap (Section 8); otherwise only adjacent rows (Definition 2) merge.
+	bridge bool
+	// ra, when set, ranks a pair by dsim/RA(t), t the pair's midpoint
+	// (the relative amnesic function of Section 2.2); otherwise by dsim.
+	ra func(temporal.Chronon) float64
+
 	h       mergeHeap
 	tail    *node
 	nextID  int
-	lastGap int // LastGapId: id of the most recent node inserted with key=Inf
+	lastGap int // LastGapId: id of the most recent node that started a run
 	bg, ag  int // nodes currently before/after the last gap
+	runs    int // maximal runs inserted: no merging goes below this size
 
 	totalError float64
 	merges     int
 	maxHeap    int
 
-	// Run accumulators for the exact SSEmax (used by GPTAe's final phase):
-	// per-dimension length-weighted sums over the current maximal adjacent
-	// run of *incoming* rows.
-	trueEmax  float64
-	runLen    float64
-	runSV     []float64
-	runSSV    []float64
-	runActive bool
-
-	// onMerge, when set, observes every merge for tests and tracing.
-	onMerge func(n *node)
+	// Run accumulators for the exact SSEmax (used by the error-bounded
+	// evaluators' final phase): per-dimension length-weighted sums over the
+	// current maximal run of *incoming* rows.
+	trueEmax float64
+	runLen   float64
+	runSV    []float64
+	runSSV   []float64
 
 	// opts retains the evaluation options for cancellation polling.
 	opts Options
@@ -91,16 +102,22 @@ type greedyState struct {
 	steps int
 }
 
-func newGreedyState(p int, opts Options) (*greedyState, error) {
-	w2, err := opts.weightsSquared(p)
+func newGreedyState(src Stream, opts Options) (*greedyState, error) {
+	meta := src.Sequence()
+	w2, err := opts.weightsSquared(meta.P())
 	if err != nil {
 		return nil, err
 	}
+	if err := opts.canceled(); err != nil {
+		return nil, err
+	}
 	return &greedyState{
+		src:    src,
+		meta:   meta,
 		w2:     w2,
 		opts:   opts,
-		runSV:  make([]float64, p),
-		runSSV: make([]float64, p),
+		runSV:  make([]float64, meta.P()),
+		runSSV: make([]float64, meta.P()),
 	}, nil
 }
 
@@ -115,51 +132,68 @@ func (g *greedyState) checkCancel() error {
 	return g.opts.canceled()
 }
 
+// rekey sets n's key, the rank of merging n into its predecessor: Inf when
+// the pair may not merge, which rekey reports.
+func (g *greedyState) rekey(n *node) bool {
+	p := n.prev
+	if p == nil || p.row.Group != n.row.Group || !(g.bridge || p.row.T.Meets(n.row.T)) {
+		n.key = Inf
+		return false
+	}
+	n.key = dsim(p, n, g.w2)
+	if g.ra != nil {
+		f := g.ra((p.row.T.Start + n.row.T.End) / 2)
+		if !(f > 0) {
+			f = 1e-12
+		}
+		n.key /= f
+	}
+	return true
+}
+
+// cost returns the error that merging n into its predecessor introduces:
+// its key, unless an amnesic function scaled the key.
+func (g *greedyState) cost(n *node) float64 {
+	if g.ra == nil {
+		return n.key
+	}
+	return dsim(n.prev, n, g.w2)
+}
+
 // insert appends one incoming row to the intermediate relation and the heap
 // and maintains the gap counters and the exact-SSEmax run accumulators.
-func (g *greedyState) insert(row temporal.SeqRow) *node {
+func (g *greedyState) insert(row temporal.SeqRow) {
 	g.nextID++
-	n := &node{id: g.nextID, row: row, key: Inf}
+	n := &node{id: g.nextID, row: row, cov: float64(row.T.Len()), prev: g.tail}
 	if g.tail != nil {
-		n.prev = g.tail
 		g.tail.next = n
-		if RowsAdjacent(g.tail.row, row) {
-			n.key = Dissimilarity(g.tail.row, row, g.w2)
-		}
 	}
 	g.tail = n
-	g.h.push(n)
-	if g.h.len() > g.maxHeap {
-		g.maxHeap = g.h.len()
-	}
-
-	if n.key == Inf {
-		// A new maximal adjacent run starts (first tuple, group change, or
+	if g.rekey(n) {
+		g.ag++
+	} else {
+		// A new maximal run starts (first tuple, group change, or
 		// temporal gap): per Fig. 11 lines 7-10.
 		g.lastGap = n.id
 		g.bg += g.ag
 		g.ag = 1
+		g.runs++
 		g.closeRun()
-	} else {
-		g.ag++
 	}
-	g.extendRun(row)
-	return n
-}
+	g.h.push(n)
+	g.maxHeap = max(g.maxHeap, g.h.len())
 
-// extendRun and closeRun accumulate the exact SSEmax over incoming rows.
-func (g *greedyState) extendRun(row temporal.SeqRow) {
-	l := float64(row.T.Len())
+	l := n.cov
 	g.runLen += l
 	for d, v := range row.Aggs {
 		g.runSV[d] += l * v
 		g.runSSV[d] += l * v * v
 	}
-	g.runActive = true
 }
 
+// closeRun adds the finished run's merge-all error to the exact SSEmax.
 func (g *greedyState) closeRun() {
-	if !g.runActive {
+	if g.runLen == 0 {
 		return
 	}
 	var sse float64
@@ -167,33 +201,28 @@ func (g *greedyState) closeRun() {
 		sse += g.w2[d] * (g.runSSV[d] - g.runSV[d]*g.runSV[d]/g.runLen)
 		g.runSV[d], g.runSSV[d] = 0, 0
 	}
-	if sse > 0 {
-		g.trueEmax += sse
-	}
+	g.trueEmax += max(sse, 0) // a NaN stays: it is ErrOverflow, not 0
 	g.runLen = 0
-	g.runActive = false
-}
-
-// exactEmax finalizes and returns SSE(s, ρ(s, cmin)) over all rows seen.
-func (g *greedyState) exactEmax() float64 {
-	g.closeRun()
-	return g.trueEmax
 }
 
 // mergeTop folds the heap's top node N into its predecessor P = N.prev
 // (MERGE of Section 6.2.2): P.row becomes P.row ⊕ N.row, N leaves the list
 // and the heap, and the keys of P and of N's successor are re-evaluated.
-// The caller must have checked that the top key is finite.
+// The caller has checked that the top pair may merge.
 func (g *greedyState) mergeTop() {
 	n := g.h.peek()
 	p := n.prev
-	if g.onMerge != nil {
-		g.onMerge(n)
-	}
-	g.totalError += n.key
+	g.totalError += g.cost(n)
 	g.merges++
+	// N leaves the part of the relation before or after the last gap.
+	switch {
+	case n.id < g.lastGap:
+		g.bg--
+	case n.id > g.lastGap:
+		g.ag--
+	}
 
-	p.row = MergeRows(p.row, n.row)
+	p.absorb(n)
 	p.next = n.next
 	if n.next != nil {
 		n.next.prev = p
@@ -204,20 +233,83 @@ func (g *greedyState) mergeTop() {
 
 	// Re-key P against its own predecessor and N's successor against the
 	// grown P.
-	if p.prev != nil && RowsAdjacent(p.prev.row, p.row) {
-		p.key = Dissimilarity(p.prev.row, p.row, g.w2)
-	} else {
-		p.key = Inf
-	}
+	g.rekey(p)
 	g.h.fix(p)
 	if s := p.next; s != nil {
-		if RowsAdjacent(p.row, s.row) {
-			s.key = Dissimilarity(p.row, s.row, g.w2)
-		} else {
-			s.key = Inf
-		}
+		g.rekey(s)
 		g.h.fix(s)
 	}
+}
+
+// mergeWhile is the engine's one merge loop: it merges the top pair while
+// that pair may merge, at a finite key, and ok approves it.
+func (g *greedyState) mergeWhile(ok func(top *node) bool) error {
+	for {
+		n := g.h.peek()
+		if n == nil || !(n.key < Inf) || !ok(n) {
+			return nil
+		}
+		if err := g.checkCancel(); err != nil {
+			return err
+		}
+		g.mergeTop()
+	}
+}
+
+// scan inserts every row of the stream, cloned because merges rewrite rows
+// in place; a non-nil ok runs mergeWhile(ok) after each insert, the
+// streaming phase of gPTAc, gPTAε and the amnesic reduction.
+func (g *greedyState) scan(ok func(top *node) bool) error {
+	for {
+		row, more := g.src.Next()
+		if !more {
+			return nil
+		}
+		if err := g.checkCancel(); err != nil {
+			return err
+		}
+		g.insert(row.CloneAggs())
+		if ok != nil {
+			if err := g.mergeWhile(ok); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// reduceTo runs a size-bounded evaluation: scan, merging after each insert
+// while more than c tuples remain and stream approves the top pair (no
+// streaming merges when stream is nil), then merge the most similar pairs
+// down to c like GMS.
+func (g *greedyState) reduceTo(c int, stream func(top *node) bool) (*GreedyResult, error) {
+	above := func(*node) bool { return g.h.len() > c }
+	var during func(*node) bool
+	if stream != nil {
+		during = func(top *node) bool { return above(top) && stream(top) }
+	}
+	if err := g.scan(during); err != nil {
+		return nil, err
+	}
+	if err := g.mergeWhile(above); err != nil {
+		return nil, err
+	}
+	return g.result(c, 0)
+}
+
+// reduceWithin runs an error-bounded evaluation: scan, merging after each
+// insert while stream approves the top pair (no streaming merges when
+// stream is nil), then merge the most similar pairs while the total error
+// stays within eps·SSEmax, SSEmax exact over every row scanned.
+func (g *greedyState) reduceWithin(eps float64, stream func(top *node) bool) (*GreedyResult, error) {
+	if err := g.scan(stream); err != nil {
+		return nil, err
+	}
+	g.closeRun()
+	bound := eps * g.trueEmax
+	if err := g.mergeWhile(func(top *node) bool { return g.totalError+g.cost(top) <= bound }); err != nil {
+		return nil, err
+	}
+	return g.result(0, g.trueEmax)
 }
 
 // hasAdjacentSuccessors reports whether at least delta adjacent tuples
@@ -240,8 +332,12 @@ func (g *greedyState) hasAdjacentSuccessors(n *node, delta int) bool {
 	return false
 }
 
-// result walks the linked list in stream order and packages the outcome.
-func (g *greedyState) result(meta *temporal.Sequence) *GreedyResult {
+// result packages the intermediate relation in stream order under the
+// engine's one overflow rule. A size budget c > 0 stops above max(c, runs)
+// only at a non-finite key, and SSEmax (emax, 0 under a size budget) or the
+// total error is non-finite only when the weighted sums left float64: each
+// is ErrOverflow, never an answer.
+func (g *greedyState) result(c int, emax float64) (*GreedyResult, error) {
 	var head *node
 	for n := g.tail; n != nil; n = n.prev {
 		head = n
@@ -250,19 +346,23 @@ func (g *greedyState) result(meta *temporal.Sequence) *GreedyResult {
 	for n := head; n != nil; n = n.next {
 		rows = append(rows, n.row)
 	}
-	out := meta.WithRows(rows)
-	readAhead := g.maxHeap - len(rows)
-	if readAhead < 0 {
-		readAhead = 0
+	if floor := max(c, g.runs); c > 0 && len(rows) > floor {
+		return nil, fmt.Errorf("core: greedy merging stopped at %d tuples, above %d: %w", len(rows), floor, ErrOverflow)
+	}
+	if err := checkFinite(0, emax); err != nil {
+		return nil, err
+	}
+	if math.IsInf(g.totalError, 0) || math.IsNaN(g.totalError) {
+		return nil, fmt.Errorf("core: greedy error is %v: %w", g.totalError, ErrOverflow)
 	}
 	return &GreedyResult{
-		Sequence:  out,
+		Sequence:  g.meta.WithRows(rows),
 		C:         len(rows),
 		Error:     g.totalError,
 		Merges:    g.merges,
 		MaxHeap:   g.maxHeap,
-		ReadAhead: readAhead,
-	}
+		ReadAhead: max(g.maxHeap-len(rows), 0),
+	}, nil
 }
 
 // GMS evaluates size-bounded PTA with the plain greedy merging strategy of
@@ -273,30 +373,11 @@ func GMS(seq *temporal.Sequence, c int, opts Options) (*GreedyResult, error) {
 	if err := validateSizeBound(seq, c); err != nil {
 		return nil, err
 	}
-	g, err := newGreedyState(seq.P(), opts)
+	g, err := newGreedyState(NewSliceStream(seq), opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.canceled(); err != nil {
-		return nil, err
-	}
-	for _, row := range seq.Rows {
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.insert(row.CloneAggs())
-	}
-	for g.h.len() > c {
-		n := g.h.peek()
-		if n.key == Inf {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.mergeTop()
-	}
-	return g.result(seq), nil
+	return g.reduceTo(c, nil)
 }
 
 // GMSError evaluates error-bounded PTA with the plain greedy merging
@@ -306,31 +387,11 @@ func GMSError(seq *temporal.Sequence, eps float64, opts Options) (*GreedyResult,
 	if err := CheckErrorBound(eps); err != nil {
 		return nil, err
 	}
-	g, err := newGreedyState(seq.P(), opts)
+	g, err := newGreedyState(NewSliceStream(seq), opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.canceled(); err != nil {
-		return nil, err
-	}
-	for _, row := range seq.Rows {
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.insert(row.CloneAggs())
-	}
-	bound := eps * g.exactEmax()
-	for {
-		n := g.h.peek()
-		if n == nil || n.key == Inf || g.totalError+n.key > bound {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.mergeTop()
-	}
-	return g.result(seq), nil
+	return g.reduceWithin(eps, nil)
 }
 
 // GPTAc evaluates size-bounded PTA greedily over a stream (algorithm gPTAc,
@@ -340,54 +401,17 @@ func GMSError(seq *temporal.Sequence, eps float64, opts Options) (*GreedyResult,
 // output is identical to GMS (Theorem 2). It runs in O(n log(c+β)) time and
 // O(c+β) space, where β is the read-ahead overshoot.
 func GPTAc(src Stream, c, delta int, opts Options) (*GreedyResult, error) {
-	meta := src.Sequence()
 	if c < 1 {
 		return nil, fmt.Errorf("core: size bound %d, want ≥ 1", c)
 	}
-	g, err := newGreedyState(meta.P(), opts)
+	g, err := newGreedyState(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.canceled(); err != nil {
-		return nil, err
-	}
-	for {
-		row, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.insert(row.CloneAggs())
-		for g.h.len() > c {
-			n := g.h.peek()
-			if n.key == Inf {
-				break
-			}
-			if n.id < g.lastGap && g.bg >= c {
-				g.bg--
-				g.mergeTop()
-			} else if n.id > g.lastGap && g.hasAdjacentSuccessors(n, delta) {
-				g.ag--
-				g.mergeTop()
-			} else {
-				break // wait for more tuples
-			}
-		}
-	}
-	// The stream is exhausted: finish like GMS.
-	for g.h.len() > c {
-		n := g.h.peek()
-		if n.key == Inf {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.mergeTop()
-	}
-	return g.result(meta), nil
+	return g.reduceTo(c, func(top *node) bool {
+		return (top.id < g.lastGap && g.bg >= c) ||
+			(top.id > g.lastGap && g.hasAdjacentSuccessors(top, delta))
+	})
 }
 
 // Estimate carries the a-priori guesses gPTAε needs before the stream ends:
@@ -513,54 +537,35 @@ func GPTAe(src Stream, eps float64, delta int, est Estimate, opts Options) (*Gre
 	if est.N < 1 {
 		return nil, fmt.Errorf("core: estimated size %d, want ≥ 1", est.N)
 	}
-	meta := src.Sequence()
-	g, err := newGreedyState(meta.P(), opts)
+	g, err := newGreedyState(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.canceled(); err != nil {
+	perMerge := eps * est.EMax / float64(est.N)
+	return g.reduceWithin(eps, func(top *node) bool {
+		return g.cost(top) <= perMerge &&
+			(top.id < g.lastGap || (top.id > g.lastGap && g.hasAdjacentSuccessors(top, delta)))
+	})
+}
+
+// Amnesic runs the online size-bounded reduction under a relative amnesic
+// function (Palpanas et al., ICDE 2004), which Section 2.2 discusses: rows
+// arrive in order, and whenever more than c tuples are buffered the
+// adjacent pair with the smallest scaled cost dsim/RA(t) merges, t the
+// pair's midpoint, so a function that grows with age lets old data carry
+// more error. Error is the unscaled SSE. A nil ra is RA ≡ 1, under which
+// the reduction is gPTAc with δ = 0 on a gap-free series; an RA(t) that is
+// not positive counts as 1e-12.
+func Amnesic(seq *temporal.Sequence, c int, ra func(temporal.Chronon) float64, opts Options) (*GreedyResult, error) {
+	if err := validateSizeBound(seq, c); err != nil {
 		return nil, err
 	}
-	perMerge := eps * est.EMax / float64(est.N)
-	for {
-		row, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.insert(row.CloneAggs())
-		for {
-			n := g.h.peek()
-			if n.key > perMerge { // Inf included
-				break
-			}
-			if n.id < g.lastGap {
-				g.bg--
-				g.mergeTop()
-			} else if n.id > g.lastGap && g.hasAdjacentSuccessors(n, delta) {
-				g.ag--
-				g.mergeTop()
-			} else {
-				break // wait for more tuples
-			}
-		}
+	g, err := newGreedyState(NewSliceStream(seq), opts)
+	if err != nil {
+		return nil, err
 	}
-	// Final phase with the exact maximal error.
-	emax := g.exactEmax()
-	bound := eps * emax
-	for {
-		n := g.h.peek()
-		if n == nil || n.key == Inf || g.totalError+n.key > bound {
-			break
-		}
-		if err := g.checkCancel(); err != nil {
-			return nil, err
-		}
-		g.mergeTop()
-	}
-	return g.result(meta), nil
+	g.ra = ra
+	return g.reduceTo(c, func(*node) bool { return true })
 }
 
 func validateSizeBound(seq *temporal.Sequence, c int) error {

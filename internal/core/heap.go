@@ -15,14 +15,14 @@ type node struct {
 	// prev and next are the chronological neighbours in the intermediate
 	// relation; nil at the ends.
 	prev, next *node
-	// key is dsim(prev.row, row): the error of merging this node into its
-	// predecessor, Inf when there is no predecessor or the pair is
-	// non-adjacent.
+	// key ranks merging this node into its predecessor: dsim(prev, this),
+	// the error the merge introduces, or dsim/RA under an amnesic function;
+	// Inf when there is no predecessor or the pair may not merge.
 	key float64
 	// hpos is the node's index in the heap array, maintained by the heap.
 	hpos int
 	// cov is the length the node's constituents cover, bridged gaps
-	// excluded; only GMSBridged, which merges across gaps, sets it.
+	// excluded.
 	cov float64
 }
 

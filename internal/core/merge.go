@@ -6,41 +6,34 @@ import (
 	"repro/internal/temporal"
 )
 
-// RowsAdjacent reports whether row a immediately precedes row b in the sense
-// of Definition 2: same aggregation group and a.T meets b.T.
-func RowsAdjacent(a, b temporal.SeqRow) bool {
-	return a.Group == b.Group && a.T.Meets(b.T)
+// absorb folds b into a in place: a.row becomes a.row ⊕ b.row
+// (Definition 3), the grouping values of a, a timestamp from a's start to
+// b's end, and per-dimension averages weighted by the chronons each side
+// covers. For adjacent rows the covered length is the timestamp's length;
+// a merge that bridges a gap (Section 8) spans chronons that carry no data,
+// which the covered length leaves out.
+func (a *node) absorb(b *node) {
+	total := a.cov + b.cov
+	for d := range a.row.Aggs {
+		a.row.Aggs[d] = (a.cov*a.row.Aggs[d] + b.cov*b.row.Aggs[d]) / total
+	}
+	a.row.T.End = b.row.T.End
+	a.cov = total
 }
 
-// MergeRows computes a ⊕ b for adjacent rows (Definition 3): the grouping
-// values of a, the concatenation of the timestamps, and per-dimension
-// length-weighted averages of the aggregate values.
-func MergeRows(a, b temporal.SeqRow) temporal.SeqRow {
-	la, lb := float64(a.T.Len()), float64(b.T.Len())
-	aggs := make([]float64, len(a.Aggs))
-	for d := range aggs {
-		aggs[d] = (la*a.Aggs[d] + lb*b.Aggs[d]) / (la + lb)
-	}
-	return temporal.SeqRow{
-		Group: a.Group,
-		Aggs:  aggs,
-		T:     temporal.Interval{Start: a.T.Start, End: b.T.End},
-	}
-}
-
-// Dissimilarity returns dsim(a, b) (Proposition 2): the error introduced by
-// merging the adjacent rows a and b, computed from the two rows alone as
+// dsim returns dsim(a, b) (Proposition 2): the error introduced by merging
+// a and b, computed from the two nodes alone as
 //
-//	dsim(a, b) = Σ_d w_d² · |a.T|·|b.T|/(|a.T|+|b.T|) · (a.B_d − b.B_d)².
+//	dsim(a, b) = Σ_d w_d² · |a|·|b|/(|a|+|b|) · (a.B_d − b.B_d)²,
 //
-// The closed form is algebraically equal to SSE({a,b},{a⊕b}) and avoids the
-// cancellation of the textbook three-term formula.
-func Dissimilarity(a, b temporal.SeqRow, w2 []float64) float64 {
-	la, lb := float64(a.T.Len()), float64(b.T.Len())
-	factor := la * lb / (la + lb)
+// where |x| is the length x covers. The closed form is algebraically equal
+// to SSE({a,b},{a⊕b}) and avoids the cancellation of the textbook
+// three-term formula.
+func dsim(a, b *node, w2 []float64) float64 {
+	factor := a.cov * b.cov / (a.cov + b.cov)
 	var sse float64
-	for d := range a.Aggs {
-		diff := a.Aggs[d] - b.Aggs[d]
+	for d := range a.row.Aggs {
+		diff := a.row.Aggs[d] - b.row.Aggs[d]
 		sse += w2[d] * factor * diff * diff
 	}
 	return sse

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,9 +248,10 @@ func TestExactEntryPointsMatchBruteForce(t *testing.T) {
 
 // TestOverflowBudgetsTypedError: weights that overflow the error sums
 // (SSEmax is +Inf over 1, 5, 2, 9, 3 at weight 1e160) make every exact
-// entry point of TestExactEntryPointsMatchBruteForce answer eps = 0,
-// eps = 0.5 and c = 3 with ErrOverflow: no panic, no +Inf answer, no walk
-// over split rows that were never written.
+// entry point of TestExactEntryPointsMatchBruteForce and every greedy one
+// answer eps = 0, eps = 0.5 and c = 3 with ErrOverflow: no panic, no +Inf
+// answer, no walk over split rows that were never written, no greedy
+// answer that stopped merging above the size bound.
 func TestOverflowBudgetsTypedError(t *testing.T) {
 	ctx := context.Background()
 	seq := temporal.NewSequence(nil, []string{"v"})
@@ -270,10 +272,18 @@ func TestOverflowBudgetsTypedError(t *testing.T) {
 			_, errs["PTAc/PTAe"] = PTAc(seq, b.C, opts)
 			_, errs["PTAcParallel/PTAeParallel"] = PTAcParallel(seq, b.C, opts, 2)
 			_, errs["Solver"] = sv.SolveSize(ctx, b.C)
+			_, errs["GMS"] = GMS(seq, b.C, opts)
+			_, errs["GPTAc"] = GPTAc(NewSliceStream(seq), b.C, 1, opts)
+			_, errs["GMSBridged"] = GMSBridged(seq, b.C, opts)
+			_, errs["Amnesic"] = Amnesic(seq, b.C, nil, opts)
 		} else {
 			_, errs["PTAc/PTAe"] = PTAe(seq, b.Eps, opts)
 			_, errs["PTAcParallel/PTAeParallel"] = PTAeParallel(seq, b.Eps, opts, 2)
 			_, errs["Solver"] = sv.SolveError(ctx, b.Eps)
+			_, errs["GMSError"] = GMSError(seq, b.Eps, opts)
+			for _, est := range []Estimate{{N: 5, EMax: 100}, {N: 5, EMax: Inf}} {
+				_, errs[fmt.Sprintf("GPTAe(EMax=%v)", est.EMax)] = GPTAe(NewSliceStream(seq), b.Eps, 1, est, opts)
+			}
 		}
 		for name, err := range errs {
 			if !errors.Is(err, ErrOverflow) {

@@ -114,9 +114,9 @@ func (sv *Solver) Deepen(ctx context.Context, k int) error {
 	return sv.ensure(ctx, k)
 }
 
-// ensure fills rows filled+1..k under ctx: the one loop that fills rows
-// toward a budget. Rows are filled strictly in order; already-filled rows
-// are never recomputed.
+// ensure fills rows filled+1..k under ctx: the one loop that fills DP rows,
+// toward a budget or, for Matrices and ErrorCurve, to a row count. Rows are
+// filled strictly in order; already-filled rows are never recomputed.
 func (sv *Solver) ensure(ctx context.Context, k int) error {
 	sv.st.opts.Ctx = ctx
 	for next := sv.filled + 1; next <= k; next++ {

@@ -444,7 +444,9 @@ func (c *Coordinator) gather(ctx context.Context, shards []*shard, kcap int, opt
 // Failures — transport errors, timeouts, non-200 statuses, corrupt or
 // inconsistent bodies — retry with doubled backoff against the next ring
 // replica, so any surviving worker can serve any shard (exactness never
-// depends on placement; placement is only cache affinity).
+// depends on placement; placement is only cache affinity). A 422 is the
+// worker's verdict on the shard itself, which every replica would repeat,
+// so it ends the fetch at once with the facade error its code names.
 func (c *Coordinator) fetchShard(ctx context.Context, sh *shard, from, to int, opts pta.Options) error {
 	plans := make([]serve.PlanWire, 0, to-from+1)
 	for k := from; k <= to; k++ {
@@ -483,7 +485,8 @@ func (c *Coordinator) fetchShard(ctx context.Context, sh *shard, from, to int, o
 			}
 		}
 		lastErr = fmt.Errorf("worker %s: %w", w, err)
-		if ctx.Err() != nil {
+		var werr *workerError
+		if ctx.Err() != nil || errors.As(err, &werr) && werr.status == http.StatusUnprocessableEntity {
 			return fmt.Errorf("dist: shard rows %d-%d: %w", sh.lo, sh.hi, lastErr)
 		}
 	}
@@ -511,17 +514,41 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte) ([]s
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
+		werr := &workerError{status: resp.StatusCode}
 		var env serve.ErrorEnvelope
-		if jerr := json.Unmarshal(data, &env); jerr == nil && env.Error.Message != "" {
-			return nil, fmt.Errorf("status %d: %s (%s)", resp.StatusCode, env.Error.Message, env.Error.Code)
+		if jerr := json.Unmarshal(data, &env); jerr == nil {
+			werr.code, werr.msg = env.Error.Code, env.Error.Message
 		}
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return nil, werr
 	}
 	var out serve.ManyResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("decoding response: %w", err)
 	}
 	return out.Results, nil
+}
+
+// workerError is a worker's non-200 answer, with the code and message of
+// its error envelope when it sent one.
+type workerError struct {
+	status    int
+	code, msg string
+}
+
+func (e *workerError) Error() string {
+	if e.msg == "" {
+		return fmt.Sprintf("status %d", e.status)
+	}
+	return fmt.Sprintf("status %d: %s (%s)", e.status, e.msg, e.code)
+}
+
+// Unwrap names the facade error behind the worker's code, so a shard whose
+// error sums overflow fails the compression with pta.ErrOverflow.
+func (e *workerError) Unwrap() error {
+	if e.code == "error_overflow" {
+		return pta.ErrOverflow
+	}
+	return nil
 }
 
 // absorb validates one worker response carrying sizes from..to and commits

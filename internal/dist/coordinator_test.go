@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -402,5 +403,56 @@ func TestDistErrorShiftingWorker(t *testing.T) {
 	}
 	if res.C != c || res.Series.Len() != c || res.Series.Validate() != nil || res.Series.TotalLen() != s.TotalLen() {
 		t.Fatalf("size budget over shifted curves: C=%d over %d rows, want %d rows tiling the series", res.C, res.Series.Len(), c)
+	}
+}
+
+// TestDistWorker422IsFinal: a worker's 422 is its verdict on the shard, so
+// the coordinator takes it from the first worker asked, without retries,
+// and fails with the facade error its code names. Weights of 1e160 over
+// 1, 5, 2, 9, 3 (one shard) overflow the error sums, which each worker
+// answers with 422 error_overflow.
+func TestDistWorker422IsFinal(t *testing.T) {
+	var fetches atomic.Int64
+	var urls []string
+	for range 2 {
+		srv, err := serve.New(serve.Config{Logger: log.New(io.Discard, "", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		backend := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/compress/many" {
+				fetches.Add(1)
+			}
+			backend.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	co, err := New(WithWorkers(urls...), WithBackoff(time.Millisecond), WithRetries(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pta.NewSeries(nil, []string{"v"})
+	gid := s.Groups.Intern(nil)
+	for i, v := range []float64{1, 5, 2, 9, 3} {
+		s.Rows = append(s.Rows, pta.Row{Group: gid, Aggs: []float64{v}, T: pta.Interval{Start: pta.Chronon(i), End: pta.Chronon(i)}})
+	}
+	kn, err := core.NewKernel(s, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := len(makeShards(s, kn))
+
+	retries := co.m.retries.Value()
+	_, err = co.Compress(context.Background(), s, pta.Size(3), pta.Options{Weights: []float64{1e160}})
+	if !errors.Is(err, pta.ErrOverflow) {
+		t.Fatalf("got %v, want pta.ErrOverflow", err)
+	}
+	if got := fetches.Load(); got != int64(shards) {
+		t.Errorf("%d shard requests for %d shards, want one each", got, shards)
+	}
+	if got := co.m.retries.Value(); got != retries {
+		t.Errorf("ptadist_retries_total moved from %d to %d", retries, got)
 	}
 }

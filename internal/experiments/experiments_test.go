@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,12 +13,94 @@ import (
 
 func quickConfig() Config { return Config{Scale: 1, Seed: 7, Quick: true} }
 
-// TestAllExperimentsRunQuick smoke-tests every registered experiment at
-// Quick scale: it must succeed, produce a well-formed table, and render.
+// goldenFile holds the paper's tables at quickConfig, as printed by
+//
+//	go run ./cmd/ptabench -all -quick -seed 7 -json > internal/experiments/testdata/quick_seed7.json
+//
+// A change that moves a deterministic cell commits the regenerated file
+// with it.
+const goldenFile = "testdata/quick_seed7.json"
+
+// goldenRelTol bounds the relative difference of a non-integer numeric
+// cell from its golden value. fmtF prints four significant digits, so one
+// unit in the last printed digit is at most 1e-3 of the value.
+const goldenRelTol = 1e-3
+
+// goldenTables reads goldenFile, keyed by table id.
+func goldenTables(t *testing.T) map[string]*Table {
+	t.Helper()
+	raw, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tabs []*Table
+	if err := json.Unmarshal(raw, &tabs); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	byID := map[string]*Table{}
+	for _, tab := range tabs {
+		byID[tab.ID] = tab
+	}
+	return byID
+}
+
+// timingColumn reports whether a column holds a wall time or a ratio of
+// wall times, which no golden file can pin.
+func timingColumn(name string) bool {
+	return name == "ms" || strings.HasSuffix(name, "_ms") || name == "speedup" || name == "vs_pruned"
+}
+
+// approxCell compares one golden cell: text and integers exactly, other
+// numbers within goldenRelTol of the golden value.
+func approxCell(got, want string) bool {
+	if got == want {
+		return true
+	}
+	if _, err := strconv.ParseInt(want, 10, 64); err == nil {
+		return false
+	}
+	g, err1 := strconv.ParseFloat(got, 64)
+	w, err2 := strconv.ParseFloat(want, 64)
+	if err1 != nil || err2 != nil || math.IsInf(w, 0) || math.IsNaN(w) {
+		return false
+	}
+	return math.Abs(g-w) <= goldenRelTol*math.Max(math.Abs(g), math.Abs(w))
+}
+
+// checkGolden holds a table to its golden counterpart: same header, same
+// row count, every cell outside the timing columns (and multibudget's
+// "total ms" row) equal under approxCell.
+func checkGolden(t *testing.T, got, want *Table) {
+	t.Helper()
+	if strings.Join(got.Header, "|") != strings.Join(want.Header, "|") {
+		t.Fatalf("header %q, golden %q", got.Header, want.Header)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%d rows, golden %d", len(got.Rows), len(want.Rows))
+	}
+	for i, row := range want.Rows {
+		if got.ID == "multibudget" && row[0] == "total ms" {
+			continue
+		}
+		for c, name := range want.Header {
+			if !timingColumn(name) && !approxCell(got.Rows[i][c], row[c]) {
+				t.Errorf("row %d (%s) %s = %q, golden %q", i, row[0], name, got.Rows[i][c], row[c])
+			}
+		}
+	}
+}
+
+// TestAllExperimentsRunQuick runs every registered experiment at Quick
+// scale: it must succeed, produce a well-formed table that renders, and
+// match the golden tables of goldenFile.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	exps := All()
 	if len(exps) < 15 {
 		t.Fatalf("only %d experiments registered", len(exps))
+	}
+	golden := goldenTables(t)
+	if len(golden) != len(exps) {
+		t.Errorf("%d golden tables, %d experiments registered", len(golden), len(exps))
 	}
 	for _, e := range exps {
 		e := e
@@ -34,6 +119,11 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				if len(row) != len(tab.Header) {
 					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(tab.Header))
 				}
+			}
+			if want, ok := golden[e.ID]; !ok {
+				t.Errorf("no golden table %q in %s", e.ID, goldenFile)
+			} else {
+				checkGolden(t, tab, want)
 			}
 			var buf bytes.Buffer
 			if err := tab.Format(&buf); err != nil {

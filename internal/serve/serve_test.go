@@ -312,20 +312,33 @@ func TestTypedErrorStatuses(t *testing.T) {
 }
 
 // TestOverflowingWeightsAre422: weights large enough to overflow the error
-// sums (SSEmax is +Inf over 1, 5, 2, 9, 3 at weight 1e160) answer each
-// budget kind with a 422 error_overflow, on a fresh server each: no panic
-// that drops the connection, no "error": null answer, no 500 from a split
-// walk over a row that was never written.
+// sums (SSEmax is +Inf over 1, 5, 2, 9, 3 at weight 1e160) answer every
+// registered strategy but dist (which needs workers) with a 422
+// error_overflow under each budget kind it supports (eps = 0, eps = 0.5,
+// c = 3), on a fresh server each: no panic that drops the connection, no
+// "error": null answer, no 500 from a split walk over a row that was never
+// written, no greedy answer that stopped merging above the size bound.
 func TestOverflowingWeightsAre422(t *testing.T) {
 	series := seriesWire{AggNames: []string{"v"}}
 	for i, v := range []float64{1, 5, 2, 9, 3} {
 		series.Rows = append(series.Rows, rowWire{Aggs: []float64{v}, Start: int64(i), End: int64(i)})
 	}
-	for _, plan := range []planWire{
-		{Strategy: "ptae", Budget: "eps=0", Weights: []float64{1e160}},
-		{Strategy: "ptae", Budget: "eps=0.5", Weights: []float64{1e160}},
-		{Strategy: "ptac", Budget: "c=3", Weights: []float64{1e160}},
-	} {
+	var plans []planWire
+	for _, name := range pta.Strategies() {
+		if name == "dist" {
+			continue
+		}
+		ev, _ := pta.Lookup(name)
+		if ev.Supports(pta.BudgetError) {
+			plans = append(plans,
+				planWire{Strategy: name, Budget: "eps=0", Weights: []float64{1e160}},
+				planWire{Strategy: name, Budget: "eps=0.5", Weights: []float64{1e160}})
+		}
+		if ev.Supports(pta.BudgetSize) {
+			plans = append(plans, planWire{Strategy: name, Budget: "c=3", Weights: []float64{1e160}})
+		}
+	}
+	for _, plan := range plans {
 		_, ts := newTestServer(t, Config{})
 		status, out, err := tryPost(ts.URL+"/v1/compress", mustMarshal(t, compressRequest{Series: series, Plan: plan}))
 		ts.Close()

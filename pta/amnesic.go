@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/amnesic"
+	"repro/internal/core"
 )
 
 // This file registers the age-weighted amnesic reduction (Palpanas et al.,
@@ -59,17 +60,17 @@ func init() {
 		name: "amnesic",
 		desc: "age-weighted online reduction: older chronons tolerate more error (Palpanas et al.)",
 		size: func(ctx context.Context, s *Series, c int, opts Options) (*Result, error) {
-			ra := amnesic.Func(opts.Amnesic)
+			ra := opts.Amnesic
 			if ra == nil {
 				ra = defaultAmnesic(s)
 			}
-			res, err := amnesic.ReduceSize(ctx, s, c, ra, opts.Weights)
+			res, err := core.Amnesic(s, c, ra, opts.coreOptionsCtx(ctx))
 			if err != nil {
 				return nil, err
 			}
 			return &Result{
 				Series: res.Sequence,
-				C:      res.Sequence.Len(),
+				C:      res.C,
 				Error:  res.Error,
 				Stats:  Stats{MaxHeap: res.MaxHeap},
 			}, nil

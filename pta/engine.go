@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -202,9 +203,13 @@ func (e *Engine) finish(p Plan, res *Result, err error) (*Result, error) {
 
 // finishResult is the shared error-mapping/stamping step behind every facade
 // evaluation (Engine methods and MatrixSet.Compress): core errors become the
-// typed errors.Is-able facade errors, successful results are stamped with
-// their provenance.
+// typed errors.Is-able facade errors, a result whose error is not a finite
+// number becomes ErrOverflow, successful results are stamped with their
+// provenance.
 func finishResult(strategy string, b Budget, res *Result, err error) (*Result, error) {
+	if err == nil && (math.IsNaN(res.Error) || math.IsInf(res.Error, 0)) {
+		err = fmt.Errorf("error is %v: %w", res.Error, ErrOverflow)
+	}
 	if err != nil {
 		var inf *core.InfeasibleSizeError
 		if errors.As(err, &inf) {

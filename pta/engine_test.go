@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/amnesic"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
 )
@@ -484,12 +485,12 @@ func TestAmnesicStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := amnesic.ReduceSize(ctx, seq, c, amnesic.LinearAge(now, 2.0), nil)
+	direct, err := core.Amnesic(seq, c, amnesic.LinearAge(now, 2.0), core.Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Series.Equal(direct.Sequence, 1e-9) || math.Abs(res.Error-direct.Error) > 1e-9*(1+direct.Error) {
-		t.Error("registry amnesic differs from direct amnesic.ReduceSize")
+		t.Error("registry amnesic differs from direct core.Amnesic")
 	}
 
 	// The nil default must work (CLI and registry sweep path) and stay
