@@ -113,11 +113,8 @@ func main() {
 // run wires the engine and server and serves until SIGINT/SIGTERM.
 func run(opts options, logger *log.Logger) error {
 	// One long-lived engine per deployment: request handlers share its
-	// worker parallelism and pooled DP scratch buffers.
-	engine, err := pta.New(
-		pta.WithParallelism(opts.parallel),
-		pta.WithScratchPool(pta.NewScratchPool()),
-	)
+	// worker parallelism.
+	engine, err := pta.New(pta.WithParallelism(opts.parallel))
 	if err != nil {
 		return err
 	}

@@ -13,9 +13,8 @@
 //	res, err := eng.Compress(ctx, series, pta.Plan{Strategy: "ptac", Budget: pta.Size(12)})
 //
 // New configures the engine with functional options (WithWeights,
-// WithParallelism, WithReadAhead, WithEstimator, WithScratchPool). Engine
-// methods take a context — long dynamic programs abort promptly on
-// cancellation — and reuse pooled DP scratch buffers across calls:
+// WithParallelism, WithReadAhead, WithEstimator). Engine methods take a
+// context — long dynamic programs abort promptly on cancellation:
 //
 //   - Compress evaluates one Plan (a strategy name plus a Budget: the size
 //     bound pta.Size(c) or the error bound pta.ErrorBound(eps)). With
@@ -65,11 +64,10 @@
 // internal/sta), the PTA merge operator, prefix matrices, evaluators and
 // the incremental Solver behind the matrix cache (internal/core), the HTTP
 // serving layer (internal/serve), the time-series approximation baselines
-// (internal/approx), V-optimal histograms (internal/histogram), synthetic
-// evaluation workloads (internal/dataset), CSV storage (internal/csvio),
-// and the experiment harness that regenerates every table and figure of
-// the paper (internal/experiments, driven by cmd/ptabench; README.md maps
-// experiment ids to paper figures).
+// (internal/approx), synthetic evaluation workloads (internal/dataset),
+// CSV storage (internal/csvio), and the experiment harness that
+// regenerates every table and figure of the paper (internal/experiments,
+// driven by cmd/ptabench; README.md maps experiment ids to paper figures).
 //
 // bench_test.go at this root wraps one benchmark family around each paper
 // artifact; integration_test.go crosses the package boundaries end to end.

@@ -25,8 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One engine outlives every snapshot below: its scratch buffers are
-	// reused across the repeated display compressions of the live store.
+	// One engine outlives every snapshot below and serves the repeated
+	// display compressions of the live store.
 	engine, err := pta.New()
 	if err != nil {
 		log.Fatal(err)

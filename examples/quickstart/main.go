@@ -71,8 +71,8 @@ func main() {
 	fmt.Print(res.Series)
 
 	// The error-bounded variant instead fixes a tolerable error (here 20%
-	// of the maximal merging error) and minimizes the size. Same engine,
-	// same scratch buffers — only the plan changes.
+	// of the maximal merging error) and minimizes the size. Same engine —
+	// only the plan changes.
 	resE, err := engine.Compress(ctx, itaResult, pta.Plan{Strategy: "ptae", Budget: pta.ErrorBound(0.2)})
 	if err != nil {
 		log.Fatal(err)

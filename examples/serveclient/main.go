@@ -50,8 +50,8 @@ func request(strategy, budget string) []byte {
 
 func main() {
 	// Boot the server like cmd/ptaserve does: one engine per deployment,
-	// handlers share its scratch pool and the LRU matrix cache.
-	engine, err := pta.New(pta.WithParallelism(2), pta.WithScratchPool(pta.NewScratchPool()))
+	// handlers share it and the LRU matrix cache.
+	engine, err := pta.New(pta.WithParallelism(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,41 +72,6 @@ type Segment struct {
 	Vals []float64
 }
 
-// SegmentsToSequence packages a step function over the series' time range as
-// a single-group sequential relation, so core.SSEBetween and the PTA
-// machinery can consume baseline outputs.
-func SegmentsToSequence(segs []Segment, aggNames []string) *temporal.Sequence {
-	seq := temporal.NewSequence(nil, aggNames)
-	gid := seq.Groups.Intern(nil)
-	for _, sg := range segs {
-		seq.Rows = append(seq.Rows, temporal.SeqRow{
-			Group: gid,
-			Aggs:  append([]float64(nil), sg.Vals...),
-			T:     sg.T,
-		})
-	}
-	return seq
-}
-
-// SSEReconstruction returns the sum squared error of a full-resolution
-// reconstruction against the series, per dimension weight w2 (nil = 1).
-// Reconstruction dimension d must have at least Len() samples; extra
-// samples (e.g. wavelet padding) are ignored.
-func (s *Series) SSEReconstruction(recon [][]float64, w2 []float64) float64 {
-	var total float64
-	for d := range s.Dims {
-		w := 1.0
-		if w2 != nil {
-			w = w2[d]
-		}
-		for t, v := range s.Dims[d] {
-			diff := v - recon[d][t]
-			total += w * diff * diff
-		}
-	}
-	return total
-}
-
 // SSESegments returns the sum squared error of a step function against the
 // series.
 func (s *Series) SSESegments(segs []Segment, w2 []float64) float64 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/amnesic"
 	"repro/internal/temporal"
 )
 
@@ -19,6 +18,10 @@ func unitSequence(vals []float64) *temporal.Sequence {
 	}
 	return seq
 }
+
+// constantRA is the relative amnesic function RA ≡ 1, which disables the
+// amnesic effect.
+func constantRA(temporal.Chronon) float64 { return 1 }
 
 func randVals(rng *rand.Rand, n int) []float64 {
 	vals := make([]float64, n)
@@ -36,7 +39,7 @@ func TestReduceSizeEquivalentToGPTAc(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		seq := unitSequence(randVals(rng, 5+rng.Intn(60)))
 		c := 1 + rng.Intn(seq.Len())
-		am, err1 := Amnesic(seq, c, amnesic.Constant(1), Options{})
+		am, err1 := Amnesic(seq, c, constantRA, Options{})
 		gp, err2 := GPTAc(NewSliceStream(seq), c, 0, Options{})
 		if err1 != nil || err2 != nil {
 			return false
@@ -61,7 +64,7 @@ func TestReduceSizeAmnesiaPrefersOldMerges(t *testing.T) {
 	}
 	seq := unitSequence(vals)
 	now := temporal.Chronon(len(vals) - 1)
-	res, err := Amnesic(seq, 40, amnesic.LinearAge(now, 5), Options{})
+	res, err := Amnesic(seq, 40, func(t temporal.Chronon) float64 { return 1 + 5*float64(max(now-t, 0)) }, Options{})
 	if err != nil {
 		t.Fatalf("Amnesic: %v", err)
 	}
@@ -96,7 +99,7 @@ func TestReduceSizeRespectsGapsAndGroups(t *testing.T) {
 		{Group: gid, Aggs: []float64{1}, T: temporal.Inst(0)},
 		{Group: gid, Aggs: []float64{1}, T: temporal.Inst(5)}, // gap
 	}
-	res, err := Amnesic(seq, 1, amnesic.Constant(1), Options{})
+	res, err := Amnesic(seq, 1, constantRA, Options{})
 	if err != nil {
 		t.Fatalf("Amnesic: %v", err)
 	}

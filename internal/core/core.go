@@ -37,8 +37,7 @@ var Inf = math.Inf(1)
 const DeltaInf = math.MaxInt32
 
 // Options carries evaluation parameters shared by all PTA algorithms. It is
-// a per-call argument bundle: Ctx and Scratch belong to one evaluation and
-// must not be shared across concurrent calls.
+// a per-call argument bundle: Ctx belongs to one evaluation.
 type Options struct {
 	// Weights holds one positive weight per aggregate attribute (w_d of
 	// Definition 5). nil means all weights are 1.
@@ -52,11 +51,6 @@ type Options struct {
 	// long-running reductions abort promptly when the caller cancels.
 	// Evaluators return the context error (wrapped) on cancellation.
 	Ctx context.Context
-	// Scratch, when non-nil, provides reusable DP buffers, amortizing the
-	// per-call allocations of the error and split-point matrix rows and of
-	// the cost-kernel prefix slabs. A Scratch serves one evaluation at a
-	// time.
-	Scratch *Scratch
 }
 
 // canceled reports the context error, if any, wrapped for the evaluators.

@@ -58,7 +58,6 @@ type dpState struct {
 	pruneI, pruneJ bool
 	algo           FillAlgo // resolved, never FillAuto
 	storeSplits    bool
-	ownSplits      bool // allocate split rows privately even with a Scratch
 	prevE, curE    []float64
 	splits         [][]int32 // splits[k-1][i] = J[k][i]
 	stats          DPStats
@@ -105,7 +104,7 @@ func newDPState(kn *CostKernel, opts Options, pruneI, pruneJ, storeSplits bool) 
 			segs = nil
 		}
 	}
-	st := &dpState{
+	return &dpState{
 		kn:          kn,
 		opts:        opts,
 		n:           kn.N(),
@@ -113,16 +112,11 @@ func newDPState(kn *CostKernel, opts Options, pruneI, pruneJ, storeSplits bool) 
 		pruneJ:      pruneJ,
 		algo:        algo,
 		storeSplits: storeSplits,
+		prevE:       make([]float64, kn.N()+1),
+		curE:        make([]float64, kn.N()+1),
 		rerr:        kn.rangeErr(),
 		segs:        segs,
 	}
-	if sc := opts.Scratch; sc != nil {
-		st.prevE, st.curE = sc.eBuffers(kn.N())
-	} else {
-		st.prevE = make([]float64, kn.N()+1)
-		st.curE = make([]float64, kn.N()+1)
-	}
-	return st
 }
 
 // fillRow computes row k of the matrices and returns E[k][n]. It polls the
@@ -140,11 +134,7 @@ func (st *dpState) fillRow(k int) (float64, error) {
 	}
 	var jrow []int32
 	if st.storeSplits {
-		if sc := st.opts.Scratch; sc != nil && !st.ownSplits {
-			jrow = sc.jRow(k, n)
-		} else {
-			jrow = make([]int32, n+1)
-		}
+		jrow = make([]int32, n+1)
 	}
 
 	// Upper bound for i: past the k-th gap every E[k][i] is infinite.
@@ -403,13 +393,6 @@ func PTAeAblation(seq *temporal.Sequence, eps float64, opts Options, mode PruneM
 		mode == PruneJMin || mode == PruneBoth))
 }
 
-// DPBasicError evaluates error-bounded PTA with the basic dynamic-programming
-// scheme (no gap/group pruning) — the error-bounded counterpart of DPBasic,
-// used as the baseline of the performance experiments.
-func DPBasicError(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
-	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, false, false))
-}
-
 // Matrices runs the pruned DP for k = 1..c and returns copies of the error
 // matrix rows E[k] and split-point rows J[k]. Row k lives at index k−1 and
 // column i is 1-based (index 0 is unused), matching the paper's Figs. 4-5.
@@ -424,10 +407,7 @@ func Matrices(seq *temporal.Sequence, c int, opts Options) ([][]float64, [][]int
 	if err != nil {
 		return nil, nil, err
 	}
-	// The split rows leave the function, so they must not come from a
-	// caller-provided Scratch (whose rows are reused by the next call).
 	sv := newSolver(kn, opts, true, true)
-	sv.st.ownSplits = true
 	em := make([][]float64, c)
 	for k := 1; k <= c; k++ {
 		if err := sv.ensure(opts.Ctx, k); err != nil {

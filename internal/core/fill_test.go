@@ -98,7 +98,6 @@ func tieSequence(rng *rand.Rand, n, p int, gapProb float64) *CostKernel {
 func fillMatrices(t *testing.T, kn *CostKernel, opts Options, pruneI, pruneJ bool, c int) ([][]float64, [][]int32) {
 	t.Helper()
 	st := newDPState(kn, opts, pruneI, pruneJ, true)
-	st.ownSplits = true
 	em := make([][]float64, c)
 	for k := 1; k <= c; k++ {
 		if _, err := st.fillRow(k); err != nil {

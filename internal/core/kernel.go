@@ -23,8 +23,7 @@ import (
 //
 // With them the error of merging any gap-free run s_i..s_j into one tuple is
 // computed in O(p) time (Proposition 1) by MergeErr. Building a kernel costs
-// O(np) time and space (the slabs come from Options.Scratch when one is
-// provided); in the paper this work is folded into the ITA scan.
+// O(np) time and space; in the paper this work is folded into the ITA scan.
 //
 // One kernel serves any number of row fills over the same sequence — the DP
 // evaluators, DPMulti, the incremental Solver and the parallel run curves
@@ -62,12 +61,14 @@ type CostKernel struct {
 }
 
 // NewKernel validates the sequence and the options and builds the cost
-// kernel. When opts.Scratch is set, the prefix slabs are drawn from it and
-// stay valid only for the current evaluation; retained states (Solver,
-// MatrixSet) must build kernels without a Scratch.
+// kernel. Covered lengths that overflow the int64 prefix lengths are an
+// error wrapping temporal.ErrLengthOverflow.
 func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 	if !opts.Fill.Valid() {
 		return nil, fmt.Errorf("core: unknown fill algorithm %v (have %v)", opts.Fill, FillAlgoNames())
+	}
+	if err := temporal.CheckLengths(seq.Rows); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	w2, err := opts.weightsSquared(seq.P())
 	if err != nil {
@@ -80,20 +81,11 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 		p:    p,
 		w2:   w2,
 		gaps: seq.GapPositions(),
-	}
-	if sc := opts.Scratch; sc != nil {
-		kn.s, kn.ss, kn.l = sc.kernelSlabs(n, p)
-	} else {
-		kn.s = make([]float64, p*(n+1))
-		kn.ss = make([]float64, p*(n+1))
-		kn.l = make([]int64, n+1)
+		s:    make([]float64, p*(n+1)),
+		ss:   make([]float64, p*(n+1)),
+		l:    make([]int64, n+1),
 	}
 	stride := n + 1
-	kn.l[0] = 0
-	for d := 0; d < p; d++ {
-		kn.s[d*stride] = 0
-		kn.ss[d*stride] = 0
-	}
 	for i := 1; i <= n; i++ {
 		row := seq.Rows[i-1]
 		length := float64(row.T.Len())

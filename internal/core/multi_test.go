@@ -146,41 +146,6 @@ func isCanceled(err error) bool {
 	return false
 }
 
-// TestScratchReuse: evaluations sharing one Scratch across calls (serially)
-// keep producing correct results on varying input sizes.
-func TestScratchReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sc := &Scratch{}
-	for i := 0; i < 20; i++ {
-		seq := randomSequence(rng, 5+rng.Intn(60), 1+rng.Intn(2), 0.25)
-		cmin := seq.CMin()
-		c := cmin + rng.Intn(seq.Len()-cmin+1)
-		want, err := PTAc(seq, c, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := PTAc(seq, c, Options{Scratch: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Error-want.Error) > 1e-9*(1+want.Error) || !got.Sequence.Equal(want.Sequence, 1e-9) {
-			t.Fatalf("iteration %d: scratch run differs: %v vs %v", i, got.Error, want.Error)
-		}
-		eps := rng.Float64()
-		wantE, err := PTAe(seq, eps, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotE, err := PTAe(seq, eps, Options{Scratch: sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotE.C != wantE.C || !gotE.Sequence.Equal(wantE.Sequence, 1e-9) {
-			t.Fatalf("iteration %d: scratch PTAe differs", i)
-		}
-	}
-}
-
 // TestSizeBudgetEdges pins what the size-bounded entry points return for
 // c ∈ {−1, 0}: an InfeasibleSizeError over a non-empty relation, the empty
 // reduction for c = 0 over the empty relation, and an error for c = −1

@@ -142,8 +142,7 @@ func SolveRuns(ctx context.Context, kn *CostKernel, runs RunCurves, budgets []Mu
 // runSolvers is the in-process RunCurves: one Solver per run over the run's
 // own kernel, filled on a pool of workers goroutines (0 = GOMAXPROCS). A
 // solver is built on the first Extend and retained, so deepening rounds pay
-// only for new rows. Solvers own their buffers (no Scratch): their rows
-// outlive each round, and rounds may land on different goroutines.
+// only for new rows.
 type runSolvers struct {
 	kn      *CostKernel
 	opts    Options
@@ -158,7 +157,6 @@ type runSolver struct {
 
 // newRunSolvers cuts kn's series into its maximal adjacent runs.
 func newRunSolvers(kn *CostKernel, opts Options, workers int) *runSolvers {
-	opts.Scratch = nil
 	rs := &runSolvers{kn: kn, opts: opts, workers: workers}
 	lo := 1
 	for _, g := range kn.Gaps() {

@@ -166,7 +166,6 @@ func TestPTAcPropOptimal(t *testing.T) {
 // a brute-force optimum within the bound. The boundary tolerance is
 // relative to SSEmax, the scale of every error here.
 func TestExactEntryPointsMatchBruteForce(t *testing.T) {
-	ctx := context.Background()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		seq := randomSequence(rng, 1+rng.Intn(10), 1+rng.Intn(2), 0.3)
@@ -202,37 +201,13 @@ func TestExactEntryPointsMatchBruteForce(t *testing.T) {
 			}
 			return opt[res.C] <= bound+slack
 		}
-		multi, err := DPMulti(seq, budgets, Options{}, true, true)
+		results, err := runExactEntryPoints(seq, budgets)
 		if err != nil {
-			return false
-		}
-		parallel, err := DPMultiParallel(seq, budgets, Options{}, 2)
-		if err != nil {
-			return false
-		}
-		sv, err := NewSolver(seq, Options{}, true, true)
-		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		for i, b := range budgets {
-			got := map[string]*DPResult{"DPMulti": multi[i], "DPMultiParallel": parallel[i]}
-			var one, onePar, solved *DPResult
-			var err1, err2, err3 error
-			if b.C > 0 {
-				one, err1 = PTAc(seq, b.C, Options{})
-				onePar, err2 = PTAcParallel(seq, b.C, Options{}, 2)
-				solved, err3 = sv.SolveSize(ctx, b.C)
-			} else {
-				one, err1 = PTAe(seq, b.Eps, Options{})
-				onePar, err2 = PTAeParallel(seq, b.Eps, Options{}, 2)
-				solved, err3 = sv.SolveError(ctx, b.Eps)
-			}
-			if err := errors.Join(err1, err2, err3); err != nil {
-				t.Logf("seed %d %+v: %v", seed, b, err)
-				return false
-			}
-			got["PTAc/PTAe"], got["PTAcParallel/PTAeParallel"], got["Solver"] = one, onePar, solved
-			for name, res := range got {
+			for name, res := range results[i] {
 				if !fits(b, res) {
 					t.Logf("seed %d %+v: %s returned C=%d error %v; brute force %v", seed, b, name, res.C, res.Error, opt)
 					return false
@@ -244,6 +219,38 @@ func TestExactEntryPointsMatchBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// runExactEntryPoints answers every budget with every exact entry point:
+// DPMulti and DPMultiParallel over all budgets at once, then PTAc or PTAe,
+// PTAcParallel or PTAeParallel, and one retained Solver, budget by budget.
+// results[i] maps each entry point's name to its answer to budgets[i].
+func runExactEntryPoints(seq *temporal.Sequence, budgets []MultiBudget) ([]map[string]*DPResult, error) {
+	ctx := context.Background()
+	multi, err1 := DPMulti(seq, budgets, Options{}, true, true)
+	parallel, err2 := DPMultiParallel(seq, budgets, Options{}, 2)
+	sv, err3 := NewSolver(seq, Options{}, true, true)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, err
+	}
+	results := make([]map[string]*DPResult, len(budgets))
+	for i, b := range budgets {
+		got := map[string]*DPResult{"DPMulti": multi[i], "DPMultiParallel": parallel[i]}
+		if b.C > 0 {
+			got["PTAc/PTAe"], err1 = PTAc(seq, b.C, Options{})
+			got["PTAcParallel/PTAeParallel"], err2 = PTAcParallel(seq, b.C, Options{}, 2)
+			got["Solver"], err3 = sv.SolveSize(ctx, b.C)
+		} else {
+			got["PTAc/PTAe"], err1 = PTAe(seq, b.Eps, Options{})
+			got["PTAcParallel/PTAeParallel"], err2 = PTAeParallel(seq, b.Eps, Options{}, 2)
+			got["Solver"], err3 = sv.SolveError(ctx, b.Eps)
+		}
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return nil, fmt.Errorf("%+v: %w", b, err)
+		}
+		results[i] = got
+	}
+	return results, nil
 }
 
 // TestOverflowBudgetsTypedError: weights that overflow the error sums
@@ -288,6 +295,38 @@ func TestOverflowBudgetsTypedError(t *testing.T) {
 		for name, err := range errs {
 			if !errors.Is(err, ErrOverflow) {
 				t.Errorf("%+v: %s returned %v, want ErrOverflow", b, name, err)
+			}
+		}
+	}
+}
+
+// TestLengthOverflowTypedError: rows [−2⁶³, 0] = 1 and [1, 2⁶³−1] = 3 cover
+// more chronons than an int64 counts, so the kernel's prefix lengths would
+// wrap; the single row [−2⁶³, 2⁶³−1] wraps its own length to 0. NewKernel
+// and every exact entry point refuse both with ErrLengthOverflow instead
+// of answering a null or NaN aggregate at error 0.
+func TestLengthOverflowTypedError(t *testing.T) {
+	for _, spans := range [][]temporal.Interval{
+		{{Start: math.MinInt64, End: 0}, {Start: 1, End: math.MaxInt64}},
+		{{Start: math.MinInt64, End: math.MaxInt64}},
+	} {
+		seq := temporal.NewSequence(nil, []string{"v"})
+		gid := seq.Groups.Intern(nil)
+		for i, iv := range spans {
+			seq.Rows = append(seq.Rows, temporal.SeqRow{Group: gid, Aggs: []float64{float64(1 + 2*i)}, T: iv})
+		}
+		errs := map[string]error{}
+		_, errs["NewKernel"] = NewKernel(seq, Options{})
+		_, errs["NewSolver"] = NewSolver(seq, Options{}, true, true)
+		_, errs["PTAc"] = PTAc(seq, 1, Options{})
+		_, errs["PTAe"] = PTAe(seq, 0.5, Options{})
+		_, errs["DPMulti"] = DPMulti(seq, []MultiBudget{{C: 1}, {Eps: 0.5}}, Options{}, true, true)
+		_, errs["DPMultiParallel"] = DPMultiParallel(seq, []MultiBudget{{C: 1}, {Eps: 0.5}}, Options{}, 2)
+		_, errs["PTAeParallel"] = PTAeParallel(seq, 0.5, Options{}, 2)
+		_, errs["ErrorCurve"] = ErrorCurve(seq, 1, Options{})
+		for name, err := range errs {
+			if !errors.Is(err, temporal.ErrLengthOverflow) {
+				t.Errorf("%v: %s returned %v, want ErrLengthOverflow", spans, name, err)
 			}
 		}
 	}

@@ -46,13 +46,12 @@ type Solver struct {
 // DPMulti). Options.Fill selects the row-fill algorithm, resolved as on
 // every other exact path; both algorithms fill bitwise-identical matrices,
 // so cached solvers built with different fills stay interchangeable. The
-// options' Ctx and Scratch are ignored: rows and kernel slabs must outlive
-// any single call, so the solver always owns its buffers.
+// options' Ctx is ignored: each call passes its own.
 func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solver, error) {
 	if seq.Len() == 0 {
 		return nil, fmt.Errorf("core: solver over an empty relation")
 	}
-	opts.Ctx, opts.Scratch = nil, nil
+	opts.Ctx = nil
 	kn, err := NewKernel(seq, opts)
 	if err != nil {
 		return nil, err
@@ -61,8 +60,7 @@ func NewSolver(seq *temporal.Sequence, opts Options, pruneI, pruneJ bool) (*Solv
 }
 
 // newSolver builds a solver over a prebuilt non-empty kernel with opts as
-// given: a Scratch in opts lends the rows (DPMultiKernel answers before
-// returning).
+// given.
 func newSolver(kn *CostKernel, opts Options, pruneI, pruneJ bool) *Solver {
 	return &Solver{
 		kn:     kn,
@@ -102,11 +100,9 @@ func (sv *Solver) Fill() FillAlgo { return sv.st.algo }
 // this per request is free.
 func (sv *Solver) MonotoneCoverage() float64 { return sv.kn.MonotoneCoverage() }
 
-// Deepen fills matrix rows up to k without answering a budget: the explicit
-// resume entry point for callers that pace the fill themselves (a serving
-// layer warming a cache entry between requests, the streaming evaluators
-// extending retained rows as data arrives). Already-filled rows are never
-// recomputed; Deepen(ctx, k) for k ≤ Rows() is a no-op.
+// Deepen fills matrix rows up to k (at most n) without answering a budget.
+// Already-filled rows are never recomputed; Deepen(ctx, k) for k ≤ Rows()
+// is a no-op. Only tests call it, to fill rows apart from any budget.
 func (sv *Solver) Deepen(ctx context.Context, k int) error {
 	if k > sv.kn.N() {
 		k = sv.kn.N()

@@ -151,12 +151,6 @@ type IncumbentsConfig struct {
 	Seed int64
 }
 
-// DefaultIncumbents is a laptop-scale configuration with the paper's group
-// and gap structure.
-func DefaultIncumbents() IncumbentsConfig {
-	return IncumbentsConfig{Records: 80000, Depts: 8, Projs: 6, Horizon: 360, Seed: 2}
-}
-
 // Incumbents generates the relation (Dept:string, Proj:string,
 // Salary:float, T): employees assigned to department/project pairs with
 // piecewise-constant salaries; projects are occasionally suspended for a few

@@ -176,7 +176,9 @@ func decodeCases(tb testing.TB) []decodeCase {
 		{"float groups 0 and -0", grouped("float", `{"group":[0],"aggs":[1],"start":1,"end":1},`+
 			`{"group":[-0],"aggs":[2],"start":1,"end":1}`), false, true},
 		{"tied groups across sort blocks", grouped("float", strings.Join(tied, ",")), false, true},
-		{"int64 extremes", row(`{"aggs":[1],"start":-9223372036854775808,"end":9223372036854775807}`), false, true},
+		{"int64 extremes", row(`{"aggs":[1],"start":-9223372036854775808,"end":-9223372036854775808},` +
+			`{"aggs":[2],"start":9223372036854775807,"end":9223372036854775807}`), false, true},
+		{"length past int64", row(`{"aggs":[1],"start":-9223372036854775808,"end":9223372036854775807}`), false, false},
 		{"plans on /compress", `{"series":` + proj + `,"plans":[]}`, false, false},
 		{"plan on /many", `{"series":` + proj + `,` + plan + `}`, true, false},
 		{"capitalized key", `{"Series":` + proj + `,` + plan + `}`, false, false},

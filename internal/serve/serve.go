@@ -21,7 +21,7 @@ import (
 type Config struct {
 	// Engine is the compression session behind every request. nil builds a
 	// private serial engine; cmd/ptaserve passes one configured with
-	// WithParallelism and a shared scratch pool.
+	// WithParallelism.
 	Engine *pta.Engine
 	// CacheEntries bounds the LRU matrix cache (0 = 64 entries).
 	CacheEntries int
@@ -77,7 +77,7 @@ type Config struct {
 
 // Server is the HTTP serving layer: a handler tree over one pta.Engine and
 // one shared matrix cache. Create it with New, mount Handler, or run
-// ListenAndServe for the full listener + graceful-shutdown lifecycle.
+// Serve for the full listener + graceful-shutdown lifecycle.
 type Server struct {
 	cfg            Config
 	engine         *pta.Engine
@@ -217,18 +217,8 @@ func (s *Server) SetPeers(peers []string) error {
 // httptest server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ListenAndServe binds addr and serves until ctx is canceled, then drains
-// in-flight requests gracefully. It returns nil on a clean shutdown.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe over an existing listener (tests and examples
-// bind ":0" themselves to learn the port). Canceling ctx triggers a
+// Serve serves on ln until ctx is canceled (callers bind the listener
+// themselves, ":0" to learn the port). Canceling ctx triggers a
 // graceful shutdown: the listener closes but in-flight evaluations keep
 // their own request contexts and get up to Config.DrainTimeout to drain —
 // ctx is deliberately NOT the BaseContext, which would abort them instead.

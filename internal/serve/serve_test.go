@@ -351,6 +351,43 @@ func TestOverflowingWeightsAre422(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeSpansAre400: rows whose covered length overflows int64
+// fail series validation, and a baseline asked to expand more than
+// 1 << 20 chronons is a series-shape error: both are 400s, never a 200
+// with "aggs":[null] or a NaN aggregate, and never an allocation per
+// chronon.
+func TestOutOfRangeSpansAre400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	wrapped := seriesWire{AggNames: []string{"v"}, Rows: []rowWire{
+		{Aggs: []float64{1}, Start: math.MinInt64, End: 0},
+		{Aggs: []float64{3}, Start: 1, End: math.MaxInt64},
+	}}
+	whole := seriesWire{AggNames: []string{"v"}, Rows: []rowWire{{Aggs: []float64{1}, Start: math.MinInt64, End: math.MaxInt64}}}
+	long := seriesWire{AggNames: []string{"v"}, Rows: []rowWire{{Aggs: []float64{1}, Start: 0, End: 1 << 20}}}
+	for _, tc := range []struct {
+		series seriesWire
+		plan   planWire
+		code   string
+	}{
+		{wrapped, planWire{Strategy: "ptac", Budget: "c=1"}, ""},
+		{wrapped, planWire{Strategy: "ptae", Budget: "eps=0.5"}, ""},
+		{wrapped, planWire{Strategy: "gms", Budget: "c=1"}, ""},
+		{whole, planWire{Strategy: "ptae", Budget: "eps=0.5"}, ""},
+		{long, planWire{Strategy: "paa", Budget: "c=2"}, "series_shape"},
+	} {
+		status, out := post(t, ts.URL+"/v1/compress", compressRequest{Series: tc.series, Plan: tc.plan})
+		if status != http.StatusBadRequest {
+			t.Errorf("%s %s over %d rows: status %d %v, want 400", tc.plan.Strategy, tc.plan.Budget, len(tc.series.Rows), status, out)
+			continue
+		}
+		if tc.code != "" {
+			if code := errorField(t, out, "code"); code != tc.code {
+				t.Errorf("%s %s: code %v, want %s", tc.plan.Strategy, tc.plan.Budget, code, tc.code)
+			}
+		}
+	}
+}
+
 // TestDeadlineMapsTo504: a request whose deadline expires mid-evaluation
 // returns 504 deadline_exceeded.
 func TestDeadlineMapsTo504(t *testing.T) {

@@ -1,7 +1,9 @@
 package temporal
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -112,23 +114,31 @@ func (s *Sequence) Sort() {
 
 // Validate checks the sequential-relation invariants: every row has p
 // aggregate values and a valid interval, rows are sorted by (group, time),
-// and timestamps within a group do not intersect.
+// and timestamps within a group do not intersect. It also checks, in the
+// same pass, that the covered lengths fit in an int64 (CheckLengths).
 func (s *Sequence) Validate() error {
-	p := s.P()
-	for i, r := range s.Rows {
+	p, groups := s.P(), s.Groups.Len()
+	var total int64
+	for i := range s.Rows {
+		r := &s.Rows[i]
 		if len(r.Aggs) != p {
 			return fmt.Errorf("temporal: row %d has %d aggregate values, want %d", i, len(r.Aggs), p)
 		}
 		if !r.T.Valid() {
 			return fmt.Errorf("temporal: row %d has invalid interval %v", i, r.T)
 		}
-		if int(r.Group) < 0 || int(r.Group) >= s.Groups.Len() {
+		l := r.T.End - r.T.Start + 1 // wraps to ≤ 0 past 2⁶³−1
+		if l <= 0 || total > math.MaxInt64-l {
+			return lengthOverflow(i, r.T, l)
+		}
+		total += l
+		if int(r.Group) < 0 || int(r.Group) >= groups {
 			return fmt.Errorf("temporal: row %d references unknown group %d", i, r.Group)
 		}
 		if i == 0 {
 			continue
 		}
-		prev := s.Rows[i-1]
+		prev := &s.Rows[i-1]
 		if prev.Group == r.Group {
 			if prev.T.End >= r.T.Start {
 				return fmt.Errorf("temporal: rows %d and %d of group %d are unordered or overlapping (%v, %v)",
@@ -139,6 +149,38 @@ func (s *Sequence) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ErrLengthOverflow reports covered lengths beyond int64: a row that spans
+// more than 2⁶³−1 chronons, or rows whose lengths sum past that. Every
+// length-weighted sum, mean and error would wrap.
+var ErrLengthOverflow = errors.New("covered length overflows int64")
+
+// CheckLengths returns an error wrapping ErrLengthOverflow unless every
+// valid row's length |T| and the sum Σ|T| over rows fit in an int64.
+func CheckLengths(rows []SeqRow) error {
+	var total int64
+	for i := range rows {
+		t := rows[i].T
+		if !t.Valid() {
+			continue
+		}
+		l := t.End - t.Start + 1 // wraps to ≤ 0 past 2⁶³−1
+		if l <= 0 || total > math.MaxInt64-l {
+			return lengthOverflow(i, t, l)
+		}
+		total += l
+	}
+	return nil
+}
+
+// lengthOverflow is the error for row i, whose interval t has the computed
+// length l, when l wrapped or pushed the running Σ|T| past 2⁶³−1.
+func lengthOverflow(i int, t Interval, l int64) error {
+	if l <= 0 {
+		return fmt.Errorf("temporal: row %d, %v: %w", i, t, ErrLengthOverflow)
+	}
+	return fmt.Errorf("temporal: rows 0..%d cover more than 2⁶³−1 chronons: %w", i, ErrLengthOverflow)
 }
 
 // TotalLen returns Σ|row.T| over all rows: the number of (group, chronon)

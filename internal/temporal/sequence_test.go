@@ -1,6 +1,8 @@
 package temporal
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,6 +88,35 @@ func TestSequenceValidate(t *testing.T) {
 	bad4.Rows[0].Group = 99
 	if err := bad4.Validate(); err == nil {
 		t.Error("unknown group should be rejected")
+	}
+}
+
+// TestSequenceValidateLengthOverflow: a row that spans more than 2⁶³−1
+// chronons, or rows whose lengths sum past it, fail Validate with
+// ErrLengthOverflow; lengths that fit pass.
+func TestSequenceValidateLengthOverflow(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, tc := range []struct {
+		name  string
+		spans []Interval
+		ok    bool
+	}{
+		{"row past int64", []Interval{{lo, 0}, {1, hi}}, false},
+		{"whole chronon range", []Interval{{lo, hi}}, false},
+		{"sum past int64", []Interval{{0, 1 << 62}, {1<<62 + 1, hi}}, false},
+		{"sum past int64 across a gap", []Interval{{lo, -2}, {5, 5}}, false},
+		{"longest row", []Interval{{lo, -2}}, true},
+		{"int64 extremes", []Interval{{lo, lo}, {hi, hi}}, true},
+	} {
+		s := NewSequence(nil, []string{"v"})
+		gid := s.Groups.Intern(nil)
+		for i, iv := range tc.spans {
+			s.Rows = append(s.Rows, SeqRow{Group: gid, Aggs: []float64{float64(i)}, T: iv})
+		}
+		err := s.Validate()
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrLengthOverflow)) {
+			t.Errorf("%s: Validate() = %v, want ok = %v or ErrLengthOverflow", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package pta
 import (
 	"context"
 
-	"repro/internal/amnesic"
 	"repro/internal/core"
 )
 
@@ -22,14 +21,20 @@ import (
 // AmnesicConstant returns the amnesic function that ignores time; RA ≡ 1
 // reproduces plain greedy streaming compression.
 func AmnesicConstant(v float64) func(Chronon) float64 {
-	return amnesic.Constant(v)
+	return func(Chronon) float64 { return v }
 }
 
 // AmnesicLinearAge returns a relative amnesic function growing linearly
 // with age: RA(t) = 1 + slope·(now − t), clamped at 1 for t beyond now.
 // Older chronons tolerate proportionally more error.
 func AmnesicLinearAge(now Chronon, slope float64) func(Chronon) float64 {
-	return amnesic.LinearAge(now, slope)
+	return func(t Chronon) float64 {
+		age := float64(now - t)
+		if age < 0 {
+			age = 0
+		}
+		return 1 + slope*age
+	}
 }
 
 // defaultAmnesic derives the nil-Options amnesic function of a series:

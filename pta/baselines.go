@@ -21,7 +21,16 @@ import (
 // dimension), the returned Series is that step function over the input's
 // timeline, and Error is SSE(input, Series) — directly comparable with the
 // PTA results. Error budgets are served by searching the smallest segment
-// count whose error fits the bound.
+// count whose error fits the bound. No answer has more rows than the
+// input: a size budget of at least one segment per row over longer rows,
+// or an error budget no smaller size fits, answers with the exact step
+// segmentation, as ptac returns its input at c ≥ n.
+
+// maxBaselineSamples caps the expansion to one sample per chronon: a series
+// that covers more chronons is refused with ErrSeriesShape, so a few rows
+// spanning a long time range cannot exhaust memory. The largest series the
+// experiments hand these strategies (Tide) has 8 746 samples.
+const maxBaselineSamples = 1 << 20
 
 // baseline adapts one boundary-picking method to the Evaluator interface.
 type baseline struct {
@@ -41,6 +50,13 @@ func (b *baseline) prep(s *Series) (*approx.Series, error) {
 		return nil, fmt.Errorf("%w: %s needs exactly one aggregate attribute, have %d",
 			ErrSeriesShape, b.name, s.P())
 	}
+	if err := temporal.CheckLengths(s.Rows); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSeriesShape, err)
+	}
+	if n := s.TotalLen(); n > maxBaselineSamples {
+		return nil, fmt.Errorf("%w: %s expands a series to one sample per chronon; this one covers %d chronons, at most %d",
+			ErrSeriesShape, b.name, n, maxBaselineSamples)
+	}
 	series, err := approx.FromSequence(s)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSeriesShape, err)
@@ -48,8 +64,13 @@ func (b *baseline) prep(s *Series) (*approx.Series, error) {
 	return series, nil
 }
 
-// evalSize runs the method at one segment budget and scores it.
+// evalSize runs the method at one segment budget and scores it. A budget
+// of at least one segment per row answers exactly when the rows cover
+// more samples than that (on a unit-length series the method runs).
 func (b *baseline) evalSize(s *Series, series *approx.Series, c int, opts Options) (*Result, error) {
+	if c >= s.Len() && series.Len() > s.Len() {
+		return b.exact(s, series, opts)
+	}
 	segs, err := b.segments(series.Dims[0], c, series.Start)
 	if err != nil {
 		return nil, err
@@ -93,13 +114,19 @@ func (b *baseline) Evaluate(ctx context.Context, s *Series, bud Budget, opts Opt
 	return nil, ErrBudgetKind
 }
 
-// evalError finds the smallest segment count whose error fits the bound: a
-// binary search assuming the error shrinks with the budget, then a linear
-// verification pass to absorb local non-monotonicity. At c = Len() every
-// method reproduces the series exactly, so the search always succeeds.
+// exact is the exact step segmentation: one segment per maximal constant
+// run of samples, at zero error and at most one segment per row.
+func (b *baseline) exact(s *Series, series *approx.Series, opts Options) (*Result, error) {
+	return b.score(s, approx.PlateausToSegments(series.Dims[0], series.Start), opts)
+}
+
+// evalError finds the smallest segment count up to the row count whose
+// error fits the bound: a binary search assuming the error shrinks with the
+// budget, then a linear verification pass to absorb local
+// non-monotonicity.
 func (b *baseline) evalError(s *Series, series *approx.Series, bound float64, opts Options) (*Result, error) {
 	accept := bound*(1+1e-9) + 1e-9
-	n := series.Len()
+	n := s.Len()
 	cache := map[int]*Result{}
 	at := func(c int) (*Result, error) {
 		if r, ok := cache[c]; ok {
@@ -135,10 +162,8 @@ func (b *baseline) evalError(s *Series, series *approx.Series, bound float64, op
 		}
 	}
 	// Some methods cannot reproduce the series exactly at any budget (APCA
-	// inherits boundaries from a padded wavelet decomposition); fall back to
-	// the exact step segmentation — one segment per maximal constant run,
-	// zero error.
-	return b.score(s, approx.PlateausToSegments(series.Dims[0], series.Start), opts)
+	// inherits boundaries from a padded wavelet decomposition).
+	return b.exact(s, series, opts)
 }
 
 // plaSegments picks boundaries with the online swing filter (piecewise

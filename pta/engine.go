@@ -11,17 +11,15 @@ import (
 )
 
 // Engine is a reusable, concurrency-safe compression session: it carries
-// evaluation defaults (weights, read-ahead, estimator), a pool of reusable
-// DP scratch buffers, and a parallelism degree for run-decomposed
-// group-parallel evaluation. One Engine is meant to serve many compressions
+// evaluation defaults (weights, read-ahead, estimator) and a parallelism
+// degree for run-decomposed group-parallel evaluation. One Engine is meant to serve many compressions
 // — a serving layer holds one per deployment, not one per request.
 //
 // All methods are safe for concurrent use by multiple goroutines.
 type Engine struct {
-	opts        Options // engine-level evaluation defaults (no scratch)
+	opts        Options // engine-level evaluation defaults
 	parallelism int     // 1 = serial, n > 1 = n workers, 0 = all cores
 	estimator   EstimatorFunc
-	pool        *ScratchPool
 }
 
 // Option configures an Engine at construction (the functional-options
@@ -85,37 +83,8 @@ func WithEstimator(fn EstimatorFunc) Option {
 	}
 }
 
-// ScratchPool is a concurrency-safe pool of reusable DP scratch buffers
-// (error-matrix and split-point rows). Engines draw one scratch per call
-// and return it afterwards, so steady-state compression allocates no matrix
-// rows. Pools may be shared between engines.
-type ScratchPool struct {
-	pool sync.Pool
-}
-
-// NewScratchPool returns an empty pool.
-func NewScratchPool() *ScratchPool {
-	return &ScratchPool{pool: sync.Pool{New: func() any { return new(core.Scratch) }}}
-}
-
-func (p *ScratchPool) acquire() *core.Scratch  { return p.pool.Get().(*core.Scratch) }
-func (p *ScratchPool) release(s *core.Scratch) { p.pool.Put(s) }
-
-// WithScratchPool makes the engine draw its DP scratch buffers from pool
-// instead of a private one — useful to share buffer capacity between
-// several engines.
-func WithScratchPool(pool *ScratchPool) Option {
-	return func(e *Engine) error {
-		if pool == nil {
-			return fmt.Errorf("pta: WithScratchPool(nil)")
-		}
-		e.pool = pool
-		return nil
-	}
-}
-
 // New builds an Engine from functional options. The zero configuration —
-// pta.New() — is serial, unweighted, with a private scratch pool.
+// pta.New() — is serial and unweighted.
 func New(opts ...Option) (*Engine, error) {
 	e := &Engine{parallelism: 1}
 	for _, opt := range opts {
@@ -123,14 +92,11 @@ func New(opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if e.pool == nil {
-		e.pool = NewScratchPool()
-	}
 	return e, nil
 }
 
 // defaultEngine backs the package-level Compress/CompressStream wrappers:
-// serial, default options, shared scratch pool.
+// serial, default options.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	e, err := New()
 	if err != nil {
@@ -160,7 +126,6 @@ func (e *Engine) planOptions(p Plan) Options {
 		return e.opts
 	}
 	opts := *p.Options
-	opts.scratch = nil
 	if opts.Weights == nil {
 		opts.Weights = e.opts.Weights
 	}
@@ -243,17 +208,12 @@ func (e *Engine) Compress(ctx context.Context, s *Series, p Plan) (*Result, erro
 
 	if workers := e.workers(); workers != 1 && s.CMin() > 1 {
 		if pev, ok := ev.(ParallelEvaluator); ok {
-			// The parallel path spins per-worker scratch internally; the
-			// pooled scratch stays out to avoid cross-goroutine sharing.
 			res, err := pev.EvaluateParallel(ctx, s, p.Budget, opts, workers)
 			return e.finish(p, res, err)
 		}
 	}
 
-	scratch := e.pool.acquire()
-	opts.scratch = scratch
 	res, err := ev.Evaluate(ctx, s, p.Budget, opts)
-	e.pool.release(scratch)
 	return e.finish(p, res, err)
 }
 
@@ -308,18 +268,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 		// pass on top of it. Fully pruned groups on a parallel engine skip
 		// the shared kernel and build per-run sub-kernels on the worker
 		// pool instead.
-		scratch := e.pool.acquire()
-		released := false
-		release := func() {
-			if !released {
-				released = true
-				e.pool.release(scratch)
-			}
-		}
-		defer release()
-		opts := e.opts
-		opts.scratch = scratch
-		copts := opts.coreOptionsCtx(ctx)
+		copts := e.opts.coreOptionsCtx(ctx)
 		parallelRuns := e.workers() != 1 && s.CMin() > 1
 		var kernel *core.CostKernel
 		for key, g := range groups {
@@ -335,10 +284,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			var dpResults []*core.DPResult
 			var err error
 			if parallelRuns && key.pruneI && key.pruneJ {
-				// The run-decomposed pass spins per-run scratch internally;
-				// the pooled scratch stays out to avoid cross-goroutine
-				// sharing — exactly as Compress's parallel path.
-				dpResults, err = core.DPMultiParallel(s, budgets, e.opts.coreOptionsCtx(ctx), e.workers())
+				dpResults, err = core.DPMultiParallel(s, budgets, copts, e.workers())
 			} else {
 				if kernel == nil {
 					if kernel, err = core.NewKernel(s, copts); err != nil {
@@ -374,9 +320,6 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 				done[i] = true
 			}
 		}
-		// The kernel and its pooled slabs are unused from here on; return
-		// the scratch so the fallback loop's Compress calls can reuse it.
-		release()
 	}
 
 	for i, p := range plans {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/amnesic"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
@@ -36,9 +35,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 	if _, err := pta.New(pta.WithEstimator(nil)); err == nil {
 		t.Error("WithEstimator(nil) should fail")
-	}
-	if _, err := pta.New(pta.WithScratchPool(nil)); err == nil {
-		t.Error("WithScratchPool(nil) should fail")
 	}
 	if _, err := pta.New(pta.WithWeights([]float64{2, 1}), pta.WithParallelism(0), pta.WithReadAhead(2)); err != nil {
 		t.Errorf("valid options: %v", err)
@@ -70,8 +66,8 @@ func TestEngineMatchesFacade(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentCompress hammers one shared engine (and its scratch
-// pool) from many goroutines; every result must equal the serial reference.
+// TestEngineConcurrentCompress hammers one shared engine from many
+// goroutines; every result must equal the serial reference.
 // Run under -race this is the engine's concurrency-safety proof.
 func TestEngineConcurrentCompress(t *testing.T) {
 	eng := mustEngine(t)
@@ -485,7 +481,7 @@ func TestAmnesicStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Amnesic(seq, c, amnesic.LinearAge(now, 2.0), core.Options{Ctx: ctx})
+	direct, err := core.Amnesic(seq, c, pta.AmnesicLinearAge(now, 2.0), core.Options{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //     classic time-series baselines PAA, PLA and APCA behind the same
 //     interface). Strategies lists the names.
 //   - Engine is the session-oriented entry point: New(opts...) configures
-//     weights, parallelism, estimators and reusable scratch buffers once,
-//     then Compress/CompressMany/CompressStream evaluate any number of
+//     weights, parallelism and estimators once, then
+//     Compress/CompressMany/CompressStream evaluate any number of
 //     plans under a context, concurrently safe. How the exact DP fills
 //     each matrix row is not a setting: every exact path picks its row
 //     fill from the input size, and every fill gives the same matrices.
@@ -123,9 +123,6 @@ type Options struct {
 	// AmnesicLinearAge over the series' own time span. Other strategies
 	// ignore it.
 	Amnesic func(Chronon) float64
-	// scratch carries the engine's reusable DP buffers for this call; it is
-	// set by the engine only and never shared across concurrent calls.
-	scratch *core.Scratch
 }
 
 // coreOptions projects the options onto the internal evaluator options,
@@ -135,9 +132,9 @@ func (o Options) coreOptions() core.Options {
 }
 
 // coreOptionsCtx projects the options onto the internal evaluator options,
-// carrying the call context and the engine scratch buffers.
+// carrying the call context.
 func (o Options) coreOptionsCtx(ctx context.Context) core.Options {
-	return core.Options{Weights: o.Weights, Ctx: ctx, Scratch: o.scratch}
+	return core.Options{Weights: o.Weights, Ctx: ctx}
 }
 
 // delta resolves the effective δ.

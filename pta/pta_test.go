@@ -365,6 +365,50 @@ func TestFacadeErrors(t *testing.T) {
 	}
 }
 
+// spanSeries is a single-group, gap-free, one-dimensional series whose row
+// i holds vals[i] and spans lens[i] chronons.
+func spanSeries(vals []float64, lens []int64) *pta.Series {
+	s := pta.NewSeries(nil, []string{"v"})
+	gid := s.Groups.Intern(nil)
+	var at pta.Chronon
+	for i, v := range vals {
+		s.Rows = append(s.Rows, pta.Row{Group: gid, Aggs: []float64{v}, T: pta.Interval{Start: at, End: at + lens[i] - 1}})
+		at += lens[i]
+	}
+	return s
+}
+
+// TestBaselinesBoundTheirExpansion: paa, apca and pla expand a series to
+// one sample per chronon. A series covering more than 1 << 20 chronons is
+// a series-shape error, and no answer has more rows than the input: values
+// 1, 5, 2 whose first row spans 10⁵ chronons answer eps = 0.1 and every
+// size budget from 3 up with at most 3 rows, at zero error from c = 3.
+func TestBaselinesBoundTheirExpansion(t *testing.T) {
+	long := spanSeries([]float64{7}, []int64{1<<20 + 1})
+	for _, name := range []string{"paa", "apca", "pla"} {
+		if _, err := pta.Compress(long, name, pta.Size(2), pta.Options{}); !errors.Is(err, pta.ErrSeriesShape) {
+			t.Errorf("%s c=2 over %d chronons: %v, want ErrSeriesShape", name, long.TotalLen(), err)
+		}
+	}
+	wide := spanSeries([]float64{1, 5, 2}, []int64{100000, 1, 1})
+	for _, tc := range []struct {
+		name string
+		b    pta.Budget
+	}{
+		{"paa", pta.ErrorBound(0.1)}, {"apca", pta.ErrorBound(0.1)},
+		{"paa", pta.Size(3)}, {"apca", pta.Size(3)}, {"pla", pta.Size(3)},
+		{"paa", pta.Size(10)}, {"apca", pta.Size(10)}, {"pla", pta.Size(10)},
+	} {
+		res, err := pta.Compress(wide, tc.name, tc.b, pta.Options{})
+		if err != nil {
+			t.Fatalf("%s %v: %v", tc.name, tc.b, err)
+		}
+		if res.C > 3 || (tc.b.Kind() == pta.BudgetSize && res.Error != 0) {
+			t.Errorf("%s %v: C = %d at error %v, want at most the 3 input rows (error 0 for c ≥ 3)", tc.name, tc.b, res.C, res.Error)
+		}
+	}
+}
+
 // TestQuickstartGolden pins the paper's running example through the facade:
 // reducing the proj ITA result to 4 tuples introduces error 49166.67
 // (Example 6), and the greedy strategy lands at 63000 (Example 17).
