@@ -156,6 +156,26 @@ func BenchmarkPTAcGapped(b *testing.B) {
 	}
 }
 
+// BenchmarkPTAcSmall runs PTAc on a kernel just below fillAutoThreshold
+// (Mixed, one group of 255 rows, p = 1). At c = 3 the call fills too few
+// rows for the merge-cost table and scans with the closure; at c = 20 it
+// builds the table and scans it.
+func BenchmarkPTAcSmall(b *testing.B) {
+	seq, err := dataset.Mixed(1, fillAutoThreshold-1, 1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []int{3, 20} {
+		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PTAc(seq, c, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGMS(b *testing.B) {
 	seq := benchSequence(20000, 1, 0.05)
 	c := max(seq.CMin(), 500)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/temporal"
 )
@@ -63,8 +64,10 @@ type dpState struct {
 	stats          DPStats
 
 	rerr       func(i, j int) float64 // kernel merge-cost hot path
+	costs      []float64              // scan: merge-cost table of one Solver.ensure call, nil outside it (see buildCosts)
+	costBuf    *[]float64             // the costPool buffer behind costs
 	segs       []int32                // FillDC: piecewise-monotone segment starts
-	rightGap   []int32                // FillDC: rightmostGapBefore per position
+	rightGap   []int32                // rightmostGapBefore per position (see ensureRightGap)
 	envMin     []float64              // envelope completion: per-block progressive lower bounds (see ensureEnvelope)
 	envMinPrev []float64              // envelope completion: per-block min of prevE (static bound)
 	envAt      []int32                // envelope completion: cell of each block's last refresh, −1 = never
@@ -168,7 +171,7 @@ func (st *dpState) fillRow(k int) (float64, error) {
 // fillFirstRow fills E[1][i] = the cost of merging the whole prefix into
 // one tuple (infinite across gaps); J[1] stays all zero.
 func (st *dpState) fillFirstRow(imax int) error {
-	kn := st.kn
+	st.ensureRightGap()
 	for i := 1; i <= imax; i++ {
 		st.stats.Cells++
 		if st.stats.Cells%cancelCheckCells == 0 {
@@ -176,14 +179,90 @@ func (st *dpState) fillFirstRow(imax int) error {
 				return err
 			}
 		}
-		st.curE[i] = kn.MergeErrAll(1, i)
+		st.curE[i] = st.mergeCost(0, i)
 	}
 	return nil
 }
 
+// mergeCost returns w(j+1, i), the cost of merging s_{j+1}..s_i into one
+// tuple: Inf when the range crosses a gap, else the table's entry when the
+// current ensure call built one, else the kernel closure's value. All three
+// are MergeErrAll(j+1, i) bit for bit. The scan's inner loops make the same
+// choice per cell.
+func (st *dpState) mergeCost(j, i int) float64 {
+	switch {
+	case j < int(st.rightGap[i]):
+		return Inf
+	case st.costs != nil:
+		return st.costs[i*(i-1)/2+j]
+	}
+	return st.rerr(j+1, i)
+}
+
+// costTableMinRows is the fewest rows one Solver.ensure call must fill for
+// it to build the merge-cost table: the build evaluates every in-run pair
+// once, about what a few scanned rows evaluate, so a call that fills fewer
+// rows scans with the closure instead.
+const costTableMinRows = 4
+
+// wantsCosts reports whether a call filling rows rows builds the
+// merge-cost table: only the scan reads it, only kernels below
+// fillAutoThreshold rows (at most 32 640 entries, 255 KiB) get one, and
+// only calls that fill enough rows to repay it.
+func (st *dpState) wantsCosts(rows int) bool {
+	return st.algo == FillPruned && st.n < fillAutoThreshold && rows >= costTableMinRows
+}
+
+// buildCosts builds the merge-cost table the scan reads instead of calling
+// the kernel closure: costs[i(i−1)/2 + j] = rerr(j+1, i) for every cell i
+// and every split candidate j inside i's gap-free run, rightGap[i] ≤ j < i,
+// the diagonal's 0 included. Entries are the closure's own return values,
+// NaN and Inf included, so a fill reading them computes the same rows, cells
+// and inner iterations as one calling it. Pairs across a gap are not
+// written (a recycled table keeps stale values there) and never read:
+// mergeCost and the scan test the gap first. It polls the context like the
+// fills; the caller drops the table when its call returns.
+func (st *dpState) buildCosts() error {
+	st.ensureRightGap()
+	n, rerr := st.n, st.rerr
+	size := n * (n + 1) / 2
+	st.costBuf = costPool.Get().(*[]float64)
+	if cap(*st.costBuf) < size {
+		*st.costBuf = make([]float64, size)
+	}
+	costs := (*st.costBuf)[:size]
+	for i := 1; i <= n; i++ {
+		row := costs[i*(i-1)/2 : i*(i+1)/2]
+		jlo := int(st.rightGap[i])
+		for j := jlo; j < i; j++ {
+			row[j] = rerr(j+1, i)
+		}
+		if err := st.pollFill(i - jlo); err != nil {
+			return err
+		}
+	}
+	st.costs = costs
+	return nil
+}
+
+// costPool recycles merge-cost tables: a table lives for one ensure call,
+// and the runs of one evaluation ask for tables of similar sizes one after
+// another, so reuse spares most of their allocation and clearing.
+var costPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// dropCosts returns the table to costPool: no retained state holds one.
+func (st *dpState) dropCosts() {
+	if st.costBuf != nil {
+		costPool.Put(st.costBuf)
+	}
+	st.costs, st.costBuf = nil, nil
+}
+
 // fillRowScan fills row k ≥ 2 with the FillPruned candidate scan: for every
 // cell, split points are tried right to left, keeping the first strict
-// improvement, until no candidate further left can beat the incumbent.
+// improvement, until no candidate further left can beat the incumbent. A
+// candidate's merge cost is one load from the table when the current ensure
+// call built one (buildCosts), else a closure call, at the same bits.
 //
 // The stop uses the row's own finished cells. Cells fill left to right, so
 // when cell i meets candidate j the cell E[k][j] = curE[j] is final. For
@@ -223,8 +302,9 @@ func (st *dpState) fillFirstRow(imax int) error {
 // kernel sets the slack to NaN, the test never passes, and the Jagadish
 // exit works alone.
 func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
+	st.ensureRightGap()
 	kn := st.kn
-	rerr := st.rerr
+	rerr, costs := st.rerr, st.costs
 	prevE, curE := st.prevE, st.curE
 	slack := kn.scanSlack
 	for i := k; i <= imax; i++ {
@@ -237,10 +317,9 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 
 		// Lower bound for j: merging the tail s_{j+1}..s_i across the
 		// rightmost gap before i is infinite.
+		rightGap := int(st.rightGap[i])
 		jmin := k - 1
-		var rightGap int
 		if st.pruneJ {
-			rightGap = kn.RightmostGapBefore(i)
 			jmin = max(jmin, rightGap)
 		}
 
@@ -248,7 +327,7 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 			// The prefix s_i contains exactly k−1 gaps: the only feasible
 			// split point is the rightmost gap itself (Section 5.3).
 			st.stats.InnerIters++
-			curE[i] = prevE[jmin] + rerr(jmin+1, i)
+			curE[i] = prevE[jmin] + st.mergeCost(jmin, i)
 			if jrow != nil {
 				jrow[i] = int32(jmin)
 			}
@@ -259,22 +338,41 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 		bestJ := int32(0)
 		stop := best + best*envSafety + slack
 		inner := int64(0)
-		for j := i - 1; j >= jmin; j-- {
-			inner++
-			var err2 float64
-			if st.pruneJ {
-				err2 = rerr(j+1, i) // gap free by construction of jmin
-			} else {
-				err2 = kn.MergeErrAll(j+1, i)
+		// The two loops differ only in where w(j+1, i) comes from: the
+		// closure call spills every value live across it, so the closure
+		// loop carries no table row. Both stop once every candidate left
+		// of j costs at least curE[j] + err2, or err2 alone (Jagadish et
+		// al.), reaches the incumbent.
+		if costs != nil {
+			row := costs[i*(i-1)/2 : i*(i+1)/2] // row[j] = w(j+1, i) for j ≥ rightGap
+			for j := i - 1; j >= jmin; j-- {
+				inner++
+				err2 := Inf // across the gap: only without the jmin bound
+				if j >= rightGap {
+					err2 = row[j]
+				}
+				if e := prevE[j] + err2; e < best {
+					best, bestJ = e, int32(j)
+					stop = best + best*envSafety + slack
+				}
+				if err2 > best || curE[j]+err2 >= stop {
+					break
+				}
 			}
-			if e := prevE[j] + err2; e < best {
-				best, bestJ = e, int32(j)
-				stop = best + best*envSafety + slack
-			}
-			// Every candidate left of j costs at least curE[j] + err2, and
-			// at least err2 alone (Jagadish et al.).
-			if err2 > best || curE[j]+err2 >= stop {
-				break
+		} else {
+			for j := i - 1; j >= jmin; j-- {
+				inner++
+				err2 := Inf // across the gap: only without the jmin bound
+				if j >= rightGap {
+					err2 = rerr(j+1, i)
+				}
+				if e := prevE[j] + err2; e < best {
+					best, bestJ = e, int32(j)
+					stop = best + best*envSafety + slack
+				}
+				if err2 > best || curE[j]+err2 >= stop {
+					break
+				}
 			}
 		}
 		st.stats.InnerIters += inner

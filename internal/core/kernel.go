@@ -67,9 +67,6 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 	if !opts.Fill.Valid() {
 		return nil, fmt.Errorf("core: unknown fill algorithm %v (have %v)", opts.Fill, FillAlgoNames())
 	}
-	if err := temporal.CheckLengths(seq.Rows); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	w2, err := opts.weightsSquared(seq.P())
 	if err != nil {
 		return nil, err
@@ -90,6 +87,11 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 		row := seq.Rows[i-1]
 		length := float64(row.T.Len())
 		kn.l[i] = kn.l[i-1] + row.T.Len()
+		if kn.l[i] <= kn.l[i-1] && row.T.Valid() {
+			// A valid row adds at least one chronon unless |T| or Σ|T|
+			// wrapped past 2⁶³−1; CheckLengths names the row.
+			return nil, fmt.Errorf("core: %w", temporal.CheckLengths(seq.Rows))
+		}
 		for d := 0; d < p; d++ {
 			v := row.Aggs[d]
 			kn.s[d*stride+i] = kn.s[d*stride+i-1] + length*v

@@ -112,9 +112,17 @@ func (sv *Solver) Deepen(ctx context.Context, k int) error {
 
 // ensure fills rows filled+1..k under ctx: the one loop that fills DP rows,
 // toward a budget or, for Matrices and ErrorCurve, to a row count. Rows are
-// filled strictly in order; already-filled rows are never recomputed.
+// filled strictly in order; already-filled rows are never recomputed. A
+// call that fills enough rows of a short kernel builds the merge-cost table
+// first and drops it on return, so a retained solver never holds one.
 func (sv *Solver) ensure(ctx context.Context, k int) error {
 	sv.st.opts.Ctx = ctx
+	if sv.st.wantsCosts(k - sv.filled) {
+		defer sv.st.dropCosts()
+		if err := sv.st.buildCosts(); err != nil {
+			return err
+		}
+	}
 	for next := sv.filled + 1; next <= k; next++ {
 		e, err := sv.st.fillRow(next)
 		if err != nil {

@@ -36,8 +36,8 @@ const maxBaselineSamples = 1 << 20
 type baseline struct {
 	name, desc string
 	// segments reduces the expanded sample vector to at most c constant
-	// segments anchored at start.
-	segments func(vals []float64, c int, start Chronon) ([]approx.Segment, error)
+	// segments anchored at start. A method that searches polls ctx.
+	segments func(ctx context.Context, vals []float64, c int, start Chronon) ([]approx.Segment, error)
 }
 
 func (b *baseline) Name() string             { return b.name }
@@ -67,11 +67,11 @@ func (b *baseline) prep(s *Series) (*approx.Series, error) {
 // evalSize runs the method at one segment budget and scores it. A budget
 // of at least one segment per row answers exactly when the rows cover
 // more samples than that (on a unit-length series the method runs).
-func (b *baseline) evalSize(s *Series, series *approx.Series, c int, opts Options) (*Result, error) {
+func (b *baseline) evalSize(ctx context.Context, s *Series, series *approx.Series, c int, opts Options) (*Result, error) {
 	if c >= s.Len() && series.Len() > s.Len() {
 		return b.exact(s, series, opts)
 	}
-	segs, err := b.segments(series.Dims[0], c, series.Start)
+	segs, err := b.segments(ctx, series.Dims[0], c, series.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -103,13 +103,13 @@ func (b *baseline) Evaluate(ctx context.Context, s *Series, bud Budget, opts Opt
 	}
 	switch bud.Kind() {
 	case BudgetSize:
-		return b.evalSize(s, series, bud.C(), opts)
+		return b.evalSize(ctx, s, series, bud.C(), opts)
 	case BudgetError:
 		emax, err := MaxError(s, opts)
 		if err != nil {
 			return nil, err
 		}
-		return b.evalError(s, series, bud.Eps()*emax, opts)
+		return b.evalError(ctx, s, series, bud.Eps()*emax, opts)
 	}
 	return nil, ErrBudgetKind
 }
@@ -123,8 +123,8 @@ func (b *baseline) exact(s *Series, series *approx.Series, opts Options) (*Resul
 // evalError finds the smallest segment count up to the row count whose
 // error fits the bound: a binary search assuming the error shrinks with the
 // budget, then a linear verification pass to absorb local
-// non-monotonicity.
-func (b *baseline) evalError(s *Series, series *approx.Series, bound float64, opts Options) (*Result, error) {
+// non-monotonicity. It polls ctx before every evaluation.
+func (b *baseline) evalError(ctx context.Context, s *Series, series *approx.Series, bound float64, opts Options) (*Result, error) {
 	accept := bound*(1+1e-9) + 1e-9
 	n := s.Len()
 	cache := map[int]*Result{}
@@ -132,7 +132,10 @@ func (b *baseline) evalError(s *Series, series *approx.Series, bound float64, op
 		if r, ok := cache[c]; ok {
 			return r, nil
 		}
-		r, err := b.evalSize(s, series, c, opts)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := b.evalSize(ctx, s, series, c, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -173,8 +176,9 @@ func (b *baseline) evalError(s *Series, series *approx.Series, bound float64, op
 // the worst segments are split at their best split points until the budget
 // is used — this drives the error to zero as c approaches the sample count,
 // which the error-budget search relies on. Values are the true segment
-// means.
-func plaSegments(vals []float64, c int, start Chronon) ([]approx.Segment, error) {
+// means. The bisection polls ctx before every swing-filter pass, the
+// splitting before every split.
+func plaSegments(ctx context.Context, vals []float64, c int, start Chronon) ([]approx.Segment, error) {
 	n := len(vals)
 	if n == 0 {
 		return nil, fmt.Errorf("pla of an empty series")
@@ -218,6 +222,9 @@ func plaSegments(vals []float64, c int, start Chronon) ([]approx.Segment, error)
 	if cnt > c {
 		tlo, thi := 0.0, span
 		for i := 0; i < 64 && thi-tlo > 1e-12*(1+span); i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			mid := (tlo + thi) / 2
 			k, _, err := countAt(mid)
 			if err != nil {
@@ -247,6 +254,9 @@ func plaSegments(vals []float64, c int, start Chronon) ([]approx.Segment, error)
 		ranges[i] = rng{int(sg.T.Start - start), int(sg.T.End-start) + 1}
 	}
 	for len(ranges) < c {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		worst, worstSSE := -1, 0.0
 		for i, r := range ranges {
 			if r.b-r.a < 2 {
@@ -287,14 +297,14 @@ func init() {
 	Register(&baseline{
 		name: "paa",
 		desc: "piecewise aggregate approximation: equal-length segment means (Keogh & Pazzani)",
-		segments: func(vals []float64, c int, start Chronon) ([]approx.Segment, error) {
+		segments: func(_ context.Context, vals []float64, c int, start Chronon) ([]approx.Segment, error) {
 			return approx.PAA(vals, c, start)
 		},
 	})
 	Register(&baseline{
 		name: "apca",
 		desc: "adaptive piecewise constant approximation from top wavelet coefficients (Chakrabarti et al.)",
-		segments: func(vals []float64, c int, start Chronon) ([]approx.Segment, error) {
+		segments: func(_ context.Context, vals []float64, c int, start Chronon) ([]approx.Segment, error) {
 			return approx.APCA(vals, c, start)
 		},
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -239,9 +240,14 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 	// Group amortizable plans by their DP pruning flags: exact-DP
 	// evaluators with default options share one matrix pass even across
 	// strategy names ("ptac" and "ptae" are the same fully pruned DP).
-	// Everything else evaluates individually.
-	type dpKey struct{ pruneI, pruneJ bool }
-	groups := map[dpKey][]int{}
+	// Everything else evaluates individually. Groups run in the order of
+	// their first plans, so the same failing plans always yield the same
+	// error.
+	type dpGroup struct {
+		pruneI, pruneJ bool
+		plans          []int
+	}
+	var groups []dpGroup
 	if s.Len() > 0 {
 		for i, p := range plans {
 			ev, err := e.resolve(p.Strategy, p.Budget)
@@ -256,8 +262,12 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			if !isDP {
 				continue
 			}
-			key := dpKey{pruneI, pruneJ}
-			groups[key] = append(groups[key], i)
+			at := slices.IndexFunc(groups, func(g dpGroup) bool { return g.pruneI == pruneI && g.pruneJ == pruneJ })
+			if at < 0 {
+				at = len(groups)
+				groups = append(groups, dpGroup{pruneI: pruneI, pruneJ: pruneJ})
+			}
+			groups[at].plans = append(groups[at].plans, i)
 		}
 	}
 
@@ -271,7 +281,8 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 		copts := e.opts.coreOptionsCtx(ctx)
 		parallelRuns := e.workers() != 1 && s.CMin() > 1
 		var kernel *core.CostKernel
-		for key, g := range groups {
+		for _, grp := range groups {
+			g := grp.plans
 			budgets := make([]core.MultiBudget, len(g))
 			for j, i := range g {
 				b := plans[i].Budget
@@ -283,7 +294,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			}
 			var dpResults []*core.DPResult
 			var err error
-			if parallelRuns && key.pruneI && key.pruneJ {
+			if parallelRuns && grp.pruneI && grp.pruneJ {
 				dpResults, err = core.DPMultiParallel(s, budgets, copts, e.workers())
 			} else {
 				if kernel == nil {
@@ -292,7 +303,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 						return nil, ferr
 					}
 				}
-				dpResults, err = core.DPMultiKernel(kernel, budgets, copts, key.pruneI, key.pruneJ)
+				dpResults, err = core.DPMultiKernel(kernel, budgets, copts, grp.pruneI, grp.pruneJ)
 			}
 			if err != nil {
 				// Attribute the failure to the plan that caused it (an

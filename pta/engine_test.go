@@ -342,6 +342,32 @@ func TestCompressMany(t *testing.T) {
 	}
 }
 
+// TestCompressManyGroupErrorOrder: when two DP plan groups both fail, the
+// call reports the group of the first plan, in either plan order and on
+// every repetition (the groups once ran in map order, which blamed a
+// random plan).
+func TestCompressManyGroupErrorOrder(t *testing.T) {
+	eng := mustEngine(t)
+	seq := grouped(t)
+	if seq.CMin() < 2 {
+		t.Fatalf("grouped series has cmin %d; the test needs c = 1 infeasible", seq.CMin())
+	}
+	ptac := pta.Plan{Strategy: "ptac", Budget: pta.Size(1)}
+	dpbasic := pta.Plan{Strategy: "dpbasic", Budget: pta.Size(1)}
+	for _, plans := range [][]pta.Plan{{ptac, dpbasic}, {dpbasic, ptac}} {
+		for rep := 0; rep < 20; rep++ {
+			_, err := eng.CompressMany(context.Background(), seq, plans)
+			var inf *pta.InfeasibleBudgetError
+			if !errors.As(err, &inf) {
+				t.Fatalf("%s first: %v, want an InfeasibleBudgetError", plans[0].Strategy, err)
+			}
+			if inf.Strategy != plans[0].Strategy {
+				t.Fatalf("%s first, call %d: error names %s", plans[0].Strategy, rep, inf.Strategy)
+			}
+		}
+	}
+}
+
 // collectSink records everything pushed into it.
 type collectSink struct {
 	rows   []pta.Row
