@@ -52,7 +52,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "workload scale factor (1.0 = reproduction scale)")
 		seed     = flag.Int64("seed", 42, "dataset generation seed")
 		quick    = flag.Bool("quick", false, "tiny smoke-test sizes")
-		parallel = flag.Int("parallel", 1, "engine worker goroutines for group-parallel strategies (0 = all cores)")
+		parallel = flag.Int("parallel", 1, "engine worker goroutines for the run-decomposed exact DP (0 = all cores); changes speed, never results")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonMode = flag.Bool("json", false, "emit a JSON array of tables on stdout instead of text")
 	)

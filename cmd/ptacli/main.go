@@ -1,7 +1,8 @@
 // Command ptacli runs temporal aggregation queries over CSV relations: ITA
 // (instant), STA (span), and parsimonious compression through the public
-// pta engine — any registered strategy, under a size or error budget,
-// optionally group-parallel (-parallel).
+// pta engine — any registered strategy, under a size or error budget.
+// -parallel sets the exact DP's workers: it changes speed, never the
+// output.
 //
 // SIGINT/SIGTERM cancel the evaluation context: a long compression aborts
 // mid-matrix and the command exits with a clean message and status 130
@@ -53,7 +54,7 @@ func main() {
 		c        = flag.Int("c", 0, "size budget shorthand (same as -budget c=N)")
 		eps      = flag.Float64("eps", -1, "error budget shorthand (same as -budget eps=X)")
 		delta    = flag.Int("delta", 1, "read-ahead δ for streaming strategies (-1 = ∞)")
-		parallel = flag.Int("parallel", 1, "engine worker goroutines for group-parallel strategies (0 = all cores)")
+		parallel = flag.Int("parallel", 1, "engine worker goroutines for the run-decomposed exact DP (0 = all cores); changes speed, never results")
 		span     = flag.Int64("span", 0, "span width for sta")
 		list     = flag.Bool("list-strategies", false, "list registered compression strategies and exit")
 		workers  = flag.String("workers", "", "comma-separated ptaserve worker base URLs enabling -strategy dist")

@@ -91,7 +91,7 @@ type options struct {
 func main() {
 	var opts options
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address (host:port, :0 picks a free port)")
-	flag.IntVar(&opts.parallel, "parallel", 1, "engine worker goroutines for group-parallel strategies (0 = all cores)")
+	flag.IntVar(&opts.parallel, "parallel", 1, "engine worker goroutines for the run-decomposed exact DP (0 = all cores); changes speed, never results")
 	flag.IntVar(&opts.cache, "cache", 64, "matrix cache capacity in entries")
 	flag.DurationVar(&opts.timeout, "timeout", 30*time.Second, "per-request deadline (requests may tighten it with timeout_ms)")
 	flag.Int64Var(&opts.maxBody, "max-body", 8<<20, "request body limit in bytes")

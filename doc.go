@@ -8,7 +8,7 @@
 //
 //	eng, _ := pta.New(
 //	    pta.WithWeights([]float64{1, 25}),   // per-aggregate error weights
-//	    pta.WithParallelism(4),              // group-parallel exact DP
+//	    pta.WithParallelism(4),              // run-decomposition workers
 //	)
 //	res, err := eng.Compress(ctx, series, pta.Plan{Strategy: "ptac", Budget: pta.Size(12)})
 //
@@ -17,10 +17,11 @@
 // context — long dynamic programs abort promptly on cancellation:
 //
 //   - Compress evaluates one Plan (a strategy name plus a Budget: the size
-//     bound pta.Size(c) or the error bound pta.ErrorBound(eps)). With
-//     parallelism above one, eligible exact strategies decompose the series
-//     over its maximal adjacent runs and combine the per-run optima exactly
-//     on a bounded worker pool.
+//     bound pta.Size(c) or the error bound pta.ErrorBound(eps)). The exact
+//     DP ("ptac", "ptae") decomposes a series of several maximal adjacent
+//     runs and combines the per-run optima exactly; parallelism only sets
+//     how many workers compute the runs, so it changes speed, never the
+//     answer.
 //   - CompressMany serves several budgets of the same series; exact-DP
 //     plans share one filling of the error/split-point matrices.
 //   - CompressStream compresses a row stream in bounded memory and pushes

@@ -176,6 +176,27 @@ func BenchmarkPTAcSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkPTAeSmall is BenchmarkPTAcSmall's error-budget arm on the same
+// kernel: the search fills one row per ensure call and builds the
+// merge-cost table once it has filled four. eps = 0.2 answers at 3 rows
+// and never builds it; eps = 0.002 answers at 22 rows, the fill of
+// PTAc at c = 22.
+func BenchmarkPTAeSmall(b *testing.B) {
+	seq, err := dataset.Mixed(1, fillAutoThreshold-1, 1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eps := range []float64{0.2, 0.002} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PTAe(seq, eps, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGMS(b *testing.B) {
 	seq := benchSequence(20000, 1, 0.05)
 	c := max(seq.CMin(), 500)

@@ -137,8 +137,9 @@ func fillScanRows(t *testing.T, kn *CostKernel, pruneI, pruneJ, table bool) ([][
 }
 
 // TestSolverDropsCostTable: a solver that filled with the table, or whose
-// table build was canceled, holds no table once ensure returns, and its
-// MemBytes counts only the J rows and the three error rows.
+// table build was canceled, holds no table once ensure or an error-budget
+// search returns, and its MemBytes counts only the J rows and the three
+// error rows.
 func TestSolverDropsCostTable(t *testing.T) {
 	seq, err := dataset.Mixed(1, fillAutoThreshold-1, 1, 5)
 	if err != nil {
@@ -186,6 +187,51 @@ func TestSolverDropsCostTable(t *testing.T) {
 		if got, want := sv.MemBytes(), int64(k)*n*4+3*n*8; got != want {
 			t.Errorf("MemBytes at %d rows = %d, want %d", k, got, want)
 		}
+	}
+
+	// An error-budget search fills one row per ensure call and builds the
+	// table once it has filled costTableMinRows rows. It fills what a size
+	// budget of its answer fills, rows and counts alike, and drops the
+	// table when it returns, answered or canceled.
+	const eps = 0.002
+	probe := newPollCtx(0)
+	esv, err := NewSolver(seq, Options{}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := esv.SolveError(probe, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.C <= costTableMinRows+1 {
+		t.Fatalf("eps=%v answers at %d rows, want a search past the table build at row %d", eps, got.C, costTableMinRows+1)
+	}
+	if esv.st.costs != nil || esv.st.costBuf != nil {
+		t.Fatal("an error-budget search left its table on the solver")
+	}
+	if mem, want := esv.MemBytes(), int64(got.C)*n*4+3*n*8; mem != want {
+		t.Errorf("MemBytes after the search = %d, want %d", mem, want)
+	}
+	want, err := PTAc(seq, got.C, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want.Stats || got.Error != want.Error || !got.Sequence.Equal(want.Sequence, 0) {
+		t.Errorf("search to %d rows: %+v, error %v; size budget %d: %+v, error %v",
+			got.C, got.Stats, got.Error, got.C, want.Stats, want.Error)
+	}
+	csv, err := NewSolver(seq, Options{}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := csv.SolveError(newPollCtx(probe.calls.Load()), eps); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("search canceled at its last poll: %v, want context.DeadlineExceeded", err)
+	}
+	if csv.Rows() <= costTableMinRows {
+		t.Fatalf("search canceled after %d rows, want one past the table build", csv.Rows())
+	}
+	if csv.st.costs != nil || csv.st.costBuf != nil {
+		t.Fatal("a canceled error-budget search left its table on the solver")
 	}
 }
 

@@ -25,10 +25,11 @@ import (
 // it does asymptotically less work — per-run curves cost Σ O(q_r²·min(q_r,c))
 // versus the monolithic scheme's larger search space — and it uses every
 // core. Aggregation groups are a coarsening of runs (every group boundary
-// is a run boundary), so this is also the group-parallel execution engine
-// behind pta.Engine's WithParallelism. The paper's evaluation is
-// single-threaded; this is an engineering extension, reported by the
-// `parallel` and `engine` experiments.
+// is a run boundary), so this is also how pta.Engine answers every
+// multi-run exact plan, at every parallelism: WithParallelism sets only the
+// worker count, which changes speed, never the answer. The paper's
+// evaluation is single-threaded; this is an engineering extension, reported
+// by the `parallel` and `engine` experiments.
 //
 // SolveRuns is the one driver: it validates the budgets, deepens the run
 // curves, extends one CurveAllocation across the rounds, accepts error
@@ -57,11 +58,14 @@ type RunCurves interface {
 // from the curves runs supplies. A total size of K needs per-run curves
 // only up to K−R+1 tuples (every other run keeps at least one), so size
 // budgets extend the curves once, to the deepest of them. Error budgets
-// deepen iteratively from K = R+63, doubling K until every bound is met,
-// which keeps the serial evaluator's early exit: loose bounds that stop at
-// a small K never pay for full curves, and the geometric growth bounds the
-// total work at a small constant of the final round's. Coexisting size
-// budgets only ever raise K, never change which k first fits a bound.
+// deepen iteratively from K = R + min(63, R−1), which gives each run at
+// most min(64, R) rows in the first round, doubling K until every bound is
+// met. That keeps the whole-series evaluator's early exit: loose bounds
+// that stop at a small K never pay for full curves, a series of few runs
+// does not fill each of them 64 rows deep before it tests a bound, and the
+// geometric growth bounds the total work at a small constant of the final
+// round's. Coexisting size budgets only ever raise K, never change which k
+// first fits a bound.
 //
 // Results align with budgets, and each carries the fill stats of the
 // shared curves. Like Options.Ctx, a nil ctx never cancels.
@@ -82,7 +86,7 @@ func SolveRuns(ctx context.Context, kn *CostKernel, runs RunCurves, budgets []Mu
 		}
 	}
 	if pending > 0 {
-		K = max(K, min(n, R+63))
+		K = max(K, min(n, R+min(63, R-1)))
 	}
 	var ca CurveAllocation
 	var final []float64

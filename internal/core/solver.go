@@ -207,15 +207,26 @@ func (sv *Solver) maxError() float64 {
 }
 
 // reach returns the smallest k whose row error E[k][n] fits bound, filling
-// rows as the search passes them. Filled exactly, E[n][n] = 0 fits every
-// bound checkBudget returns; rows that say otherwise were restored wrong.
+// rows as the search passes them, one ensure call per row. Once the call
+// has filled costTableMinRows rows it builds the merge-cost table ensure
+// would build for that many rows, and drops it on return. Filled exactly,
+// E[n][n] = 0 fits every bound checkBudget returns; rows that say
+// otherwise were restored wrong.
 func (sv *Solver) reach(ctx context.Context, bound float64) (int, error) {
 	n := sv.kn.N()
+	grown := 0
 	for k := 1; k <= n; k++ {
 		if k > sv.filled {
+			if grown == costTableMinRows && sv.st.wantsCosts(grown) {
+				defer sv.st.dropCosts()
+				if err := sv.st.buildCosts(); err != nil {
+					return 0, err
+				}
+			}
 			if err := sv.ensure(ctx, k); err != nil {
 				return 0, err
 			}
+			grown++
 		}
 		if sv.rowErr[k] <= bound {
 			return k, nil

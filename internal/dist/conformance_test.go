@@ -1,26 +1,28 @@
 package dist
 
 // The exactness-conformance suite: "dist" output compared against the
-// serial and in-process parallel evaluators across the strategy, budget and
+// in-process engine and the whole-series DP across the strategy, budget and
 // fill-algorithm matrix, over quick.Check-generated mixed, counter and
 // adversarial series, against a real 3-worker cluster (run under -race).
 //
 // What is asserted, and why:
 //
-//   - vs the parallel engine (WithParallelism): everything bitwise — rows,
-//     C, and the Error float's exact bits. dist runs the same driver as
-//     PTAcParallel / PTAeParallel (core.SolveRuns) with the curve
-//     computation moved across HTTP, so any drift here is a bug.
-//   - vs the serial evaluator: C always equal, Error equal to within float
-//     summation reassociation (the run-decomposed pass adds per-run errors
-//     in a different order), and rows BITWISE equal whenever the optimum is
+//   - vs the engine at parallelism 1 and 4: everything bitwise — rows, C,
+//     and the Error float's exact bits. The engine answers every
+//     multi-run "ptac"/"ptae" plan through the run-decomposed driver
+//     (core.SolveRuns) at every parallelism, and dist runs that driver with
+//     the curve computation moved across HTTP, so any drift here is a bug.
+//   - vs the whole-series DP (core.PTAc / core.PTAe, the independent
+//     reference): C always equal, Error equal to within float summation
+//     reassociation (the run-decomposed pass adds per-run errors in a
+//     different order), and rows BITWISE equal whenever the optimum is
 //     unique. The mixed and counter generators draw continuous values, so
 //     ties between candidate split sets have probability zero and the
 //     byte-identity assertion holds unconditionally. The adversarial
 //     generator manufactures ties on purpose (integer plateaus), where any
 //     optimal split set is acceptable; there the suite asserts the relaxed
 //     contract (same C, same error, valid series) plus full byte-identity
-//     to the parallel engine, which pins ONE deterministic choice.
+//     to the engine, which pins ONE deterministic choice.
 
 import (
 	"bytes"
@@ -169,7 +171,8 @@ func strategyFor(b pta.Budget) string {
 
 // TestDistConformance is the headline suite: for each generator mode,
 // quick.Check draws seeds, and every (series, budget) cell is compressed
-// three ways — distributed, in-process parallel, serial — and compared.
+// four ways — distributed, the engine at parallelism 1 and 4, the
+// whole-series DP — and compared.
 func TestDistConformance(t *testing.T) {
 	cluster := disttest.NewCluster(t, 3, serve.Config{})
 	co := newTestCoordinator(t, cluster)
@@ -210,8 +213,9 @@ func TestDistConformance(t *testing.T) {
 	}
 }
 
-// checkCell runs one (series, budget) cell through all three evaluators and
-// applies the conformance contract described in the file comment.
+// checkCell runs one (series, budget) cell through dist, the engines serial
+// (parallelism 1) and par, and the whole-series DP, and applies the
+// conformance contract described in the file comment.
 func checkCell(t *testing.T, ctx context.Context, co *Coordinator, serial, par *pta.Engine,
 	s *pta.Series, b pta.Budget, opts pta.Options, mode string, seed int64) bool {
 	t.Helper()
@@ -224,44 +228,55 @@ func checkCell(t *testing.T, ctx context.Context, co *Coordinator, serial, par *
 	}
 	strat := strategyFor(b)
 	plan := pta.Plan{Strategy: strat, Budget: b, Options: &opts}
-	pres, err := par.Compress(ctx, s, plan)
-	if err != nil {
-		t.Errorf("%s: parallel %s: %v", name, strat, err)
-		return false
-	}
-	sres, err := serial.Compress(ctx, s, plan)
-	if err != nil {
-		t.Errorf("%s: serial %s: %v", name, strat, err)
-		return false
+
+	// Bitwise contract against the engine, at either parallelism.
+	for _, eng := range []struct {
+		name string
+		e    *pta.Engine
+	}{{"parallelism 1", serial}, {"parallelism 4", par}} {
+		res, err := eng.e.Compress(ctx, s, plan)
+		if err != nil {
+			t.Errorf("%s: %s %s: %v", name, eng.name, strat, err)
+			return false
+		}
+		if dres.C != res.C {
+			t.Errorf("%s: dist C=%d, %s C=%d", name, dres.C, eng.name, res.C)
+			return false
+		}
+		if math.Float64bits(dres.Error) != math.Float64bits(res.Error) {
+			t.Errorf("%s: dist Error bits %x (%v), %s %x (%v)",
+				name, math.Float64bits(dres.Error), dres.Error, eng.name,
+				math.Float64bits(res.Error), res.Error)
+			return false
+		}
+		if !bitIdentical(dres.Series, res.Series) {
+			t.Errorf("%s: dist rows differ from the engine at %s", name, eng.name)
+			return false
+		}
 	}
 
-	// Bitwise contract against the in-process parallel evaluator.
-	if dres.C != pres.C {
-		t.Errorf("%s: dist C=%d, parallel C=%d", name, dres.C, pres.C)
+	// Contract against the whole-series DP.
+	copts := core.Options{Weights: opts.Weights}
+	var wres *core.DPResult
+	if b.Kind() == pta.BudgetSize {
+		wres, err = core.PTAc(s, b.C(), copts)
+	} else {
+		wres, err = core.PTAe(s, b.Eps(), copts)
+	}
+	if err != nil {
+		t.Errorf("%s: whole-series DP: %v", name, err)
 		return false
 	}
-	if math.Float64bits(dres.Error) != math.Float64bits(pres.Error) {
-		t.Errorf("%s: dist Error bits %x (%v), parallel %x (%v)",
-			name, math.Float64bits(dres.Error), dres.Error,
-			math.Float64bits(pres.Error), pres.Error)
+	if dres.C != wres.C {
+		t.Errorf("%s: dist C=%d, whole-series C=%d", name, dres.C, wres.C)
 		return false
 	}
-	if !bitIdentical(dres.Series, pres.Series) {
-		t.Errorf("%s: dist rows differ from parallel evaluator", name)
+	if !relClose(dres.Error, wres.Error, 1e-9) {
+		t.Errorf("%s: dist Error %v vs whole-series %v beyond reassociation tolerance", name, dres.Error, wres.Error)
 		return false
 	}
-
-	// Contract against the serial evaluator.
-	if dres.C != sres.C {
-		t.Errorf("%s: dist C=%d, serial C=%d", name, dres.C, sres.C)
-		return false
-	}
-	if !relClose(dres.Error, sres.Error, 1e-9) {
-		t.Errorf("%s: dist Error %v vs serial %v beyond reassociation tolerance", name, dres.Error, sres.Error)
-		return false
-	}
-	if mode != "adversarial" && !bitIdentical(dres.Series, sres.Series) {
-		t.Errorf("%s: dist rows differ from serial on tie-free data", name)
+	if mode != "adversarial" && !bitIdentical(dres.Series, wres.Sequence) {
+		t.Errorf("%s: dist rows differ from the whole-series DP on tie-free data", name)
 		return false
 	}
 	if err := dres.Series.Validate(); err != nil {
@@ -294,7 +309,8 @@ func checkCell(t *testing.T, ctx context.Context, co *Coordinator, serial, par *
 
 // TestDistConformanceFillAlgos pins the fill-algorithm matrix: the
 // coordinator sends its shards no fill_algo, and its answer meets the
-// serial contract against core's exact DP under every pinned row fill.
+// whole-series contract against core's exact DP under every pinned row
+// fill.
 func TestDistConformanceFillAlgos(t *testing.T) {
 	cluster := disttest.NewCluster(t, 3, serve.Config{})
 	var urls []string

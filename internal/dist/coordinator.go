@@ -41,7 +41,7 @@ const (
 // therefore only contribute curve values and split boundaries — every
 // returned row is re-derived from the coordinator's own kernel, which is
 // what makes the distributed result bit-identical to the in-process
-// parallel evaluators (see docs/ARCHITECTURE.md § Distribution).
+// engine's at every parallelism (see docs/ARCHITECTURE.md § Distribution).
 //
 // A Coordinator is safe for concurrent use.
 type Coordinator struct {
@@ -297,7 +297,8 @@ func makeShards(s *pta.Series, kn *core.CostKernel) []*shard {
 }
 
 // Compress evaluates one budget over the series using the worker fleet and
-// returns a result bit-identical to the in-process parallel evaluators.
+// returns a result bit-identical to the in-process engine's (pta.Engine at
+// any parallelism, core.PTAcParallel/PTAeParallel).
 // opts forwards Weights to the workers; ReadAhead does not apply to the
 // exact DP.
 func (c *Coordinator) Compress(ctx context.Context, s *pta.Series, b pta.Budget, opts pta.Options) (*pta.Result, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
 )
@@ -15,16 +16,12 @@ func init() {
 }
 
 // runParallel contrasts the monolithic PTAc with the run-decomposed,
-// multicore evaluator on gapped workloads. Both produce the identical
-// optimum (property-tested in internal/core); only the work distribution
-// differs. The two arms run on engines of their own — one serial, one
-// with WithParallelism(0) — so the configured engine's parallelism cannot
-// turn the monolithic arm into a second decomposed one.
+// multicore evaluator on gapped workloads. Both produce the same optimal
+// error (property-tested in internal/core); only the work distribution
+// differs. The monolithic arm calls core.PTAc, the whole-series DP, and the
+// decomposed arm runs on an engine of its own with WithParallelism(0), so
+// the configured engine's parallelism moves neither.
 func runParallel(ctx context.Context, cfg Config) (*Table, error) {
-	serial, err := pta.New()
-	if err != nil {
-		return nil, err
-	}
 	parallel, err := pta.New(pta.WithParallelism(0))
 	if err != nil {
 		return nil, err
@@ -47,10 +44,11 @@ func runParallel(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		c := max(seq.CMin(), seq.Len()/5)
 		plan := pta.Plan{Strategy: "ptac", Budget: pta.Size(c)}
-		var mono, par *pta.Result
+		var mono *core.DPResult
+		var par *pta.Result
 		dMono, err := timeIt(func() error {
 			var err error
-			mono, err = serial.Compress(ctx, seq, plan)
+			mono, err = core.PTAc(seq, c, core.Options{Ctx: ctx})
 			return err
 		})
 		if err != nil {
@@ -121,15 +119,20 @@ func runGapBridge(ctx context.Context, cfg Config) (*Table, error) {
 // runAblation isolates the two Section 5.3 optimizations — the column bound
 // imax = G_k and the split-point bound j_min — on a gapped workload, and
 // contrasts them with a gap-free workload where neither can help. Every mode
-// computes the identical optimal reduction; only the work differs.
+// computes the identical optimal reduction; only the work differs. Each
+// mode is the whole-series DP called through internal/core, imax+jmin
+// included: the engine would answer "ptac" on the gapped workload run by
+// run, which is not the paper's PTAc.
 func runAblation(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID: "ablation", Title: "DP pruning ablation: cells / inner iterations / time by mode",
 		Header: []string{"workload", "mode", "cells", "inner_iters", "time_ms", "error"},
 	}
-	// The four pruning modes are themselves registry strategies.
-	modes := []struct{ strategy, label string }{
-		{"dpbasic", "none"}, {"ptac-imax", "imax"}, {"ptac-jmin", "jmin"}, {"ptac", "imax+jmin"},
+	modes := []struct {
+		mode  core.PruneMode
+		label string
+	}{
+		{core.PruneNone, "none"}, {core.PruneIMax, "imax"}, {core.PruneJMin, "jmin"}, {core.PruneBoth, "imax+jmin"},
 	}
 
 	gapped, err := dataset.Uniform(100, max(4, cfg.scaled(3000)/100), 4, cfg.Seed+20)
@@ -142,26 +145,21 @@ func runAblation(ctx context.Context, cfg Config) (*Table, error) {
 	}
 	workloads := []struct {
 		name string
-		run  func(strategy string) (*pta.Result, error)
+		seq  *pta.Series
+		c    int
 	}{
-		{"gapped(100 groups)", func(strategy string) (*pta.Result, error) {
-			c := max(gapped.CMin(), gapped.Len()/5)
-			return cfg.compress(ctx, gapped, strategy, pta.Size(c), pta.Options{})
-		}},
-		{"gap-free", func(strategy string) (*pta.Result, error) {
-			c := max(1, gapFree.Len()/5)
-			return cfg.compress(ctx, gapFree, strategy, pta.Size(c), pta.Options{})
-		}},
+		{"gapped(100 groups)", gapped, max(gapped.CMin(), gapped.Len()/5)},
+		{"gap-free", gapFree, max(1, gapFree.Len()/5)},
 	}
 
-	var reference *pta.Result
+	var reference *core.DPResult
 	for _, w := range workloads {
 		reference = nil
 		for _, m := range modes {
-			var res *pta.Result
+			var res *core.DPResult
 			d, err := timeIt(func() error {
 				var err error
-				res, err = w.run(m.strategy)
+				res, err = core.PTAcAblation(w.seq, w.c, core.Options{Ctx: ctx}, m.mode)
 				return err
 			})
 			if err != nil {

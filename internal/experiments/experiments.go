@@ -54,8 +54,10 @@ func (c Config) engine() *pta.Engine {
 }
 
 // compress routes one facade compression through the configured engine —
-// the evaluation call site of the whole experiment suite but the fill
-// sweep, which pins its row fills through internal/core.
+// the evaluation call site of the whole experiment suite but the arms that
+// measure the paper's whole-series PTAc (fig18b, fig19, ablation, the
+// parallel experiment's monolithic arm and the fill sweep, which also pins
+// its row fills), which call internal/core directly.
 func (c Config) compress(ctx context.Context, seq *pta.Series, strategy string, b pta.Budget, opts pta.Options) (*pta.Result, error) {
 	return c.engine().Compress(ctx, seq, pta.Plan{Strategy: strategy, Budget: b, Options: &opts})
 }

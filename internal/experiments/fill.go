@@ -17,8 +17,8 @@ func init() {
 // fillAlgos are the pinned selections the sweep compares; "pruned" is the
 // paper's scan and the baseline. Only internal/core can pin a fill, so the
 // sweep calls core.PTAc directly, serially whatever the configured engine:
-// its rows measure one fill each, and the stream row (a serial Solver) must
-// match them bit for bit.
+// its rows measure one fill each, and the stream row (an incremental
+// core.Solver) must match them bit for bit.
 var fillAlgos = []core.FillAlgo{core.FillPruned, core.FillDC}
 
 // runFill sweeps input size × row-fill algorithm on two workload families:
@@ -32,9 +32,10 @@ var fillAlgos = []core.FillAlgo{core.FillPruned, core.FillDC}
 // O(1) range skips (zero for the pruned baseline, which never consults the
 // envelope). Both algorithms must return the exact same reduction — the
 // sweep verifies C and Error bit for bit against the scan — so the table
-// isolates pure fill speed. A final "stream" row per workload drives the
-// same budget through CompressStream (the incremental Solver path, which
-// resolves FillAuto as the batch path does) and verifies it too. The
+// isolates pure fill speed. A final "stream" row per workload answers the
+// same budget from an incremental core.Solver (the serving layer's matrix
+// cache, which resolves FillAuto as the batch path does) and verifies it
+// too. The
 // committed BENCH_fill.json pins this table as the perf trajectory of the
 // DP kernel.
 func runFill(ctx context.Context, cfg Config) (*Table, error) {
@@ -108,21 +109,19 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 				}
 				addRow(algo.String(), ms, res, speedup)
 			}
-			// Streaming fill: the same budget answered through CompressStream
-			// — the exact DP materializes the stream into an incremental
-			// Solver, which resolves FillAuto to dc at these sizes.
-			var sres *pta.Result
+			// Incremental fill: the same budget answered by a core.Solver,
+			// which resolves FillAuto to dc at these sizes.
+			var stream *core.DPResult
 			d, err := timeIt(func() error {
-				var cerr error
-				sres, cerr = cfg.engine().CompressStream(ctx, pta.NewStream(seq),
-					pta.Plan{Strategy: "ptac", Budget: pta.Size(size), Options: &pta.Options{}}, nil)
+				sv, cerr := core.NewSolver(seq, core.Options{}, true, true)
+				if cerr == nil {
+					stream, cerr = sv.SolveSize(ctx, size)
+				}
 				return cerr
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fill: %s stream n=%d: %v", sw.name, seq.Len(), err)
 			}
-			stream := &core.DPResult{C: sres.C, Error: sres.Error, Stats: core.DPStats{
-				Cells: sres.Stats.Cells, InnerIters: sres.Stats.InnerIters, EnvelopeSkips: sres.Stats.EnvelopeSkips}}
 			if err := verify("stream", stream, baseline); err != nil {
 				return nil, err
 			}
@@ -134,7 +133,7 @@ func runFill(ctx context.Context, cfg Config) (*Table, error) {
 	t.AddNote("coverage = fraction of rows inside certified monotone segments long enough for a monotone fill (pta.MonotoneCoverage);")
 	t.AddNote("counter certifies fully (1.00), mixed partially — dc dispatches per segment and envelope-prunes the rest;")
 	t.AddNote("env_skips = candidates discarded in O(1) range skips by the envelope bound (pruned baseline never consults it);")
-	t.AddNote("stream = CompressStream through the incremental Solver, which resolves auto to dc at n >= 256;")
+	t.AddNote("stream = the incremental core.Solver (the matrix cache's driver), which resolves auto to dc at n >= 256;")
 	t.AddNote("at coverage 0 the kernel demotes to the scan outright, so pinning dc is always safe")
 	return t, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/approx"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/pta"
 )
@@ -19,6 +20,12 @@ func init() {
 }
 
 // --- fig18 ---
+
+// Figs. 18–19 measure the paper's PTAc: the whole-series DP with both
+// Section 5.3 bounds. On the grouped inputs of fig18b and fig19 the engine
+// would answer "ptac" run by run, so those arms call core.PTAc directly,
+// serially whatever the configured engine; on fig18a's gap-free input the
+// engine runs the same program.
 
 func runFig18a(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
@@ -76,7 +83,8 @@ func runFig18b(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		c := min(cfg.scaled(250), seq.Len())
 		c = max(c, seq.CMin())
-		var basic, pruned *pta.Result
+		var basic *pta.Result
+		var pruned *core.DPResult
 		dBasic, err := timeIt(func() error {
 			var err error
 			basic, err = cfg.compress(ctx, seq, "dpbasic", pta.Size(c), pta.Options{})
@@ -87,7 +95,7 @@ func runFig18b(ctx context.Context, cfg Config) (*Table, error) {
 		}
 		dPruned, err := timeIt(func() error {
 			var err error
-			pruned, err = cfg.compress(ctx, seq, "ptac", pta.Size(c), pta.Options{})
+			pruned, err = core.PTAc(seq, c, core.Options{Ctx: ctx})
 			return err
 		})
 		if err != nil {
@@ -123,7 +131,7 @@ func runFig19(ctx context.Context, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		dPruned, err := timeIt(func() error {
-			_, err := cfg.compress(ctx, seq, "ptac", pta.Size(c), pta.Options{})
+			_, err := core.PTAc(seq, c, core.Options{Ctx: ctx})
 			return err
 		})
 		if err != nil {

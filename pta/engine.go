@@ -12,14 +12,15 @@ import (
 )
 
 // Engine is a reusable, concurrency-safe compression session: it carries
-// evaluation defaults (weights, read-ahead, estimator) and a parallelism
-// degree for run-decomposed group-parallel evaluation. One Engine is meant to serve many compressions
-// — a serving layer holds one per deployment, not one per request.
+// evaluation defaults (weights, read-ahead, estimator) and the worker count
+// of the run-decomposed exact DP. One Engine is meant to serve many
+// compressions — a serving layer holds one per deployment, not one per
+// request.
 //
 // All methods are safe for concurrent use by multiple goroutines.
 type Engine struct {
 	opts        Options // engine-level evaluation defaults
-	parallelism int     // 1 = serial, n > 1 = n workers, 0 = all cores
+	parallelism int     // run-decomposition workers: n ≥ 1, or 0 = all cores
 	estimator   EstimatorFunc
 }
 
@@ -51,12 +52,13 @@ func WithReadAhead(delta int) Option {
 	}
 }
 
-// WithParallelism sets how many worker goroutines group-parallel evaluation
-// may use: 1 (the default) evaluates serially, n > 1 decomposes eligible
-// strategies over maximal adjacent runs — aggregation groups compress
-// independently (Section 3 guarantees groups never merge) — on n workers,
-// and 0 uses every core. Results are unchanged: the decomposition is exact
-// and deterministic.
+// WithParallelism sets how many worker goroutines the run-decomposed exact
+// DP uses: 1 (the default), n > 1, or 0 for every core. It changes only
+// speed, never an answer: a fully pruned exact plan ("ptac", "ptae") on a
+// series of several maximal adjacent runs answers run by run at every
+// parallelism (see Engine.Compress), and the runs — aggregation groups
+// compress independently, Section 3 guarantees groups never merge — are
+// spread over the workers.
 func WithParallelism(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {
@@ -85,7 +87,7 @@ func WithEstimator(fn EstimatorFunc) Option {
 }
 
 // New builds an Engine from functional options. The zero configuration —
-// pta.New() — is serial and unweighted.
+// pta.New() — runs on one worker, unweighted.
 func New(opts ...Option) (*Engine, error) {
 	e := &Engine{parallelism: 1}
 	for _, opt := range opts {
@@ -97,7 +99,7 @@ func New(opts ...Option) (*Engine, error) {
 }
 
 // defaultEngine backs the package-level Compress/CompressStream wrappers:
-// serial, default options.
+// one worker, default options.
 var defaultEngine = sync.OnceValue(func() *Engine {
 	e, err := New()
 	if err != nil {
@@ -132,10 +134,6 @@ func (e *Engine) planOptions(p Plan) Options {
 	}
 	return opts
 }
-
-// workers resolves the configured parallelism into a worker count for one
-// evaluation (0 = all cores is passed through to the core pool).
-func (e *Engine) workers() int { return e.parallelism }
 
 // Weights returns a copy of the engine-level default weights (nil when
 // unweighted) — the vector every evaluation applies when its plan carries
@@ -190,10 +188,24 @@ func finishResult(strategy string, b Budget, res *Result, err error) (*Result, e
 	return res, nil
 }
 
+// decomposes is the one routing rule of the exact DP, which Compress,
+// CompressMany and CompressStream all apply: a plan of the fully pruned
+// exact DP ("ptac", "ptae") on a series of more than one maximal adjacent
+// run answers through the run-decomposed driver (core.SolveRuns), at every
+// parallelism. Every other plan evaluates as registered: the ablation
+// modes, and single-run series (where both drivers are the same program),
+// with the whole-series DP, every other strategy with its own evaluator.
+func decomposes(ev Evaluator, s *Series) bool {
+	_, exact := ev.(*streamDPEvaluator)
+	return exact && s.CMin() > 1
+}
+
 // Compress reduces the series under the plan. The context cancels the
-// evaluation mid-matrix; with engine parallelism above one and an eligible
-// exact strategy, the series' maximal adjacent runs (a refinement of its
-// aggregation groups) are compressed concurrently and combined exactly.
+// evaluation mid-matrix. A fully pruned exact plan on a series of several
+// maximal adjacent runs (a refinement of its aggregation groups) answers
+// with the run-decomposed optimum: each run's error curve is computed on
+// the engine's workers, and the curves are combined exactly. The answer,
+// rows and error bits alike, is the same at every parallelism.
 func (e *Engine) Compress(ctx context.Context, s *Series, p Plan) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -205,17 +217,21 @@ func (e *Engine) Compress(ctx context.Context, s *Series, p Plan) (*Result, erro
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Strategy: p.Strategy, Cause: err}
 	}
-	opts := e.planOptions(p)
-
-	if workers := e.workers(); workers != 1 && s.CMin() > 1 {
-		if pev, ok := ev.(ParallelEvaluator); ok {
-			res, err := pev.EvaluateParallel(ctx, s, p.Budget, opts, workers)
-			return e.finish(p, res, err)
-		}
-	}
-
-	res, err := ev.Evaluate(ctx, s, p.Budget, opts)
+	res, err := e.evaluate(ctx, ev, s, p.Budget, e.planOptions(p))
 	return e.finish(p, res, err)
+}
+
+// evaluate answers one budget of a resolved strategy over an in-memory
+// series, routed by decomposes.
+func (e *Engine) evaluate(ctx context.Context, ev Evaluator, s *Series, b Budget, opts Options) (*Result, error) {
+	if !decomposes(ev, s) {
+		return ev.Evaluate(ctx, s, b, opts)
+	}
+	copts := opts.coreOptionsCtx(ctx)
+	if b.Kind() == BudgetSize {
+		return fromDP(core.PTAcParallel(s, b.C(), copts, e.parallelism))
+	}
+	return fromDP(core.PTAeParallel(s, b.Eps(), copts, e.parallelism))
 }
 
 // CompressMany evaluates several plans over the same series, amortizing
@@ -225,12 +241,13 @@ func (e *Engine) Compress(ctx context.Context, s *Series, p Plan) (*Result, erro
 // pruning flags, so "ptac" and "ptae" plans pool together, in any order —
 // share one filling of the error and split-point matrices (one pass serves
 // every budget — the cheap way to serve multiple resolutions of one
-// series). On a parallel engine with a decomposable series, fully pruned
-// groups run the run-decomposed multi-budget pass instead: per-run curves
-// are computed once on the worker pool and every budget in the group is
-// answered from them, so group parallelism and cross-budget amortization
-// compose. Other plans evaluate individually. Results align with plans;
-// the first failure aborts the call.
+// series). Where decomposes routes the plans, the fully pruned group runs
+// the run-decomposed multi-budget pass instead: per-run curves are computed
+// once on the engine's workers and every budget in the group is answered
+// from them, so group parallelism and cross-budget amortization compose,
+// and each answer equals Compress's for the same plan bit for bit. Other
+// plans evaluate individually. Results align with plans; the first failure
+// aborts the call.
 func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -245,6 +262,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 	// error.
 	type dpGroup struct {
 		pruneI, pruneJ bool
+		runs           bool // decomposes: the run-decomposed pass answers the group
 		plans          []int
 	}
 	var groups []dpGroup
@@ -265,7 +283,7 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			at := slices.IndexFunc(groups, func(g dpGroup) bool { return g.pruneI == pruneI && g.pruneJ == pruneJ })
 			if at < 0 {
 				at = len(groups)
-				groups = append(groups, dpGroup{pruneI: pruneI, pruneJ: pruneJ})
+				groups = append(groups, dpGroup{pruneI: pruneI, pruneJ: pruneJ, runs: decomposes(ev, s)})
 			}
 			groups[at].plans = append(groups[at].plans, i)
 		}
@@ -273,13 +291,11 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 
 	done := make([]bool, len(plans))
 	if len(groups) > 0 {
-		// One kernel serves every serial group: singleton groups still skip
-		// a prefix build, and groups of two or more plans share the matrix
-		// pass on top of it. Fully pruned groups on a parallel engine skip
-		// the shared kernel and build per-run sub-kernels on the worker
-		// pool instead.
+		// One kernel serves every whole-series group: singleton groups still
+		// skip a prefix build, and groups of two or more plans share the
+		// matrix pass on top of it. A run-decomposed group skips the shared
+		// kernel and builds per-run sub-kernels on the workers instead.
 		copts := e.opts.coreOptionsCtx(ctx)
-		parallelRuns := e.workers() != 1 && s.CMin() > 1
 		var kernel *core.CostKernel
 		for _, grp := range groups {
 			g := grp.plans
@@ -294,8 +310,8 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			}
 			var dpResults []*core.DPResult
 			var err error
-			if parallelRuns && grp.pruneI && grp.pruneJ {
-				dpResults, err = core.DPMultiParallel(s, budgets, copts, e.workers())
+			if grp.runs {
+				dpResults, err = core.DPMultiParallel(s, budgets, copts, e.parallelism)
 			} else {
 				if kernel == nil {
 					if kernel, err = core.NewKernel(s, copts); err != nil {
@@ -369,8 +385,9 @@ func (f SinkFunc) Close(*Result) error { return nil }
 // CompressStream reduces a row stream under the plan with a stream-capable
 // strategy, merging in bounded memory while rows arrive, then pushes the
 // result rows into sink (which may be nil to only return the result). An
-// error-bounded plan without Options.Estimate consults the engine's
-// WithEstimator.
+// error-bounded greedy plan without Options.Estimate consults the engine's
+// WithEstimator. The exact DP ("ptac", "ptae") collects the stream and
+// answers as Compress does.
 func (e *Engine) CompressStream(ctx context.Context, src Stream, p Plan, sink Sink) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -387,14 +404,22 @@ func (e *Engine) CompressStream(ctx context.Context, src Stream, p Plan, sink Si
 		return nil, &CanceledError{Strategy: p.Strategy, Cause: err}
 	}
 	opts := e.planOptions(p)
-	if p.Budget.Kind() == BudgetError && opts.Estimate == nil && e.estimator != nil {
-		est, err := e.estimator(ctx, src.Sequence())
-		if err != nil {
-			return nil, fmt.Errorf("pta: %s: estimator: %w", p.Strategy, err)
+	var sres *Result
+	var serr error
+	if _, exact := ev.(*streamDPEvaluator); exact {
+		// The exact DP needs the whole input and computes SSEmax itself:
+		// collect the stream, then answer as Compress does.
+		sres, serr = e.evaluate(ctx, ev, collect(src), p.Budget, opts)
+	} else {
+		if p.Budget.Kind() == BudgetError && opts.Estimate == nil && e.estimator != nil {
+			est, err := e.estimator(ctx, src.Sequence())
+			if err != nil {
+				return nil, fmt.Errorf("pta: %s: estimator: %w", p.Strategy, err)
+			}
+			opts.Estimate = &est
 		}
-		opts.Estimate = &est
+		sres, serr = sev.EvaluateStream(ctx, src, p.Budget, opts)
 	}
-	sres, serr := sev.EvaluateStream(ctx, src, p.Budget, opts)
 	res, err := e.finish(p, sres, serr)
 	if err != nil {
 		return nil, err

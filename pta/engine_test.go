@@ -225,9 +225,12 @@ func TestEngineParallelCancelAfterCurvesComplete(t *testing.T) {
 	}
 }
 
-// TestEngineParallelConformance: group-parallel evaluation is byte-identical
-// across worker counts (same decomposition, deterministic combination) and
-// matches the serial monolithic DP result.
+// TestEngineParallelConformance: exact plans on a multi-run series are
+// byte-identical across worker counts, parallelism 1 included (one driver,
+// deterministic combination), and match the whole-series DP, core.PTAc and
+// core.PTAe, the independent reference: same C, error within summation
+// reassociation, and the same rows, since the fixture's continuous values
+// leave no ties.
 func TestEngineParallelConformance(t *testing.T) {
 	ctx := context.Background()
 	seq := grouped(t)
@@ -239,33 +242,39 @@ func TestEngineParallelConformance(t *testing.T) {
 		}
 		plan := pta.Plan{Strategy: strategy, Budget: b}
 
-		serial, err := mustEngine(t, pta.WithParallelism(1)).Compress(ctx, seq, plan)
-		if err != nil {
-			t.Fatalf("serial %v: %v", b, err)
+		var want *core.DPResult
+		var err error
+		if b.Kind() == pta.BudgetSize {
+			want, err = core.PTAc(seq, b.C(), core.Options{})
+		} else {
+			want, err = core.PTAe(seq, b.Eps(), core.Options{})
 		}
-		var parallel []*pta.Result
-		for _, workers := range []int{2, 4, 8} {
+		if err != nil {
+			t.Fatalf("whole-series %v: %v", b, err)
+		}
+		var results []*pta.Result
+		for _, workers := range []int{1, 2, 4, 8} {
 			res, err := mustEngine(t, pta.WithParallelism(workers)).Compress(ctx, seq, plan)
 			if err != nil {
 				t.Fatalf("workers=%d %v: %v", workers, b, err)
 			}
-			parallel = append(parallel, res)
+			results = append(results, res)
 		}
-		// Any two parallel runs take the identical decomposed path: rows
-		// must match bit for bit regardless of the worker count.
-		for i := 1; i < len(parallel); i++ {
-			if !reflect.DeepEqual(parallel[0].Series.Rows, parallel[i].Series.Rows) {
-				t.Errorf("%v: parallel results differ between worker counts", b)
+		// Every worker count takes the identical decomposed path: rows, C
+		// and error bits must match.
+		for i := 1; i < len(results); i++ {
+			if err := sameAnswer(results[i], results[0]); err != nil {
+				t.Errorf("%v: results differ between worker counts: %v", b, err)
 			}
 		}
-		// Against the serial monolithic DP: same size, same optimal error,
-		// same reduction (floating-point agreement within noise).
-		par := parallel[0]
-		if par.C != serial.C || math.Abs(par.Error-serial.Error) > 1e-6*(1+serial.Error) {
-			t.Errorf("%v: parallel C=%d E=%v vs serial C=%d E=%v", b, par.C, par.Error, serial.C, serial.Error)
+		// Against the whole-series DP: same size, same optimal error, same
+		// reduction.
+		got := results[0]
+		if got.C != want.C || math.Abs(got.Error-want.Error) > 1e-9*(1+want.Error) {
+			t.Errorf("%v: engine C=%d E=%v vs whole-series C=%d E=%v", b, got.C, got.Error, want.C, want.Error)
 		}
-		if !par.Series.Equal(serial.Series, 1e-6) {
-			t.Errorf("%v: parallel reduction differs from serial", b)
+		if !got.Series.Equal(want.Sequence, 0) {
+			t.Errorf("%v: engine reduction differs from the whole-series DP's", b)
 		}
 	}
 }
@@ -313,16 +322,35 @@ func TestCompressMany(t *testing.T) {
 		}
 	}
 
-	// On a parallel engine the amortized serial pass yields to the
-	// group-parallel per-plan path; results must not change.
+	// On four workers the run-decomposed pass returns the same bytes as on
+	// one, and its exact answers match the whole-series DP, the
+	// independent reference: same C, error within reassociation, same rows
+	// on this tie-free fixture.
 	parEng := mustEngine(t, pta.WithParallelism(4))
 	parMany, err := parEng.CompressMany(ctx, seq, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plans {
-		if parMany[i].C != many[i].C || !parMany[i].Series.Equal(many[i].Series, 1e-6) {
-			t.Errorf("plan %d: parallel-engine CompressMany differs from serial", i)
+	for i, p := range plans {
+		if err := sameAnswer(parMany[i], many[i]); err != nil {
+			t.Errorf("plan %d: CompressMany at parallelism 4 differs from parallelism 1: %v", i, err)
+		}
+		if p.Strategy != "ptac" && p.Strategy != "ptae" {
+			continue
+		}
+		var want *core.DPResult
+		if b := p.Budget; b.Kind() == pta.BudgetSize {
+			want, err = core.PTAc(seq, b.C(), core.Options{})
+		} else {
+			want, err = core.PTAe(seq, b.Eps(), core.Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := parMany[i]; got.C != want.C || math.Abs(got.Error-want.Error) > 1e-9*(1+want.Error) ||
+			!got.Series.Equal(want.Sequence, 0) {
+			t.Errorf("plan %d (%s %v): C=%d E=%v vs whole-series C=%d E=%v",
+				i, p.Strategy, p.Budget, got.C, got.Error, want.C, want.Error)
 		}
 	}
 

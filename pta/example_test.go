@@ -49,7 +49,7 @@ func ExampleNew() {
 }
 
 // ExampleCompress is the one-shot path: no engine to hold, no context — a
-// thin wrapper over a lazily initialized serial default engine.
+// thin wrapper over a lazily initialized default engine of one worker.
 func ExampleCompress() {
 	res, err := pta.Compress(projExample(), "gms", pta.Size(4), pta.Options{})
 	if err != nil {

@@ -2,18 +2,26 @@ package pta_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/pta"
 )
 
 // TestCompressManyParallelAmortization is the regression pin for the
-// parallel-engine amortization gap: a batch of exact-DP size budgets on a
-// parallel engine must share one set of per-run curves, so every result
-// reports the fill-cell count of the one shared pass — exactly what the
-// deepest budget costs alone — instead of paying per plan.
+// run-decomposed amortization gap: a batch of exact-DP size budgets must
+// share one set of per-run curves, so every result reports the fill-cell
+// count of the one shared pass — exactly what the deepest budget costs
+// alone — instead of paying per plan. It holds on one worker and on four.
 func TestCompressManyParallelAmortization(t *testing.T) {
-	eng := mustEngine(t, pta.WithParallelism(4))
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism=%d", workers), func(t *testing.T) {
+			testCompressManyAmortization(t, mustEngine(t, pta.WithParallelism(workers)))
+		})
+	}
+}
+
+func testCompressManyAmortization(t *testing.T, eng *pta.Engine) {
 	ctx := context.Background()
 	seq := grouped(t)
 	n, cmin := seq.Len(), seq.CMin()

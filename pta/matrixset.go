@@ -15,6 +15,11 @@ import (
 // (see internal/serve's LRU matrix cache); Fingerprint supplies the series
 // half of the cache key, DPClass the strategy half.
 //
+// A MatrixSet runs the whole-series DP. On a series of several maximal
+// adjacent runs Engine.Compress answers "ptac"/"ptae" run by run instead:
+// the two agree in C and, up to summation order, in error, but where split
+// sets tie they may return different rows.
+//
 // A MatrixSet is NOT safe for concurrent use: callers serialize access, the
 // natural fit for a cache that guards each entry with a mutex. The context
 // travels per Compress call, so one cached set serves requests with

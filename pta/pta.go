@@ -32,7 +32,8 @@
 //	// res.Series has ≤ 12 rows, res.Error is the introduced SSE
 //
 // The context-free helpers Compress and CompressStream wrap a lazily
-// initialized serial default engine, so one-shot callers stay one line.
+// initialized default engine of one worker, so one-shot callers stay one
+// line; its answers are the same as any engine's.
 //
 // New backends register themselves with Register and become available to
 // every consumer — the CLI, the HTTP server, the benchmark harness and the
@@ -190,9 +191,9 @@ type Result struct {
 
 // Compress reduces the series under the given budget with the named
 // strategy (see Strategies for the registry). It is a thin wrapper over a
-// lazily-initialized default Engine — context-free and serial, so existing
-// callers keep compiling; new code that wants cancellation, reuse or
-// group-parallel evaluation should hold its own Engine from New.
+// lazily-initialized default Engine — context-free and on one worker, so
+// existing callers keep compiling; new code that wants cancellation, reuse
+// or more workers should hold its own Engine from New.
 func Compress(s *Series, strategy string, b Budget, opts Options) (*Result, error) {
 	return defaultEngine().Compress(context.Background(), s,
 		Plan{Strategy: strategy, Budget: b, Options: &opts})

@@ -306,9 +306,9 @@ func TestStreamMatchesInMemory(t *testing.T) {
 }
 
 // TestStreamExactDP: the exact DP strategies answer CompressStream with
-// results identical to in-memory Compress (the streaming path materializes
-// and solves incrementally), and error budgets need no Estimate — exactness
-// computes the true SSEmax after the stream ends.
+// results identical to in-memory Compress (the streaming path collects the
+// stream and answers as Compress does), and error budgets need no Estimate
+// — exactness computes the true SSEmax after the stream ends.
 func TestStreamExactDP(t *testing.T) {
 	seq := grouped(t)
 	c := max(seq.CMin(), seq.Len()/8)

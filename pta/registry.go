@@ -34,18 +34,6 @@ type StreamEvaluator interface {
 	EvaluateStream(ctx context.Context, src Stream, b Budget, opts Options) (*Result, error)
 }
 
-// ParallelEvaluator is an Evaluator whose evaluation decomposes over the
-// maximal adjacent runs of the series (aggregation groups are a coarsening
-// of runs), so independent parts can be evaluated concurrently without
-// changing the result. Engine routes through it when its parallelism
-// exceeds one.
-type ParallelEvaluator interface {
-	Evaluator
-	// EvaluateParallel compresses like Evaluate on a pool of workers
-	// goroutines (0 = all cores) and returns an equivalent result.
-	EvaluateParallel(ctx context.Context, s *Series, b Budget, opts Options, workers int) (*Result, error)
-}
-
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Evaluator{}

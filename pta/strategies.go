@@ -79,27 +79,23 @@ func (f *streamFuncEvaluator) EvaluateStream(ctx context.Context, src Stream, b 
 	return nil, ErrBudgetKind
 }
 
-// parallelDPEvaluator is a fully pruned exact DP evaluator that can also
-// decompose its evaluation over maximal adjacent runs: the group-parallel
-// execution path of the engine (core.PTAcParallel / core.PTAeParallel).
-type parallelDPEvaluator struct {
+// streamDPEvaluator is the fully pruned exact DP, the paper's PTAc/PTAe
+// proper: the strategy decomposes routes through the run-decomposed driver
+// on multi-run series. It is stream-capable, though not in bounded memory —
+// exactness requires the whole input: the stream is collected and answered
+// as Engine.Compress answers the series (Engine.CompressStream does the
+// same on its own workers), and error budgets need no (N, EMax) estimate
+// because the exact SSEmax is computed after collection.
+type streamDPEvaluator struct {
 	funcEvaluator
 }
 
-// streamDPEvaluator makes the fully pruned exact DP stream-capable: the
-// stream is materialized and answered by an incremental core.Solver, which
-// picks its row fill like every other exact path (the monotone dc fill at
-// n ≥ 256 on certified data, the pruned scan otherwise). Unlike the greedy gPTA evaluators this is
-// not bounded-memory — exactness requires the whole input — but it lets a
-// CompressStream pipeline keep one code path while choosing exact results,
-// and error budgets need no (N, EMax) estimate: the exact SSEmax is
-// computed after materialization.
-type streamDPEvaluator struct {
-	parallelDPEvaluator
+func (f *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Budget, opts Options) (*Result, error) {
+	return defaultEngine().evaluate(ctx, f, collect(src), b, opts)
 }
 
-func (f *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Budget, opts Options) (*Result, error) {
-	seq := src.Sequence()
+// collect materializes a stream into a series.
+func collect(src Stream) *Series {
 	var rows []Row
 	for {
 		row, ok := src.Next()
@@ -108,34 +104,7 @@ func (f *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Bu
 		}
 		rows = append(rows, row)
 	}
-	s := seq.WithRows(rows)
-	if s.Len() == 0 {
-		// The batch entry points own the empty-input semantics; the solver
-		// refuses empty relations.
-		return f.Evaluate(ctx, s, b, opts)
-	}
-	sv, err := core.NewSolver(s, opts.coreOptions(), true, true)
-	if err != nil {
-		return nil, err
-	}
-	switch b.Kind() {
-	case BudgetSize:
-		return fromDP(sv.SolveSize(ctx, b.C()))
-	case BudgetError:
-		return fromDP(sv.SolveError(ctx, b.Eps()))
-	}
-	return nil, ErrBudgetKind
-}
-
-func (f *parallelDPEvaluator) EvaluateParallel(ctx context.Context, s *Series, b Budget, opts Options, workers int) (*Result, error) {
-	copts := opts.coreOptionsCtx(ctx)
-	switch b.Kind() {
-	case BudgetSize:
-		return fromDP(core.PTAcParallel(s, b.C(), copts, workers))
-	case BudgetError:
-		return fromDP(core.PTAeParallel(s, b.Eps(), copts, workers))
-	}
-	return nil, ErrBudgetKind
+	return src.Sequence().WithRows(rows)
 }
 
 // fromDP packages an exact-evaluation outcome.
@@ -178,8 +147,9 @@ func resolveEstimate(s *Series, opts Options) (Estimate, error) {
 }
 
 // dpStrategy builds an exact dynamic-programming evaluator for one pruning
-// mode. The fully pruned mode (the paper's PTAc/PTAe proper) additionally
-// supports run-decomposed parallel evaluation.
+// mode. Its own Evaluate runs the whole-series DP; the fully pruned mode
+// (the paper's PTAc/PTAe proper) is a streamDPEvaluator, which the engine
+// routes through the run-decomposed driver on multi-run series.
 func dpStrategy(name, desc string, mode core.PruneMode) Evaluator {
 	fe := funcEvaluator{
 		name: name, desc: desc,
@@ -194,7 +164,7 @@ func dpStrategy(name, desc string, mode core.PruneMode) Evaluator {
 		},
 	}
 	if mode == core.PruneBoth {
-		return &streamDPEvaluator{parallelDPEvaluator{funcEvaluator: fe}}
+		return &streamDPEvaluator{funcEvaluator: fe}
 	}
 	return &fe
 }
