@@ -171,7 +171,14 @@ func newRunSolvers(kn *CostKernel, opts Options, workers int) *runSolvers {
 	return rs
 }
 
+// Extend fills every run on the worker pool, or returns at once, starting
+// no goroutine, when every run already holds its min(run length, kcap)
+// rows: an error budget's later rounds deepen the allocation alone once the
+// curves are complete.
 func (rs *runSolvers) Extend(ctx context.Context, kcap int) error {
+	if rs.full(kcap) {
+		return nil
+	}
 	workers := rs.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -200,6 +207,16 @@ func (rs *runSolvers) Extend(ctx context.Context, kcap int) error {
 		}
 	}
 	return nil
+}
+
+// full reports whether every run's solver holds min(run length, kcap) rows.
+func (rs *runSolvers) full(kcap int) bool {
+	for _, run := range rs.runs {
+		if run.sv == nil || run.sv.filled < min(run.hi-run.lo+1, kcap) {
+			return false
+		}
+	}
+	return true
 }
 
 // extend fills run r's solver to min(run length, kcap) rows.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,5 +128,42 @@ func TestPTAcParallelCountsEnvelopeSkips(t *testing.T) {
 	}
 	if res.Stats.Cells == 0 || res.Stats.EnvelopeSkips == 0 {
 		t.Errorf("stats %+v: want cells and envelope skips", res.Stats)
+	}
+}
+
+// TestRunSolversExtendSkipsFullRuns: Extend starts its pool only while some
+// run lacks rows. Once every run holds min(run length, kcap) rows, a call
+// with a canceled context returns nil without touching a solver, and a
+// deeper kcap still fills.
+func TestRunSolversExtendSkipsFullRuns(t *testing.T) {
+	seq, err := dataset.Uniform(8, 12, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn, err := NewKernel(seq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := newRunSolvers(kn, Options{}, 2)
+	if rs.full(1) {
+		t.Fatal("runs with no solvers reported full")
+	}
+	if err := rs.Extend(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.full(5) || rs.full(6) {
+		t.Fatalf("after Extend(5): full(5) = %v, full(6) = %v, want true and false", rs.full(5), rs.full(6))
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cells := rs.Stats().Cells
+	if err := rs.Extend(canceled, 5); err != nil {
+		t.Errorf("Extend over full runs under a canceled context: %v, want nil", err)
+	}
+	if err := rs.Extend(canceled, 6); !errors.Is(err, context.Canceled) {
+		t.Errorf("Extend that must fill under a canceled context: %v, want context.Canceled", err)
+	}
+	if err := rs.Extend(context.Background(), 64); err != nil || !rs.full(64) || rs.Stats().Cells <= cells {
+		t.Errorf("Extend(64): err %v, full %v, cells %d → %d", err, rs.full(64), cells, rs.Stats().Cells)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,6 +50,37 @@ func (s *rangeSource) SplitRows(lo, hi int) ([][]byte, error) {
 		out = append(out, b)
 	}
 	return out, nil
+}
+
+// pathSource adds SplitPathSource and ResumeRowSource to rangeSource: it
+// walks a budget's path through the rows on each call, serves the resume
+// row it holds, and records both calls. bad, when set, edits every path it
+// serves.
+type pathSource struct {
+	rangeSource
+	lastE   []float64
+	paths   []int // SplitPath calls, by budget
+	resumes int   // ResumeRow calls
+	bad     func([]int32) []int32
+}
+
+func (s *pathSource) SplitPath(k int) ([]int32, error) {
+	s.paths = append(s.paths, k)
+	path := make([]int32, k)
+	i := s.n
+	for t := range path {
+		path[t] = s.splits[(k-t-1)*(s.n+1)+i]
+		i = int(path[t])
+	}
+	if s.bad != nil {
+		path = s.bad(path)
+	}
+	return path, nil
+}
+
+func (s *pathSource) ResumeRow() ([]float64, error) {
+	s.resumes++
+	return append([]float64(nil), s.lastE...), nil
 }
 
 // warmState fills a solver over seq to row c and returns its state.
@@ -304,5 +336,122 @@ func TestFillSplitRowsPassRestoreCheck(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolverLazyPathsAndResume: a source that serves split paths answers
+// every budget within the restored rows with one SplitPath call and no row
+// read; a budget past them reads the resume row once and the rows in one
+// range, after which budgets within them walk resident rows. Answers and
+// the final state match a cold solver's. A path no fill writes and a
+// resume row no fill writes are WarmLostErrors, and a snapshot without a
+// resume row needs a source that serves one.
+func TestSolverLazyPathsAndResume(t *testing.T) {
+	seq, err := dataset.Uniform(3, 40, 1, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	n := seq.Len()
+	const filled = 12
+	st := warmState(t, seq, filled)
+	hollow := *st
+	hollow.Splits, hollow.LastE = nil, nil
+	restore := func(src SplitRowSource) (*Solver, error) {
+		sv, err := NewSolver(seq, Options{}, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv, sv.RestoreLazy(&hollow, src)
+	}
+	ref, err := NewSolver(seq, Options{}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &pathSource{rangeSource: rangeSource{rowSource{n: n, splits: st.Splits}}, lastE: st.LastE}
+	sv, err := restore(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := int64(3 * 8 * (n + 1))
+	for _, step := range []struct {
+		c       int
+		path    bool // answered from a SplitPath call
+		ranges  int  // range reads so far
+		resumes int
+	}{
+		{8, true, 0, 0},
+		{8, true, 0, 0},
+		{5, true, 0, 0},
+		{filled, true, 0, 0},
+		{filled + 3, false, 1, 1}, // fills rows 13..15, reads rows 1..12
+		{8, false, 1, 1},
+	} {
+		paths := len(src.paths)
+		got, err := sv.SolveSize(ctx, step.c)
+		if err != nil {
+			t.Fatalf("SolveSize(%d): %v", step.c, err)
+		}
+		want, err := ref.SolveSize(ctx, step.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.C != want.C || got.Error != want.Error || !got.Sequence.Equal(want.Sequence, 0) {
+			t.Fatalf("lazy SolveSize(%d) differs from a cold solver's", step.c)
+		}
+		if read := len(src.paths) - paths; read != map[bool]int{true: 1}[step.path] {
+			t.Errorf("c=%d: %d SplitPath calls, want path=%v", step.c, read, step.path)
+		}
+		if len(src.ranges) != step.ranges || src.resumes != step.resumes || len(src.rows) != 0 {
+			t.Errorf("c=%d: %d range reads, %d resume reads, %d row reads, want %d, %d, 0",
+				step.c, len(src.ranges), src.resumes, len(src.rows), step.ranges, step.resumes)
+		}
+		if step.path && sv.MemBytes() != scalar {
+			t.Errorf("c=%d: MemBytes %d after a path walk, want the scalar state's %d", step.c, sv.MemBytes(), scalar)
+		}
+	}
+	gotSt, err := sv.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSt, err := ref.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSt, wantSt) {
+		t.Error("State after path answers and a resumed fill differs from a cold solver's")
+	}
+
+	var lost *WarmLostError
+	for name, bad := range map[string]func([]int32) []int32{
+		"at its column": func(p []int32) []int32 { p[0] = int32(n); return p },
+		"below k-1":     func(p []int32) []int32 { p[0] = 0; return p },
+		"short":         func(p []int32) []int32 { return p[1:] },
+	} {
+		sv, err := restore(&pathSource{rangeSource: src.rangeSource, lastE: st.LastE, bad: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.SolveSize(ctx, 8); !errors.As(err, &lost) {
+			t.Errorf("path %s: SolveSize = %v, want a WarmLostError", name, err)
+		}
+	}
+	nan := append([]float64(nil), st.LastE...)
+	nan[n/2] = math.NaN()
+	sv, err = restore(&pathSource{rangeSource: src.rangeSource, lastE: nan})
+	if err != nil {
+		t.Fatalf("RestoreLazy read the resume row: %v", err)
+	}
+	if _, err := sv.SolveSize(ctx, filled); err != nil {
+		t.Errorf("a path answer read the resume row: %v", err)
+	}
+	if _, err := sv.SolveSize(ctx, filled+1); !errors.As(err, &lost) || lost.Row != filled {
+		t.Errorf("fill from a NaN resume cell: %v, want a WarmLostError at row %d", err, filled)
+	}
+	if _, err := sv.State(); !errors.As(err, &lost) {
+		t.Errorf("State over a NaN resume cell: %v, want a WarmLostError", err)
+	}
+	if _, err := restore(&src.rangeSource); err == nil {
+		t.Error("RestoreLazy took a snapshot without a resume row from a source that serves none")
 	}
 }

@@ -34,11 +34,15 @@ type Solver struct {
 	// them are resident. Every walk needs a prefix 1..k, so the resident
 	// rows are a prefix too. Rows 1..len(raw) are held as the verified
 	// little-endian bytes a range read returned; every other resident row
-	// is decoded in st.splits.
+	// is decoded in st.splits. A walk from a restored row that is not
+	// resident reads its split path instead when lazy serves paths. resume
+	// is the source of the resume row until the first fill or State reads
+	// it.
 	lazy     SplitRowSource
 	raw      [][]byte
 	restored int
 	read     int
+	resume   ResumeRowSource
 }
 
 // NewSolver builds a solver for the sequence with the given pruning flags
@@ -117,6 +121,11 @@ func (sv *Solver) Deepen(ctx context.Context, k int) error {
 // first and drops it on return, so a retained solver never holds one.
 func (sv *Solver) ensure(ctx context.Context, k int) error {
 	sv.st.opts.Ctx = ctx
+	if k > sv.filled {
+		if err := sv.resumed(); err != nil {
+			return err
+		}
+	}
 	if sv.st.wantsCosts(k - sv.filled) {
 		defer sv.st.dropCosts()
 		if err := sv.st.buildCosts(); err != nil {
@@ -275,7 +284,7 @@ type SolverState struct {
 	N      int       // input size the rows were filled for
 	Filled int       // rows 1..Filled are present
 	RowErr []float64 // RowErr[k-1] = E[k][n], len Filled
-	LastE  []float64 // E[Filled][0..n], len n+1; the resume row
+	LastE  []float64 // E[Filled][0..n], len n+1; the resume row (nil for RestoreLazy from a ResumeRowSource)
 	Splits []int32   // J rows, row-major: Splits[(k-1)*(n+1)+i] = J[k][i]
 	Bound  float64   // SSEmax if HasMax (error-budget normalization)
 	HasMax bool
@@ -287,6 +296,9 @@ type SolverState struct {
 // it holds, so the error surfaces here when the backing store has gone bad
 // rather than as a torn snapshot.
 func (sv *Solver) State() (*SolverState, error) {
+	if err := sv.resumed(); err != nil {
+		return nil, err
+	}
 	if err := sv.materialize(sv.filled); err != nil {
 		return nil, err
 	}
@@ -323,7 +335,7 @@ func (sv *Solver) State() (*SolverState, error) {
 // checkSplitRow) so a corrupt snapshot fails cleanly instead of panicking
 // rows later; on error the solver is unchanged and still usable cold.
 func (sv *Solver) Restore(st *SolverState) error {
-	if err := sv.checkSnapshot(st); err != nil {
+	if err := sv.checkSnapshot(st, false); err != nil {
 		return err
 	}
 	n := sv.kn.N()
@@ -348,11 +360,11 @@ func (sv *Solver) Restore(st *SolverState) error {
 
 // checkSnapshot is the check Restore and RestoreLazy share: the solver is
 // fresh, and the snapshot is of this n with 1..n rows, one error per row
-// and a whole resume row. Every error is one a fill can write — not NaN,
-// not negative (+Inf is a merge across a gap, or an overflow) — and
-// SSEmax, when present, is finite and not negative: an error budget
-// scales it.
-func (sv *Solver) checkSnapshot(st *SolverState) error {
+// and a whole resume row, unless resumeLater says a source serves it. Every
+// error is one a fill can write — not NaN, not negative (+Inf is a merge
+// across a gap, or an overflow) — and SSEmax, when present, is finite and
+// not negative: an error budget scales it.
+func (sv *Solver) checkSnapshot(st *SolverState, resumeLater bool) error {
 	n := sv.kn.N()
 	switch {
 	case sv.filled != 0:
@@ -363,8 +375,6 @@ func (sv *Solver) checkSnapshot(st *SolverState) error {
 		return fmt.Errorf("core: snapshot filled=%d outside 1..%d", st.Filled, n)
 	case len(st.RowErr) != st.Filled:
 		return fmt.Errorf("core: snapshot has %d row errors, want %d", len(st.RowErr), st.Filled)
-	case len(st.LastE) != n+1:
-		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(st.LastE), n+1)
 	case st.HasMax && !(st.Bound >= 0 && st.Bound <= math.MaxFloat64):
 		return fmt.Errorf("core: snapshot SSEmax %v", st.Bound)
 	}
@@ -373,16 +383,48 @@ func (sv *Solver) checkSnapshot(st *SolverState) error {
 			return fmt.Errorf("core: snapshot E[%d][%d] = %v", k+1, n, e)
 		}
 	}
-	for i, e := range st.LastE {
+	if resumeLater && st.LastE == nil {
+		return nil
+	}
+	return checkResumeRow(n, st.Filled, st.LastE)
+}
+
+// checkResumeRow checks a restored resume row E[filled][0..n]: n+1 cells,
+// each an error a fill can write.
+func checkResumeRow(n, filled int, row []float64) error {
+	if len(row) != n+1 {
+		return fmt.Errorf("core: snapshot last row has %d cells, want %d", len(row), n+1)
+	}
+	for i, e := range row {
 		if !(e >= 0) {
-			return fmt.Errorf("core: snapshot E[%d][%d] = %v", st.Filled, i, e)
+			return fmt.Errorf("core: snapshot E[%d][%d] = %v", filled, i, e)
 		}
 	}
 	return nil
 }
 
+// resumed makes a lazily restored resume row resident before the first fill
+// or State reads it: one ResumeRow call, checked like Restore checks
+// LastE. A row the source cannot produce, or one no fill writes, is a
+// WarmLostError at the restored row.
+func (sv *Solver) resumed() error {
+	if sv.resume == nil {
+		return nil
+	}
+	row, err := sv.resume.ResumeRow()
+	if err == nil {
+		err = checkResumeRow(sv.kn.N(), sv.restored, row)
+	}
+	if err != nil {
+		return &WarmLostError{Row: sv.restored, Err: err}
+	}
+	copy(sv.st.curE, row)
+	sv.resume = nil
+	return nil
+}
+
 // adopt installs a checked snapshot's scalar state: the row errors, the
-// resume row and SSEmax.
+// resume row when it has one, and SSEmax.
 func (sv *Solver) adopt(st *SolverState) {
 	copy(sv.st.curE, st.LastE) // fillRow(Filled+1) swaps this in as the previous row
 	copy(sv.rowErr[1:], st.RowErr)
@@ -394,9 +436,10 @@ func (sv *Solver) adopt(st *SolverState) {
 // SplitRowSource supplies individual restored split-point rows on demand:
 // the lazy counterpart of SolverState.Splits, backed by a spill file in the
 // serve layer so a huge warm matrix costs reads proportional to the rows a
-// budget actually walks. SplitRow returns J[k][0..n] for a 1-based k ≤ the
-// restored Filled; implementations validate their own framing (CRCs) and
-// return an error for rows they can no longer produce.
+// budget actually walks — or, with SplitPathSource, to the split points.
+// SplitRow returns J[k][0..n] for a 1-based k ≤ the restored Filled;
+// implementations validate their own framing (CRCs) and return an error for
+// rows they can no longer produce.
 type SplitRowSource interface {
 	SplitRow(k int) ([]int32, error)
 }
@@ -411,12 +454,32 @@ type SplitRangeSource interface {
 	SplitRows(lo, hi int) ([][]byte, error)
 }
 
-// WarmLostError reports that a restored split row could not be used: the
-// backing store was truncated, corrupted or closed after RestoreLazy, or a
-// row holds a split point no fill writes. The solver's remaining state is
+// SplitPathSource is an optional capability of a SplitRowSource, detected
+// with a type assertion. SplitPath returns the k split points the backtrack
+// from cell (k, n) visits, row k first: path[0] = J[k][n] and path[t] =
+// J[k−t][path[t−1]], for a 1-based k ≤ the restored Filled. It is the
+// paper's reconstruction (Example 11) stored per budget, so a walk over
+// restored rows reads k cells instead of k rows. The solver keeps no path;
+// the walk checks each point as it checks a row's cell.
+type SplitPathSource interface {
+	SplitPath(k int) ([]int32, error)
+}
+
+// ResumeRowSource is an optional capability of a SplitRowSource:
+// ResumeRow returns the resume row E[Filled][0..n]. RestoreLazy takes a
+// snapshot without LastE from such a source and reads the row only when a
+// fill or State first needs it.
+type ResumeRowSource interface {
+	ResumeRow() ([]float64, error)
+}
+
+// WarmLostError reports that a restored split row, split path or resume
+// row could not be used: the backing store was truncated, corrupted or
+// closed after RestoreLazy, or it holds a split point or an error no fill
+// writes. The solver's remaining state is
 // unusable; callers discard it and rebuild cold.
 type WarmLostError struct {
-	Row int // 1-based row that failed, or the first row of a failed range read
+	Row int // 1-based row that failed, the first row of a failed range read, or a failed path's budget
 	Err error
 }
 
@@ -427,18 +490,22 @@ func (e *WarmLostError) Error() string {
 func (e *WarmLostError) Unwrap() error { return e.Err }
 
 // RestoreLazy is Restore with the split-point rows left behind a
-// SplitRowSource instead of copied up front: the scalar state (row errors,
-// resume row, bound) restores eagerly — SolveError's search scans RowErr, so
-// it must be resident — while the J rows load on the first walk that needs
-// them. A SplitRangeSource serves all of a walk's unread rows in one
-// SplitRows call; any other source is asked once per row. st.Splits is
-// ignored, and the solver retains what rows returns, so a row is read (and
-// its CRC paid) at most once per solver lifetime.
+// SplitRowSource instead of copied up front: the row errors and the bound
+// restore eagerly — SolveError's search scans RowErr, so it must be
+// resident — while the J rows load on the first walk that needs them. A
+// walk from a restored row that is not resident asks a SplitPathSource for
+// that budget's path alone; other walks read rows, all of a walk's unread
+// rows in one SplitRows call from a SplitRangeSource, once per row from any
+// other source. The solver retains the rows it reads, so a row is read (and
+// its CRC paid) at most once per solver lifetime. st.Splits is ignored, and
+// st.LastE may be nil when rows is a ResumeRowSource: the resume row is
+// then read, and checked, when a fill or State first needs it.
 func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	if rows == nil {
 		return fmt.Errorf("core: lazy restore without a row source")
 	}
-	if err := sv.checkSnapshot(st); err != nil {
+	resume, _ := rows.(ResumeRowSource)
+	if err := sv.checkSnapshot(st, resume != nil); err != nil {
 		return err
 	}
 	// Unread rows are nil slots; fillRow appends deeper rows after them, so
@@ -446,6 +513,9 @@ func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	sv.st.splits = append(sv.st.splits[:0], make([][]int32, st.Filled)...)
 	sv.adopt(st)
 	sv.lazy, sv.restored = rows, st.Filled
+	if st.LastE == nil {
+		sv.resume = resume
+	}
 	return nil
 }
 
@@ -463,11 +533,27 @@ func checkSplitRow(k int, row []int32) error {
 	return nil
 }
 
-// backtrack makes rows 1..len(dst) resident and walks them from cell
-// (len(dst), n), decoding one split point per row, into dst: the reduction
-// merged from kn, whose rows off+1..off+n are the solver's sequence.
+// backtrack walks from cell (len(dst), n), one split point per row, into
+// dst: the reduction merged from kn, whose rows off+1..off+n are the
+// solver's sequence. A walk from a restored row that is not resident reads
+// its split path when the source serves paths; every other walk makes rows
+// 1..len(dst) resident and decodes one cell per row. The first test is on
+// the restored count, so cold and eagerly restored solvers pay one compare.
 func (sv *Solver) backtrack(dst []temporal.SeqRow, kn *CostKernel, off int) error {
-	if err := sv.load(len(dst)); err != nil {
+	k := len(dst)
+	if k <= sv.restored && k > sv.read {
+		if ps, ok := sv.lazy.(SplitPathSource); ok {
+			path, err := ps.SplitPath(k)
+			if err == nil && len(path) != k {
+				err = fmt.Errorf("path has %d split points, want %d", len(path), k)
+			}
+			if err != nil {
+				return &WarmLostError{Row: k, Err: err}
+			}
+			return walkSplits(dst, kn, off, sv.kn.N(), func(r, _ int) int { return int(path[k-r]) })
+		}
+	}
+	if err := sv.load(k); err != nil {
 		return err
 	}
 	return walkSplits(dst, kn, off, sv.kn.N(), sv.split)

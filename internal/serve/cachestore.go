@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -26,18 +27,20 @@ import (
 // /v1/matrix/{hash} (the peer warm tier); adopt writes a fetched blob
 // through to disk so the next restart warms locally.
 //
-// The on-disk format is versioned and checksummed in two granularities: an
-// eagerly validated header (identity, shapes, row errors, resume row) and
-// one CRC per split-point row, so load can hand the row region to a lazy
-// view (slabView) that reads rows only when a backtrack needs them and
-// checks each row's CRC in its private copy then, not at load time.
-// Header-level mismatches (magic, version, key, shape, CRC, truncated row
-// region) are a cold miss: the bad file is removed and the caller
-// rebuilds. Row-level corruption — a CRC mismatch, a short read from a file
-// truncated in place, or a split point no fill writes — surfaces later as
-// a pta.WarmLostError from the evaluation; the serve layer then calls
-// discardCorrupt and retries cold. Writes go through a temp file + rename
-// so a crash mid-write never leaves a torn file under a live key.
+// The on-disk format is versioned and checksummed section by section: an
+// eagerly validated header (identity, shapes, row errors), then the resume
+// row, the split-point rows and one split path per filled budget, each
+// sealed by its own CRC, so load can hand everything past the header to a
+// lazy view (slabView) that reads a section only when a walk or a fill
+// needs it and checks its CRC in its private copy then, not at load time.
+// Header-level mismatches (magic, version, key, shape, CRC, a file of the
+// wrong size) are a cold miss: the bad file is removed and the caller
+// rebuilds. Section-level corruption — a CRC mismatch, a short read from a
+// file truncated in place, a split point no fill writes or a resume row no
+// fill writes — surfaces later as a pta.WarmLostError from the evaluation;
+// the serve layer then calls discardCorrupt and retries cold. Writes go
+// through a temp file + rename so a crash mid-write never leaves a torn
+// file under a live key.
 type cacheStore struct {
 	dir      string
 	maxBytes int64
@@ -56,7 +59,7 @@ type cacheStore struct {
 
 const (
 	spillMagic    = "PTAM"
-	spillVersion  = uint32(2)
+	spillVersion  = uint32(3)
 	spillSuffix   = ".ptam"
 	spillPreamble = 12 // magic + version + headerLen
 )
@@ -64,6 +67,18 @@ const (
 // spillRowSize is the on-disk footprint of one split row: n+1 little-endian
 // uint32 cells plus a CRC32 over them.
 func spillRowSize(n int) int { return (n+1)*4 + 4 }
+
+// spillLayout locates the sections of a v3 blob after a header of header
+// bytes: the resume row E[filled][0..n] (n+1 float64 cells and a CRC32),
+// the split rows 1..filled (spillRowSize each), and the split paths
+// 1..filled, path k holding the k split points its backtrack visits (row k
+// first) and a CRC32, 4k+4 bytes. The paths add about filled/(2n) of the
+// row region's bytes.
+type spillLayout struct{ header, n, filled int }
+
+func (l spillLayout) rowOff(k int) int  { return l.header + 8*(l.n+1) + 4 + (k-1)*spillRowSize(l.n) }
+func (l spillLayout) pathOff(k int) int { return l.rowOff(l.filled+1) + (k-1)*(2*k+4) }
+func (l spillLayout) size() int         { return l.pathOff(l.filled + 1) }
 
 // newCacheStore opens (creating if needed) the spill directory. maxBytes
 // bounds one spill file (0 = 64 MiB); oversized snapshots stay memory-only.
@@ -150,11 +165,12 @@ func (cs *cacheStore) readBlob(hash string) []byte {
 
 // load restores a warm set for key over the series, or nil on any miss: no
 // file, or a file whose header fails validation (corrupt, stale version,
-// shape mismatch). The restored set is lazy: split rows stay in the file
-// behind a slabView and are read, one ReadAt per backtrack, when a budget
-// walks them. Header-level bad files are removed so the next miss goes
-// straight to a cold build instead of re-parsing garbage; row-level
-// corruption is detected when read and handled by discardCorrupt.
+// shape mismatch). The restored set is lazy: the resume row, split rows and
+// split paths stay in the file behind a slabView, and a budget within the
+// spilled rows reads only its path, one ReadAt of 4k+4 bytes. Header-level
+// bad files are removed so the next miss goes straight to a cold build
+// instead of re-parsing garbage; section-level corruption is detected when
+// read and handled by discardCorrupt.
 func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts pta.Options) *pta.MatrixSet {
 	path := cs.path(key)
 	snap, view, err := cs.openView(path, key)
@@ -206,8 +222,9 @@ func (cs *cacheStore) drop(path string) {
 }
 
 // openView opens and header-validates one spill file, returning the eager
-// scalar state (Splits nil) and the lazy row view. Any error means the file
-// is unusable as a whole; the caller counts and removes it.
+// scalar state (Splits and LastE nil) and the lazy view over the rest. Any
+// error means the file is unusable as a whole; the caller counts and
+// removes it.
 func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -238,16 +255,17 @@ func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView
 		f.Close()
 		return nil, nil, fmt.Errorf("spill: reading header: %w", err)
 	}
-	snap, err := parseSpillHeader(header, key)
+	snap, err := parseSpillHeader(header, key, size)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	if want := hl + int64(snap.Filled)*int64(spillRowSize(snap.N)); want != size {
+	l := spillLayout{header: int(hl), n: snap.N, filled: snap.Filled}
+	if want := int64(l.size()); want != size {
 		f.Close()
 		return nil, nil, fmt.Errorf("spill: file size %d, want %d for n=%d filled=%d", size, want, snap.N, snap.Filled)
 	}
-	return snap, newSlabView(f, int(hl), snap.N, snap.Filled), nil
+	return snap, newSlabView(f, l), nil
 }
 
 // spillStats is the /v1/stats snapshot of the persistent tier.
@@ -261,23 +279,26 @@ func (cs *cacheStore) stats() spillStats {
 	return spillStats{Loads: cs.loads.Load(), Stores: cs.stores.Load(), Errors: cs.errors.Load()}
 }
 
-// encodeSnapshot renders the versioned binary spill format, v2: an eagerly
+// encodeSnapshot renders the versioned binary spill format, v3: an eagerly
 // validated header — magic, version, total header length, the full cache
 // key (verified on load so a hash-collision file can never serve the wrong
-// series), the scalar snapshot fields and the per-row errors and resume row
-// in fixed little-endian layout, sealed by a CRC32 — followed by one
-// section per split row, each sealed by its own CRC32 so a lazy view can
-// validate exactly the rows it reads. The encoding is deterministic:
-// equal snapshots produce byte-identical blobs, which is what makes spill
-// files content-addressed peer resources.
+// series), the scalar snapshot fields and the per-row errors in fixed
+// little-endian layout, sealed by a CRC32 — followed by the sections of
+// spillLayout, each sealed by its own CRC32 so a lazy view can validate
+// exactly what it reads: the resume row, one section per split row, and one
+// split path per filled budget, written by one row-major sweep over the
+// rows (pathSweep). The encoding is deterministic: equal snapshots produce
+// byte-identical blobs, which is what makes spill files content-addressed
+// peer resources.
 func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 	cols := snap.N + 1
 	headerLen := spillPreamble +
 		4 + len(key) + 4 + len(snap.Strategy) + 4 + len(snap.Class) +
 		8 + 8 + 1 + 8 + // n, filled, hasMax, bound
-		8*len(snap.RowErr) + 8*len(snap.LastE) +
+		8*len(snap.RowErr) +
 		4 // header crc
-	b := make([]byte, 0, headerLen+snap.Filled*spillRowSize(snap.N))
+	l := spillLayout{header: headerLen, n: snap.N, filled: snap.Filled}
+	b := make([]byte, 0, l.size())
 	b = append(b, spillMagic...)
 	b = binary.LittleEndian.AppendUint32(b, spillVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(headerLen))
@@ -295,10 +316,12 @@ func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 	for _, v := range snap.RowErr {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	start := len(b)
 	for _, v := range snap.LastE {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 	for k := 0; k < snap.Filled; k++ {
 		start := len(b)
 		for _, v := range snap.Splits[k*cols : (k+1)*cols] {
@@ -306,7 +329,54 @@ func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 		}
 		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 	}
+	b = b[:l.size()]
+	// A snapshot's rows hold split points its fills wrote, so every path
+	// steps.
+	paths := newPathSweep(snap.N, snap.Filled)
+	for r := snap.Filled; r >= 1; r-- {
+		pts, _ := paths.step(r, snap.Splits[(r-1)*cols:r*cols])
+		at := l.pathOff(r) // then path r+t's cell t, past the t paths before it
+		for t, j := range pts {
+			binary.LittleEndian.PutUint32(b[at:], uint32(j))
+			at += 4*(r+t) + 8
+		}
+	}
+	for k := 1; k <= snap.Filled; k++ {
+		at := l.pathOff(k)
+		binary.LittleEndian.PutUint32(b[at+4*k:], crc32.ChecksumIEEE(b[at:at+4*k]))
+	}
 	return b
+}
+
+// pathSweep walks the backtrack of every budget k = 1..filled at once, one
+// split row at a time from row filled down to row 1: a row-major sweep
+// that visits each row once and touches only the cells some path stands
+// on, where walking each path on its own would land every step in another
+// row. Its cells are the column each path stands on, by k.
+type pathSweep []int32
+
+func newPathSweep(n, filled int) pathSweep {
+	at := make(pathSweep, filled+1)
+	for k := range at {
+		at[k] = int32(n)
+	}
+	return at
+}
+
+// step moves every path k ≥ r through row r, J[r][0..n], to the split
+// point at the column it stands on, and returns the new columns by k − r:
+// pts[t] is path r+t's t-th split point. ok is false at a split point
+// outside 0..n, which no fill writes; the sweep is then unusable.
+func (at pathSweep) step(r int, row []int32) (pts []int32, ok bool) {
+	n := uint32(len(row) - 1)
+	for k := r; k < len(at); k++ {
+		j := row[at[k]]
+		if uint32(j) > n {
+			return nil, false
+		}
+		at[k] = j
+	}
+	return at[r:], true
 }
 
 func appendSpillString(b []byte, s string) []byte {
@@ -314,12 +384,13 @@ func appendSpillString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// parseSpillHeader validates one header section (header[0:headerLen]) for
-// key and returns the snapshot with Splits nil. It guards framing: magic,
-// version, key equality, declared lengths against the actual payload, and
-// the header CRC; split rows are validated separately (eagerly by
-// decodeSnapshot, lazily by slabView).
-func parseSpillHeader(header []byte, key string) (*pta.MatrixSnapshot, error) {
+// parseSpillHeader validates one header section (header[0:headerLen]) of a
+// blob of size bytes for key and returns the snapshot with Splits and LastE
+// nil. It guards framing: magic, version, key equality, declared lengths
+// against the actual payload, and the header CRC; the sections after it
+// are validated separately (eagerly by decodeSnapshot, lazily by
+// slabView).
+func parseSpillHeader(header []byte, key string, size int64) (*pta.MatrixSnapshot, error) {
 	if len(header) < spillPreamble+4 {
 		return nil, fmt.Errorf("spill: short header (%d bytes)", len(header))
 	}
@@ -345,16 +416,16 @@ func parseSpillHeader(header []byte, key string) (*pta.MatrixSnapshot, error) {
 	filled := d.u64()
 	hasMax := d.bytes(1)
 	bound := d.u64()
-	// Bound the declared shape by the remaining payload before allocating:
-	// the header carries filled row errors and n+1 resume cells itself.
-	if d.err != nil || filled > n || n > uint64(len(header)) {
+	// Bound the declared shape by the blob before allocating or sizing its
+	// layout: the resume row alone takes 8(n+1) bytes, and the split rows
+	// filled·spillRowSize(n).
+	if d.err != nil || filled > n || n >= uint64(size)/8 || filled > uint64(size)/(4*n+8) {
 		return nil, fmt.Errorf("spill: implausible shape n=%d filled=%d", n, filled)
 	}
 	snap.N, snap.Filled = int(n), int(filled)
 	snap.HasMax = len(hasMax) == 1 && hasMax[0] == 1
 	snap.Bound = math.Float64frombits(bound)
 	snap.RowErr = d.f64s(snap.Filled)
-	snap.LastE = d.f64s(snap.N + 1)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -364,11 +435,19 @@ func parseSpillHeader(header []byte, key string) (*pta.MatrixSnapshot, error) {
 	return snap, nil
 }
 
+// errSpillPath marks a blob whose CRC-valid split paths do not follow its
+// split rows: a lazy view would answer from the paths what an eager restore
+// answers from the rows, so decodeSnapshot refuses it.
+var errSpillPath = errors.New("spill: split path does not follow its rows")
+
 // decodeSnapshot parses and fully validates one spill blob for key — the
-// header plus every row CRC — materializing the split rows eagerly. It is
-// the validation gate for peer-fetched blobs (and the memory-only restore
-// path when no spill dir is configured); local disk loads go through
-// openView instead and leave rows lazy.
+// header, every section CRC, and every split path against the walk of its
+// rows — materializing the resume row and split rows eagerly. It is the
+// validation gate for peer-fetched blobs (and the memory-only restore path
+// when no spill dir is configured); local disk loads go through openView
+// instead and leave every section lazy. The path check makes a blob that
+// passes here answer the same from its paths, once adopted and loaded
+// lazily, as from its rows.
 func decodeSnapshot(data []byte, key string) (*pta.MatrixSnapshot, error) {
 	if len(data) < spillPreamble+4 {
 		return nil, fmt.Errorf("spill: short file (%d bytes)", len(data))
@@ -377,28 +456,59 @@ func decodeSnapshot(data []byte, key string) (*pta.MatrixSnapshot, error) {
 	if hl < spillPreamble+4 || hl > len(data) {
 		return nil, fmt.Errorf("spill: implausible header length %d", hl)
 	}
-	snap, err := parseSpillHeader(data[:hl], key)
+	snap, err := parseSpillHeader(data[:hl], key, int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	cols := snap.N + 1
-	rowSize := spillRowSize(snap.N)
-	if want := hl + snap.Filled*rowSize; want != len(data) {
-		return nil, fmt.Errorf("spill: %d bytes, want %d for n=%d filled=%d", len(data), want, snap.N, snap.Filled)
+	n, cols := snap.N, snap.N+1
+	l := spillLayout{header: hl, n: n, filled: snap.Filled}
+	if want := l.size(); want != len(data) {
+		return nil, fmt.Errorf("spill: %d bytes, want %d for n=%d filled=%d", len(data), want, n, snap.Filled)
+	}
+	resume, ok := sealed(data[hl:l.rowOff(1)])
+	if !ok {
+		return nil, fmt.Errorf("spill: resume row CRC mismatch")
+	}
+	snap.LastE = make([]float64, cols)
+	for i := range snap.LastE {
+		snap.LastE[i] = math.Float64frombits(binary.LittleEndian.Uint64(resume[8*i:]))
 	}
 	snap.Splits = make([]int32, snap.Filled*cols)
-	for k := 0; k < snap.Filled; k++ {
-		row := data[hl+k*rowSize : hl+(k+1)*rowSize]
-		body := row[:len(row)-4]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(row[len(row)-4:]) {
-			return nil, fmt.Errorf("spill: row %d CRC mismatch", k+1)
+	for k := 1; k <= snap.Filled; k++ {
+		body, ok := sealed(data[l.rowOff(k):l.rowOff(k+1)])
+		if !ok {
+			return nil, fmt.Errorf("spill: row %d CRC mismatch", k)
 		}
-		out := snap.Splits[k*cols : (k+1)*cols]
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+		row := snap.Splits[(k-1)*cols : k*cols]
+		for i := range row {
+			row[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+		}
+	}
+	for k := 1; k <= snap.Filled; k++ {
+		if _, ok := sealed(data[l.pathOff(k):l.pathOff(k+1)]); !ok {
+			return nil, fmt.Errorf("spill: path %d CRC mismatch", k)
+		}
+	}
+	paths := newPathSweep(n, snap.Filled)
+	for r := snap.Filled; r >= 1; r-- {
+		pts, ok := paths.step(r, snap.Splits[(r-1)*cols:r*cols])
+		if !ok {
+			return nil, fmt.Errorf("%w: row %d leaves 0..%d", errSpillPath, r, n)
+		}
+		for t, j := range pts {
+			if int32(binary.LittleEndian.Uint32(data[l.pathOff(r+t)+4*t:])) != j {
+				return nil, fmt.Errorf("%w: path %d", errSpillPath, r+t)
+			}
 		}
 	}
 	return snap, nil
+}
+
+// sealed splits a section into its body and reports whether the CRC32 in
+// its last four bytes matches the body.
+func sealed(sec []byte) ([]byte, bool) {
+	body := sec[:len(sec)-4]
+	return body, crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(sec[len(body):])
 }
 
 // spillReader walks the decode cursor, latching the first framing error.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"net/http"
 	"os"
@@ -129,8 +130,10 @@ func TestSpillCorruptionFallsBackCold(t *testing.T) {
 		}
 	}
 
-	corrupt("flipped payload byte", func(b []byte) []byte {
-		b[len(b)/2] ^= 0xFF
+	corrupt("flipped header byte", func(b []byte) []byte {
+		// The sections after the header are checked when a walk or a fill
+		// reads them, not at load.
+		b[binary.LittleEndian.Uint32(b[8:])/2] ^= 0xFF
 		return b
 	})
 	corrupt("stale version", func(b []byte) []byte {
@@ -197,10 +200,22 @@ func TestSpillDecodeRejections(t *testing.T) {
 	if _, err := decodeSnapshot(bad, key); err == nil {
 		t.Error("decoder accepted a bad magic")
 	}
-	// A flipped row byte with an intact header is caught per-row.
-	rowbad := append([]byte(nil), data...)
-	rowbad[len(rowbad)-6] ^= 0xFF
-	if _, err := decodeSnapshot(rowbad, key); err == nil {
-		t.Error("decoder accepted a corrupt split row")
+	// A flipped byte in the resume row, a split row or a split path with an
+	// intact header is caught by that section's CRC.
+	l := spillLayout{header: int(hl), n: snap.N, filled: snap.Filled}
+	for what, at := range map[string]int{"resume row": int(hl) + 5, "split row": l.rowOff(2) + 5, "split path": len(data) - 6} {
+		bad := append([]byte(nil), data...)
+		bad[at] ^= 0xFF
+		if _, err := decodeSnapshot(bad, key); err == nil {
+			t.Errorf("decoder accepted a corrupt %s", what)
+		}
+	}
+	// A re-sealed path that leaves its rows' walk is refused as such: a
+	// lazy load would answer from it what an eager restore answers from
+	// the rows.
+	bad = append([]byte(nil), data...)
+	patchPath(bad, snap.N, snap.Filled, snap.Filled, 0, 0, true) // J[Filled][n] ≥ Filled−1 > 0
+	if _, err := decodeSnapshot(bad, key); !errors.Is(err, errSpillPath) {
+		t.Errorf("decoder on a re-sealed path off its rows: %v, want errSpillPath", err)
 	}
 }

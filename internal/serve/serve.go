@@ -41,8 +41,8 @@ type Config struct {
 	// keyed by (fingerprint, DP class, weights), and reloaded on the first
 	// miss after a restart ("" = disabled).
 	SpillDir string
-	// SpillMaxBytes bounds one spill file (0 = 64 MiB); larger snapshots
-	// stay memory-only.
+	// SpillMaxBytes bounds one spill file, split rows and split paths
+	// together (0 = 64 MiB); larger snapshots stay memory-only.
 	SpillMaxBytes int64
 	// Peers lists the base URLs of sibling workers forming a shared warm
 	// tier: on a local miss (memory and spill both cold) the server fetches

@@ -2,49 +2,53 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"runtime"
 	"sync"
 )
 
-// slabView is the lazy row source behind a spill-restored MatrixSet. It
-// keeps the spill file's descriptor and reads rows only when a backtrack
-// needs them: SplitRows (core.SplitRangeSource) reads every row the walk
-// has not read yet with one ReadAt into one fresh buffer, checks each row's
-// CRC in that private copy and hands the verified raw bytes to the solver,
-// which keeps them and decodes only the one cell per row its walk visits.
-// SplitRow reads and decodes a single row, for snapshots. The solver
-// retains every row it gets, so each row is read at most once per restored
-// set.
+// slabView is the lazy source behind a spill-restored MatrixSet. It keeps
+// the spill file's descriptor and reads a section only when the solver
+// needs it, each with one ReadAt into a fresh buffer whose CRC it checks in
+// that private copy. SplitPath (core.SplitPathSource) reads the k split
+// points one budget's backtrack visits: what a walk within the spilled rows
+// reads, 4k+4 bytes. SplitRows (core.SplitRangeSource) reads every row a
+// walk past the spilled rows has not read yet and hands the verified raw
+// bytes to the solver, which keeps them and decodes only the one cell per
+// row its walk visits; SplitRow reads and decodes a single row, for
+// snapshots. ResumeRow (core.ResumeRowSource) reads the resume row for the
+// first fill past the spilled rows. The solver retains every row and the
+// resume row it gets, so each is read at most once per restored set; it
+// keeps no path.
 //
 // Lifecycle: the descriptor pins the inode, so a deepened re-spill that
 // renames a new file over the path leaves this view reading the old (still
-// correct) rows, and the GC cleanup closes the descriptor once the set is
-// collected. invalidate is the explicit early exit used by close-before-
+// correct) sections, and the GC cleanup closes the descriptor once the set
+// is collected. invalidate is the explicit early exit used by close-before-
 // delete: after it every read fails cleanly, so a set still holding the
-// view never serves rows of a file the store has discarded. A file
+// view never serves sections of a file the store has discarded. A file
 // truncated in place gives a short read, and bytes rewritten in place fail
-// their row's CRC; the solver reports both as a WarmLostError.
+// their section's CRC; the solver reports both as a WarmLostError.
 type slabView struct {
-	mu      sync.Mutex
-	f       *os.File // nil once invalidated
-	clean   runtime.Cleanup
-	rowsOff int
-	n       int
-	filled  int
+	mu    sync.Mutex
+	f     *os.File // nil once invalidated
+	clean runtime.Cleanup
+	spillLayout
 
-	// reads and readBytes count the row-region ReadAt calls and the bytes
-	// they asked for: the deterministic measure of what a restore costs.
+	// reads and readBytes count the ReadAt calls past the header and the
+	// bytes they asked for: the deterministic measure of what a restore
+	// costs.
 	reads, readBytes int64
 }
 
-// newSlabView wraps an open, header-validated spill file whose rows start
-// at byte rowsOff. It takes ownership of f and closes it on invalidate or
-// when the view is collected.
-func newSlabView(f *os.File, rowsOff, n, filled int) *slabView {
-	v := &slabView{f: f, rowsOff: rowsOff, n: n, filled: filled}
+// newSlabView wraps an open, header-validated spill file laid out as l. It
+// takes ownership of f and closes it on invalidate or when the view is
+// collected.
+func newSlabView(f *os.File, l spillLayout) *slabView {
+	v := &slabView{f: f, spillLayout: l}
 	v.clean = runtime.AddCleanup(v, func(f *os.File) { f.Close() }, f)
 	return v
 }
@@ -58,14 +62,13 @@ func (v *slabView) SplitRows(lo, hi int) ([][]byte, error) {
 	}
 	rowSize := spillRowSize(v.n)
 	buf := make([]byte, (hi-lo+1)*rowSize)
-	if err := v.readAt(buf, v.rowsOff+(lo-1)*rowSize); err != nil {
+	if err := v.readAt(buf, v.rowOff(lo)); err != nil {
 		return nil, fmt.Errorf("spill: reading rows %d..%d: %w", lo, hi, err)
 	}
 	rows := make([][]byte, hi-lo+1)
 	for r := range rows {
-		row := buf[r*rowSize : (r+1)*rowSize]
-		body := row[:rowSize-4]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(row[rowSize-4:]) {
+		body, ok := sealed(buf[r*rowSize : (r+1)*rowSize])
+		if !ok {
 			return nil, fmt.Errorf("spill: row %d CRC mismatch", lo+r)
 		}
 		rows[r] = body
@@ -84,6 +87,51 @@ func (v *slabView) SplitRow(k int) ([]int32, error) {
 		row[i] = int32(binary.LittleEndian.Uint32(rows[0][4*i:]))
 	}
 	return row, nil
+}
+
+// SplitPath implements core.SplitPathSource: budget k's split path in one
+// ReadAt of 4k+4 bytes, CRC-checked and decoded.
+func (v *slabView) SplitPath(k int) ([]int32, error) {
+	if k < 1 || k > v.filled {
+		return nil, fmt.Errorf("spill: path %d outside 1..%d", k, v.filled)
+	}
+	body, err := v.section(v.pathOff(k), 4*k)
+	if err != nil {
+		return nil, fmt.Errorf("spill: path %d: %w", k, err)
+	}
+	path := make([]int32, k)
+	for t := range path {
+		path[t] = int32(binary.LittleEndian.Uint32(body[4*t:]))
+	}
+	return path, nil
+}
+
+// ResumeRow implements core.ResumeRowSource: E[filled][0..n] in one ReadAt,
+// CRC-checked and decoded. The solver checks the values.
+func (v *slabView) ResumeRow() ([]float64, error) {
+	body, err := v.section(v.header, 8*(v.n+1))
+	if err != nil {
+		return nil, fmt.Errorf("spill: resume row: %w", err)
+	}
+	row := make([]float64, v.n+1)
+	for i := range row {
+		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return row, nil
+}
+
+// section reads the size-byte body at off and the CRC32 after it with one
+// ReadAt into a fresh buffer, and returns the body once the CRC matches.
+func (v *slabView) section(off, size int) ([]byte, error) {
+	buf := make([]byte, size+4)
+	if err := v.readAt(buf, off); err != nil {
+		return nil, err
+	}
+	body, ok := sealed(buf)
+	if !ok {
+		return nil, errors.New("CRC mismatch")
+	}
+	return body, nil
 }
 
 // readAt fills buf from the file at off, under the view mutex so it never

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/temporal"
 	"repro/pta"
 )
 
@@ -41,15 +44,35 @@ func spillWarm(tb testing.TB, series *pta.Series, key string, budgets ...pta.Bud
 	return cs
 }
 
+// blobLayout reads the section layout of a spill blob over n+1 columns
+// with filled rows.
+func blobLayout(blob []byte, n, filled int) spillLayout {
+	return spillLayout{header: int(binary.LittleEndian.Uint32(blob[8:])), n: n, filled: filled}
+}
+
+// patchSection sets the 32-bit word at cell of the section sec (its body
+// and CRC) to v and, with reseal, recomputes the section's CRC so only the
+// checks on the cell's value can object. The CRC itself is cell len(sec)/4−1.
+func patchSection(sec []byte, cell int, v uint32, reseal bool) {
+	binary.LittleEndian.PutUint32(sec[4*cell:], v)
+	if reseal {
+		binary.LittleEndian.PutUint32(sec[len(sec)-4:], crc32.ChecksumIEEE(sec[:len(sec)-4]))
+	}
+}
+
 // patchSplit sets J[k][i] = j in a spill blob over n+1 columns and, with
 // reseal, recomputes that row's CRC so only the cell checks can object.
 func patchSplit(blob []byte, n, k, i int, j int32, reseal bool) {
-	rowSize := spillRowSize(n)
-	row := blob[int(binary.LittleEndian.Uint32(blob[8:]))+(k-1)*rowSize:][:rowSize]
-	binary.LittleEndian.PutUint32(row[4*i:], uint32(j))
-	if reseal {
-		binary.LittleEndian.PutUint32(row[rowSize-4:], crc32.ChecksumIEEE(row[:rowSize-4]))
-	}
+	l := blobLayout(blob, n, 0)
+	patchSection(blob[l.rowOff(k):l.rowOff(k+1)], i, uint32(j), reseal)
+}
+
+// patchPath sets the t-th split point of budget k's path (row k−t) to j in
+// a spill blob over n+1 columns with filled rows, resealing as patchSplit
+// does.
+func patchPath(blob []byte, n, filled, k, t int, j int32, reseal bool) {
+	l := blobLayout(blob, n, filled)
+	patchSection(blob[l.pathOff(k):l.pathOff(k+1)], t, uint32(j), reseal)
 }
 
 // readCounts returns a view's row-read counters.
@@ -61,8 +84,8 @@ func readCounts(v *slabView) (reads, bytes int64) {
 
 // TestSpillSplitPastColumnIsWarmLost: a CRC-valid split point inside 0..n
 // but at its own column (the proj example spilled at c = 4 with J[4][7] = 7
-// re-sealed) is a WarmLostError from the lazily restored set, not a panic
-// in the backtrack.
+// re-sealed, in row 4 and in the first cell of budget 4's path) is a
+// WarmLostError from the lazily restored set, not a panic in the backtrack.
 func TestSpillSplitPastColumnIsWarmLost(t *testing.T) {
 	series, err := decodeSeries(projWire())
 	if err != nil {
@@ -76,6 +99,7 @@ func TestSpillSplitPastColumnIsWarmLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	patchSplit(data, 7, 4, 7, 7, true)
+	patchPath(data, 7, 4, 4, 0, 7, true)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +138,7 @@ func TestSplitPastColumnRebuildsColdOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	patchSplit(data, 7, 4, 7, 7, true)
+	patchPath(data, 7, 4, 4, 0, 7, true)
 	if err := os.WriteFile(files[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +161,23 @@ func TestSplitPastColumnRebuildsColdOverHTTP(t *testing.T) {
 }
 
 // TestSpillRestoreReadGuard is the deterministic guard on the reload path,
-// counted in reads and bytes rather than wall time: answering c on a fresh
-// load issues one read covering rows 1..c; a repeat or shallower budget
-// reads nothing; a deeper one reads only its new rows. MemBytes counts
-// resident rows only, and a load plus its answer allocates the rows it
-// read once, plus O(n) scalar state.
+// counted in reads and bytes rather than wall time: answering any c within
+// the spilled rows issues one read of that budget's split path, 4c+4 bytes,
+// and leaves no row resident; a budget past them reads the resume row and
+// every spilled row once, one read each, after which a budget within them
+// walks the resident rows and reads nothing. MemBytes counts resident rows
+// only, and a load plus its answer allocates the path plus O(n) scalar
+// state.
 func TestSpillRestoreReadGuard(t *testing.T) {
 	const n = 1024
 	const c = n / 10
+	const filled = 2 * c
 	series, err := dataset.Mixed(1, n, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const key = "read-guard"
-	cs := spillWarm(t, series, key, pta.Size(2*c))
+	cs := spillWarm(t, series, key, pta.Size(filled))
 	rowSize := int64(spillRowSize(n))
 	scalar := int64(3 * 8 * (n + 1)) // MemBytes of the resume row, the row errors and the swap row
 	ctx := context.Background()
@@ -176,37 +204,184 @@ func TestSpillRestoreReadGuard(t *testing.T) {
 		alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc))
 	}
 
-	// The slack is O(n) state besides the rows: the kernel's prefix sums,
-	// the spill header and the row errors and resume row parsed from it,
-	// the solver's error rows and the answer. 20 words per column covers
-	// it (about 13 are used). Decoding every walked row into a fresh
-	// []int32 on top of its read buffer would cost each row twice: about
-	// 1.09 MB here, against a bound of 0.58 MB.
-	if slack := int64(20 * 8 * (n + 1)); alloc > c*rowSize+slack {
-		t.Errorf("load + answer c=%d allocated %d bytes, want at most %d: c rows of %d bytes plus %d slack",
-			c, alloc, c*rowSize+slack, rowSize, slack)
-	}
-	if got, want := set.MemBytes(), scalar+c*4*(n+1); got != want {
-		t.Errorf("MemBytes after c=%d = %d, want %d (c resident rows)", c, got, want)
+	// The slack is O(n) state besides the path: the kernel's prefix sums,
+	// the spill header and the row errors parsed from it, the solver's
+	// error rows and the answer. 11 words per column covers it (about 9.3
+	// are used). Reading rows 1..c instead of the path would add 418 608
+	// bytes here, against a bound of 90 KB, and reading and parsing the
+	// resume row at every load 2 words per column.
+	t.Logf("load + answer c=%d allocated %d bytes (%.1f words per column)", c, alloc, float64(alloc)/float64(8*(n+1)))
+	if bound := int64(11 * 8 * (n + 1)); alloc > bound {
+		t.Errorf("load + answer c=%d allocated %d bytes, want at most %d (11 words per column)", c, alloc, bound)
 	}
 	view := cs.views[cs.path(key)]
-	if reads, bytes := readCounts(view); reads != 1 || bytes != c*rowSize {
-		t.Errorf("answering c=%d: %d reads of %d bytes, want 1 read of rows 1..%d (%d bytes)", c, reads, bytes, c, c*rowSize)
-	}
-	for _, b := range []pta.Budget{pta.Size(c), pta.Size(c / 2)} {
-		if _, err := set.Compress(ctx, b); err != nil {
-			t.Fatal(err)
+	wantReads, wantBytes := int64(1), int64(4*c+4)
+	check := func(what string, resident int) {
+		t.Helper()
+		if reads, bytes := readCounts(view); reads != wantReads || bytes != wantBytes {
+			t.Errorf("%s: %d reads of %d bytes in all, want %d reads of %d bytes", what, reads, bytes, wantReads, wantBytes)
+		}
+		if got, want := set.MemBytes(), scalar+int64(resident)*4*(n+1); got != want {
+			t.Errorf("%s: MemBytes = %d, want %d (%d resident rows)", what, got, want, resident)
 		}
 	}
-	if reads, _ := readCounts(view); reads != 1 {
-		t.Errorf("a repeat and a shallower budget issued %d more reads, want 0", reads-1)
+	check(fmt.Sprintf("answering c=%d", c), 0)
+	for _, k := range []int{c, c / 2, filled} {
+		if _, err := set.Compress(ctx, pta.Size(k)); err != nil {
+			t.Fatal(err)
+		}
+		wantReads++
+		wantBytes += int64(4*k + 4)
+		check(fmt.Sprintf("then c=%d", k), 0)
 	}
-	if _, err := set.Compress(ctx, pta.Size(2*c)); err != nil {
+
+	// Past the spilled rows: the fill reads the resume row, and the walk
+	// reads rows 1..filled in one read.
+	const deep = filled + 8
+	res, err := set.Compress(ctx, pta.Size(deep))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reads, bytes := readCounts(view); reads != 2 || bytes != 2*c*rowSize {
-		t.Errorf("deeper budget c=%d: %d reads of %d bytes in all, want 2 reads of %d bytes (rows %d..%d added)",
-			2*c, reads, bytes, 2*c*rowSize, c+1, 2*c)
+	if res.Stats.Cells == 0 {
+		t.Fatalf("c=%d past %d spilled rows filled no cells", deep, filled)
+	}
+	wantReads += 2
+	wantBytes += int64(8*(n+1)+4) + filled*rowSize
+	check(fmt.Sprintf("then c=%d", deep), deep)
+	for _, k := range []int{c, filled} {
+		if _, err := set.Compress(ctx, pta.Size(k)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("then c=%d over resident rows", k), deep)
+	}
+}
+
+// noPaths is a spill view without its path capability: a set restored
+// over it answers every budget by walking split rows.
+type noPaths struct{ v *slabView }
+
+func (p noPaths) SplitRow(k int) ([]int32, error)        { return p.v.SplitRow(k) }
+func (p noPaths) SplitRows(lo, hi int) ([][]byte, error) { return p.v.SplitRows(lo, hi) }
+func (p noPaths) ResumeRow() ([]float64, error)          { return p.v.ResumeRow() }
+
+// answerBytes is an answer's wire form without its fill stats, or the
+// error it failed with.
+func answerBytes(res *pta.Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	w := encodeResult(res, "")
+	w.Stats = statsWire{}
+	b, err := json.Marshal(w)
+	if err != nil {
+		return "marshal: " + err.Error()
+	}
+	return string(b)
+}
+
+// TestSpillPathsMatchRows: on Mixed, Counter, gapped and grouped series,
+// every size budget within the spilled rows answers from its split path —
+// one read of 4k+4 bytes, no row made resident — byte-identically to the
+// same blob's rows, walked lazily and restored eagerly, and to a cold set.
+// It holds for a spill file the store wrote and for a peer blob adopted
+// past the decodeSnapshot gate.
+func TestSpillPathsMatchRows(t *testing.T) {
+	gen := func(s *pta.Series, err error) *pta.Series {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	gapped := gen(dataset.Counter(1, 240, 2, 5))
+	for i := range gapped.Rows {
+		// Gaps of three chronons open after the 80th and the 170th row.
+		var shift temporal.Chronon
+		if i >= 80 {
+			shift += 3
+		}
+		if i >= 170 {
+			shift += 3
+		}
+		gapped.Rows[i].T.Start += shift
+		gapped.Rows[i].T.End += shift
+	}
+	series := map[string]*pta.Series{
+		"mixed":   gen(dataset.Mixed(1, 240, 2, 3)),
+		"counter": gen(dataset.Counter(1, 240, 1, 4)),
+		"gapped":  gapped,
+		"grouped": gen(dataset.Mixed(4, 60, 2, 6)),
+	}
+	ctx := context.Background()
+	for name, s := range series {
+		t.Run(name, func(t *testing.T) {
+			const key = "paths"
+			const filled = 48
+			cs := spillWarm(t, s, key, pta.Size(filled))
+			blob, err := os.ReadFile(cs.path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := decodeSnapshot(blob, key)
+			if err != nil {
+				t.Fatalf("decode gate: %v", err)
+			}
+			eager, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{}, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, err := newCacheStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !peer.adopt(key, blob) {
+				t.Fatal("adopt refused the blob")
+			}
+			type arm struct {
+				name string
+				set  *pta.MatrixSet
+				view *slabView // nil: answers from rows
+			}
+			var arms []arm
+			for _, st := range []*cacheStore{cs, peer} {
+				where := map[*cacheStore]string{cs: "spill", peer: "peer"}[st]
+				set := st.load(key, s, "ptac", pta.Options{})
+				if set == nil {
+					t.Fatalf("%s: load failed", where)
+				}
+				view := st.views[st.path(key)]
+				hollow := *snap
+				hollow.Splits, hollow.LastE = nil, nil
+				rows, err := pta.RestoreMatrixSetLazy(s, "ptac", pta.Options{}, &hollow, noPaths{view})
+				if err != nil {
+					t.Fatal(err)
+				}
+				arms = append(arms, arm{where + " path", set, view}, arm{where + " rows", rows, nil})
+			}
+			arms = append(arms, arm{"eager rows", eager, nil})
+			for k := 1; k <= filled; k++ {
+				cold, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := answerBytes(cold.Compress(ctx, pta.Size(k)))
+				for _, a := range arms {
+					var reads, bytes int64
+					if a.view != nil {
+						reads, bytes = readCounts(a.view)
+					}
+					if got := answerBytes(a.set.Compress(ctx, pta.Size(k))); got != want {
+						t.Fatalf("c=%d from %s:\n%s\nwant the cold answer\n%s", k, a.name, got, want)
+					}
+					if a.view == nil || strings.HasPrefix(want, "error: ") {
+						continue // below the runs' count no walk runs
+					}
+					r, b := readCounts(a.view)
+					if r-reads != 1 || b-bytes != int64(4*k+4) || a.set.MemBytes() != int64(3*8*(s.Len()+1)) {
+						t.Fatalf("c=%d from %s: %d reads of %d bytes, MemBytes %d: want its path alone", k, a.name, r-reads, b-bytes, a.set.MemBytes())
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -248,8 +423,11 @@ func TestSlabReadsRaceInvalidate(t *testing.T) {
 
 // BenchmarkSpillRestore times what a spill reload costs a request: open and
 // header-parse the file, restore lazily, answer one budget. The set is
-// spilled at n = 2048 after answering all three budgets, so no iteration
-// fills a cell; readB/op is the row bytes each answer read.
+// spilled at n = 2048 after answering the first three budgets, so none of
+// them fills a cell and each reads its split path alone; readB/op is the
+// bytes each answer read. The deep arm answers c = n/5 past the 204
+// spilled rows: it fills rows 205..409 from the resume row and walks rows
+// 1..204, read in one range.
 func BenchmarkSpillRestore(b *testing.B) {
 	const n = 2048
 	series, err := dataset.Mixed(1, n, 1, 3)
@@ -257,17 +435,21 @@ func BenchmarkSpillRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	budgets := []struct {
-		name string
-		b    pta.Budget
+		name  string
+		b     pta.Budget
+		fills bool
 	}{
-		{"c=n/10", pta.Size(n / 10)},
-		{"eps=0.01", pta.ErrorBound(0.01)},
-		{"eps=0.001", pta.ErrorBound(0.001)},
+		{"c=n/10", pta.Size(n / 10), false},
+		{"eps=0.01", pta.ErrorBound(0.01), false},
+		{"eps=0.001", pta.ErrorBound(0.001), false},
+		{"deep/c=n/5", pta.Size(n / 5), true},
 	}
 	const key = "bench"
-	warm := make([]pta.Budget, len(budgets))
-	for i, bc := range budgets {
-		warm[i] = bc.b
+	var warm []pta.Budget
+	for _, bc := range budgets {
+		if !bc.fills {
+			warm = append(warm, bc.b)
+		}
 	}
 	cs := spillWarm(b, series, key, warm...)
 	ctx := context.Background()
@@ -284,7 +466,7 @@ func BenchmarkSpillRestore(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Stats.Cells != 0 {
+				if filled := res.Stats.Cells != 0; filled != bc.fills {
 					b.Fatalf("a reload filled %d cells", res.Stats.Cells)
 				}
 				_, bytes := readCounts(cs.views[cs.path(key)])
@@ -293,6 +475,41 @@ func BenchmarkSpillRestore(b *testing.B) {
 			b.ReportMetric(float64(readBytes)/float64(b.N), "readB/op")
 		})
 	}
+}
+
+// BenchmarkSpillStore times one spill store of a set warm at n = 2048,
+// c = 204: the snapshot, the encoding (every split row and, in one sweep
+// over them, every budget's split path) and the file write. fileB is the
+// blob's size.
+func BenchmarkSpillStore(b *testing.B) {
+	const n = 2048
+	series, err := dataset.Mixed(1, n, 1, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := newCacheStore(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := pta.NewMatrixSet(series, "ptac", pta.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := set.Compress(context.Background(), pta.Size(n/10)); err != nil {
+		b.Fatal(err)
+	}
+	const key = "bench-store"
+	b.ReportAllocs()
+	for b.Loop() {
+		if !cs.store(key, set) {
+			b.Fatal("store refused the warm set")
+		}
+	}
+	fi, err := os.Stat(cs.path(key))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()), "fileB")
 }
 
 // tiles reports why res does not tile series, or nil: it must have C rows,
@@ -372,17 +589,23 @@ func checkLadder(t *testing.T, how string, set *pta.MatrixSet, series *pta.Serie
 	}
 }
 
-// FuzzSpillRows mutates split cells of a valid spill blob, re-sealing the
-// row CRCs or not, and answers a ladder of budgets from it both ways a
-// worker restores one: lazily through a spill file, and eagerly through
-// decodeSnapshot and RestoreMatrixSet. Nothing may panic, and every answer
-// is a WarmLostError or rows that tile the series at a finite,
-// non-negative error (checkLadder). A CRC is not authentication, so a
-// re-sealed mutation may change the answer; an unmutated blob must answer
-// exactly like a cold set.
+// FuzzSpillRows mutates split cells of a valid spill blob — in its split
+// rows and in its split paths, CRCs included — re-sealing the sections or
+// not, and answers a ladder of budgets from it both ways a worker restores
+// one: lazily through a spill file (paths for budgets within the spilled
+// rows, rows past them), and eagerly through decodeSnapshot and
+// RestoreMatrixSet. Nothing may panic, and every answer is a WarmLostError
+// or rows that tile the series at a finite, non-negative error
+// (checkLadder). A CRC is not authentication, so a re-sealed mutation may
+// change a lazy answer; decodeSnapshot refuses a re-sealed blob only when a
+// path no longer follows its rows (errSpillPath), and an unmutated blob
+// must answer exactly like a cold set.
 //
-// Each mutation is three bytes: the row (mod the rows spilled), the column
-// (mod n+1) and the new split point as a signed byte.
+// Each mutation is three bytes: the target, the cell and the new value as a
+// signed byte. A target below 0x80 is a row (mod the rows spilled) and the
+// cell a column (mod n+1); from 0x80 up it is budget k's path (the low
+// seven bits mod the rows spilled) and the cell a point of it (mod k+1,
+// where k is the path's CRC).
 func FuzzSpillRows(f *testing.F) {
 	series, err := decodeSeries(projWire())
 	if err != nil {
@@ -406,10 +629,21 @@ func FuzzSpillRows(f *testing.F) {
 	f.Add([]byte{0, 5, 2}, true)          // nonzero in row 1
 	f.Add([]byte{3, 7, 5}, false)         // CRC mismatch
 	f.Add([]byte{4, 7, 5, 3, 5, 4}, true) // a consistent but wrong chain
+	f.Add([]byte{0x83, 0, 7}, true)       // path 4 starts at its own column
+	f.Add([]byte{0x84, 1, 2}, true)       // path 5 leaves its rows' walk
+	f.Add([]byte{0x83, 4, 5}, false)      // path 4's CRC overwritten
+	// The wrong chain in row and path alike.
+	f.Add([]byte{4, 7, 5, 3, 5, 4, 0x84, 0, 5, 0x84, 1, 4}, true)
 	f.Fuzz(func(t *testing.T, muts []byte, reseal bool) {
 		data := append([]byte(nil), blob...)
 		for m := 0; m+3 <= len(muts); m += 3 {
-			patchSplit(data, n, int(muts[m])%filled+1, int(muts[m+1])%(n+1), int32(int8(muts[m+2])), reseal)
+			v := int32(int8(muts[m+2]))
+			if target := int(muts[m]); target < 0x80 {
+				patchSplit(data, n, target%filled+1, int(muts[m+1])%(n+1), v, reseal)
+			} else {
+				k := (target&0x7f)%filled + 1
+				patchPath(data, n, filled, k, int(muts[m+1])%(k+1), v, reseal)
+			}
 		}
 		pristine := bytes.Equal(data, blob)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -424,7 +658,7 @@ func FuzzSpillRows(f *testing.F) {
 
 		snap, err := decodeSnapshot(data, key)
 		if err != nil {
-			if pristine || reseal {
+			if pristine || reseal && !errors.Is(err, errSpillPath) {
 				t.Fatalf("decode: %v", err)
 			}
 			return
@@ -460,14 +694,17 @@ func hdrMut(field, at int, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64([]byte{byte(field), byte(at)}, v)
 }
 
-// FuzzSpillHeader mutates header fields of a valid spill blob — n, filled,
-// has-max, SSEmax, row errors, resume cells, strategy and class — with the
-// header CRC re-sealed or left as it was, and restores the blob both ways a
-// worker does: lazily through cs.load, and through decodeSnapshot and
-// RestoreMatrixSet, the path a peer-fetched blob takes. Nothing may panic.
-// Either the blob is refused, or every budget of FuzzSpillRows' ladder
-// answers with a WarmLostError or with rows that tile the series at a
-// finite, non-negative error. An unmutated blob answers as a cold set does.
+// FuzzSpillHeader mutates the scalar fields of a valid spill blob — n,
+// filled, has-max, SSEmax, row errors and strategy and class in the header,
+// and cells of the resume row in its own section — with the header and
+// resume-row CRCs re-sealed or left as they were, and restores the blob both
+// ways a worker does: lazily through cs.load, and through decodeSnapshot
+// and RestoreMatrixSet, the path a peer-fetched blob takes. Nothing may
+// panic. Either the blob is refused, or every budget of FuzzSpillRows'
+// ladder answers with a WarmLostError or with rows that tile the series at
+// a finite, non-negative error. A lazy set reads and checks the resume row
+// only when a budget fills past the spilled rows. An unmutated blob answers
+// as a cold set does.
 //
 // Each mutation is ten bytes: the field (mod hdrFields), an index into the
 // row errors or the resume row, and the new value as eight little-endian
@@ -489,7 +726,9 @@ func FuzzSpillHeader(f *testing.F) {
 		f.Fatalf("warm blob: %v, has SSEmax %v", err, err == nil && base.HasMax)
 	}
 	hl := int(binary.LittleEndian.Uint32(blob[8:]))
-	sealed := blob[hl-4 : hl] // the pristine header CRC
+	sealed := blob[hl-4 : hl]     // the pristine header CRC
+	resumeCRC := 8 * (base.N + 1) // the resume row's CRC, from the end of the header
+	sealedResume := blob[hl+resumeCRC : hl+resumeCRC+4]
 	budgets, cold := spillLadder(f, series)
 	names := []string{"ptac", "ptae", "dpbasic", "gms", "", "dp", "dp+imax+jmin", "dp+imax+jmin/fill=dc"}
 	nan, inf := math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1))
@@ -549,6 +788,7 @@ func FuzzSpillHeader(f *testing.F) {
 			binary.LittleEndian.PutUint32(data[hl-4:], crc32.ChecksumIEEE(data[:hl-4]))
 		} else {
 			copy(data[hl-4:hl], sealed)
+			copy(data[hl+resumeCRC:], sealedResume)
 		}
 		pristine := bytes.Equal(data, blob)
 		if err := os.WriteFile(path, data, 0o644); err != nil {

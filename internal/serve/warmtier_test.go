@@ -366,9 +366,9 @@ func TestSlabTruncationWhileOpen(t *testing.T) {
 		t.Fatal("store refused the warm set")
 	}
 
-	// Restore lazily (the rows stay in the file), then truncate the file so
-	// every row is beyond EOF. n=600 keeps the header past the 4 KiB cut,
-	// so the whole row region reads short.
+	// Restore lazily (every section past the header stays in the file),
+	// then truncate the file inside the resume row: n=600 keeps that row
+	// past the 4 KiB cut, so the rows and the paths read short.
 	lazy := cs.load(key, series, "ptac", pta.Options{})
 	if lazy == nil {
 		t.Fatal("lazy load failed on an intact file")
@@ -415,8 +415,7 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 	ts1.Close()
 
 	_, ts2 := newTestServer(t, Config{SpillDir: dir})
-	// Shallow budget first: one read brings in rows 1..3, 4..6 stay in the
-	// file.
+	// Shallow budget first: it reads its split path alone.
 	if res := spillSend(t, ts2.URL, planWire{Strategy: "ptac", Budget: "c=3"}); res.Cache != cacheHit || res.Stats.Cells != 0 {
 		t.Fatalf("shallow budget after restart: cache=%q cells=%d", res.Cache, res.Stats.Cells)
 	}
@@ -424,17 +423,17 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("%d spill files, want 1", len(files))
 	}
-	// Cut rows 4..6 off the file under the open view (the header keeps its
-	// size, so only reads of those rows fail).
+	// Cut budget 6's path, the file's last section, off under the open view
+	// (the header keeps its size, so only reads of that path fail).
 	data, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(files[0], int64(len(data))-3*int64(spillRowSize(7))); err != nil {
+	if err := os.Truncate(files[0], int64(len(data))-(4*6+4)); err != nil {
 		t.Fatal(err)
 	}
 
-	// The deeper budget touches a lost row, the entry is discarded and the
+	// The deeper budget reads the lost path, the entry is discarded and the
 	// request rebuilds cold — correct answer, no error surfaced.
 	res := spillSend(t, ts2.URL, planWire{Strategy: "ptac", Budget: "c=6"})
 	if res.Cache != cacheMiss || res.Stats.Cells == 0 {

@@ -11,7 +11,9 @@ import (
 // the identifying class. It is what a persistent cache tier serializes to
 // disk so a restarted worker answers previously-warm series without
 // refilling a single matrix cell (internal/serve's cachestore wraps it in a
-// versioned binary format keyed by content fingerprint).
+// versioned binary format keyed by content fingerprint, which also stores
+// every filled budget's backtrack path, so a lazy reload reads k split
+// points instead of k split rows).
 //
 // A snapshot is only meaningful together with the exact series it was
 // taken over — it carries no series data. Callers establish that identity
@@ -25,7 +27,7 @@ type MatrixSnapshot struct {
 	N        int       // series length the rows were filled for
 	Filled   int       // rows 1..Filled are present
 	RowErr   []float64 // E[k][n] per filled row, len Filled
-	LastE    []float64 // E[Filled][0..n], len N+1
+	LastE    []float64 // E[Filled][0..n], len N+1 (nil for a lazy restore whose source serves it)
 	Splits   []int32   // J rows, row-major, len Filled×(N+1)
 	Bound    float64   // SSEmax when HasMax (error-budget normalization)
 	HasMax   bool
@@ -85,8 +87,9 @@ func RestoreMatrixSet(s *Series, strategy string, opts Options, snap *MatrixSnap
 
 // SplitRowSource supplies restored split-point rows on demand for
 // RestoreMatrixSetLazy; see core.SplitRowSource. Implementations live in the
-// persistence layer (internal/serve's spill-file view, which also reads a
-// walk's rows in one range read).
+// persistence layer: internal/serve's spill-file view also reads a walk's
+// rows in one range read, a budget's backtrack path alone
+// (core.SplitPathSource) and the resume row (core.ResumeRowSource).
 type SplitRowSource = core.SplitRowSource
 
 // WarmLostError is the typed error a restored set surfaces when its split
@@ -98,12 +101,14 @@ type WarmLostError = core.WarmLostError
 
 // RestoreMatrixSetLazy is RestoreMatrixSet with the split-point rows left
 // behind a SplitRowSource: snap.Splits is ignored (may be nil) and the J
-// rows are read from src by the first backtrack that walks them. The
-// scalar state (RowErr, LastE, Bound) still restores eagerly, so budget
-// searches and deeper fills run without touching src at all; only answering
-// a budget pays for exactly the rows its backtrack walks. If src fails later,
-// or a row holds a split point the walk cannot follow, the evaluation
-// returns a WarmLostError and the set must be discarded.
+// rows are read from src by the first backtrack that walks them — or, from
+// a source that serves paths, only the split points of the budget's own
+// walk. RowErr and Bound still restore eagerly, so budget searches run
+// without touching src at all. LastE restores eagerly too, unless it is
+// nil and src serves the resume row: then the first fill past the restored
+// rows reads and checks it. If src fails later, or a row holds a split
+// point the walk cannot follow, the evaluation returns a WarmLostError and
+// the set must be discarded.
 func RestoreMatrixSetLazy(s *Series, strategy string, opts Options, snap *MatrixSnapshot, src SplitRowSource) (*MatrixSet, error) {
 	m, err := restoreTarget(s, strategy, opts, snap)
 	if err != nil {
