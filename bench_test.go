@@ -104,7 +104,7 @@ func BenchmarkFig02ApproximationZoo(b *testing.B) {
 		if _, err := approx.Chebyshev(vals, 10); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := approx.PAAReconstruct(vals, 10); err != nil {
+		if _, err := approx.PAA(vals, 10, series.Start); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := approx.APCA(vals, 10, series.Start); err != nil {
@@ -290,7 +290,7 @@ func BenchmarkFig18aDPBasicNoGaps(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DPBasic(seq, 100, core.Options{}); err != nil {
+		if _, err := core.PTAcAblation(seq, 100, core.Options{}, core.PruneNone); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func BenchmarkFig18bDPBasicWithGaps(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DPBasic(seq, 200, core.Options{}); err != nil {
+		if _, err := core.PTAcAblation(seq, 200, core.Options{}, core.PruneNone); err != nil {
 			b.Fatal(err)
 		}
 	}

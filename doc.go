@@ -51,7 +51,7 @@
 // thin wrappers over a lazily-initialized serial default engine.
 //
 // The strategy registry behind one Evaluator interface covers the exact
-// dynamic programs (PTAc, PTAe, the unpruned DPBasic and the Section 5.3
+// dynamic programs (PTAc, PTAe, the unpruned dpbasic and the Section 5.3
 // ablation modes), the greedy strategies (GMS, gap-bridging GMS), the
 // streaming evaluators with δ read-ahead (gPTAc, gPTAε), the age-weighted
 // amnesic reduction ("amnesic", after Palpanas et al.), and the classic

@@ -68,22 +68,6 @@ func IFFT(re, im []float64) error {
 	return nil
 }
 
-// DFTNaive is the O(n²) direct transform, used to cross-check FFT in tests.
-func DFTNaive(re, im []float64) ([]float64, []float64) {
-	n := len(re)
-	outRe := make([]float64, n)
-	outIm := make([]float64, n)
-	for k := 0; k < n; k++ {
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			c, s := math.Cos(ang), math.Sin(ang)
-			outRe[k] += re[t]*c - im[t]*s
-			outIm[k] += re[t]*s + im[t]*c
-		}
-	}
-	return outRe, outIm
-}
-
 // DFTTopK reconstructs vals from its c largest-magnitude Fourier
 // coefficients. Conjugate-symmetric partners count as one retained
 // coefficient pair, matching the usual accounting in similarity-search work.

@@ -37,18 +37,3 @@ func PAA(vals []float64, c int, start temporal.Chronon) ([]Segment, error) {
 	}
 	return out, nil
 }
-
-// PAAReconstruct expands the PAA of vals back to full resolution.
-func PAAReconstruct(vals []float64, c int) ([]float64, error) {
-	segs, err := PAA(vals, c, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(vals))
-	for _, sg := range segs {
-		for t := sg.T.Start; t <= sg.T.End; t++ {
-			out[t] = sg.Vals[0]
-		}
-	}
-	return out, nil
-}

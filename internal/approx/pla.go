@@ -26,11 +26,6 @@ type LinearSegment struct {
 	Slope  float64
 }
 
-// At evaluates the segment at chronon t.
-func (s LinearSegment) At(t temporal.Chronon) float64 {
-	return s.Value0 + s.Slope*float64(t-s.T.Start)
-}
-
 // PLA compresses the series (one value per chronon starting at `start`) into
 // linear segments whose pointwise deviation never exceeds eps.
 func PLA(vals []float64, eps float64, start temporal.Chronon) ([]LinearSegment, error) {
@@ -79,18 +74,4 @@ func PLA(vals []float64, eps float64, start temporal.Chronon) ([]LinearSegment, 
 		i = j
 	}
 	return out, nil
-}
-
-// PLAReconstruct expands the segments back to one value per chronon.
-func PLAReconstruct(segs []LinearSegment, n int, start temporal.Chronon) []float64 {
-	out := make([]float64, n)
-	for _, s := range segs {
-		for t := s.T.Start; t <= s.T.End; t++ {
-			idx := int(t - start)
-			if idx >= 0 && idx < n {
-				out[idx] = s.At(t)
-			}
-		}
-	}
-	return out
 }

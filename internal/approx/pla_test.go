@@ -9,6 +9,25 @@ import (
 	"repro/internal/temporal"
 )
 
+// At evaluates the segment at chronon t.
+func (s LinearSegment) At(t temporal.Chronon) float64 {
+	return s.Value0 + s.Slope*float64(t-s.T.Start)
+}
+
+// PLAReconstruct expands the segments back to one value per chronon.
+func PLAReconstruct(segs []LinearSegment, n int, start temporal.Chronon) []float64 {
+	out := make([]float64, n)
+	for _, s := range segs {
+		for t := s.T.Start; t <= s.T.End; t++ {
+			idx := int(t - start)
+			if idx >= 0 && idx < n {
+				out[idx] = s.At(t)
+			}
+		}
+	}
+	return out
+}
+
 func TestPLAExactLine(t *testing.T) {
 	vals := make([]float64, 50)
 	for i := range vals {

@@ -16,12 +16,6 @@ import (
 type SAXWord struct {
 	// Symbols holds one letter per segment, 'a' + bin index.
 	Symbols []byte
-	// Breakpoints are the w−1 standard-normal quantile boundaries used.
-	Breakpoints []float64
-	// Mean and Std of the original series (for reconstruction).
-	Mean, Std float64
-	// SegLen is the nominal segment length n/c.
-	N, C int
 }
 
 // String returns the word as text, e.g. "accbba".
@@ -106,7 +100,7 @@ func SAX(vals []float64, c, w int) (*SAXWord, error) {
 		return nil, err
 	}
 	bps := saxBreakpoints(w)
-	word := &SAXWord{Breakpoints: bps, Mean: mean, Std: std, N: n, C: len(segs)}
+	word := &SAXWord{}
 	for _, sg := range segs {
 		z := (sg.Vals[0] - mean) / std
 		bin := 0
@@ -116,34 +110,4 @@ func SAX(vals []float64, c, w int) (*SAXWord, error) {
 		word.Symbols = append(word.Symbols, byte('a'+bin))
 	}
 	return word, nil
-}
-
-// Reconstruct maps every symbol back to the centre of its normal bin (outer
-// bins use the breakpoint ± half the median bin width) and expands segments
-// to full resolution — a coarse numeric rendering used only for error
-// comparisons.
-func (w *SAXWord) Reconstruct() []float64 {
-	bps := w.Breakpoints
-	bins := len(bps) + 1
-	centers := make([]float64, bins)
-	for i := 0; i < bins; i++ {
-		switch {
-		case i == 0:
-			centers[i] = bps[0] - 0.5
-		case i == bins-1:
-			centers[i] = bps[len(bps)-1] + 0.5
-		default:
-			centers[i] = (bps[i-1] + bps[i]) / 2
-		}
-	}
-	out := make([]float64, w.N)
-	for k, sym := range w.Symbols {
-		lo := k * w.N / w.C
-		hi := (k + 1) * w.N / w.C
-		v := centers[sym-'a']*w.Std + w.Mean
-		for i := lo; i < hi; i++ {
-			out[i] = v
-		}
-	}
-	return out
 }

@@ -72,29 +72,6 @@ type Segment struct {
 	Vals []float64
 }
 
-// SSESegments returns the sum squared error of a step function against the
-// series.
-func (s *Series) SSESegments(segs []Segment, w2 []float64) float64 {
-	var total float64
-	for _, sg := range segs {
-		for t := sg.T.Start; t <= sg.T.End; t++ {
-			idx := int(t - s.Start)
-			if idx < 0 || idx >= s.Len() {
-				continue
-			}
-			for d := range s.Dims {
-				w := 1.0
-				if w2 != nil {
-					w = w2[d]
-				}
-				diff := s.Dims[d][idx] - sg.Vals[d]
-				total += w * diff * diff
-			}
-		}
-	}
-	return total
-}
-
 // CountPlateaus returns the number of maximal constant runs in vals — the
 // "segments" of a reconstructed step signal (used to size DWT results).
 func CountPlateaus(vals []float64) int {

@@ -8,7 +8,8 @@
 //   - the merge operator ⊕ and the sum-squared error measure (Defs. 3 and 5),
 //   - prefix matrices for O(p) error evaluation of any adjacent run (Prop. 1),
 //   - the exact dynamic-programming evaluators PTAc and PTAe (Sec. 5),
-//     including the unpruned DPBasic baseline of the experiments,
+//     including the unpruned baseline of the experiments (PTAcAblation
+//     with PruneNone),
 //   - the greedy merging strategy GMS and the streaming greedy evaluators
 //     GPTAc and GPTAe with δ read-ahead (Sec. 6), gap-bridging GMSBridged
 //     (Sec. 8) and the relative-amnesic reduction Amnesic (Sec. 2.2), all

@@ -186,9 +186,9 @@ func (st *dpState) fillFirstRow(imax int) error {
 
 // mergeCost returns w(j+1, i), the cost of merging s_{j+1}..s_i into one
 // tuple: Inf when the range crosses a gap, else the table's entry when the
-// current ensure call built one, else the kernel closure's value. All three
-// are MergeErrAll(j+1, i) bit for bit. The scan's inner loops make the same
-// choice per cell.
+// current ensure call built one, else the kernel closure's value. The last
+// two equal MergeErr(j+1, i) bit for bit. The scan's inner loops make the
+// same choice per cell.
 func (st *dpState) mergeCost(j, i int) float64 {
 	switch {
 	case j < int(st.rightGap[i]):
@@ -409,8 +409,8 @@ func walkSplits(dst []temporal.SeqRow, kn *CostKernel, off, n int, split func(k,
 }
 
 // PruneMode selects which of the two Section 5.3 search-space bounds the
-// dynamic program applies. PTAc uses PruneBoth; DPBasic uses PruneNone; the
-// other modes exist for the ablation experiment.
+// dynamic program applies. PTAc uses PruneBoth; the dpbasic strategy uses
+// PruneNone; the other modes exist for the ablation experiment.
 type PruneMode uint8
 
 const (
@@ -465,14 +465,6 @@ func solveSize(seq *temporal.Sequence, c int, opts Options, pruneI, pruneJ bool)
 // groups the Section 5.3 bounds prune most cells.
 func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 	return solveSize(seq, c, opts, true, true)
-}
-
-// DPBasic evaluates size-bounded PTA with the basic dynamic-programming
-// scheme of Section 5.1: constant-time error evaluation but no gap/group
-// pruning. It returns the same result as PTAc and exists as the baseline of
-// the performance experiments (Figs. 18 and 19).
-func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
-	return solveSize(seq, c, opts, false, false)
 }
 
 // PTAe evaluates error-bounded PTA exactly (Definition 7, algorithm of

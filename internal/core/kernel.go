@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +54,7 @@ type CostKernel struct {
 
 	// certifies counts how many times computeSegments actually ran — at most
 	// 1 per kernel by construction. Tests read it to pin the guarantee that
-	// retained paths (Solver Deepen rounds, repeated coverage queries) never
+	// retained paths (deepening rounds, repeated coverage queries) never
 	// re-certify; see TestSolverCertifiesOnce.
 	certifies atomic.Int64
 }
@@ -397,33 +396,20 @@ func (kn *CostKernel) rangeErr() func(i, j int) float64 {
 // over the out-of-segment candidates (see fill.go).
 //
 // The segmentation is computed at most once per kernel under a sync.Once,
-// so, unlike most kernel methods, MonotoneSegments (and MonotoneRuns /
-// MonotoneCoverage) is safe to call from concurrent goroutines sharing one
-// kernel. Callers must not mutate the returned slice.
+// so, unlike most kernel methods, MonotoneSegments (and MonotoneCoverage)
+// is safe to call from concurrent goroutines sharing one kernel. Callers
+// must not mutate the returned slice.
 func (kn *CostKernel) MonotoneSegments() []int32 {
 	kn.monoOnce.Do(kn.computeSegments)
 	return kn.monoSegs
-}
-
-// MonotoneRuns reports whether every maximal gap-free run is monotone in
-// every dimension as a whole — the shape of cumulative counters and other
-// accumulating series, and the strongest certificate: the monotone row
-// fill then applies to entire rows. Equivalent to the piecewise segmentation
-// having exactly one segment per run.
-func (kn *CostKernel) MonotoneRuns() bool {
-	kn.monoOnce.Do(kn.computeSegments)
-	if kn.n == 0 {
-		return true
-	}
-	return len(kn.monoSegs) == len(kn.gaps)+1
 }
 
 // MonotoneCoverage reports the fraction of rows lying inside monotone
 // segments long enough for the per-segment fill dispatch to engage (see
 // fillSegmentMin) — the share of the series that gets the monotone-fill
 // speedup. 1.0 on counter-like data, 0.0 on pure oscillating noise. The
-// value is cached alongside the segmentation, so repeated queries (Solver
-// Deepen rounds, /v1/stats scrapes) cost a Once check, not a rescan.
+// value is cached alongside the segmentation, so repeated queries (solver
+// deepening rounds, /v1/stats scrapes) cost a Once check, not a rescan.
 func (kn *CostKernel) MonotoneCoverage() float64 {
 	kn.monoOnce.Do(kn.computeSegments)
 	return kn.monoCov
@@ -488,36 +474,6 @@ func (kn *CostKernel) computeSegments() {
 		}
 	}
 	kn.monoCov = float64(covered) / float64(kn.n)
-}
-
-// HasGap reports whether the run s_i..s_j (1-based, inclusive) contains at
-// least one non-adjacent pair.
-func (kn *CostKernel) HasGap(i, j int) bool {
-	if i >= j {
-		return false
-	}
-	// The run has a gap iff some gap position l satisfies i ≤ l < j.
-	k := sort.SearchInts(kn.gaps, i)
-	return k < len(kn.gaps) && kn.gaps[k] < j
-}
-
-// RightmostGapBefore returns the largest gap position strictly smaller than
-// i, or 0 when there is none. It is the j_min bound of Section 5.3.
-func (kn *CostKernel) RightmostGapBefore(i int) int {
-	k := sort.SearchInts(kn.gaps, i)
-	if k == 0 {
-		return 0
-	}
-	return kn.gaps[k-1]
-}
-
-// MergeErrAll returns the error of merging s_i..s_j into one tuple, or Inf
-// when the run crosses a gap or group boundary.
-func (kn *CostKernel) MergeErrAll(i, j int) float64 {
-	if kn.HasGap(i, j) {
-		return Inf
-	}
-	return kn.MergeErr(i, j)
 }
 
 // MaxError returns SSEmax = SSE(s, ρ(s, cmin)): the error of the maximal

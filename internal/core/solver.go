@@ -104,16 +104,6 @@ func (sv *Solver) Fill() FillAlgo { return sv.st.algo }
 // this per request is free.
 func (sv *Solver) MonotoneCoverage() float64 { return sv.kn.MonotoneCoverage() }
 
-// Deepen fills matrix rows up to k (at most n) without answering a budget.
-// Already-filled rows are never recomputed; Deepen(ctx, k) for k ≤ Rows()
-// is a no-op. Only tests call it, to fill rows apart from any budget.
-func (sv *Solver) Deepen(ctx context.Context, k int) error {
-	if k > sv.kn.N() {
-		k = sv.kn.N()
-	}
-	return sv.ensure(ctx, k)
-}
-
 // ensure fills rows filled+1..k under ctx: the one loop that fills DP rows,
 // toward a budget or, for Matrices and ErrorCurve, to a row count. Rows are
 // filled strictly in order; already-filled rows are never recomputed. A
@@ -509,7 +499,7 @@ func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 		return err
 	}
 	// Unread rows are nil slots; fillRow appends deeper rows after them, so
-	// Deepen works before any walk forces a read.
+	// a deeper fill works before any walk forces a read.
 	sv.st.splits = append(sv.st.splits[:0], make([][]int32, st.Filled)...)
 	sv.adopt(st)
 	sv.lazy, sv.restored = rows, st.Filled

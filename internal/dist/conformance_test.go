@@ -46,18 +46,13 @@ import (
 
 // newTestCoordinator wires a coordinator to the cluster with test-friendly
 // retry pacing.
-func newTestCoordinator(t testing.TB, cluster *disttest.Cluster, extra ...Option) *Coordinator {
+func newTestCoordinator(t testing.TB, cluster *disttest.Cluster) *Coordinator {
 	t.Helper()
-	opts := append([]Option{
-		WithWorkers(cluster.URLs()...),
-		WithBackoff(time.Millisecond),
-		WithRetries(4),
-		WithShardTimeout(30 * time.Second),
-	}, extra...)
-	co, err := New(opts...)
+	co, err := New(WithWorkers(cluster.URLs()...))
 	if err != nil {
 		t.Fatalf("dist.New: %v", err)
 	}
+	co.backoff, co.retries, co.timeout = time.Millisecond, 4, 30*time.Second
 	return co
 }
 
@@ -283,7 +278,7 @@ func checkCell(t *testing.T, ctx context.Context, co *Coordinator, serial, par *
 		t.Errorf("%s: dist result invalid: %v", name, err)
 		return false
 	}
-	if dres.Strategy == "" || dres.Budget.IsZero() {
+	if dres.Strategy == "" || dres.Budget == (pta.Budget{}) {
 		t.Errorf("%s: dist result missing strategy/budget metadata", name)
 		return false
 	}
@@ -334,10 +329,11 @@ func TestDistConformanceFillAlgos(t *testing.T) {
 		t.Cleanup(spy.Close)
 		urls = append(urls, spy.URL)
 	}
-	co, err := New(WithWorkers(urls...), WithBackoff(time.Millisecond), WithRetries(4), WithShardTimeout(30*time.Second))
+	co, err := New(WithWorkers(urls...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	co.backoff, co.retries, co.timeout = time.Millisecond, 4, 30*time.Second
 	serial, err := pta.New()
 	if err != nil {
 		t.Fatal(err)

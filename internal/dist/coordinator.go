@@ -20,13 +20,12 @@ import (
 )
 
 const (
-	defaultVnodes       = 96
+	virtualNodes        = 96 // points per worker on the hash ring
 	defaultRetries      = 3
 	defaultBackoff      = 25 * time.Millisecond
 	defaultShardTimeout = 15 * time.Second
-	defaultFanout       = 16
-	defaultCurveEntries = 256
-	routedMemoLimit     = 4096
+	shardFanout         = 16  // concurrent shard fetches per compression
+	curveCacheEntries   = 256 // runs held by the sub-request curve cache
 	maxResponseBytes    = 64 << 20
 )
 
@@ -43,14 +42,12 @@ const (
 // what makes the distributed result bit-identical to the in-process
 // engine's at every parallelism (see docs/ARCHITECTURE.md § Distribution).
 //
-// A Coordinator is safe for concurrent use.
+// A Coordinator is safe for concurrent use; its worker set and ring are
+// fixed at New.
 type Coordinator struct {
-	client  *http.Client
 	timeout time.Duration // per shard attempt
 	retries int           // extra attempts per shard fetch
 	backoff time.Duration // first retry delay; doubles per retry
-	vnodes  int
-	fanout  int // concurrent shard fetches
 
 	m *metrics
 
@@ -58,9 +55,7 @@ type Coordinator struct {
 	// disabled); see curveCache.
 	curves *curveCache
 
-	mu     sync.Mutex
-	ring   *ring
-	routed map[string]string // fingerprint → primary worker; ring-move accounting
+	ring *ring
 }
 
 // Option configures a Coordinator at construction.
@@ -73,95 +68,7 @@ func WithWorkers(urls ...string) Option {
 		if err != nil {
 			return err
 		}
-		c.ring = newRing(ws, c.vnodes)
-		return nil
-	}
-}
-
-// WithHTTPClient replaces the HTTP client shard requests use.
-func WithHTTPClient(client *http.Client) Option {
-	return func(c *Coordinator) error {
-		if client == nil {
-			return fmt.Errorf("dist: WithHTTPClient(nil)")
-		}
-		c.client = client
-		return nil
-	}
-}
-
-// WithShardTimeout bounds one shard request attempt (default 15s); the
-// caller's context still bounds the whole compression.
-func WithShardTimeout(d time.Duration) Option {
-	return func(c *Coordinator) error {
-		if d <= 0 {
-			return fmt.Errorf("dist: WithShardTimeout(%v): want > 0", d)
-		}
-		c.timeout = d
-		return nil
-	}
-}
-
-// WithRetries sets how many extra attempts a failed shard fetch gets; each
-// retry walks to the next surviving ring replica (default 3).
-func WithRetries(n int) Option {
-	return func(c *Coordinator) error {
-		if n < 0 {
-			return fmt.Errorf("dist: WithRetries(%d): want >= 0", n)
-		}
-		c.retries = n
-		return nil
-	}
-}
-
-// WithBackoff sets the delay before the first retry; it doubles per retry
-// (default 25ms).
-func WithBackoff(d time.Duration) Option {
-	return func(c *Coordinator) error {
-		if d < 0 {
-			return fmt.Errorf("dist: WithBackoff(%v): want >= 0", d)
-		}
-		c.backoff = d
-		return nil
-	}
-}
-
-// WithVirtualNodes sets the points per worker on the hash ring — more
-// points, smoother balance (default 96).
-func WithVirtualNodes(n int) Option {
-	return func(c *Coordinator) error {
-		if n < 1 {
-			return fmt.Errorf("dist: WithVirtualNodes(%d): want >= 1", n)
-		}
-		c.vnodes = n
-		return nil
-	}
-}
-
-// WithFanout bounds concurrent shard fetches per compression (default 16).
-func WithFanout(n int) Option {
-	return func(c *Coordinator) error {
-		if n < 1 {
-			return fmt.Errorf("dist: WithFanout(%d): want >= 1", n)
-		}
-		c.fanout = n
-		return nil
-	}
-}
-
-// WithCurveCache bounds the coordinator's sub-request cache of gathered
-// per-run error curves, in runs (default 256; 0 disables). Repeat
-// compressions whose runs are unchanged seed their shards from it and skip
-// the worker scatter entirely.
-func WithCurveCache(entries int) Option {
-	return func(c *Coordinator) error {
-		if entries < 0 {
-			return fmt.Errorf("dist: WithCurveCache(%d): want >= 0", entries)
-		}
-		if entries == 0 {
-			c.curves = nil
-			return nil
-		}
-		c.curves = newCurveCache(entries)
+		c.ring = newRing(ws, virtualNodes)
 		return nil
 	}
 }
@@ -178,18 +85,13 @@ func WithRegistry(reg *obs.Registry) Option {
 	}
 }
 
-// New builds a Coordinator. Note WithVirtualNodes must precede WithWorkers
-// to affect the initial ring.
+// New builds a Coordinator.
 func New(opts ...Option) (*Coordinator, error) {
 	c := &Coordinator{
-		client:  &http.Client{},
 		timeout: defaultShardTimeout,
 		retries: defaultRetries,
 		backoff: defaultBackoff,
-		vnodes:  defaultVnodes,
-		fanout:  defaultFanout,
-		curves:  newCurveCache(defaultCurveEntries),
-		routed:  make(map[string]string),
+		curves:  newCurveCache(curveCacheEntries),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -197,7 +99,7 @@ func New(opts ...Option) (*Coordinator, error) {
 		}
 	}
 	if c.ring == nil {
-		c.ring = newRing(nil, c.vnodes)
+		c.ring = newRing(nil, virtualNodes)
 	}
 	if c.m == nil {
 		c.m = newMetrics(obs.NewRegistry())
@@ -226,48 +128,14 @@ func normalizeWorkers(urls []string) ([]string, error) {
 // Registry returns the registry carrying the coordinator's metrics.
 func (c *Coordinator) Registry() *obs.Registry { return c.m.reg }
 
-// Workers returns the current worker set.
+// Workers returns the worker set.
 func (c *Coordinator) Workers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]string(nil), c.ring.workers...)
 }
 
-// SetWorkers replaces the worker set, rebuilding the ring. Recently routed
-// series whose primary worker changes are counted on the ring-moves metric
-// — the live measure of how much cache heat a membership change costs.
-func (c *Coordinator) SetWorkers(urls ...string) error {
-	ws, err := normalizeWorkers(urls)
-	if err != nil {
-		return err
-	}
-	moves := 0
-	c.mu.Lock()
-	c.ring = newRing(ws, c.vnodes)
-	for key, w := range c.routed {
-		if nw := c.ring.lookup(key); nw != w {
-			moves++
-			c.routed[key] = nw
-		}
-	}
-	c.mu.Unlock()
-	c.m.ringMoves.Add(uint64(moves))
-	return nil
-}
-
-// route returns the key's failover sequence (primary first) and memoizes
-// the primary for ring-move accounting.
+// route returns the key's failover sequence (primary first).
 func (c *Coordinator) route(key string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seq := c.ring.sequence(key, len(c.ring.workers))
-	if len(seq) > 0 {
-		if len(c.routed) >= routedMemoLimit {
-			c.routed = make(map[string]string) // bounded memo: reset, not LRU
-		}
-		c.routed[key] = seq[0]
-	}
-	return seq
+	return c.ring.sequence(key, len(c.ring.workers))
 }
 
 // shard is one maximal gap-free run of the series with the state gathered
@@ -414,7 +282,7 @@ func (c *Coordinator) gather(ctx context.Context, shards []*shard, kcap int, opt
 		return nil
 	}
 	c.m.shards.Add(uint64(len(jobs)))
-	sem := make(chan struct{}, c.fanout)
+	sem := make(chan struct{}, shardFanout)
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
@@ -504,7 +372,7 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte) ([]s
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	c.m.workerSeconds.With(worker).Observe(time.Since(start).Seconds())
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ type metrics struct {
 	compressions  *obs.Counter
 	shards        *obs.Counter
 	retries       *obs.Counter
-	ringMoves     *obs.Counter
 	curveHits     *obs.Counter
 	curveMisses   *obs.Counter
 	workerSeconds *obs.HistogramVec
@@ -25,8 +24,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Shard curve fetches issued to workers (the scatter fan-out)."),
 		retries: reg.NewCounter("ptadist_retries_total",
 			"Shard requests retried after a worker failure, timeout, error status or corrupt response."),
-		ringMoves: reg.NewCounter("ptadist_ring_moves_total",
-			"Recently routed series whose primary worker changed on a ring update."),
 		curveHits: reg.NewCounter("ptadist_curve_hits_total",
 			"Shards seeded from the coordinator's sub-request curve cache (no worker scatter for already-gathered rows)."),
 		curveMisses: reg.NewCounter("ptadist_curve_misses_total",

@@ -74,8 +74,9 @@ func TestDistCurveCacheSkipsRescatter(t *testing.T) {
 		t.Fatalf("repeat eps compression issued %d shard requests, want 0", got-shardsAfterE)
 	}
 
-	// WithCurveCache(0) restores the always-scatter behavior.
-	off := newTestCoordinator(t, cluster, WithCurveCache(0))
+	// A nil curve cache restores the always-scatter behavior.
+	off := newTestCoordinator(t, cluster)
+	off.curves = nil
 	offFirst := mustCompress(t, off, s, b)
 	offShards := off.m.shards.Value()
 	assertSameResult(t, "cache off", mustCompress(t, off, s, b), offFirst)

@@ -33,9 +33,6 @@ type Config struct {
 	Engine *pta.Engine
 }
 
-// DefaultConfig is the standard reproduction configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 42} }
-
 // fallbackEngine serves configs without an explicit engine.
 var fallbackEngine = sync.OnceValue(func() *pta.Engine {
 	e, err := pta.New()

@@ -128,18 +128,6 @@ func Eval(r *temporal.Relation, q Query, specs []GroupSpec) (*temporal.Sequence,
 	return out, nil
 }
 
-// InstantSpecs builds one group spec per (value combination, instant) over
-// the span — the decomposition whose coalesced evaluation is ITA.
-func InstantSpecs(valueCombos [][]temporal.Datum, span temporal.Interval) []GroupSpec {
-	var out []GroupSpec
-	for _, vals := range valueCombos {
-		for t := span.Start; t <= span.End; t++ {
-			out = append(out, GroupSpec{Vals: vals, T: temporal.Inst(t)})
-		}
-	}
-	return out
-}
-
 // SpanSpecs builds one group spec per (value combination, span) — the
 // decomposition equal to STA.
 func SpanSpecs(valueCombos [][]temporal.Datum, spans []temporal.Interval) []GroupSpec {

@@ -55,6 +55,18 @@ func TestMDTASubsumesSTA(t *testing.T) {
 	}
 }
 
+// InstantSpecs builds one group spec per (value combination, instant) over
+// the span — the decomposition whose coalesced evaluation is ITA.
+func InstantSpecs(valueCombos [][]temporal.Datum, span temporal.Interval) []GroupSpec {
+	var out []GroupSpec
+	for _, vals := range valueCombos {
+		for t := span.Start; t <= span.End; t++ {
+			out = append(out, GroupSpec{Vals: vals, T: temporal.Inst(t)})
+		}
+	}
+	return out
+}
+
 // TestMDTASubsumesITA: instant specs plus coalescing reproduce ITA.
 func TestMDTASubsumesITA(t *testing.T) {
 	r := projRelation()

@@ -257,47 +257,7 @@ func (c *CounterFunc) write(b *[]byte) {
 	*b = append(*b, '\n')
 }
 
-// --- Gauge ---
-
-// Gauge is a value that can go up and down, stored as float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-
-	name, help string
-}
-
-// NewGauge registers a plain gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; lock-free).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) write(b *[]byte) {
-	header(b, g.name, g.help, "gauge")
-	*b = append(*b, g.name...)
-	*b = append(*b, ' ')
-	*b = appendFloat(*b, g.Value())
-	*b = append(*b, '\n')
-}
+// --- GaugeFunc ---
 
 // GaugeFunc is a gauge computed at scrape time (pool depths, uptimes,
 // footprints owned elsewhere).

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -21,11 +20,9 @@ func expose(t *testing.T, r *Registry) string {
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("jobs_total", "Jobs processed.")
-	g := r.NewGauge("queue_depth", "Current queue depth.")
+	r.NewGaugeFunc("queue_depth", "Current queue depth.", func() float64 { return 1.5 })
 	c.Inc()
 	c.Add(4)
-	g.Set(2.5)
-	g.Add(-1)
 
 	text := expose(t, r)
 	for _, want := range []string{
@@ -153,7 +150,6 @@ func TestRegistryPanics(t *testing.T) {
 func TestConcurrentHotPath(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("n_total", "n")
-	g := r.NewGauge("g", "g")
 	h := r.NewHistogram("h_seconds", "h", []float64{1, 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -162,7 +158,6 @@ func TestConcurrentHotPath(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(0.5)
 				h.Observe(float64(i % 4))
 			}
 		}()
@@ -176,9 +171,6 @@ func TestConcurrentHotPath(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Value())
-	}
-	if math.Abs(g.Value()-4000) > 1e-9 {
-		t.Errorf("gauge = %v, want 4000", g.Value())
 	}
 	if h.Count() != 8000 {
 		t.Errorf("histogram count = %d, want 8000", h.Count())

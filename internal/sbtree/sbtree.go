@@ -137,16 +137,6 @@ func (t *Tree) At(ts temporal.Chronon) (count float64, sums []float64) {
 	return acc[0], acc[1:]
 }
 
-// AvgAt returns the average of attribute d at instant ts and whether any
-// tuple is active there.
-func (t *Tree) AvgAt(ts temporal.Chronon, d int) (float64, bool) {
-	count, sums := t.At(ts)
-	if count == 0 {
-		return 0, false
-	}
-	return sums[d] / count, true
-}
-
 // Sequence materializes the current state as a sequential relation over the
 // given aggregate functions, mirroring ITA's output for sum/count/avg.
 // fns[d] selects what column d reports from attribute attr[d]; attr is

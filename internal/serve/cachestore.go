@@ -7,11 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/pta"
 )
@@ -35,27 +39,36 @@ import (
 // needs it and checks its CRC in its private copy then, not at load time.
 // Header-level mismatches (magic, version, key, shape, CRC, a file of the
 // wrong size) are a cold miss: the bad file is removed and the caller
-// rebuilds. Section-level corruption — a CRC mismatch, a short read from a
-// file truncated in place, a split point no fill writes or a resume row no
-// fill writes — surfaces later as a pta.WarmLostError from the evaluation;
-// the serve layer then calls discardCorrupt and retries cold. Writes go
+// rebuilds. A file the file system would not open, stat or read (out of
+// descriptors, say) is a cold miss too, but stays for the next one.
+// Section-level corruption — a CRC mismatch, a short read from a file
+// truncated in place, a split point no fill writes or a resume row no fill
+// writes — surfaces later as a pta.WarmLostError from the evaluation; the
+// serve layer then calls discardCorrupt and retries cold. Writes go
 // through a temp file + rename so a crash mid-write never leaves a torn
 // file under a live key.
 type cacheStore struct {
-	dir      string
-	maxBytes int64
+	dir string
 
 	loads, stores, errors atomic.Int64
 
 	// views tracks the live lazy view per spill path so corrupt-file
 	// removal can close its descriptor before unlinking: a set still
 	// holding the view then fails cleanly instead of reading rows of a file
-	// the store has discarded. Superseded views (a deepened re-spill renames
-	// a new inode over the path) stay valid over their old inode and are
-	// closed by their GC cleanup.
+	// the store has discarded. It holds each view weakly, so a view no set
+	// reaches any more is collected, and its GC cleanups close its
+	// descriptor and remove its entry: open descriptors are bounded by the
+	// resident sets, not by every key ever reloaded. Superseded views (a
+	// deepened re-spill renames a new inode over the path) stay valid over
+	// their old inode until then.
 	viewsMu sync.Mutex
-	views   map[string]*slabView
+	views   map[string]weak.Pointer[slabView]
 }
+
+// spillMaxBytes bounds one spill file, split rows and split paths
+// together; larger snapshots stay memory-only, and peers refuse larger
+// blobs.
+const spillMaxBytes = 64 << 20
 
 const (
 	spillMagic    = "PTAM"
@@ -80,16 +93,22 @@ func (l spillLayout) rowOff(k int) int  { return l.header + 8*(l.n+1) + 4 + (k-1
 func (l spillLayout) pathOff(k int) int { return l.rowOff(l.filled+1) + (k-1)*(2*k+4) }
 func (l spillLayout) size() int         { return l.pathOff(l.filled + 1) }
 
-// newCacheStore opens (creating if needed) the spill directory. maxBytes
-// bounds one spill file (0 = 64 MiB); oversized snapshots stay memory-only.
-func newCacheStore(dir string, maxBytes int64) (*cacheStore, error) {
+// snapshotLayout is the layout of snap's blob under key.
+func snapshotLayout(key string, snap *pta.MatrixSnapshot) spillLayout {
+	header := spillPreamble +
+		4 + len(key) + 4 + len(snap.Strategy) + 4 + len(snap.Class) +
+		8 + 8 + 1 + 8 + // n, filled, hasMax, bound
+		8*len(snap.RowErr) +
+		4 // header crc
+	return spillLayout{header: header, n: snap.N, filled: snap.Filled}
+}
+
+// newCacheStore opens (creating if needed) the spill directory.
+func newCacheStore(dir string) (*cacheStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spill dir: %w", err)
 	}
-	if maxBytes == 0 {
-		maxBytes = 64 << 20
-	}
-	return &cacheStore{dir: dir, maxBytes: maxBytes, views: make(map[string]*slabView)}, nil
+	return &cacheStore{dir: dir, views: make(map[string]weak.Pointer[slabView])}, nil
 }
 
 // spillHash maps a cache key to its content address: the hex of the first
@@ -117,32 +136,33 @@ func (cs *cacheStore) store(key string, set *pta.MatrixSet) bool {
 		cs.errors.Add(1)
 		return false
 	}
-	if snap.Filled == 0 {
+	if snap.Filled == 0 || snapshotLayout(key, snap).size() > spillMaxBytes {
 		return false
 	}
-	data := encodeSnapshot(key, snap)
-	if int64(len(data)) > cs.maxBytes {
-		return false
-	}
-	return cs.writeBlob(key, data)
+	return cs.writeFile(key, func(w io.Writer) error { return writeSnapshot(w, key, snap) })
 }
 
 // adopt writes a peer-fetched, already-validated blob through to the local
 // spill file, so the warmth survives this worker's own restarts too.
 func (cs *cacheStore) adopt(key string, data []byte) bool {
-	if int64(len(data)) > cs.maxBytes {
+	if len(data) > spillMaxBytes {
 		return false
 	}
-	return cs.writeBlob(key, data)
+	return cs.writeFile(key, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
-func (cs *cacheStore) writeBlob(key string, data []byte) bool {
+// writeFile writes key's blob into a temp file and renames it over the
+// spill file.
+func (cs *cacheStore) writeFile(key string, write func(io.Writer) error) bool {
 	tmp, err := os.CreateTemp(cs.dir, "spill-*")
 	if err != nil {
 		cs.errors.Add(1)
 		return false
 	}
-	_, werr := tmp.Write(data)
+	werr := write(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil || os.Rename(tmp.Name(), cs.path(key)) != nil {
 		os.Remove(tmp.Name())
@@ -164,20 +184,24 @@ func (cs *cacheStore) readBlob(hash string) []byte {
 }
 
 // load restores a warm set for key over the series, or nil on any miss: no
-// file, or a file whose header fails validation (corrupt, stale version,
-// shape mismatch). The restored set is lazy: the resume row, split rows and
-// split paths stay in the file behind a slabView, and a budget within the
-// spilled rows reads only its path, one ReadAt of 4k+4 bytes. Header-level
-// bad files are removed so the next miss goes straight to a cold build
-// instead of re-parsing garbage; section-level corruption is detected when
-// read and handled by discardCorrupt.
+// file, a file the file system would not open, stat or read, or a file
+// whose header fails validation (corrupt, stale version, shape mismatch).
+// The restored set is lazy: the resume row, split rows and split paths stay
+// in the file behind a slabView, and a budget within the spilled rows reads
+// only its path, one ReadAt of 4k+4 bytes. Files whose bytes fail
+// validation are removed so the next miss goes straight to a cold build
+// instead of re-parsing garbage; a file-system error condemns nothing.
+// Section-level corruption is detected when read and handled by
+// discardCorrupt.
 func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts pta.Options) *pta.MatrixSet {
 	path := cs.path(key)
 	snap, view, err := cs.openView(path, key)
 	if err != nil {
-		if !os.IsNotExist(err) {
+		if !errors.Is(err, fs.ErrNotExist) {
 			cs.errors.Add(1)
-			cs.drop(path)
+			if !errors.As(err, new(*fs.PathError)) {
+				cs.drop(path)
+			}
 		}
 		return nil
 	}
@@ -188,11 +212,25 @@ func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts
 		cs.drop(path)
 		return nil
 	}
-	cs.viewsMu.Lock()
-	cs.views[path] = view
-	cs.viewsMu.Unlock()
+	cs.track(path, view)
 	cs.loads.Add(1)
 	return set
+}
+
+// track registers view as path's live view, weakly: once no set reaches the
+// view, its cleanup removes the entry (unless a later load replaced it).
+func (cs *cacheStore) track(path string, view *slabView) {
+	wp := weak.Make(view)
+	cs.viewsMu.Lock()
+	cs.views[path] = wp
+	cs.viewsMu.Unlock()
+	runtime.AddCleanup(view, func(path string) {
+		cs.viewsMu.Lock()
+		if cs.views[path] == wp {
+			delete(cs.views, path)
+		}
+		cs.viewsMu.Unlock()
+	}, path)
 }
 
 // discardCorrupt removes key's spill file after its lazy view failed
@@ -209,22 +247,18 @@ func (cs *cacheStore) discardCorrupt(key string) {
 // error instead of reading rows of a discarded file.
 func (cs *cacheStore) drop(path string) {
 	cs.viewsMu.Lock()
-	if v := cs.views[path]; v != nil {
-		delete(cs.views, path)
+	if v := cs.views[path].Value(); v != nil {
 		v.invalidate()
-	} else {
-		cs.viewsMu.Unlock()
-		os.Remove(path)
-		return
 	}
+	delete(cs.views, path)
 	cs.viewsMu.Unlock()
 	os.Remove(path)
 }
 
 // openView opens and header-validates one spill file, returning the eager
 // scalar state (Splits and LastE nil) and the lazy view over the rest. Any
-// error means the file is unusable as a whole; the caller counts and
-// removes it.
+// error means the file is unusable as a whole; a *fs.PathError in its chain
+// means the file system failed, not the file's bytes.
 func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -236,7 +270,7 @@ func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView
 		return nil, nil, err
 	}
 	size := fi.Size()
-	if size < spillPreamble+4 || size > cs.maxBytes {
+	if size < spillPreamble+4 || size > spillMaxBytes {
 		f.Close()
 		return nil, nil, fmt.Errorf("spill: implausible file size %d", size)
 	}
@@ -279,34 +313,32 @@ func (cs *cacheStore) stats() spillStats {
 	return spillStats{Loads: cs.loads.Load(), Stores: cs.stores.Load(), Errors: cs.errors.Load()}
 }
 
-// encodeSnapshot renders the versioned binary spill format, v3: an eagerly
-// validated header — magic, version, total header length, the full cache
-// key (verified on load so a hash-collision file can never serve the wrong
-// series), the scalar snapshot fields and the per-row errors in fixed
+// writeSnapshot streams the versioned binary spill format, v3, to w: an
+// eagerly validated header — magic, version, total header length, the full
+// cache key (verified on load so a hash-collision file can never serve the
+// wrong series), the scalar snapshot fields and the per-row errors in fixed
 // little-endian layout, sealed by a CRC32 — followed by the sections of
 // spillLayout, each sealed by its own CRC32 so a lazy view can validate
 // exactly what it reads: the resume row, one section per split row, and one
 // split path per filled budget, written by one row-major sweep over the
-// rows (pathSweep). The encoding is deterministic: equal snapshots produce
-// byte-identical blobs, which is what makes spill files content-addressed
-// peer resources.
-func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
-	cols := snap.N + 1
-	headerLen := spillPreamble +
-		4 + len(key) + 4 + len(snap.Strategy) + 4 + len(snap.Class) +
-		8 + 8 + 1 + 8 + // n, filled, hasMax, bound
-		8*len(snap.RowErr) +
-		4 // header crc
-	l := spillLayout{header: headerLen, n: snap.N, filled: snap.Filled}
-	b := make([]byte, 0, l.size())
+// rows (pathSweep). Sections gather in one buffer that goes out spillChunk
+// bytes at a time, and the paths are built in it last, so the blob is
+// never held in memory whole. The encoding is deterministic: equal
+// snapshots produce byte-identical blobs, which is what makes spill files
+// content-addressed peer resources.
+func writeSnapshot(w io.Writer, key string, snap *pta.MatrixSnapshot) error {
+	n, filled, cols := snap.N, snap.Filled, snap.N+1
+	l := snapshotLayout(key, snap)
+	paths := l.size() - l.pathOff(1)
+	b := make([]byte, 0, max(spillChunk+max(l.header, 8*cols+4), paths))
 	b = append(b, spillMagic...)
 	b = binary.LittleEndian.AppendUint32(b, spillVersion)
-	b = binary.LittleEndian.AppendUint32(b, uint32(headerLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(l.header))
 	b = appendSpillString(b, key)
 	b = appendSpillString(b, snap.Strategy)
 	b = appendSpillString(b, snap.Class)
-	b = binary.LittleEndian.AppendUint64(b, uint64(snap.N))
-	b = binary.LittleEndian.AppendUint64(b, uint64(snap.Filled))
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	b = binary.LittleEndian.AppendUint64(b, uint64(filled))
 	if snap.HasMax {
 		b = append(b, 1)
 	} else {
@@ -316,36 +348,67 @@ func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 	for _, v := range snap.RowErr {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	var err error
+	if b, err = sealSection(w, b, 0); err != nil {
+		return err
+	}
 	start := len(b)
 	for _, v := range snap.LastE {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-	for k := 0; k < snap.Filled; k++ {
+	if b, err = sealSection(w, b, start); err != nil {
+		return err
+	}
+	for k := 0; k < filled; k++ {
 		start := len(b)
 		for _, v := range snap.Splits[k*cols : (k+1)*cols] {
 			b = binary.LittleEndian.AppendUint32(b, uint32(v))
 		}
-		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+		if b, err = sealSection(w, b, start); err != nil {
+			return err
+		}
 	}
-	b = b[:l.size()]
-	// A snapshot's rows hold split points its fills wrote, so every path
-	// steps.
-	paths := newPathSweep(snap.N, snap.Filled)
-	for r := snap.Filled; r >= 1; r-- {
-		pts, _ := paths.step(r, snap.Splits[(r-1)*cols:r*cols])
-		at := l.pathOff(r) // then path r+t's cell t, past the t paths before it
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	// The paths, at their offsets from path 1. A snapshot's rows hold split
+	// points its fills wrote, so every path steps.
+	b, base := b[:paths], l.pathOff(1)
+	sweep := newPathSweep(n, filled)
+	for r := filled; r >= 1; r-- {
+		pts, _ := sweep.step(r, snap.Splits[(r-1)*cols:r*cols])
+		at := l.pathOff(r) - base // then path r+t's cell t, past the t paths before it
 		for t, j := range pts {
 			binary.LittleEndian.PutUint32(b[at:], uint32(j))
 			at += 4*(r+t) + 8
 		}
 	}
-	for k := 1; k <= snap.Filled; k++ {
-		at := l.pathOff(k)
+	for k := 1; k <= filled; k++ {
+		at := l.pathOff(k) - base
 		binary.LittleEndian.PutUint32(b[at+4*k:], crc32.ChecksumIEEE(b[at:at+4*k]))
 	}
-	return b
+	_, err = w.Write(b)
+	return err
+}
+
+// spillChunk is the size of the writes writeSnapshot issues before the
+// last rows and the paths: fewer, larger, page-aligned writes cost the
+// file system less.
+const spillChunk = 128 << 10
+
+// sealSection appends the CRC32 of the section b[start:] and, once b holds
+// spillChunk bytes, writes them out and keeps the rest.
+func sealSection(w io.Writer, b []byte, start int) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+	if len(b) < spillChunk {
+		return b, nil
+	}
+	if _, err := w.Write(b[:spillChunk]); err != nil {
+		return nil, err
+	}
+	return b[:copy(b, b[spillChunk:])], nil
 }
 
 // pathSweep walks the backtrack of every budget k = 1..filled at once, one

@@ -2,15 +2,34 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/pta"
 )
+
+// encodeSnapshot is writeSnapshot into memory: the blob store writes for
+// snap under key.
+func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
+	var b bytes.Buffer
+	if err := writeSnapshot(&b, key, snap); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
 
 // spillSend posts one compress request and returns the decoded result.
 func spillSend(t *testing.T, url string, plan planWire) resultWire {
@@ -217,5 +236,174 @@ func TestSpillDecodeRejections(t *testing.T) {
 	patchPath(bad, snap.N, snap.Filled, snap.Filled, 0, 0, true) // J[Filled][n] ≥ Filled−1 > 0
 	if _, err := decodeSnapshot(bad, key); !errors.Is(err, errSpillPath) {
 		t.Errorf("decoder on a re-sealed path off its rows: %v, want errSpillPath", err)
+	}
+}
+
+// TestSpillBlobDigest holds the streamed spill encoding to the blobs the
+// in-memory encoder wrote before it: the SHA-256 of the file stored for
+// fixed series and budgets, computed with that encoder. The format is
+// unchanged, so spillVersion stays 3 while these hold.
+func TestSpillBlobDigest(t *testing.T) {
+	for _, tc := range []struct {
+		groups, perGroup, p, c int
+		key, sha               string
+	}{
+		{1, 2048, 1, 204, "digest/mixed-2048", "837d78b2d36f150577eff8bbb7eede8f26168c8bd15427957a6fb43f02b3fdd2"},
+		{1, 7, 1, 2, "digest/seven", "95d8f759c0686682c948c2f01b77e9fb6cf9a549389c453b701e8f831eb6ae14"},
+		{3, 100, 2, 12, "digest/grouped", "30d3e26c8460fe44d83e9c480879c8d8f461a6dcbecd88466920bbda8e084e51"},
+	} {
+		series, err := dataset.Mixed(tc.groups, tc.perGroup, tc.p, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := spillWarm(t, series, tc.key, pta.Size(tc.c))
+		data, err := os.ReadFile(cs.path(tc.key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("%s: blob of %d bytes has SHA-256 %s, want %s", tc.key, len(data), got, tc.sha)
+		}
+	}
+}
+
+// openSpillFiles counts this process's descriptors open on spill files in
+// dir, unlinked ones included.
+func openSpillFiles(t *testing.T, dir string) int {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) && strings.Contains(target, spillSuffix) {
+			open++
+		}
+	}
+	return open
+}
+
+// TestSpillViewsFollowResidentSets: a reloaded spill file's descriptor
+// stays open only while some set reaches its view. Twenty series behind a
+// two-entry cache are filled and spilled, then each is reloaded twice
+// (every answer a zero-cell spill hit, every load evicting a resident
+// entry). Once the GC has collected the evicted sets, only the two resident
+// entries hold spill descriptors; the GC is retried up to a deadline, so
+// the test does not depend on when cleanups run.
+func TestSpillViewsFollowResidentSets(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{SpillDir: dir, CacheEntries: 2})
+	plan := planWire{Strategy: "ptac", Budget: "c=8"}
+	for round := 0; round < 3; round++ {
+		for seed := 0; seed < 20; seed++ {
+			res, _, err := warmSend(ts.URL, memoSeriesWire(seed, 64), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round > 0 && (res.Cache != cacheHit || res.Stats.Cells != 0) {
+				t.Fatalf("round %d, series %d: cache %q after %d cells, want a zero-cell spill hit", round, seed, res.Cache, res.Stats.Cells)
+			}
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		open := openSpillFiles(t, dir)
+		if open <= 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d spill descriptors open after GC, want at most 2 (the resident entries)", open)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSpillOpenErrorKeepsFile: a spill file the file system will not open
+// is a counted cold miss, and it stays: only bytes that fail validation
+// condemn a spill file. A symlink loop makes the open fail with ELOOP here,
+// as running out of descriptors makes it fail with EMFILE in production.
+func TestSpillOpenErrorKeepsFile(t *testing.T) {
+	dir := t.TempDir()
+	_, warm := newTestServer(t, Config{SpillDir: dir})
+	spillSend(t, warm.URL, planWire{Strategy: "ptac", Budget: "c=4"})
+	files := spillFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d spill files, want 1", len(files))
+	}
+	path := files[0]
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Base(path), path); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+
+	s, ts := newTestServer(t, Config{SpillDir: dir})
+	series, err := decodeSeries(projWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	class, _ := pta.DPClass("ptac")
+	key := cacheKey(pta.Fingerprint(series), class, nil)
+	if s.store.path(key) != path {
+		t.Fatalf("cache key maps to %s, the spill file is %s", s.store.path(key), path)
+	}
+	if set := s.store.load(key, series, "ptac", pta.Options{}); set != nil {
+		t.Fatal("load through a symlink loop restored a set")
+	}
+	if _, err := os.Lstat(path); err != nil {
+		t.Fatalf("the spill file is gone after an open error: %v", err)
+	}
+	if got := s.store.stats().Errors; got != 1 {
+		t.Errorf("spill errors = %d, want 1", got)
+	}
+	if res := spillSend(t, ts.URL, planWire{Strategy: "ptac", Budget: "c=4"}); res.Cache != cacheMiss || res.Stats.Cells == 0 {
+		t.Fatalf("cache %q after %d cells, want a cold refill", res.Cache, res.Stats.Cells)
+	}
+}
+
+// TestMatrixEndpointStreamsResidentSet: a worker without a spill dir
+// streams a resident key's blob from the set itself, under the
+// Content-Length of its layout and byte for byte what a spill file holds.
+func TestMatrixEndpointStreamsResidentSet(t *testing.T) {
+	dir := t.TempDir()
+	_, withSpill := newTestServer(t, Config{SpillDir: dir})
+	_, memOnly := newTestServer(t, Config{})
+	plan := planWire{Strategy: "ptac", Budget: "c=4"}
+	spillSend(t, withSpill.URL, plan)
+	spillSend(t, memOnly.URL, plan)
+	files := spillFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d spill files, want 1", len(files))
+	}
+	want, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := strings.TrimSuffix(filepath.Base(files[0]), spillSuffix)
+	resp, err := http.Get(memOnly.URL + "/v1/matrix/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(want)) {
+		t.Fatalf("status %d, Content-Length %d; want 200 and %d", resp.StatusCode, resp.ContentLength, len(want))
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("streamed blob (%d bytes) differs from the spill file (%d bytes)", len(got), len(want))
 	}
 }

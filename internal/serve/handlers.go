@@ -95,10 +95,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMatrix serves one content-addressed spill blob to a peer worker:
 // the local spill file verbatim when present, otherwise the resident
-// in-memory set encoded on the fly. The in-memory path takes the entry
-// semaphore — a fetch that lands while this worker is still filling the
-// key waits for the fill instead of forcing the requester to duplicate it,
-// which is what makes "exactly one cold fill tier-wide" hold under races.
+// in-memory set streamed in the spill encoding. The in-memory path takes
+// the entry semaphore — a fetch that lands while this worker is still
+// filling the key waits for the fill instead of forcing the requester to
+// duplicate it, which is what makes "exactly one cold fill tier-wide" hold
+// under races.
 // The requester validates everything (key, CRCs); serving is unauthenticated
 // reads of content-addressed bytes.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
@@ -111,7 +112,8 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		if data := s.store.readBlob(hash); data != nil {
-			s.writeMatrixBlob(w, data)
+			s.startMatrixBlob(w, len(data))
+			_, _ = w.Write(data)
 			return
 		}
 	}
@@ -124,15 +126,18 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 				Status: http.StatusServiceUnavailable, Code: "matrix_busy", Message: "fill in flight"}})
 			return
 		}
-		var data []byte
+		var snap *pta.MatrixSnapshot
 		if e.set != nil {
-			if snap, err := e.set.Snapshot(); err == nil && snap.Filled > 0 {
-				data = encodeSnapshot(e.key, snap)
+			if sn, err := e.set.Snapshot(); err == nil && sn.Filled > 0 {
+				snap = sn
 			}
 		}
 		<-e.sem
-		if data != nil {
-			s.writeMatrixBlob(w, data)
+		if snap != nil {
+			s.startMatrixBlob(w, snapshotLayout(e.key, snap).size())
+			// A failed write means the peer went away; a short body fails
+			// its decode there.
+			_ = writeSnapshot(w, e.key, snap)
 			return
 		}
 	}
@@ -141,12 +146,13 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		Status: http.StatusNotFound, Code: "matrix_not_found", Message: "no warm matrices for this address"}})
 }
 
-func (s *Server) writeMatrixBlob(w http.ResponseWriter, data []byte) {
+// startMatrixBlob counts one served blob of size bytes and sets its
+// headers; the caller writes the body.
+func (s *Server) startMatrixBlob(w http.ResponseWriter, size int) {
 	s.peers.serveHits.Add(1)
-	s.peers.serveBytes.Add(int64(len(data)))
+	s.peers.serveBytes.Add(int64(size))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	w.Header().Set("Content-Length", strconv.Itoa(size))
 }
 
 func isHex(s string) bool {

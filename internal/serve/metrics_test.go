@@ -297,8 +297,6 @@ func TestConfigValidationMessages(t *testing.T) {
 		{"MaxBodyBytes", Config{MaxBodyBytes: -1}, "want >= 0 (0 = default 8 MiB)"},
 		{"MaxInflight", Config{MaxInflight: -1}, "want >= 0 (0 = default 2×GOMAXPROCS)"},
 		{"DrainTimeout", Config{DrainTimeout: -time.Second}, "want >= 0 (0 = default 10s)"},
-		{"SpillMaxBytes", Config{SpillMaxBytes: -1}, "want >= 0 (0 = default 64 MiB)"},
-		{"PeerTimeout", Config{PeerTimeout: -time.Second}, "want >= 0 (0 = default 5s)"},
 		{"Peers", Config{Peers: []string{"not-a-url"}}, "want an absolute http(s) URL"},
 		{"AdmissionMaxCells", Config{AdmissionMaxCells: -1}, "want >= 0 (0 = unlimited)"},
 		{"AdmissionPolicy", Config{AdmissionPolicy: "drop"}, `want "reject" or "queue"`},

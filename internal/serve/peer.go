@@ -31,7 +31,6 @@ import (
 type peerTier struct {
 	client  *http.Client
 	timeout time.Duration
-	maxBlob int64
 
 	mu    sync.RWMutex
 	peers []string
@@ -40,12 +39,14 @@ type peerTier struct {
 	serveHits, serveMisses, serveBytes              atomic.Int64
 }
 
-func newPeerTier(timeout time.Duration, maxBlob int64) *peerTier {
-	return &peerTier{
-		client:  &http.Client{},
-		timeout: timeout,
-		maxBlob: maxBlob,
-	}
+// peerTimeout bounds one peer fetch attempt. A peer blocked on an
+// in-flight fill of the requested key holds the request until the fill
+// lands, so this also bounds how long a miss waits for a sibling's fill
+// instead of duplicating it.
+const peerTimeout = 5 * time.Second
+
+func newPeerTier() *peerTier {
+	return &peerTier{client: &http.Client{}, timeout: peerTimeout}
 }
 
 // validatePeers rejects anything that is not an absolute http(s) URL; a
@@ -148,8 +149,8 @@ func (p *peerTier) fetchOne(ctx context.Context, peer, hash, key string) ([]byte
 		p.fetchErrors.Add(1)
 		return nil, nil
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, p.maxBlob+1))
-	if err != nil || int64(len(data)) > p.maxBlob {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, spillMaxBytes+1))
+	if err != nil || len(data) > spillMaxBytes {
 		p.fetchErrors.Add(1)
 		return nil, nil
 	}

@@ -41,20 +41,12 @@ type Config struct {
 	// keyed by (fingerprint, DP class, weights), and reloaded on the first
 	// miss after a restart ("" = disabled).
 	SpillDir string
-	// SpillMaxBytes bounds one spill file, split rows and split paths
-	// together (0 = 64 MiB); larger snapshots stay memory-only.
-	SpillMaxBytes int64
 	// Peers lists the base URLs of sibling workers forming a shared warm
 	// tier: on a local miss (memory and spill both cold) the server fetches
 	// the content-addressed spill blob from peers in rendezvous order over
 	// GET /v1/matrix/{hash} before paying the DP fill. Empty = no peer
 	// fetching. SetPeers changes the list at runtime.
 	Peers []string
-	// PeerTimeout bounds one peer fetch attempt (0 = 5s). A peer blocked on
-	// an in-flight fill of the requested key holds the request until the
-	// fill lands, so this also bounds how long a miss waits for a sibling's
-	// fill instead of duplicating it.
-	PeerTimeout time.Duration
 	// AdmissionMaxCells bounds the estimated worst-case DP cost, in matrix
 	// cells (≈ n·c for a size budget, n² for an error budget), one request
 	// may demand (0 = unlimited). Over-budget requests get 429 with
@@ -144,15 +136,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout < 0 {
 		return nil, fmt.Errorf("serve: DrainTimeout %v, want >= 0 (0 = default 10s)", cfg.DrainTimeout)
 	}
-	if cfg.SpillMaxBytes < 0 {
-		return nil, fmt.Errorf("serve: SpillMaxBytes %d, want >= 0 (0 = default 64 MiB)", cfg.SpillMaxBytes)
-	}
-	if cfg.PeerTimeout == 0 {
-		cfg.PeerTimeout = 5 * time.Second
-	}
-	if cfg.PeerTimeout < 0 {
-		return nil, fmt.Errorf("serve: PeerTimeout %v, want >= 0 (0 = default 5s)", cfg.PeerTimeout)
-	}
 	if err := validatePeers(cfg.Peers); err != nil {
 		return nil, err
 	}
@@ -178,17 +161,13 @@ func New(cfg Config) (*Server, error) {
 		oversized:      new(fifoSlot),
 	}
 	if cfg.SpillDir != "" {
-		store, err := newCacheStore(cfg.SpillDir, cfg.SpillMaxBytes)
+		store, err := newCacheStore(cfg.SpillDir)
 		if err != nil {
 			return nil, err
 		}
 		s.store = store
 	}
-	maxBlob := cfg.SpillMaxBytes
-	if maxBlob == 0 {
-		maxBlob = 64 << 20
-	}
-	s.peers = newPeerTier(cfg.PeerTimeout, maxBlob)
+	s.peers = newPeerTier()
 	s.peers.set(cfg.Peers)
 	s.metrics = newServerMetrics(s)
 	s.mux = http.NewServeMux()

@@ -25,7 +25,7 @@ import (
 // and returns the store.
 func spillWarm(tb testing.TB, series *pta.Series, key string, budgets ...pta.Budget) *cacheStore {
 	tb.Helper()
-	cs, err := newCacheStore(tb.TempDir(), 0)
+	cs, err := newCacheStore(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSpillRestoreReadGuard(t *testing.T) {
 	if bound := int64(11 * 8 * (n + 1)); alloc > bound {
 		t.Errorf("load + answer c=%d allocated %d bytes, want at most %d (11 words per column)", c, alloc, bound)
 	}
-	view := cs.views[cs.path(key)]
+	view := cs.views[cs.path(key)].Value()
 	wantReads, wantBytes := int64(1), int64(4*c+4)
 	check := func(what string, resident int) {
 		t.Helper()
@@ -329,7 +329,7 @@ func TestSpillPathsMatchRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			peer, err := newCacheStore(t.TempDir(), 0)
+			peer, err := newCacheStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func TestSpillPathsMatchRows(t *testing.T) {
 				if set == nil {
 					t.Fatalf("%s: load failed", where)
 				}
-				view := st.views[st.path(key)]
+				view := st.views[st.path(key)].Value()
 				hollow := *snap
 				hollow.Splits, hollow.LastE = nil, nil
 				rows, err := pta.RestoreMatrixSetLazy(s, "ptac", pta.Options{}, &hollow, noPaths{view})
@@ -399,7 +399,7 @@ func TestSlabReadsRaceInvalidate(t *testing.T) {
 	if cs.load(key, series, "ptac", pta.Options{}) == nil {
 		t.Fatal("load failed on an intact file")
 	}
-	view := cs.views[cs.path(key)]
+	view := cs.views[cs.path(key)].Value()
 	const readers = 4
 	var wg sync.WaitGroup
 	wg.Add(readers)
@@ -469,7 +469,7 @@ func BenchmarkSpillRestore(b *testing.B) {
 				if filled := res.Stats.Cells != 0; filled != bc.fills {
 					b.Fatalf("a reload filled %d cells", res.Stats.Cells)
 				}
-				_, bytes := readCounts(cs.views[cs.path(key)])
+				_, bytes := readCounts(cs.views[cs.path(key)].Value())
 				readBytes += bytes
 			}
 			b.ReportMetric(float64(readBytes)/float64(b.N), "readB/op")
@@ -487,7 +487,7 @@ func BenchmarkSpillStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := newCacheStore(b.TempDir(), 0)
+	cs, err := newCacheStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -266,10 +266,8 @@ func TestPeerMissFallsBackCold(t *testing.T) {
 		}
 	})
 	t.Run("peer unreachable", func(t *testing.T) {
-		_, ts := newTestServer(t, Config{
-			Peers:       []string{"http://127.0.0.1:1"},
-			PeerTimeout: 200 * time.Millisecond,
-		})
+		s, ts := newTestServer(t, Config{Peers: []string{"http://127.0.0.1:1"}})
+		s.peers.timeout = 200 * time.Millisecond
 		res, _, err := warmSend(ts.URL, projWire(), planWire{Strategy: "ptac", Budget: "c=4"})
 		if err != nil || res.Cache != cacheMiss || res.Stats.Cells == 0 {
 			t.Fatalf("res=%+v err=%v, want a cold fill", res, err)
@@ -341,7 +339,7 @@ func TestMatrixEndpointAddresses(t *testing.T) {
 // response is a cold rebuild.
 func TestSlabTruncationWhileOpen(t *testing.T) {
 	dir := t.TempDir()
-	cs, err := newCacheStore(dir, 0)
+	cs, err := newCacheStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +455,7 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 // fails cleanly instead of reading rows of the discarded file.
 func TestCloseBeforeDelete(t *testing.T) {
 	dir := t.TempDir()
-	cs, err := newCacheStore(dir, 0)
+	cs, err := newCacheStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,8 @@ type (
 	SeriesWire = seriesWire
 	// PlanWire names one compression on the wire.
 	PlanWire = planWire
-	// CompressRequest is the body of POST /v1/compress.
-	CompressRequest = compressRequest
 	// CompressManyRequest is the body of POST /v1/compress/many.
 	CompressManyRequest = compressManyRequest
-	// StatsWire mirrors pta.Stats on the wire.
-	StatsWire = statsWire
 	// ResultWire is one compression outcome on the wire.
 	ResultWire = resultWire
 	// ErrorWire is the payload of the uniform error envelope.

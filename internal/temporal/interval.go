@@ -1,25 +1,16 @@
 // Package temporal implements the temporal relational model of Section 3 of
 // the paper: a discrete time domain of chronons, inclusive time intervals,
-// typed attribute values (datums), relation schemas, temporal relations, the
-// coalescing operator, and sequential relations (the exchange format between
-// instant temporal aggregation and parsimonious temporal aggregation).
+// typed attribute values (datums), relation schemas, temporal relations and
+// sequential relations (the exchange format between instant temporal
+// aggregation and parsimonious temporal aggregation).
 package temporal
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Chronon is a time instant of the discrete time domain. The domain carries
 // the usual total order of int64. Applications map calendar granularities
 // (months, days, seconds, ...) onto chronons before loading data.
 type Chronon = int64
-
-// ChrononMin and ChrononMax delimit the representable time domain.
-const (
-	ChrononMin Chronon = math.MinInt64
-	ChrononMax Chronon = math.MaxInt64
-)
 
 // Interval is a timestamp: a convex set of chronons represented by its
 // inclusive start and end points [Start, End]. The zero value is the single
@@ -27,15 +18,6 @@ const (
 type Interval struct {
 	Start Chronon
 	End   Chronon
-}
-
-// NewInterval returns the interval [start, end]. It reports an error if
-// start > end, i.e. the set of chronons would be empty.
-func NewInterval(start, end Chronon) (Interval, error) {
-	if start > end {
-		return Interval{}, fmt.Errorf("temporal: invalid interval [%d, %d]: start after end", start, end)
-	}
-	return Interval{Start: start, End: end}, nil
 }
 
 // Inst returns the instantaneous interval [t, t].
@@ -54,11 +36,6 @@ func (iv Interval) Len() int64 {
 
 // Contains reports whether chronon t lies in the interval.
 func (iv Interval) Contains(t Chronon) bool { return iv.Start <= t && t <= iv.End }
-
-// ContainsInterval reports whether o is a subset of iv.
-func (iv Interval) ContainsInterval(o Interval) bool {
-	return iv.Start <= o.Start && o.End <= iv.End
-}
 
 // Overlaps reports whether the two intervals share at least one chronon.
 func (iv Interval) Overlaps(o Interval) bool {
@@ -80,20 +57,6 @@ func (iv Interval) Intersect(o Interval) (_ Interval, ok bool) {
 // concatenation iv·o is gap free. This is condition (2) of tuple adjacency
 // (Definition 2).
 func (iv Interval) Meets(o Interval) bool { return iv.End+1 == o.Start }
-
-// Union returns the smallest interval covering both arguments. ok is false
-// if the arguments neither overlap nor meet (in either order), because their
-// union would not be convex.
-func (iv Interval) Union(o Interval) (_ Interval, ok bool) {
-	if !iv.Overlaps(o) && !iv.Meets(o) && !o.Meets(iv) {
-		return Interval{}, false
-	}
-	return Interval{Start: min(iv.Start, o.Start), End: max(iv.End, o.End)}, true
-}
-
-// Before reports whether iv lies entirely before o with at least one
-// chronon of temporal gap between them.
-func (iv Interval) Before(o Interval) bool { return iv.End+1 < o.Start }
 
 // Compare orders intervals by start point, then end point. It returns a
 // negative number, zero, or a positive number as iv sorts before, equal to,

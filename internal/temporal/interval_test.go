@@ -6,19 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewInterval(t *testing.T) {
-	iv, err := NewInterval(1, 4)
-	if err != nil {
-		t.Fatalf("NewInterval(1, 4) failed: %v", err)
-	}
-	if iv.Start != 1 || iv.End != 4 {
-		t.Fatalf("NewInterval(1, 4) = %v", iv)
-	}
-	if _, err := NewInterval(5, 4); err == nil {
-		t.Fatal("NewInterval(5, 4) should fail")
-	}
-}
-
 func TestIntervalLen(t *testing.T) {
 	tests := []struct {
 		iv   Interval
@@ -91,31 +78,6 @@ func TestIntervalMeets(t *testing.T) {
 	}
 }
 
-func TestIntervalUnion(t *testing.T) {
-	if got, ok := (Interval{1, 2}).Union(Interval{3, 5}); !ok || got != (Interval{1, 5}) {
-		t.Errorf("[1,2] ∪ [3,5] = %v, %v", got, ok)
-	}
-	if got, ok := (Interval{1, 4}).Union(Interval{2, 3}); !ok || got != (Interval{1, 4}) {
-		t.Errorf("[1,4] ∪ [2,3] = %v, %v", got, ok)
-	}
-	if _, ok := (Interval{1, 2}).Union(Interval{4, 5}); ok {
-		t.Error("[1,2] ∪ [4,5] should not be convex")
-	}
-	// Union must also succeed when the second interval meets the first.
-	if got, ok := (Interval{3, 5}).Union(Interval{1, 2}); !ok || got != (Interval{1, 5}) {
-		t.Errorf("[3,5] ∪ [1,2] = %v, %v", got, ok)
-	}
-}
-
-func TestIntervalBefore(t *testing.T) {
-	if !(Interval{1, 2}).Before(Interval{4, 5}) {
-		t.Error("[1,2] should be before [4,5]")
-	}
-	if (Interval{1, 2}).Before(Interval{3, 5}) {
-		t.Error("[1,2] meets [3,5]; Before requires a gap")
-	}
-}
-
 func TestIntervalCompare(t *testing.T) {
 	if (Interval{1, 2}).Compare(Interval{1, 2}) != 0 {
 		t.Error("equal intervals should compare 0")
@@ -146,34 +108,6 @@ func TestIntervalPropOverlapIffIntersect(t *testing.T) {
 		a, b := randomInterval(r), randomInterval(r)
 		_, ok := a.Intersect(b)
 		return ok == a.Overlaps(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIntervalPropUnionCoversBoth(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomInterval(r), randomInterval(r)
-		u, ok := a.Union(b)
-		if !ok {
-			return true
-		}
-		return u.ContainsInterval(a) && u.ContainsInterval(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestIntervalPropLenAdditiveWhenMeets(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomInterval(r)
-		b := Interval{Start: a.End + 1, End: a.End + 1 + Chronon(r.Intn(5))}
-		u, ok := a.Union(b)
-		return ok && u.Len() == a.Len()+b.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

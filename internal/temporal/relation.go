@@ -135,31 +135,3 @@ func (r *Relation) String() string {
 	}
 	return sb.String()
 }
-
-// Coalesce implements the coalescing operator of Böhlen, Snodgrass and Soo:
-// value-equivalent tuples whose timestamps overlap or meet are merged into
-// tuples over maximal intervals. The input relation is not modified.
-func Coalesce(r *Relation) *Relation {
-	sorted := r.Clone()
-	sorted.SortByValsTime()
-	out := NewRelation(r.schema)
-	for i := 0; i < sorted.Len(); {
-		cur := sorted.Tuple(i)
-		iv := cur.T
-		j := i + 1
-		for ; j < sorted.Len(); j++ {
-			next := sorted.Tuple(j)
-			if !DatumsEqual(cur.Vals, next.Vals) {
-				break
-			}
-			u, ok := iv.Union(next.T)
-			if !ok {
-				break
-			}
-			iv = u
-		}
-		out.tuples = append(out.tuples, Tuple{Vals: cur.Vals, T: iv})
-		i = j
-	}
-	return out
-}

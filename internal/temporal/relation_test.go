@@ -1,10 +1,8 @@
 package temporal
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func projSchema(t *testing.T) *Schema {
@@ -91,81 +89,6 @@ func TestRelationCloneIndependence(t *testing.T) {
 	c.MustAppend([]Datum{String("b"), String("B"), Float(2)}, Interval{3, 4})
 	if r.Len() != 1 || c.Len() != 2 {
 		t.Error("clone is not independent")
-	}
-}
-
-func TestCoalesceMergesValueEquivalent(t *testing.T) {
-	s := MustSchema(Attribute{Name: "k", Kind: KindString})
-	r := NewRelation(s)
-	r.MustAppend([]Datum{String("x")}, Interval{1, 3})
-	r.MustAppend([]Datum{String("x")}, Interval{4, 6}) // meets
-	r.MustAppend([]Datum{String("x")}, Interval{5, 8}) // overlaps
-	r.MustAppend([]Datum{String("x")}, Interval{10, 12})
-	r.MustAppend([]Datum{String("y")}, Interval{2, 4})
-	got := Coalesce(r)
-	want := NewRelation(s)
-	want.MustAppend([]Datum{String("x")}, Interval{1, 8})
-	want.MustAppend([]Datum{String("x")}, Interval{10, 12})
-	want.MustAppend([]Datum{String("y")}, Interval{2, 4})
-	if !got.Equal(want) {
-		t.Errorf("Coalesce produced:\n%v\nwant:\n%v", got, want)
-	}
-}
-
-func TestCoalescePropIdempotent(t *testing.T) {
-	s := MustSchema(Attribute{Name: "k", Kind: KindInt})
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := NewRelation(s)
-		for i := 0; i < 12; i++ {
-			start := Chronon(rng.Intn(20))
-			r.MustAppend([]Datum{Int(int64(rng.Intn(3)))},
-				Interval{start, start + Chronon(rng.Intn(5))})
-		}
-		once := Coalesce(r)
-		twice := Coalesce(once)
-		return once.Equal(twice)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCoalescePropPreservesCover(t *testing.T) {
-	// Every (value, chronon) pair covered before coalescing must be covered
-	// after, and vice versa.
-	s := MustSchema(Attribute{Name: "k", Kind: KindInt})
-	cover := func(r *Relation) map[[2]int64]bool {
-		m := make(map[[2]int64]bool)
-		for i := 0; i < r.Len(); i++ {
-			tp := r.Tuple(i)
-			for c := tp.T.Start; c <= tp.T.End; c++ {
-				m[[2]int64{tp.Vals[0].IntVal(), c}] = true
-			}
-		}
-		return m
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := NewRelation(s)
-		for i := 0; i < 10; i++ {
-			start := Chronon(rng.Intn(15))
-			r.MustAppend([]Datum{Int(int64(rng.Intn(2)))},
-				Interval{start, start + Chronon(rng.Intn(4))})
-		}
-		before, after := cover(r), cover(Coalesce(r))
-		if len(before) != len(after) {
-			return false
-		}
-		for k := range before {
-			if !after[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -58,9 +58,6 @@ func (b Budget) C() int { return b.c }
 // Eps returns the error bound (meaningful only when Kind() == BudgetError).
 func (b Budget) Eps() float64 { return b.eps }
 
-// IsZero reports whether the budget was never set.
-func (b Budget) IsZero() bool { return b.kind == 0 }
-
 // Validate checks the budget parameters.
 func (b Budget) Validate() error {
 	switch b.kind {

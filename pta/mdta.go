@@ -31,11 +31,10 @@ type MDTAGroupSpec = mdta.GroupSpec
 // specs yield a general temporal relation that PTA cannot reduce, reported
 // as ErrSeriesShape.
 //
-// The helpers MDTAInstantSpecs and MDTASpanSpecs build the two regular
-// decompositions (one group per instant — the ITA special case — and one
-// group per span — the STA special case); hand-written specs cover the
-// irregular cases, e.g. business quarters of differing lengths or
-// per-group reporting calendars.
+// The helper MDTASpanSpecs builds the regular decomposition with one group
+// per span (the STA special case); hand-written specs cover the irregular
+// cases, e.g. business quarters of differing lengths or per-group reporting
+// calendars.
 func SeriesFromMDTA(r *Relation, q MDTAQuery, specs []MDTAGroupSpec) (*Series, error) {
 	seq, err := mdta.Eval(r, q, specs)
 	if err != nil {
@@ -46,12 +45,6 @@ func SeriesFromMDTA(r *Relation, q MDTAQuery, specs []MDTAGroupSpec) (*Series, e
 		return nil, fmt.Errorf("pta: mdta result is not a sequential relation: %v: %w", err, ErrSeriesShape)
 	}
 	return seq, nil
-}
-
-// MDTAInstantSpecs builds one MDTA group per (value combination, instant)
-// over the span — the decomposition whose evaluation coincides with ITA.
-func MDTAInstantSpecs(valueCombos [][]temporal.Datum, span Interval) []MDTAGroupSpec {
-	return mdta.InstantSpecs(valueCombos, span)
 }
 
 // MDTASpanSpecs builds one MDTA group per (value combination, span) — the

@@ -89,14 +89,12 @@ func NewStream(s *Series) Stream { return core.NewSliceStream(s) }
 
 // Read-ahead settings for the streaming strategies (the δ of Section 6.2).
 const (
-	// ReadAheadDefault (the Options zero value) is δ = ∞: merges happen
-	// early only when provably identical to the greedy merging strategy
-	// (Theorems 2 and 3), at the price of an unbounded heap.
-	ReadAheadDefault = 0
 	// ReadAheadEager is δ = 0: merge whenever possible. Smallest heap,
 	// largest error.
 	ReadAheadEager = -1
-	// ReadAheadInf is δ = ∞, stated explicitly.
+	// ReadAheadInf is δ = ∞, also what the Options zero value means: merges
+	// happen early only when provably identical to the greedy merging
+	// strategy (Theorems 2 and 3), at the price of an unbounded heap.
 	ReadAheadInf = core.DeltaInf
 )
 
@@ -108,10 +106,9 @@ type Options struct {
 	// Weights holds one positive weight per aggregate attribute (w_d of
 	// Definition 5). nil means all weights are 1.
 	Weights []float64
-	// ReadAhead is the δ read-ahead of the streaming strategies: 0
-	// (ReadAheadDefault) and ReadAheadInf mean δ = ∞, ReadAheadEager means
-	// δ = 0, any positive value is that δ. Non-streaming strategies ignore
-	// it.
+	// ReadAhead is the δ read-ahead of the streaming strategies: 0 and
+	// ReadAheadInf mean δ = ∞, ReadAheadEager means δ = 0, any positive
+	// value is that δ. Non-streaming strategies ignore it.
 	ReadAhead int
 	// Estimate overrides the (N, EMax) estimate of the streaming
 	// error-bounded strategy. nil lets in-memory evaluation compute the
