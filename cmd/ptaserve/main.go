@@ -27,7 +27,7 @@
 //
 // With -workers the daemon additionally coordinates a fleet of other
 // ptaserve processes: the "dist" strategy shards each series across the
-// listed workers by consistent hashing and gathers an exact, bit-identical
+// listed workers by rendezvous hashing and gathers an exact, bit-identical
 // result (internal/dist; docs/ARCHITECTURE.md § Distribution):
 //
 //	ptaserve -addr :8081 -spill-dir /var/cache/w1 &
@@ -37,7 +37,9 @@
 // With -peers the daemons form a shared warm tier: on a cache miss each
 // worker asks its peers for the content-addressed matrix blob before paying
 // the cold DP fill, so a restarted worker with an empty spill volume
-// re-warms from the fleet instead of recomputing:
+// re-warms from the fleet instead of recomputing. A fetched blob is adopted
+// into the spill directory and loaded from there, so -peers needs
+// -spill-dir:
 //
 //	ptaserve -addr :8081 -spill-dir /var/cache/w1 -peers http://localhost:8082 &
 //	ptaserve -addr :8082 -spill-dir /var/cache/w2 -peers http://localhost:8081 &
@@ -101,7 +103,7 @@ func main() {
 	flag.Int64Var(&opts.maxCells, "max-cells", 0, "admission budget: max estimated DP cells per request (0 = unlimited)")
 	flag.StringVar(&opts.admission, "admission", "reject", "over-budget policy: reject (429) or queue (serialize)")
 	flag.StringVar(&opts.workers, "workers", "", "comma-separated ptaserve worker base URLs enabling the \"dist\" strategy (this daemon coordinates)")
-	flag.StringVar(&opts.peers, "peers", "", "comma-separated peer ptaserve base URLs forming a shared warm tier (cache misses try peers before the cold DP fill)")
+	flag.StringVar(&opts.peers, "peers", "", "comma-separated peer ptaserve base URLs forming a shared warm tier (cache misses try peers before the cold DP fill; needs -spill-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "ptaserve: ", log.LstdFlags)
@@ -112,6 +114,10 @@ func main() {
 
 // run wires the engine and server and serves until SIGINT/SIGTERM.
 func run(opts options, logger *log.Logger) error {
+	peers := splitList(opts.peers)
+	if len(peers) > 0 && opts.spillDir == "" {
+		return fmt.Errorf("-peers needs -spill-dir: a peer's blob is adopted into the spill directory")
+	}
 	// One long-lived engine per deployment: request handlers share its
 	// worker parallelism.
 	engine, err := pta.New(pta.WithParallelism(opts.parallel))
@@ -141,7 +147,7 @@ func run(opts options, logger *log.Logger) error {
 		MaxInflight:       opts.inflight,
 		DrainTimeout:      opts.drain,
 		SpillDir:          opts.spillDir,
-		Peers:             splitList(opts.peers),
+		Peers:             peers,
 		AdmissionMaxCells: opts.maxCells,
 		AdmissionPolicy:   opts.admission,
 		Logger:            logger,

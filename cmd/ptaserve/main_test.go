@@ -117,3 +117,12 @@ func TestRunServesAndShutsDown(t *testing.T) {
 		t.Errorf("missing clean-shutdown log: %q", buf.String())
 	}
 }
+
+// TestRunPeersNeedSpillDir: -peers without -spill-dir is refused before
+// the daemon listens, with a message that names the missing flag.
+func TestRunPeersNeedSpillDir(t *testing.T) {
+	err := run(options{addr: "127.0.0.1:0", parallel: 1, peers: "http://127.0.0.1:1"}, log.New(io.Discard, "", 0))
+	if err == nil || !strings.Contains(err.Error(), "-spill-dir") {
+		t.Fatalf("run with -peers and no -spill-dir: %v, want an error naming -spill-dir", err)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -28,18 +27,15 @@ type Solver struct {
 	filled int
 	bound  float64 // SSEmax, resolved lazily for error budgets
 	hasMax bool
-	warm   bool // state adopted from a snapshot (Restore or RestoreLazy)
+	warm   bool // state adopted from a snapshot by RestoreLazy
 
 	// After RestoreLazy, rows 1..restored come from lazy and rows 1..read of
-	// them are resident. Every walk needs a prefix 1..k, so the resident
-	// rows are a prefix too. Rows 1..len(raw) are held as the verified
-	// little-endian bytes a range read returned; every other resident row
-	// is decoded in st.splits. A walk from a restored row that is not
-	// resident reads its split path instead when lazy serves paths. resume
-	// is the source of the resume row until the first fill or State reads
-	// it.
+	// them are resident, decoded and checked in st.splits. Every walk needs
+	// a prefix 1..k, so the resident rows are a prefix too. A walk from a
+	// restored row that is not resident reads its split path instead when
+	// lazy serves paths. resume is the source of the resume row until the
+	// first fill or State reads it.
 	lazy     SplitRowSource
-	raw      [][]byte
 	restored int
 	read     int
 	resume   ResumeRowSource
@@ -85,8 +81,8 @@ func (sv *Solver) Rows() int { return sv.filled }
 func (sv *Solver) Stats() DPStats { return sv.st.stats }
 
 // MemBytes estimates the retained matrix memory: the split-point rows
-// dominate (one int32 per column per resident row, decoded or raw). A row a
-// lazy restore has not read yet costs nothing until a walk reads it.
+// dominate (one int32 per column per resident row). A row a lazy restore
+// has not read yet costs nothing until a walk reads it.
 func (sv *Solver) MemBytes() int64 {
 	n := int64(sv.kn.N() + 1)
 	resident := int64(sv.filled - (sv.restored - sv.read))
@@ -269,22 +265,21 @@ func (sv *Solver) answer(k int) (*DPResult, error) {
 // (and resume deeper fills) without recomputing a single cell. It is the
 // payload a persistent matrix-cache tier serializes; the caller guarantees
 // the sequence identity (the serve layer keys spill files by content
-// fingerprint), Restore only validates the shapes.
+// fingerprint), RestoreLazy only validates the shapes.
 type SolverState struct {
 	N      int       // input size the rows were filled for
 	Filled int       // rows 1..Filled are present
 	RowErr []float64 // RowErr[k-1] = E[k][n], len Filled
-	LastE  []float64 // E[Filled][0..n], len n+1; the resume row (nil for RestoreLazy from a ResumeRowSource)
-	Splits []int32   // J rows, row-major: Splits[(k-1)*(n+1)+i] = J[k][i]
+	LastE  []float64 // E[Filled][0..n], len n+1; the resume row (nil when a ResumeRowSource serves it)
+	Splits []int32   // J rows, row-major: Splits[(k-1)*(n+1)+i] = J[k][i]; State fills it, RestoreLazy ignores it
 	Bound  float64   // SSEmax if HasMax (error-budget normalization)
 	HasMax bool
 }
 
 // State snapshots the filled rows. The returned slices are copies; the
 // solver may keep filling afterwards. A lazily restored solver materializes
-// every row it has not read yet first, and decodes and checks the raw rows
-// it holds, so the error surfaces here when the backing store has gone bad
-// rather than as a torn snapshot.
+// every row it has not read yet first, so the error surfaces here when the
+// backing store has gone bad rather than as a torn snapshot.
 func (sv *Solver) State() (*SolverState, error) {
 	if err := sv.resumed(); err != nil {
 		return nil, err
@@ -304,53 +299,15 @@ func (sv *Solver) State() (*SolverState, error) {
 		st.LastE = append([]float64(nil), sv.st.curE...)
 		st.Splits = make([]int32, sv.filled*(n+1))
 		for k := 1; k <= sv.filled; k++ {
-			dst := st.Splits[(k-1)*(n+1) : k*(n+1)]
-			if k > len(sv.raw) {
-				copy(dst, sv.st.splits[k-1])
-				continue
-			}
-			for i := range dst {
-				dst[i] = int32(binary.LittleEndian.Uint32(sv.raw[k-1][4*i:]))
-			}
-			if err := checkSplitRow(k, dst); err != nil {
-				return nil, &WarmLostError{Row: k, Err: err}
-			}
+			copy(st.Splits[(k-1)*(n+1):k*(n+1)], sv.st.splits[k-1])
 		}
 	}
 	return st, nil
 }
 
-// Restore injects a snapshot into a freshly built solver (zero rows
-// filled). It validates every shape and every split-point value (see
-// checkSplitRow) so a corrupt snapshot fails cleanly instead of panicking
-// rows later; on error the solver is unchanged and still usable cold.
-func (sv *Solver) Restore(st *SolverState) error {
-	if err := sv.checkSnapshot(st, false); err != nil {
-		return err
-	}
-	n := sv.kn.N()
-	if len(st.Splits) != st.Filled*(n+1) {
-		return fmt.Errorf("core: snapshot has %d split cells, want %d", len(st.Splits), st.Filled*(n+1))
-	}
-	for k := 1; k <= st.Filled; k++ {
-		if err := checkSplitRow(k, st.Splits[(k-1)*(n+1):k*(n+1)]); err != nil {
-			return fmt.Errorf("core: snapshot %w", err)
-		}
-	}
-	// The split rows become views into one retained slab, matching the
-	// per-row slices fillRow appends.
-	slab := append([]int32(nil), st.Splits...)
-	sv.st.splits = sv.st.splits[:0]
-	for k := 0; k < st.Filled; k++ {
-		sv.st.splits = append(sv.st.splits, slab[k*(n+1):(k+1)*(n+1)])
-	}
-	sv.adopt(st)
-	return nil
-}
-
-// checkSnapshot is the check Restore and RestoreLazy share: the solver is
-// fresh, and the snapshot is of this n with 1..n rows, one error per row
-// and a whole resume row, unless resumeLater says a source serves it. Every
+// checkSnapshot is RestoreLazy's check: the solver is fresh, and the
+// snapshot is of this n with 1..n rows, one error per row and a whole
+// resume row, unless resumeLater says a source serves it. Every
 // error is one a fill can write — not NaN, not negative (+Inf is a merge
 // across a gap, or an overflow) — and SSEmax, when present, is finite and
 // not negative: an error budget scales it.
@@ -394,9 +351,9 @@ func checkResumeRow(n, filled int, row []float64) error {
 }
 
 // resumed makes a lazily restored resume row resident before the first fill
-// or State reads it: one ResumeRow call, checked like Restore checks
-// LastE. A row the source cannot produce, or one no fill writes, is a
-// WarmLostError at the restored row.
+// or State reads it: one ResumeRow call, checked like a snapshot's LastE. A
+// row the source cannot produce, or one no fill writes, is a WarmLostError
+// at the restored row.
 func (sv *Solver) resumed() error {
 	if sv.resume == nil {
 		return nil
@@ -413,35 +370,15 @@ func (sv *Solver) resumed() error {
 	return nil
 }
 
-// adopt installs a checked snapshot's scalar state: the row errors, the
-// resume row when it has one, and SSEmax.
-func (sv *Solver) adopt(st *SolverState) {
-	copy(sv.st.curE, st.LastE) // fillRow(Filled+1) swaps this in as the previous row
-	copy(sv.rowErr[1:], st.RowErr)
-	sv.filled = st.Filled
-	sv.bound, sv.hasMax = st.Bound, st.HasMax
-	sv.warm = true
-}
-
 // SplitRowSource supplies individual restored split-point rows on demand:
 // the lazy counterpart of SolverState.Splits, backed by a spill file in the
 // serve layer so a huge warm matrix costs reads proportional to the rows a
 // budget actually walks — or, with SplitPathSource, to the split points.
-// SplitRow returns J[k][0..n] for a 1-based k ≤ the restored Filled;
-// implementations validate their own framing (CRCs) and return an error for
-// rows they can no longer produce.
+// SplitRow returns J[k][0..n] for a 1-based k ≤ the restored Filled, a
+// slice the solver keeps; implementations validate their own framing
+// (CRCs) and return an error for rows they can no longer produce.
 type SplitRowSource interface {
 	SplitRow(k int) ([]int32, error)
-}
-
-// SplitRangeSource is an optional capability of a SplitRowSource, detected
-// with a type assertion. SplitRows reads rows lo..hi (1-based, inclusive)
-// in one call and returns hi−lo+1 slices, each a row's verified
-// little-endian int32 cells (at least 4·(n+1) bytes). The solver keeps the
-// slices as the rows' resident form and decodes only the cells a walk
-// visits, so the source must not write them afterwards.
-type SplitRangeSource interface {
-	SplitRows(lo, hi int) ([][]byte, error)
 }
 
 // SplitPathSource is an optional capability of a SplitRowSource, detected
@@ -469,7 +406,7 @@ type ResumeRowSource interface {
 // writes. The solver's remaining state is
 // unusable; callers discard it and rebuild cold.
 type WarmLostError struct {
-	Row int // 1-based row that failed, the first row of a failed range read, or a failed path's budget
+	Row int // 1-based row that failed, or a failed path's budget
 	Err error
 }
 
@@ -479,17 +416,19 @@ func (e *WarmLostError) Error() string {
 
 func (e *WarmLostError) Unwrap() error { return e.Err }
 
-// RestoreLazy is Restore with the split-point rows left behind a
-// SplitRowSource instead of copied up front: the row errors and the bound
-// restore eagerly — SolveError's search scans RowErr, so it must be
-// resident — while the J rows load on the first walk that needs them. A
-// walk from a restored row that is not resident asks a SplitPathSource for
-// that budget's path alone; other walks read rows, all of a walk's unread
-// rows in one SplitRows call from a SplitRangeSource, once per row from any
-// other source. The solver retains the rows it reads, so a row is read (and
-// its CRC paid) at most once per solver lifetime. st.Splits is ignored, and
+// RestoreLazy injects a snapshot into a freshly built solver (zero rows
+// filled) with the split-point rows left behind a SplitRowSource: the row
+// errors and the bound restore eagerly — SolveError's search scans RowErr,
+// so it must be resident — while the J rows load on the first walk that
+// needs them. A walk from a restored row that is not resident asks a
+// SplitPathSource for that budget's path alone; other walks read each of
+// their unread rows with one SplitRow call and check it (checkSplitRow).
+// The solver retains the rows it reads, so a row is read (and its CRC
+// paid) at most once per solver lifetime. st.Splits is ignored, and
 // st.LastE may be nil when rows is a ResumeRowSource: the resume row is
-// then read, and checked, when a fill or State first needs it.
+// then read, and checked, when a fill or State first needs it. Every shape
+// and error value is checked here; on error the solver is unchanged and
+// still usable cold.
 func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	if rows == nil {
 		return fmt.Errorf("core: lazy restore without a row source")
@@ -501,7 +440,11 @@ func (sv *Solver) RestoreLazy(st *SolverState, rows SplitRowSource) error {
 	// Unread rows are nil slots; fillRow appends deeper rows after them, so
 	// a deeper fill works before any walk forces a read.
 	sv.st.splits = append(sv.st.splits[:0], make([][]int32, st.Filled)...)
-	sv.adopt(st)
+	copy(sv.st.curE, st.LastE) // fillRow(Filled+1) swaps this in as the previous row
+	copy(sv.rowErr[1:], st.RowErr)
+	sv.filled = st.Filled
+	sv.bound, sv.hasMax = st.Bound, st.HasMax
+	sv.warm = true
 	sv.lazy, sv.restored = rows, st.Filled
 	if st.LastE == nil {
 		sv.resume = resume
@@ -527,8 +470,8 @@ func checkSplitRow(k int, row []int32) error {
 // dst: the reduction merged from kn, whose rows off+1..off+n are the
 // solver's sequence. A walk from a restored row that is not resident reads
 // its split path when the source serves paths; every other walk makes rows
-// 1..len(dst) resident and decodes one cell per row. The first test is on
-// the restored count, so cold and eagerly restored solvers pay one compare.
+// 1..len(dst) resident. The first test is on the restored count, so a cold
+// solver pays one compare.
 func (sv *Solver) backtrack(dst []temporal.SeqRow, kn *CostKernel, off int) error {
 	k := len(dst)
 	if k <= sv.restored && k > sv.read {
@@ -543,44 +486,15 @@ func (sv *Solver) backtrack(dst []temporal.SeqRow, kn *CostKernel, off int) erro
 			return walkSplits(dst, kn, off, sv.kn.N(), func(r, _ int) int { return int(path[k-r]) })
 		}
 	}
-	if err := sv.load(k); err != nil {
+	if err := sv.materialize(k); err != nil {
 		return err
 	}
-	return walkSplits(dst, kn, off, sv.kn.N(), sv.split)
-}
-
-// split reads J[k][i] from the row's resident form.
-func (sv *Solver) split(k, i int) int {
-	if k <= len(sv.raw) {
-		return int(int32(binary.LittleEndian.Uint32(sv.raw[k-1][4*i:])))
-	}
-	return int(sv.st.splits[k-1][i])
-}
-
-// load makes the restored rows in 1..k resident for a walk. A
-// SplitRangeSource reads every unread row of that prefix with one SplitRows
-// call, and the verified bytes stay raw: no row is decoded or range-checked
-// as a whole, because the walk checks the one cell it visits per row. Once
-// a decoded row follows the raw prefix (State materialized it), and for
-// any other source, rows materialize one by one.
-func (sv *Solver) load(k int) error {
-	hi := min(k, sv.restored)
-	rr, ok := sv.lazy.(SplitRangeSource)
-	if !ok || hi <= sv.read || len(sv.raw) != sv.read {
-		return sv.materialize(k)
-	}
-	rows, err := rr.SplitRows(sv.read+1, hi)
-	if err != nil {
-		return &WarmLostError{Row: sv.read + 1, Err: err}
-	}
-	sv.raw = append(sv.raw, rows...)
-	sv.read = hi
-	return nil
+	return walkSplits(dst, kn, off, sv.kn.N(), func(r, i int) int { return int(sv.st.splits[r-1][i]) })
 }
 
 // materialize reads the unread restored rows in 1..k one SplitRow call at a
-// time, checking each row's length and cells like Restore, and keeps them
-// decoded. Cold and eagerly restored solvers have no restored rows to read.
+// time, checks each row's length and cells (checkSplitRow), and keeps them.
+// A cold solver has no restored rows to read.
 func (sv *Solver) materialize(k int) error {
 	n := sv.kn.N()
 	for r := sv.read + 1; r <= min(k, sv.restored); r++ {

@@ -1,3 +1,14 @@
+// Package dist is the scatter/gather tier over ptaserve workers: a
+// coordinator shards a series by aggregation group and, within a group, by
+// maximal gap-free run — the exact decomposition behind core.PTAcParallel —
+// routes each shard to a worker by rendezvous hashing on its fingerprint
+// (serve.RendezvousOrder, the order the workers' peer tier uses too),
+// gathers per-shard error curves over the /v1/compress/many wire schema
+// with per-shard deadlines and retry-with-backoff, and recombines the
+// curves locally in core.SolveRuns, the driver the in-process parallel
+// evaluators run, so the distributed result is bit-identical to theirs.
+// The registry name is "dist" (strategy.go); docs/ARCHITECTURE.md §
+// Distribution has the exactness argument.
 package dist
 
 import (
@@ -20,7 +31,6 @@ import (
 )
 
 const (
-	virtualNodes        = 96 // points per worker on the hash ring
 	defaultRetries      = 3
 	defaultBackoff      = 25 * time.Millisecond
 	defaultShardTimeout = 15 * time.Second
@@ -32,18 +42,19 @@ const (
 // Coordinator scatters a series over ptaserve workers and gathers an exact
 // result. The unit of distribution is the maximal gap-free run (shards
 // never span aggregation groups — every group boundary is a run boundary):
-// each shard's error curve is fetched from the worker that consistent
-// hashing assigns its fingerprint, so repeated compressions of the same
-// series hit the same workers' matrix and spill caches, and the curves are
-// recombined locally by core.SolveRuns, the run-decomposed driver behind
-// core.PTAcParallel/PTAeParallel, over the global cost kernel. Workers
-// therefore only contribute curve values and split boundaries — every
-// returned row is re-derived from the coordinator's own kernel, which is
-// what makes the distributed result bit-identical to the in-process
-// engine's at every parallelism (see docs/ARCHITECTURE.md § Distribution).
+// each shard's error curve is fetched from the worker that rendezvous
+// hashing ranks first for its fingerprint, so repeated compressions of the
+// same series hit the same workers' matrix and spill caches, and the
+// curves are recombined locally by core.SolveRuns, the run-decomposed
+// driver behind core.PTAcParallel/PTAeParallel, over the global cost
+// kernel. Workers therefore only contribute curve values and split
+// boundaries — every returned row is re-derived from the coordinator's own
+// kernel, which is what makes the distributed result bit-identical to the
+// in-process engine's at every parallelism (see docs/ARCHITECTURE.md §
+// Distribution).
 //
-// A Coordinator is safe for concurrent use; its worker set and ring are
-// fixed at New.
+// A Coordinator is safe for concurrent use; its worker set is fixed at
+// New.
 type Coordinator struct {
 	timeout time.Duration // per shard attempt
 	retries int           // extra attempts per shard fetch
@@ -55,7 +66,7 @@ type Coordinator struct {
 	// disabled); see curveCache.
 	curves *curveCache
 
-	ring *ring
+	workers []string
 }
 
 // Option configures a Coordinator at construction.
@@ -68,7 +79,7 @@ func WithWorkers(urls ...string) Option {
 		if err != nil {
 			return err
 		}
-		c.ring = newRing(ws, virtualNodes)
+		c.workers = ws
 		return nil
 	}
 }
@@ -97,9 +108,6 @@ func New(opts ...Option) (*Coordinator, error) {
 		if err := opt(c); err != nil {
 			return nil, err
 		}
-	}
-	if c.ring == nil {
-		c.ring = newRing(nil, virtualNodes)
 	}
 	if c.m == nil {
 		c.m = newMetrics(obs.NewRegistry())
@@ -130,12 +138,13 @@ func (c *Coordinator) Registry() *obs.Registry { return c.m.reg }
 
 // Workers returns the worker set.
 func (c *Coordinator) Workers() []string {
-	return append([]string(nil), c.ring.workers...)
+	return append([]string(nil), c.workers...)
 }
 
-// route returns the key's failover sequence (primary first).
+// route returns the key's failover sequence: every worker in the key's
+// rendezvous order, the primary first.
 func (c *Coordinator) route(key string) []string {
-	return c.ring.sequence(key, len(c.ring.workers))
+	return serve.RendezvousOrder(c.workers, key)
 }
 
 // shard is one maximal gap-free run of the series with the state gathered
@@ -311,11 +320,12 @@ func (c *Coordinator) gather(ctx context.Context, shards []*shard, kcap int, opt
 // fetchShard asks a worker for the shard's optimal reductions at every size
 // in [from, to] (one /v1/compress/many round trip) and absorbs the response.
 // Failures — transport errors, timeouts, non-200 statuses, corrupt or
-// inconsistent bodies — retry with doubled backoff against the next ring
-// replica, so any surviving worker can serve any shard (exactness never
-// depends on placement; placement is only cache affinity). A 422 is the
-// worker's verdict on the shard itself, which every replica would repeat,
-// so it ends the fetch at once with the facade error its code names.
+// inconsistent bodies — retry with doubled backoff against the next worker
+// in the shard's rendezvous order, so any surviving worker can serve any
+// shard (exactness never depends on placement; placement is only cache
+// affinity). A 422 is the worker's verdict on the shard itself, which
+// every replica would repeat, so it ends the fetch at once with the facade
+// error its code names.
 func (c *Coordinator) fetchShard(ctx context.Context, sh *shard, from, to int, opts pta.Options) error {
 	plans := make([]serve.PlanWire, 0, to-from+1)
 	for k := from; k <= to; k++ {

@@ -4,7 +4,7 @@
 // The proxy owns the address a coordinator routes to, so a worker can be
 // "kill -9"ed (connections severed, backend closed) and restarted (a fresh
 // server process on the same spill directory) without the address — and
-// therefore the consistent-hash routing — ever changing, exactly like a
+// therefore the rendezvous routing — ever changing, exactly like a
 // supervised daemon restarting on a fixed port.
 package disttest
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/serve"
 )
 
 func ringWorkers(n int) []string {
@@ -33,39 +35,51 @@ func ringKeys(n int) []string {
 	return keys
 }
 
+// primary is the worker a key routes to first, or "" over no workers.
+func primary(ws []string, key string) string {
+	if order := serve.RendezvousOrder(ws, key); len(order) > 0 {
+		return order[0]
+	}
+	return ""
+}
+
 // TestRingDeterministicRouting: the same membership set routes the same
-// key to the same worker, regardless of listing order or rebuild count.
+// key to the same worker in rendezvous order, regardless of listing order
+// or how often the order is computed; the coordinator routes by it.
 func TestRingDeterministicRouting(t *testing.T) {
 	ws := ringWorkers(5)
 	reversed := make([]string, len(ws))
 	for i, w := range ws {
 		reversed[len(ws)-1-i] = w
 	}
-	r1 := newRing(ws, 96)
-	r2 := newRing(reversed, 96)
-	r3 := newRing(ws, 96)
+	co, err := New(WithWorkers(ws...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, key := range ringKeys(300) {
-		a, b, c := r1.lookup(key), r2.lookup(key), r3.lookup(key)
+		a, b, c := primary(ws, key), primary(reversed, key), primary(ws, key)
 		if a != b {
 			t.Fatalf("key %q: order-dependent routing (%s vs %s)", key, a, b)
 		}
 		if a != c {
 			t.Fatalf("key %q: non-deterministic routing (%s vs %s)", key, a, c)
 		}
+		if got := co.route(key)[0]; got != a {
+			t.Fatalf("key %q: coordinator routes to %s, rendezvous order to %s", key, got, a)
+		}
 	}
 }
 
 // TestRingSequence: the failover walk starts at the primary and visits
-// distinct workers, covering the whole fleet when asked.
+// distinct workers, covering the whole fleet; over no workers it is empty.
 func TestRingSequence(t *testing.T) {
 	ws := ringWorkers(4)
-	r := newRing(ws, 64)
 	for _, key := range ringKeys(50) {
-		seq := r.sequence(key, len(ws))
+		seq := serve.RendezvousOrder(ws, key)
 		if len(seq) != len(ws) {
 			t.Fatalf("key %q: sequence has %d workers, want %d", key, len(seq), len(ws))
 		}
-		if seq[0] != r.lookup(key) {
+		if seq[0] != primary(ws, key) {
 			t.Fatalf("key %q: sequence does not start at the primary", key)
 		}
 		seen := map[string]bool{}
@@ -76,12 +90,11 @@ func TestRingSequence(t *testing.T) {
 			seen[w] = true
 		}
 	}
-	if got := r.sequence("k", 2); len(got) != 2 {
-		t.Fatalf("sequence(k, 2) returned %d workers", len(got))
+	if got := serve.RendezvousOrder(ws[:2], "k"); len(got) != 2 {
+		t.Fatalf("order over 2 workers returned %d workers", len(got))
 	}
-	empty := newRing(nil, 64)
-	if got := empty.lookup("k"); got != "" {
-		t.Fatalf("empty ring routed to %q", got)
+	if got := primary(nil, "k"); got != "" {
+		t.Fatalf("no workers routed to %q", got)
 	}
 }
 
@@ -92,23 +105,21 @@ func TestRingMinimalDisruption(t *testing.T) {
 	const K = 4000
 	keys := ringKeys(K)
 	for _, tc := range []struct {
-		name   string
-		n      int
-		vnodes int
+		name string
+		n    int
 	}{
-		{"n3_v96", 3, 96},
-		{"n5_v96", 5, 96},
-		{"n8_v32", 8, 32},
+		{"n3", 3},
+		{"n5", 5},
+		{"n8", 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := ringWorkers(tc.n)
-			before := newRing(ws, tc.vnodes)
 			victim := ws[tc.n/2]
-			after := newRing(without(ws, victim), tc.vnodes)
+			survivors := without(ws, victim)
 
 			moved := 0
 			for _, key := range keys {
-				was, now := before.lookup(key), after.lookup(key)
+				was, now := primary(ws, key), primary(survivors, key)
 				if now == victim {
 					t.Fatalf("key %q still routed to removed worker", key)
 				}
@@ -129,10 +140,9 @@ func TestRingMinimalDisruption(t *testing.T) {
 
 			// Adding a fresh worker moves keys only onto it.
 			joined := append(without(ws, victim), "http://10.0.0.99:8080")
-			grown := newRing(joined, tc.vnodes)
 			movedTo := 0
 			for _, key := range keys {
-				was, now := after.lookup(key), grown.lookup(key)
+				was, now := primary(survivors, key), primary(joined, key)
 				if was == now {
 					continue
 				}
@@ -148,20 +158,18 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestRingDisruptionProperty (quick.Check): over random fleet sizes, vnode
-// counts and key sets, removal never reshuffles keys between survivors.
+// TestRingDisruptionProperty (quick.Check): over random fleet sizes and
+// key sets, removal never reshuffles keys between survivors.
 func TestRingDisruptionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(7)
-		vnodes := 16 << rng.Intn(3)
 		ws := ringWorkers(n)
-		before := newRing(ws, vnodes)
 		victim := ws[rng.Intn(n)]
-		after := newRing(without(ws, victim), vnodes)
+		survivors := without(ws, victim)
 		for i := 0; i < 200; i++ {
 			key := fmt.Sprintf("q-%d-%d", seed, i)
-			was, now := before.lookup(key), after.lookup(key)
+			was, now := primary(ws, key), primary(survivors, key)
 			if was == victim {
 				if now == victim {
 					return false

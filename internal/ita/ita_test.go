@@ -97,7 +97,7 @@ func TestEvalMultipleAggregates(t *testing.T) {
 	var at4 *temporal.SeqRow
 	for i := range got.Rows {
 		r := &got.Rows[i]
-		if got.Groups.Values(r.Group)[0].Text() == "A" && r.T.Contains(4) {
+		if got.Groups.Values(r.Group)[0].Text() == "A" && r.T.Start <= 4 && 4 <= r.T.End {
 			at4 = r
 			break
 		}
@@ -213,8 +213,8 @@ func TestIteratorMatchesEval(t *testing.T) {
 	if i != batch.Len() {
 		t.Errorf("iterator yielded %d rows, Eval %d", i, batch.Len())
 	}
-	if it.P() != 1 {
-		t.Errorf("P() = %d", it.P())
+	if p := it.Sequence().P(); p != 1 {
+		t.Errorf("Sequence().P() = %d", p)
 	}
 }
 
@@ -258,7 +258,7 @@ func bruteForceITA(t *testing.T, r *temporal.Relation, q Query) *temporal.Sequen
 			var members []temporal.Tuple
 			for i := 0; i < r.Len(); i++ {
 				tp := r.Tuple(i)
-				if !tp.T.Contains(at) {
+				if at < tp.T.Start || at > tp.T.End {
 					continue
 				}
 				match := true

@@ -179,9 +179,6 @@ func NewIterator(r *temporal.Relation, q Query) (*Iterator, error) {
 // aggregate names, and the group dictionary shared with the emitted rows.
 func (it *Iterator) Sequence() *temporal.Sequence { return it.meta.WithRows(nil) }
 
-// P returns the number of aggregate attributes of the result.
-func (it *Iterator) P() int { return it.meta.P() }
-
 // Next returns the next ITA result row, or ok=false when the stream ends.
 func (it *Iterator) Next() (_ temporal.SeqRow, ok bool) {
 	for it.cur < len(it.groups) {

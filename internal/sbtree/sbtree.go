@@ -53,9 +53,6 @@ func New(p int, seed int64) (*Tree, error) {
 	return &Tree{p: p, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// P returns the number of aggregate attributes.
-func (t *Tree) P() int { return t.p }
-
 // Len returns the number of distinct endpoints currently stored.
 func (t *Tree) Len() int { return t.n }
 

@@ -87,7 +87,7 @@ func TestPropMatchesBruteForce(t *testing.T) {
 		for ts := temporal.Chronon(-2); ts < 42; ts++ {
 			var count, sum float64
 			for _, tp := range tuples {
-				if tp.iv.Contains(ts) {
+				if tp.iv.Start <= ts && ts <= tp.iv.End {
 					count++
 					sum += tp.v
 				}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -28,8 +29,10 @@ import (
 // in-memory cache, invalidation is by displacement only: a changed series
 // fingerprints to a new key and the stale file is simply never read again.
 // The same content-addressed blobs travel between workers over GET
-// /v1/matrix/{hash} (the peer warm tier); adopt writes a fetched blob
-// through to disk so the next restart warms locally.
+// /v1/matrix/{hash} (the peer warm tier); adopt writes a fetched blob,
+// once the peer gate (gateBlob) has passed it, into this directory, and
+// the worker loads it like any spill file: every set a server restores is
+// a lazy one over a spill file.
 //
 // The on-disk format is versioned and checksummed section by section: an
 // eagerly validated header (identity, shapes, row errors), then the resume
@@ -142,8 +145,9 @@ func (cs *cacheStore) store(key string, set *pta.MatrixSet) bool {
 	return cs.writeFile(key, func(w io.Writer) error { return writeSnapshot(w, key, snap) })
 }
 
-// adopt writes a peer-fetched, already-validated blob through to the local
-// spill file, so the warmth survives this worker's own restarts too.
+// adopt writes a peer-fetched blob that passed the peer gate to the local
+// spill file, where load restores it and where it survives this worker's
+// own restarts too.
 func (cs *cacheStore) adopt(key string, data []byte) bool {
 	if len(data) > spillMaxBytes {
 		return false
@@ -195,7 +199,7 @@ func (cs *cacheStore) readBlob(hash string) []byte {
 // discardCorrupt.
 func (cs *cacheStore) load(key string, series *pta.Series, strategy string, opts pta.Options) *pta.MatrixSet {
 	path := cs.path(key)
-	snap, view, err := cs.openView(path, key)
+	snap, view, err := openSpillFile(path, key)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			cs.errors.Add(1)
@@ -255,51 +259,54 @@ func (cs *cacheStore) drop(path string) {
 	os.Remove(path)
 }
 
-// openView opens and header-validates one spill file, returning the eager
-// scalar state (Splits and LastE nil) and the lazy view over the rest. Any
-// error means the file is unusable as a whole; a *fs.PathError in its chain
-// means the file system failed, not the file's bytes.
-func (cs *cacheStore) openView(path, key string) (*pta.MatrixSnapshot, *slabView, error) {
+// openSpillFile opens one spill file and header-validates it (openView).
+// Any error means the file is unusable as a whole; a *fs.PathError in its
+// chain means the file system failed, not the file's bytes.
+func openSpillFile(path, key string) (*pta.MatrixSnapshot, *slabView, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	var snap *pta.MatrixSnapshot
+	var view *slabView
 	fi, err := f.Stat()
+	if err == nil {
+		snap, view, err = openView(f, fi.Size(), key)
+	}
 	if err != nil {
 		f.Close()
-		return nil, nil, err
 	}
-	size := fi.Size()
+	return snap, view, err
+}
+
+// openView header-validates a blob of size bytes for key, read through r,
+// and returns the eager scalar state (Splits and LastE nil) and a lazy view
+// over the rest, which takes r.
+func openView(r io.ReaderAt, size int64, key string) (*pta.MatrixSnapshot, *slabView, error) {
 	if size < spillPreamble+4 || size > spillMaxBytes {
-		f.Close()
 		return nil, nil, fmt.Errorf("spill: implausible file size %d", size)
 	}
 	pre := make([]byte, spillPreamble)
-	if _, err := f.ReadAt(pre, 0); err != nil {
-		f.Close()
+	if _, err := r.ReadAt(pre, 0); err != nil {
 		return nil, nil, fmt.Errorf("spill: reading preamble: %w", err)
 	}
 	hl := int64(binary.LittleEndian.Uint32(pre[8:]))
 	if hl < spillPreamble+4 || hl > size {
-		f.Close()
 		return nil, nil, fmt.Errorf("spill: implausible header length %d", hl)
 	}
 	header := make([]byte, hl)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		f.Close()
+	if _, err := r.ReadAt(header, 0); err != nil {
 		return nil, nil, fmt.Errorf("spill: reading header: %w", err)
 	}
 	snap, err := parseSpillHeader(header, key, size)
 	if err != nil {
-		f.Close()
 		return nil, nil, err
 	}
 	l := spillLayout{header: int(hl), n: snap.N, filled: snap.Filled}
 	if want := int64(l.size()); want != size {
-		f.Close()
 		return nil, nil, fmt.Errorf("spill: file size %d, want %d for n=%d filled=%d", size, want, snap.N, snap.Filled)
 	}
-	return snap, newSlabView(f, l), nil
+	return snap, newSlabView(r, l), nil
 }
 
 // spillStats is the /v1/stats snapshot of the persistent tier.
@@ -451,8 +458,8 @@ func appendSpillString(b []byte, s string) []byte {
 // blob of size bytes for key and returns the snapshot with Splits and LastE
 // nil. It guards framing: magic, version, key equality, declared lengths
 // against the actual payload, and the header CRC; the sections after it
-// are validated separately (eagerly by decodeSnapshot, lazily by
-// slabView).
+// are validated by slabView as it reads them, all of them at once by the
+// peer gate (gateBlob).
 func parseSpillHeader(header []byte, key string, size int64) (*pta.MatrixSnapshot, error) {
 	if len(header) < spillPreamble+4 {
 		return nil, fmt.Errorf("spill: short header (%d bytes)", len(header))
@@ -499,72 +506,48 @@ func parseSpillHeader(header []byte, key string, size int64) (*pta.MatrixSnapsho
 }
 
 // errSpillPath marks a blob whose CRC-valid split paths do not follow its
-// split rows: a lazy view would answer from the paths what an eager restore
-// answers from the rows, so decodeSnapshot refuses it.
+// split rows: a loaded set answers a budget within the spilled rows from
+// its path, which would then differ from the walk over its rows, so the
+// peer gate refuses the blob.
 var errSpillPath = errors.New("spill: split path does not follow its rows")
 
-// decodeSnapshot parses and fully validates one spill blob for key — the
-// header, every section CRC, and every split path against the walk of its
-// rows — materializing the resume row and split rows eagerly. It is the
-// validation gate for peer-fetched blobs (and the memory-only restore path
-// when no spill dir is configured); local disk loads go through openView
-// instead and leave every section lazy. The path check makes a blob that
-// passes here answer the same from its paths, once adopted and loaded
-// lazily, as from its rows.
-func decodeSnapshot(data []byte, key string) (*pta.MatrixSnapshot, error) {
-	if len(data) < spillPreamble+4 {
-		return nil, fmt.Errorf("spill: short file (%d bytes)", len(data))
-	}
-	hl := int(binary.LittleEndian.Uint32(data[8:spillPreamble]))
-	if hl < spillPreamble+4 || hl > len(data) {
-		return nil, fmt.Errorf("spill: implausible header length %d", hl)
-	}
-	snap, err := parseSpillHeader(data[:hl], key, int64(len(data)))
+// gateBlob is the peer gate: it checks a fetched blob for key as a whole
+// before the worker adopts it into its spill directory — the header
+// (openView), every section's CRC, and every split path against the walk
+// of its rows (errSpillPath) — through the view's own readers, in one
+// pass that decodes a row at a time. A blob that passes answers a budget
+// the same from its path, once adopted and loaded, as from its rows.
+func gateBlob(data []byte, key string) error {
+	snap, v, err := openView(bytes.NewReader(data), int64(len(data)), key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n, cols := snap.N, snap.N+1
-	l := spillLayout{header: hl, n: n, filled: snap.Filled}
-	if want := l.size(); want != len(data) {
-		return nil, fmt.Errorf("spill: %d bytes, want %d for n=%d filled=%d", len(data), want, n, snap.Filled)
+	if _, err := v.ResumeRow(); err != nil {
+		return err
 	}
-	resume, ok := sealed(data[hl:l.rowOff(1)])
-	if !ok {
-		return nil, fmt.Errorf("spill: resume row CRC mismatch")
-	}
-	snap.LastE = make([]float64, cols)
-	for i := range snap.LastE {
-		snap.LastE[i] = math.Float64frombits(binary.LittleEndian.Uint64(resume[8*i:]))
-	}
-	snap.Splits = make([]int32, snap.Filled*cols)
+	paths := make([][]int32, snap.Filled+1)
 	for k := 1; k <= snap.Filled; k++ {
-		body, ok := sealed(data[l.rowOff(k):l.rowOff(k+1)])
-		if !ok {
-			return nil, fmt.Errorf("spill: row %d CRC mismatch", k)
-		}
-		row := snap.Splits[(k-1)*cols : k*cols]
-		for i := range row {
-			row[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+		if paths[k], err = v.SplitPath(k); err != nil {
+			return err
 		}
 	}
-	for k := 1; k <= snap.Filled; k++ {
-		if _, ok := sealed(data[l.pathOff(k):l.pathOff(k+1)]); !ok {
-			return nil, fmt.Errorf("spill: path %d CRC mismatch", k)
-		}
-	}
-	paths := newPathSweep(n, snap.Filled)
+	sweep := newPathSweep(snap.N, snap.Filled)
 	for r := snap.Filled; r >= 1; r-- {
-		pts, ok := paths.step(r, snap.Splits[(r-1)*cols:r*cols])
+		row, err := v.SplitRow(r)
+		if err != nil {
+			return err
+		}
+		pts, ok := sweep.step(r, row)
 		if !ok {
-			return nil, fmt.Errorf("%w: row %d leaves 0..%d", errSpillPath, r, n)
+			return fmt.Errorf("%w: row %d leaves 0..%d", errSpillPath, r, snap.N)
 		}
 		for t, j := range pts {
-			if int32(binary.LittleEndian.Uint32(data[l.pathOff(r+t)+4*t:])) != j {
-				return nil, fmt.Errorf("%w: path %d", errSpillPath, r+t)
+			if paths[r+t][t] != j {
+				return fmt.Errorf("%w: path %d", errSpillPath, r+t)
 			}
 		}
 	}
-	return snap, nil
+	return nil
 }
 
 // sealed splits a section into its body and reports whether the CRC32 in

@@ -31,6 +31,25 @@ func encodeSnapshot(key string, snap *pta.MatrixSnapshot) []byte {
 	return b.Bytes()
 }
 
+// blobSnapshot is the whole snapshot a spill blob for key holds over
+// series, read back through a lazy restore over a view of the blob.
+func blobSnapshot(tb testing.TB, blob []byte, key string, series *pta.Series) *pta.MatrixSnapshot {
+	tb.Helper()
+	hollow, view, err := openView(bytes.NewReader(blob), int64(len(blob)), key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	set, err := pta.RestoreMatrixSetLazy(series, hollow.Strategy, pta.Options{}, hollow, view)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := set.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
 // spillSend posts one compress request and returns the decoded result.
 func spillSend(t *testing.T, url string, plan planWire) resultWire {
 	t.Helper()
@@ -171,8 +190,9 @@ func TestSpillCorruptionFallsBackCold(t *testing.T) {
 	})
 }
 
-// TestSpillDecodeRejections covers the decoder directly: every framing
-// violation is an error, and the encoder round-trips.
+// TestSpillDecodeRejections covers the peer gate directly: every framing
+// violation is an error, a path off its rows is errSpillPath, and a blob
+// it passes round-trips through a lazy restore and the encoder.
 func TestSpillDecodeRejections(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{SpillDir: dir})
@@ -191,33 +211,37 @@ func TestSpillDecodeRejections(t *testing.T) {
 	keyLen := binary.LittleEndian.Uint32(data[spillPreamble:])
 	key := string(data[spillPreamble+4 : spillPreamble+4+int(keyLen)])
 
-	snap, err := decodeSnapshot(data, key)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
+	if err := gateBlob(data, key); err != nil {
+		t.Fatalf("gate on the spill file: %v", err)
 	}
+	series, err := decodeSeries(projWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := blobSnapshot(t, data, key, series)
 	if snap.Strategy != "ptac" || snap.N != 7 || snap.Filled < 4 {
-		t.Errorf("decoded snapshot: strategy=%q n=%d filled=%d", snap.Strategy, snap.N, snap.Filled)
+		t.Errorf("restored snapshot: strategy=%q n=%d filled=%d", snap.Strategy, snap.N, snap.Filled)
 	}
 	reencoded := encodeSnapshot(key, snap)
 	if !bytes.Equal(reencoded, data) {
-		t.Error("encode(decode(file)) != file")
+		t.Error("encode(restore(file)) != file")
 	}
 
-	if _, err := decodeSnapshot(data, "some-other-key"); err == nil {
-		t.Error("decoder accepted a key mismatch")
+	if err := gateBlob(data, "some-other-key"); err == nil {
+		t.Error("gate accepted a key mismatch")
 	}
-	if _, err := decodeSnapshot(data[:16], key); err == nil {
-		t.Error("decoder accepted a truncated file")
+	if err := gateBlob(data[:16], key); err == nil {
+		t.Error("gate accepted a truncated file")
 	}
-	if _, err := decodeSnapshot(append(append([]byte(nil), data...), 0), key); err == nil {
-		t.Error("decoder accepted trailing bytes")
+	if err := gateBlob(append(append([]byte(nil), data...), 0), key); err == nil {
+		t.Error("gate accepted trailing bytes")
 	}
 	bad := append([]byte(nil), data...)
 	copy(bad, "XXXX")
 	hl := binary.LittleEndian.Uint32(bad[8:])
 	binary.LittleEndian.PutUint32(bad[hl-4:], crc32.ChecksumIEEE(bad[:hl-4]))
-	if _, err := decodeSnapshot(bad, key); err == nil {
-		t.Error("decoder accepted a bad magic")
+	if err := gateBlob(bad, key); err == nil {
+		t.Error("gate accepted a bad magic")
 	}
 	// A flipped byte in the resume row, a split row or a split path with an
 	// intact header is caught by that section's CRC.
@@ -225,17 +249,17 @@ func TestSpillDecodeRejections(t *testing.T) {
 	for what, at := range map[string]int{"resume row": int(hl) + 5, "split row": l.rowOff(2) + 5, "split path": len(data) - 6} {
 		bad := append([]byte(nil), data...)
 		bad[at] ^= 0xFF
-		if _, err := decodeSnapshot(bad, key); err == nil {
-			t.Errorf("decoder accepted a corrupt %s", what)
+		if err := gateBlob(bad, key); err == nil {
+			t.Errorf("gate accepted a corrupt %s", what)
 		}
 	}
 	// A re-sealed path that leaves its rows' walk is refused as such: a
-	// lazy load would answer from it what an eager restore answers from
-	// the rows.
+	// lazy load would answer from it what a walk over the rows answers
+	// differently.
 	bad = append([]byte(nil), data...)
 	patchPath(bad, snap.N, snap.Filled, snap.Filled, 0, 0, true) // J[Filled][n] ≥ Filled−1 > 0
-	if _, err := decodeSnapshot(bad, key); !errors.Is(err, errSpillPath) {
-		t.Errorf("decoder on a re-sealed path off its rows: %v, want errSpillPath", err)
+	if err := gateBlob(bad, key); !errors.Is(err, errSpillPath) {
+		t.Errorf("gate on a re-sealed path off its rows: %v, want errSpillPath", err)
 	}
 }
 

@@ -475,25 +475,17 @@ func (s *Server) compressOne(ctx context.Context, req *compressBody, pw planWire
 }
 
 // peerWarm tries to warm one entry from the peer tier: fetch the blob
-// (already fully validated by the tier), write it through the local spill
-// so the warmth survives this worker's own restarts, and restore — lazily
-// via the freshly adopted spill file when the write-through landed, eagerly
-// from the decoded snapshot otherwise (including the spill-less
-// configuration). nil means no peer had the key; the caller fills cold.
+// (the tier's gate has checked it), adopt it into the spill directory,
+// which peers require, and load it lazily like any spill file. nil means
+// no peer had the key, or the blob did not land; the caller fills cold.
 func (s *Server) peerWarm(ctx context.Context, entry *cacheEntry, key string, series *pta.Series, strategy string, opts pta.Options) *pta.MatrixSet {
-	data, snap := s.peers.fetch(ctx, entry.hash, key)
-	if snap == nil {
+	data := s.peers.fetch(ctx, entry.hash, key)
+	if data == nil || !s.store.adopt(key, data) {
 		return nil
 	}
-	if s.store != nil && s.store.adopt(key, data) {
-		entry.spilled.Store(int64(snap.Filled))
-		if set := s.store.load(key, series, strategy, opts); set != nil {
-			return set
-		}
-	}
-	set, err := pta.RestoreMatrixSet(series, strategy, opts, snap)
-	if err != nil {
-		return nil
+	set := s.store.load(key, series, strategy, opts)
+	if set != nil {
+		entry.spilled.Store(int64(set.Rows()))
 	}
 	return set
 }

@@ -298,6 +298,7 @@ func TestConfigValidationMessages(t *testing.T) {
 		{"MaxInflight", Config{MaxInflight: -1}, "want >= 0 (0 = default 2×GOMAXPROCS)"},
 		{"DrainTimeout", Config{DrainTimeout: -time.Second}, "want >= 0 (0 = default 10s)"},
 		{"Peers", Config{Peers: []string{"not-a-url"}}, "want an absolute http(s) URL"},
+		{"Peers without SpillDir", Config{Peers: []string{"http://127.0.0.1:1"}}, "peers need a SpillDir"},
 		{"AdmissionMaxCells", Config{AdmissionMaxCells: -1}, "want >= 0 (0 = unlimited)"},
 		{"AdmissionPolicy", Config{AdmissionPolicy: "drop"}, `want "reject" or "queue"`},
 	}

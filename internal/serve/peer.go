@@ -12,18 +12,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/pta"
 )
 
 // peerTier is the fleet-shared warm cache: on a local miss (memory and
 // spill both cold) the server asks its peers for the content-addressed
 // spill blob over GET /v1/matrix/{hash} before paying the DP fill. Peers
-// are tried in rendezvous (highest-random-weight) order per hash, so every
+// are tried in rendezvous order per hash (RendezvousOrder), so every
 // worker in a fleet agrees on which peer most likely filled a given key
-// without any coordination or shared ring state. Fetched blobs are fully
-// validated (key equality, header CRC, every row CRC) before use — a
-// malfunctioning peer degrades to a cold fill, never to wrong bytes.
+// without any coordination or shared state. A fetched blob must pass the
+// peer gate (gateBlob: key equality, the header, every section's CRC, and
+// every split path against the walk of its rows) before the worker adopts
+// it into its spill directory and loads it like its own spill file — a
+// malfunctioning peer degrades to a cold fill, never to wrong bytes. So
+// peers need a spill directory (Config.SpillDir).
 //
 // The tier is always constructed (counters and /v1/stats shape stay stable)
 // and does nothing until peers are configured; SetPeers swaps the list at
@@ -49,14 +50,18 @@ func newPeerTier() *peerTier {
 	return &peerTier{client: &http.Client{}, timeout: peerTimeout}
 }
 
-// validatePeers rejects anything that is not an absolute http(s) URL; a
-// typo'd peer should fail at config time, not as a per-key fetch error.
-func validatePeers(urls []string) error {
+// validatePeers rejects anything that is not an absolute http(s) URL — a
+// typo'd peer should fail at config time, not as a per-key fetch error —
+// and peers without a spill directory to adopt their blobs into.
+func validatePeers(urls []string, spill bool) error {
 	for _, raw := range urls {
 		u, err := url.Parse(raw)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return fmt.Errorf("serve: peer %q, want an absolute http(s) URL", raw)
 		}
+	}
+	if len(urls) > 0 && !spill {
+		return fmt.Errorf("serve: peers need a SpillDir: a fetched blob is adopted into the spill directory and loaded from there")
 	}
 	return nil
 }
@@ -79,87 +84,91 @@ func (p *peerTier) count() int {
 	return len(p.peers)
 }
 
-// order returns the peers ranked by rendezvous weight for hash: every
-// worker hashing (peer, key-hash) the same way ranks the same peer first,
-// so the fleet converges on one owner per key without a shared ring
-// (internal/dist keeps its own ring on the coordinator; workers stay
-// coordination-free).
+// order returns the peers in hash's rendezvous order.
 func (p *peerTier) order(hash string) []string {
 	p.mu.RLock()
 	peers := p.peers
 	p.mu.RUnlock()
-	if len(peers) <= 1 {
-		return peers
-	}
+	return RendezvousOrder(peers, hash)
+}
+
+// RendezvousOrder ranks nodes for key by rendezvous (highest-random-weight)
+// hashing: by the first 8 bytes of SHA-256(node + "#" + key), highest
+// first, a tie going to the smaller node. The order depends on the set of
+// nodes, never on how they are listed, and removing a node moves only the
+// keys it ranked first — about K/N of K keys over N nodes — so the other
+// nodes' caches stay hot across membership changes. It is the fleet's one
+// placement rule: the peer tier tries peers in this order, and
+// internal/dist routes each shard to its workers in it.
+func RendezvousOrder(nodes []string, key string) []string {
 	type ranked struct {
-		peer   string
+		node   string
 		weight uint64
 	}
-	rs := make([]ranked, len(peers))
-	for i, peer := range peers {
-		sum := sha256.Sum256([]byte(peer + "#" + hash))
-		rs[i] = ranked{peer, binary.BigEndian.Uint64(sum[:8])}
+	rs := make([]ranked, len(nodes))
+	for i, node := range nodes {
+		sum := sha256.Sum256([]byte(node + "#" + key))
+		rs[i] = ranked{node, binary.BigEndian.Uint64(sum[:8])}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].weight > rs[j].weight })
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].weight != rs[j].weight {
+			return rs[i].weight > rs[j].weight
+		}
+		return rs[i].node < rs[j].node
+	})
 	out := make([]string, len(rs))
 	for i, r := range rs {
-		out[i] = r.peer
+		out[i] = r.node
 	}
 	return out
 }
 
 // fetch asks each peer in rendezvous order for the blob of (hash, key) and
-// returns the first fully validated response, decoded. A 404 is a clean
-// miss; transport errors and invalid blobs count as fetch errors and the
+// returns the first response that passes the peer gate. A 404 is a clean
+// miss; transport errors and refused blobs count as fetch errors and the
 // next peer is tried. nil means no peer had it.
-func (p *peerTier) fetch(ctx context.Context, hash, key string) ([]byte, *pta.MatrixSnapshot) {
+func (p *peerTier) fetch(ctx context.Context, hash, key string) []byte {
 	for _, peer := range p.order(hash) {
-		data, snap := p.fetchOne(ctx, peer, hash, key)
-		if snap != nil {
+		if data := p.fetchOne(ctx, peer, hash, key); data != nil {
 			p.fetchHits.Add(1)
 			p.fetchBytes.Add(int64(len(data)))
-			return data, snap
+			return data
 		}
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	p.fetchMisses.Add(1)
-	return nil, nil
+	return nil
 }
 
-func (p *peerTier) fetchOne(ctx context.Context, peer, hash, key string) ([]byte, *pta.MatrixSnapshot) {
+func (p *peerTier) fetchOne(ctx context.Context, peer, hash, key string) []byte {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/matrix/"+hash, nil)
 	if err != nil {
 		p.fetchErrors.Add(1)
-		return nil, nil
+		return nil
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
 		p.fetchErrors.Add(1)
-		return nil, nil
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
+		return nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		p.fetchErrors.Add(1)
-		return nil, nil
+		return nil
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, spillMaxBytes+1))
-	if err != nil || len(data) > spillMaxBytes {
+	if err != nil || len(data) > spillMaxBytes || gateBlob(data, key) != nil {
 		p.fetchErrors.Add(1)
-		return nil, nil
+		return nil
 	}
-	snap, err := decodeSnapshot(data, key)
-	if err != nil {
-		p.fetchErrors.Add(1)
-		return nil, nil
-	}
-	return data, snap
+	return data
 }
 
 // peerStats is the /v1/stats peer block (zero-valued when no peers are

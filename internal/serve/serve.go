@@ -44,8 +44,9 @@ type Config struct {
 	// Peers lists the base URLs of sibling workers forming a shared warm
 	// tier: on a local miss (memory and spill both cold) the server fetches
 	// the content-addressed spill blob from peers in rendezvous order over
-	// GET /v1/matrix/{hash} before paying the DP fill. Empty = no peer
-	// fetching. SetPeers changes the list at runtime.
+	// GET /v1/matrix/{hash} before paying the DP fill, adopts it into
+	// SpillDir and loads it from there, so peers need a SpillDir. Empty =
+	// no peer fetching. SetPeers changes the list at runtime.
 	Peers []string
 	// AdmissionMaxCells bounds the estimated worst-case DP cost, in matrix
 	// cells (≈ n·c for a size budget, n² for an error budget), one request
@@ -136,7 +137,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout < 0 {
 		return nil, fmt.Errorf("serve: DrainTimeout %v, want >= 0 (0 = default 10s)", cfg.DrainTimeout)
 	}
-	if err := validatePeers(cfg.Peers); err != nil {
+	if err := validatePeers(cfg.Peers, cfg.SpillDir != ""); err != nil {
 		return nil, err
 	}
 	if cfg.AdmissionMaxCells < 0 {
@@ -181,11 +182,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SetPeers replaces the peer list at runtime (validated like Config.Peers).
-// Safe for concurrent use with request serving; in-flight fetches finish
-// against the old list.
+// SetPeers replaces the peer list at runtime (validated like Config.Peers,
+// so a server without a spill directory takes none). Safe for concurrent
+// use with request serving; in-flight fetches finish against the old list.
 func (s *Server) SetPeers(peers []string) error {
-	if err := validatePeers(peers); err != nil {
+	if err := validatePeers(peers, s.store != nil); err != nil {
 		return err
 	}
 	s.peers.set(peers)

@@ -4,23 +4,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 )
 
-// slabView is the lazy source behind a spill-restored MatrixSet. It keeps
-// the spill file's descriptor and reads a section only when the solver
-// needs it, each with one ReadAt into a fresh buffer whose CRC it checks in
-// that private copy. SplitPath (core.SplitPathSource) reads the k split
-// points one budget's backtrack visits: what a walk within the spilled rows
-// reads, 4k+4 bytes. SplitRows (core.SplitRangeSource) reads every row a
-// walk past the spilled rows has not read yet and hands the verified raw
-// bytes to the solver, which keeps them and decodes only the one cell per
-// row its walk visits; SplitRow reads and decodes a single row, for
-// snapshots. ResumeRow (core.ResumeRowSource) reads the resume row for the
-// first fill past the spilled rows. The solver retains every row and the
+// slabView is the lazy source behind every MatrixSet the server restores.
+// It reads a spill blob through an io.ReaderAt — the spill file's
+// descriptor, or a fetched peer blob in memory while the peer gate checks
+// it — and reads a section only when the solver needs it, each with one
+// ReadAt into a fresh buffer whose CRC it checks in that private copy.
+// SplitPath (core.SplitPathSource) reads the k split points one budget's
+// backtrack visits: what a walk within the spilled rows reads, 4k+4 bytes.
+// SplitRow reads and decodes one split row, for a walk past the spilled
+// rows (which reads each row it has not read yet, once) and for snapshots.
+// ResumeRow (core.ResumeRowSource) reads the resume row for the first fill
+// past the spilled rows. The solver checks and retains every row and the
 // resume row it gets, so each is read at most once per restored set; it
 // keeps no path.
 //
@@ -34,7 +34,7 @@ import (
 // their section's CRC; the solver reports both as a WarmLostError.
 type slabView struct {
 	mu    sync.Mutex
-	f     *os.File // nil once invalidated
+	r     io.ReaderAt // nil once invalidated
 	clean runtime.Cleanup
 	spillLayout
 
@@ -44,49 +44,28 @@ type slabView struct {
 	reads, readBytes int64
 }
 
-// newSlabView wraps an open, header-validated spill file laid out as l. It
-// takes ownership of f and closes it on invalidate or when the view is
-// collected.
-func newSlabView(f *os.File, l spillLayout) *slabView {
-	v := &slabView{f: f, spillLayout: l}
-	v.clean = runtime.AddCleanup(v, func(f *os.File) { f.Close() }, f)
+// newSlabView wraps a header-validated blob laid out as l. It takes
+// ownership of r and, when r is an io.Closer (a spill file), closes it on
+// invalidate or when the view is collected.
+func newSlabView(r io.ReaderAt, l spillLayout) *slabView {
+	v := &slabView{r: r, spillLayout: l}
+	if c, ok := r.(io.Closer); ok {
+		v.clean = runtime.AddCleanup(v, func(c io.Closer) { c.Close() }, c)
+	}
 	return v
 }
 
-// SplitRows implements core.SplitRangeSource: rows lo..hi in one ReadAt,
-// each returned as its CRC-verified cells (the row minus its CRC trailer),
-// sliced from one buffer nobody else holds.
-func (v *slabView) SplitRows(lo, hi int) ([][]byte, error) {
-	if lo < 1 || hi > v.filled || lo > hi {
-		return nil, fmt.Errorf("spill: rows %d..%d outside 1..%d", lo, hi, v.filled)
-	}
-	rowSize := spillRowSize(v.n)
-	buf := make([]byte, (hi-lo+1)*rowSize)
-	if err := v.readAt(buf, v.rowOff(lo)); err != nil {
-		return nil, fmt.Errorf("spill: reading rows %d..%d: %w", lo, hi, err)
-	}
-	rows := make([][]byte, hi-lo+1)
-	for r := range rows {
-		body, ok := sealed(buf[r*rowSize : (r+1)*rowSize])
-		if !ok {
-			return nil, fmt.Errorf("spill: row %d CRC mismatch", lo+r)
-		}
-		rows[r] = body
-	}
-	return rows, nil
-}
-
-// SplitRow implements pta.SplitRowSource: one row, read and decoded.
+// SplitRow implements pta.SplitRowSource: row k in one ReadAt,
+// CRC-checked and decoded. The solver checks the split points.
 func (v *slabView) SplitRow(k int) ([]int32, error) {
-	rows, err := v.SplitRows(k, k)
+	if k < 1 || k > v.filled {
+		return nil, fmt.Errorf("spill: row %d outside 1..%d", k, v.filled)
+	}
+	body, err := v.section(v.rowOff(k), 4*(v.n+1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("spill: row %d: %w", k, err)
 	}
-	row := make([]int32, v.n+1)
-	for i := range row {
-		row[i] = int32(binary.LittleEndian.Uint32(rows[0][4*i:]))
-	}
-	return row, nil
+	return decodeInt32s(body), nil
 }
 
 // SplitPath implements core.SplitPathSource: budget k's split path in one
@@ -99,11 +78,16 @@ func (v *slabView) SplitPath(k int) ([]int32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: path %d: %w", k, err)
 	}
-	path := make([]int32, k)
-	for t := range path {
-		path[t] = int32(binary.LittleEndian.Uint32(body[4*t:]))
+	return decodeInt32s(body), nil
+}
+
+// decodeInt32s decodes little-endian int32 cells.
+func decodeInt32s(b []byte) []int32 {
+	out := make([]int32, len(b)/4)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return path, nil
+	return out
 }
 
 // ResumeRow implements core.ResumeRowSource: E[filled][0..n] in one ReadAt,
@@ -134,17 +118,17 @@ func (v *slabView) section(off, size int) ([]byte, error) {
 	return body, nil
 }
 
-// readAt fills buf from the file at off, under the view mutex so it never
+// readAt fills buf from the blob at off, under the view mutex so it never
 // races invalidate's close.
 func (v *slabView) readAt(buf []byte, off int) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.f == nil {
+	if v.r == nil {
 		return fmt.Errorf("view closed (file removed)")
 	}
 	v.reads++
 	v.readBytes += int64(len(buf))
-	_, err := v.f.ReadAt(buf, int64(off))
+	_, err := v.r.ReadAt(buf, int64(off))
 	return err
 }
 
@@ -153,10 +137,12 @@ func (v *slabView) readAt(buf []byte, off int) error {
 func (v *slabView) invalidate() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.f == nil {
+	if v.r == nil {
 		return
 	}
 	v.clean.Stop()
-	v.f.Close()
-	v.f = nil
+	if c, ok := v.r.(io.Closer); ok {
+		c.Close()
+	}
+	v.r = nil
 }

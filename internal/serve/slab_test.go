@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -236,7 +237,7 @@ func TestSpillRestoreReadGuard(t *testing.T) {
 	}
 
 	// Past the spilled rows: the fill reads the resume row, and the walk
-	// reads rows 1..filled in one read.
+	// reads rows 1..filled, one read each.
 	const deep = filled + 8
 	res, err := set.Compress(ctx, pta.Size(deep))
 	if err != nil {
@@ -245,7 +246,7 @@ func TestSpillRestoreReadGuard(t *testing.T) {
 	if res.Stats.Cells == 0 {
 		t.Fatalf("c=%d past %d spilled rows filled no cells", deep, filled)
 	}
-	wantReads += 2
+	wantReads += 1 + filled
 	wantBytes += int64(8*(n+1)+4) + filled*rowSize
 	check(fmt.Sprintf("then c=%d", deep), deep)
 	for _, k := range []int{c, filled} {
@@ -260,9 +261,16 @@ func TestSpillRestoreReadGuard(t *testing.T) {
 // over it answers every budget by walking split rows.
 type noPaths struct{ v *slabView }
 
-func (p noPaths) SplitRow(k int) ([]int32, error)        { return p.v.SplitRow(k) }
-func (p noPaths) SplitRows(lo, hi int) ([][]byte, error) { return p.v.SplitRows(lo, hi) }
-func (p noPaths) ResumeRow() ([]float64, error)          { return p.v.ResumeRow() }
+func (p noPaths) SplitRow(k int) ([]int32, error) { return p.v.SplitRow(k) }
+func (p noPaths) ResumeRow() ([]float64, error)   { return p.v.ResumeRow() }
+
+// memRows is a SplitRow-only source over a snapshot's rows in memory.
+type memRows struct{ snap *pta.MatrixSnapshot }
+
+func (m memRows) SplitRow(k int) ([]int32, error) {
+	cols := m.snap.N + 1
+	return slices.Clone(m.snap.Splits[(k-1)*cols : k*cols]), nil
+}
 
 // answerBytes is an answer's wire form without its fill stats, or the
 // error it failed with.
@@ -282,9 +290,9 @@ func answerBytes(res *pta.Result, err error) string {
 // TestSpillPathsMatchRows: on Mixed, Counter, gapped and grouped series,
 // every size budget within the spilled rows answers from its split path —
 // one read of 4k+4 bytes, no row made resident — byte-identically to the
-// same blob's rows, walked lazily and restored eagerly, and to a cold set.
-// It holds for a spill file the store wrote and for a peer blob adopted
-// past the decodeSnapshot gate.
+// same blob's rows, walked from the view and from memory, and to a cold
+// set. It holds for a spill file the store wrote and for a peer blob
+// adopted past the peer gate.
 func TestSpillPathsMatchRows(t *testing.T) {
 	gen := func(s *pta.Series, err error) *pta.Series {
 		if err != nil {
@@ -321,11 +329,11 @@ func TestSpillPathsMatchRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap, err := decodeSnapshot(blob, key)
-			if err != nil {
-				t.Fatalf("decode gate: %v", err)
+			if err := gateBlob(blob, key); err != nil {
+				t.Fatalf("peer gate: %v", err)
 			}
-			eager, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{}, snap)
+			snap := blobSnapshot(t, blob, key, s)
+			inMemory, err := pta.RestoreMatrixSetLazy(s, "ptac", pta.Options{}, snap, memRows{snap})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +365,7 @@ func TestSpillPathsMatchRows(t *testing.T) {
 				}
 				arms = append(arms, arm{where + " path", set, view}, arm{where + " rows", rows, nil})
 			}
-			arms = append(arms, arm{"eager rows", eager, nil})
+			arms = append(arms, arm{"memory rows", inMemory, nil})
 			for k := 1; k <= filled; k++ {
 				cold, err := pta.NewMatrixSet(s, "ptac", pta.Options{})
 				if err != nil {
@@ -387,8 +395,9 @@ func TestSpillPathsMatchRows(t *testing.T) {
 
 // TestSlabReadsRaceInvalidate: reads of one view racing its invalidation
 // (a discardCorrupt while another set still reads) each return verified
-// rows or a clean error, and every read after the close fails. Run under
-// -race.
+// rows or a clean error, and every read after the close fails. The set
+// stays reachable throughout, so the view its store holds weakly does
+// too. Run under -race.
 func TestSlabReadsRaceInvalidate(t *testing.T) {
 	series, err := decodeSeries(bigWire(4, 300))
 	if err != nil {
@@ -396,7 +405,8 @@ func TestSlabReadsRaceInvalidate(t *testing.T) {
 	}
 	const key = "race"
 	cs := spillWarm(t, series, key, pta.Size(30))
-	if cs.load(key, series, "ptac", pta.Options{}) == nil {
+	set := cs.load(key, series, "ptac", pta.Options{})
+	if set == nil {
 		t.Fatal("load failed on an intact file")
 	}
 	view := cs.views[cs.path(key)].Value()
@@ -407,18 +417,19 @@ func TestSlabReadsRaceInvalidate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				lo := 1 + (g+r)%20
-				if rows, err := view.SplitRows(lo, lo+9); err == nil && len(rows) != 10 {
-					t.Errorf("read of rows %d..%d returned %d rows", lo, lo+9, len(rows))
+				k := 1 + (g+r)%30
+				if row, err := view.SplitRow(k); err == nil && len(row) != series.Len()+1 {
+					t.Errorf("read of row %d returned %d cells", k, len(row))
 				}
 			}
 		}(g)
 	}
 	view.invalidate()
 	wg.Wait()
-	if _, err := view.SplitRows(1, 1); err == nil {
+	if _, err := view.SplitRow(1); err == nil {
 		t.Error("read after invalidate succeeded")
 	}
+	runtime.KeepAlive(set)
 }
 
 // BenchmarkSpillRestore times what a spill reload costs a request: open and
@@ -427,7 +438,7 @@ func TestSlabReadsRaceInvalidate(t *testing.T) {
 // them fills a cell and each reads its split path alone; readB/op is the
 // bytes each answer read. The deep arm answers c = n/5 past the 204
 // spilled rows: it fills rows 205..409 from the resume row and walks rows
-// 1..204, read in one range.
+// 1..204, read one at a time.
 func BenchmarkSpillRestore(b *testing.B) {
 	const n = 2048
 	series, err := dataset.Mixed(1, n, 1, 3)
@@ -471,6 +482,7 @@ func BenchmarkSpillRestore(b *testing.B) {
 				}
 				_, bytes := readCounts(cs.views[cs.path(key)].Value())
 				readBytes += bytes
+				runtime.KeepAlive(set) // the store holds the view weakly
 			}
 			b.ReportMetric(float64(readBytes)/float64(b.N), "readB/op")
 		})
@@ -591,15 +603,16 @@ func checkLadder(t *testing.T, how string, set *pta.MatrixSet, series *pta.Serie
 
 // FuzzSpillRows mutates split cells of a valid spill blob — in its split
 // rows and in its split paths, CRCs included — re-sealing the sections or
-// not, and answers a ladder of budgets from it both ways a worker restores
-// one: lazily through a spill file (paths for budgets within the spilled
-// rows, rows past them), and eagerly through decodeSnapshot and
-// RestoreMatrixSet. Nothing may panic, and every answer is a WarmLostError
-// or rows that tile the series at a finite, non-negative error
-// (checkLadder). A CRC is not authentication, so a re-sealed mutation may
-// change a lazy answer; decodeSnapshot refuses a re-sealed blob only when a
-// path no longer follows its rows (errSpillPath), and an unmutated blob
-// must answer exactly like a cold set.
+// not, and answers a ladder of budgets from it both ways a worker gets
+// one: from its own spill file, and as a peer blob that passed the peer
+// gate and was adopted into a spill directory; either way the set loads
+// lazily (paths for budgets within the spilled rows, rows past them).
+// Nothing may panic, and every answer is a WarmLostError or rows that tile
+// the series at a finite, non-negative error (checkLadder). A CRC is not
+// authentication, so a re-sealed mutation may change an answer; the gate
+// refuses a re-sealed blob only when a path no longer follows its rows
+// (errSpillPath), and an unmutated blob must answer exactly like a cold
+// set.
 //
 // Each mutation is three bytes: the target, the cell and the new value as a
 // signed byte. A target below 0x80 is a row (mod the rows spilled) and the
@@ -621,6 +634,10 @@ func FuzzSpillRows(f *testing.F) {
 	}
 	const filled = 5
 	budgets, cold := spillLadder(f, series)
+	peer, err := newCacheStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add([]byte{}, false)
 	f.Add([]byte{3, 7, 7}, true)          // J[4][7] = 7: at its own column
@@ -656,21 +673,21 @@ func FuzzSpillRows(f *testing.F) {
 			t.Fatal("load refused a blob whose header is intact")
 		}
 
-		snap, err := decodeSnapshot(data, key)
-		if err != nil {
+		if err := gateBlob(data, key); err != nil {
 			if pristine || reseal && !errors.Is(err, errSpillPath) {
-				t.Fatalf("decode: %v", err)
+				t.Fatalf("gate: %v", err)
 			}
 			return
 		}
-		set, err := pta.RestoreMatrixSet(series, "ptac", pta.Options{}, snap)
-		if err != nil {
-			if pristine {
-				t.Fatalf("restore of the unmutated blob: %v", err)
-			}
-			return
+		if !peer.adopt(key, data) {
+			t.Fatal("adopt refused a gated blob")
 		}
-		checkLadder(t, "eager", set, series, budgets, cold, pristine)
+		defer peer.drop(peer.path(key))
+		if set := peer.load(key, series, "ptac", pta.Options{}); set != nil {
+			checkLadder(t, "peer", set, series, budgets, cold, pristine)
+		} else {
+			t.Fatal("load refused a gated blob whose header is intact")
+		}
 	})
 }
 
@@ -698,9 +715,8 @@ func hdrMut(field, at int, v uint64) []byte {
 // filled, has-max, SSEmax, row errors and strategy and class in the header,
 // and cells of the resume row in its own section — with the header and
 // resume-row CRCs re-sealed or left as they were, and restores the blob both
-// ways a worker does: lazily through cs.load, and through decodeSnapshot
-// and RestoreMatrixSet, the path a peer-fetched blob takes. Nothing may
-// panic. Either the blob is refused, or every budget of FuzzSpillRows'
+// ways a worker does: through cs.load, and as a peer-fetched blob through
+// the peer gate, adopted and loaded. Nothing may panic. Either the blob is refused, or every budget of FuzzSpillRows'
 // ladder answers with a WarmLostError or with rows that tile the series at
 // a finite, non-negative error. A lazy set reads and checks the resume row
 // only when a budget fills past the spilled rows. An unmutated blob answers
@@ -721,15 +737,19 @@ func FuzzSpillHeader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base, err := decodeSnapshot(blob, key)
-	if err != nil || !base.HasMax {
-		f.Fatalf("warm blob: %v, has SSEmax %v", err, err == nil && base.HasMax)
+	base := blobSnapshot(f, blob, key, series)
+	if !base.HasMax {
+		f.Fatal("warm blob has no SSEmax")
 	}
 	hl := int(binary.LittleEndian.Uint32(blob[8:]))
 	sealed := blob[hl-4 : hl]     // the pristine header CRC
 	resumeCRC := 8 * (base.N + 1) // the resume row's CRC, from the end of the header
 	sealedResume := blob[hl+resumeCRC : hl+resumeCRC+4]
 	budgets, cold := spillLadder(f, series)
+	peer, err := newCacheStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
 	names := []string{"ptac", "ptae", "dpbasic", "gms", "", "dp", "dp+imax+jmin", "dp+imax+jmin/fill=dc"}
 	nan, inf := math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1))
 	minus1 := math.Float64bits(-1)
@@ -801,20 +821,20 @@ func FuzzSpillHeader(f *testing.F) {
 			t.Fatal("load refused the unmutated blob")
 		}
 
-		peer, err := decodeSnapshot(data, key)
-		if err != nil {
+		if err := gateBlob(data, key); err != nil {
 			if pristine {
-				t.Fatalf("decode of the unmutated blob: %v", err)
+				t.Fatalf("gate on the unmutated blob: %v", err)
 			}
 			return
 		}
-		set, err := pta.RestoreMatrixSet(series, "ptac", pta.Options{}, peer)
-		if err != nil {
-			if pristine {
-				t.Fatalf("restore of the unmutated blob: %v", err)
-			}
-			return
+		if !peer.adopt(key, data) {
+			t.Fatal("adopt refused a gated blob")
 		}
-		checkLadder(t, "eager", set, series, budgets, cold, pristine)
+		defer peer.drop(peer.path(key))
+		if set := peer.load(key, series, "ptac", pta.Options{}); set != nil {
+			checkLadder(t, "peer", set, series, budgets, cold, pristine)
+		} else if pristine {
+			t.Fatal("load refused the unmutated blob")
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,7 +253,7 @@ func TestPeerRaceToFillOneKey(t *testing.T) {
 func TestPeerMissFallsBackCold(t *testing.T) {
 	t.Run("peer cold", func(t *testing.T) {
 		_, tsA := newTestServer(t, Config{})
-		_, tsB := newTestServer(t, Config{Peers: []string{tsA.URL}})
+		_, tsB := newTestServer(t, Config{SpillDir: t.TempDir(), Peers: []string{tsA.URL}})
 		res, _, err := warmSend(tsB.URL, projWire(), planWire{Strategy: "ptac", Budget: "c=4"})
 		if err != nil || res.Cache != cacheMiss || res.Stats.Cells == 0 {
 			t.Fatalf("res=%+v err=%v, want a cold fill", res, err)
@@ -266,7 +267,7 @@ func TestPeerMissFallsBackCold(t *testing.T) {
 		}
 	})
 	t.Run("peer unreachable", func(t *testing.T) {
-		s, ts := newTestServer(t, Config{Peers: []string{"http://127.0.0.1:1"}})
+		s, ts := newTestServer(t, Config{SpillDir: t.TempDir(), Peers: []string{"http://127.0.0.1:1"}})
 		s.peers.timeout = 200 * time.Millisecond
 		res, _, err := warmSend(ts.URL, projWire(), planWire{Strategy: "ptac", Budget: "c=4"})
 		if err != nil || res.Cache != cacheMiss || res.Stats.Cells == 0 {
@@ -492,5 +493,22 @@ func TestCloseBeforeDelete(t *testing.T) {
 	var lost *pta.WarmLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("held set after unlink: %v, want a WarmLostError", err)
+	}
+}
+
+// TestSetPeersNeedsSpillDir: a server without a spill directory takes no
+// peers at runtime either — a fetched blob is adopted into that directory —
+// but may still clear its list; one with a spill directory takes them.
+func TestSetPeersNeedsSpillDir(t *testing.T) {
+	memOnly, _ := newTestServer(t, Config{})
+	if err := memOnly.SetPeers([]string{"http://127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "SpillDir") {
+		t.Errorf("SetPeers without a spill dir: %v, want an error naming SpillDir", err)
+	}
+	if err := memOnly.SetPeers(nil); err != nil {
+		t.Errorf("SetPeers(nil) without a spill dir: %v", err)
+	}
+	spilling, _ := newTestServer(t, Config{SpillDir: t.TempDir()})
+	if err := spilling.SetPeers([]string{"http://127.0.0.1:1"}); err != nil {
+		t.Errorf("SetPeers with a spill dir: %v", err)
 	}
 }

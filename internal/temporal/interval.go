@@ -34,9 +34,6 @@ func (iv Interval) Len() int64 {
 	return iv.End - iv.Start + 1
 }
 
-// Contains reports whether chronon t lies in the interval.
-func (iv Interval) Contains(t Chronon) bool { return iv.Start <= t && t <= iv.End }
-
 // Overlaps reports whether the two intervals share at least one chronon.
 func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Start <= o.End && o.Start <= iv.End

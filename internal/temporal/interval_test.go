@@ -23,18 +23,6 @@ func TestIntervalLen(t *testing.T) {
 	}
 }
 
-func TestIntervalContains(t *testing.T) {
-	iv := Interval{3, 6}
-	for _, tc := range []struct {
-		t    Chronon
-		want bool
-	}{{2, false}, {3, true}, {5, true}, {6, true}, {7, false}} {
-		if got := iv.Contains(tc.t); got != tc.want {
-			t.Errorf("%v.Contains(%d) = %v, want %v", iv, tc.t, got, tc.want)
-		}
-	}
-}
-
 func TestIntervalOverlaps(t *testing.T) {
 	tests := []struct {
 		a, b Interval

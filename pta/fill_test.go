@@ -96,8 +96,7 @@ func TestMatrixSetClassReflectsFill(t *testing.T) {
 // TestInvalidFillAlgoRejected: a fill outside FillAuto, FillPruned and
 // FillDC — the retired values 3 and 4 included — fails core's exact entry
 // points, and a snapshot under a per-fill class ("dp+imax+jmin/fill=dc",
-// what a pinned plan was once cached under) restores neither eagerly nor
-// lazily.
+// what a pinned plan was once cached under) does not restore.
 func TestInvalidFillAlgoRejected(t *testing.T) {
 	s := fillSeries(t)
 	ctx := context.Background()
@@ -119,9 +118,6 @@ func TestInvalidFillAlgoRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap.Class += "/fill=" + fill
-		if _, err := pta.RestoreMatrixSet(s, "ptac", pta.Options{}, snap); err == nil {
-			t.Errorf("RestoreMatrixSet took class %q", snap.Class)
-		}
 		src := &memRowSource{n: snap.N, splits: snap.Splits}
 		if _, err := pta.RestoreMatrixSetLazy(s, "ptac", pta.Options{}, snap, src); err == nil {
 			t.Errorf("RestoreMatrixSetLazy took class %q", snap.Class)

@@ -33,7 +33,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot shape: %+v vs rows=%d", snap, warm.Rows())
 	}
 
-	cold, err := pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, snap)
+	cold, err := pta.RestoreMatrixSetLazy(seq, "ptac", pta.Options{}, snap, &memRowSource{n: snap.N, splits: snap.Splits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // memRowSource is a SplitRowSource over an in-memory snapshot, with
-// per-row failure injection and read accounting.
+// per-row failure injection and read accounting. A row its splits do not
+// hold is an error.
 type memRowSource struct {
 	n      int
 	splits []int32 // row-major, rows 1..filled
@@ -101,7 +102,7 @@ func (m *memRowSource) SplitRow(k int) ([]int32, error) {
 		m.reads = make(map[int]int)
 	}
 	m.reads[k]++
-	if k == m.failAt {
+	if k == m.failAt || k < 1 || k*(m.n+1) > len(m.splits) {
 		return nil, errRowGone
 	}
 	row := m.splits[(k-1)*(m.n+1) : k*(m.n+1)]
@@ -156,7 +157,7 @@ func TestSnapshotRestoreLazy(t *testing.T) {
 			t.Errorf("row %d read for a c=%d budget", k, want.C)
 		}
 	}
-	// A deeper budget resumes the fill and matches the eager set.
+	// A deeper budget resumes the fill and matches the snapshotted set.
 	deep := pta.Size(seq.Len() / 2)
 	wantDeep, err := warm.Compress(ctx, deep)
 	if err != nil {
@@ -188,7 +189,9 @@ func TestSnapshotRestoreLazy(t *testing.T) {
 }
 
 // TestSnapshotRestoreRejections: corrupt or mismatched snapshots fail
-// cleanly instead of producing a poisoned set.
+// cleanly instead of producing a poisoned set. A snapshot of the wrong
+// shape or class is refused at restore; a bad split point is a
+// WarmLostError once a walk reads its row.
 func TestSnapshotRestoreRejections(t *testing.T) {
 	seq := grouped(t)
 	ctx := context.Background()
@@ -204,51 +207,62 @@ func TestSnapshotRestoreRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mutate := func(name string, f func(s *pta.MatrixSnapshot)) {
+	restore := func(s *pta.MatrixSnapshot) (*pta.MatrixSet, error) {
+		return pta.RestoreMatrixSetLazy(seq, "ptac", pta.Options{}, s, &memRowSource{n: s.N, splits: s.Splits})
+	}
+	mutate := func(name string, lostAtRead bool, f func(s *pta.MatrixSnapshot)) {
 		s := *good
 		s.RowErr = append([]float64(nil), good.RowErr...)
 		s.LastE = append([]float64(nil), good.LastE...)
 		s.Splits = append([]int32(nil), good.Splits...)
 		f(&s)
-		if _, err := pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, &s); err == nil {
-			t.Errorf("%s: restore accepted a bad snapshot", name)
+		set, err := restore(&s)
+		if !lostAtRead {
+			if err == nil {
+				t.Errorf("%s: restore accepted a bad snapshot", name)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: restore refused a snapshot of the right shape: %v", name, err)
+		}
+		var lost *pta.WarmLostError
+		if _, err := set.Compress(ctx, pta.Size(s.Filled)); !errors.As(err, &lost) {
+			t.Errorf("%s: compress over the bad split: %v, want a WarmLostError", name, err)
 		}
 	}
-	mutate("wrong n", func(s *pta.MatrixSnapshot) { s.N++ })
-	mutate("wrong class", func(s *pta.MatrixSnapshot) { s.Class = "dp" })
-	mutate("truncated row errors", func(s *pta.MatrixSnapshot) { s.RowErr = s.RowErr[:1] })
-	mutate("truncated splits", func(s *pta.MatrixSnapshot) { s.Splits = s.Splits[:len(s.Splits)-1] })
-	mutate("split out of range", func(s *pta.MatrixSnapshot) { s.Splits[0] = int32(s.N + 5) })
-	mutate("negative split", func(s *pta.MatrixSnapshot) { s.Splits[0] = -1 })
+	mutate("wrong n", false, func(s *pta.MatrixSnapshot) { s.N++ })
+	mutate("wrong class", false, func(s *pta.MatrixSnapshot) { s.Class = "dp" })
+	mutate("truncated row errors", false, func(s *pta.MatrixSnapshot) { s.RowErr = s.RowErr[:1] })
+	mutate("filled too deep", false, func(s *pta.MatrixSnapshot) { s.Filled = s.N + 1 })
+	mutate("truncated splits", true, func(s *pta.MatrixSnapshot) { s.Splits = s.Splits[:len(s.Splits)-1] })
+	mutate("split out of range", true, func(s *pta.MatrixSnapshot) { s.Splits[0] = int32(s.N + 5) })
+	mutate("negative split", true, func(s *pta.MatrixSnapshot) { s.Splits[0] = -1 })
 	// In range 0..n, but at its own column: the backtrack would merge the
 	// empty run [n+1, n].
-	mutate("split at its column", func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.N) })
-	mutate("split below k-1", func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.Filled - 2) })
-	mutate("filled too deep", func(s *pta.MatrixSnapshot) { s.Filled = s.N + 1 })
+	mutate("split at its column", true, func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.N) })
+	mutate("split below k-1", true, func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = int32(s.Filled - 2) })
+	// A zero split point passes the row check (unreached cells hold 0), but
+	// one on the backtrack's path is a typed loss, not a panic.
+	mutate("zero split on the walk", true, func(s *pta.MatrixSnapshot) { s.Splits[(s.Filled-1)*(s.N+1)+s.N] = 0 })
 
-	if _, err := pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, nil); err == nil {
+	if _, err := restore(&pta.MatrixSnapshot{}); err == nil {
+		t.Error("empty snapshot accepted")
+	}
+	if _, err := pta.RestoreMatrixSetLazy(seq, "ptac", pta.Options{}, nil, &memRowSource{}); err == nil {
 		t.Error("nil snapshot accepted")
 	}
-	if _, err := pta.RestoreMatrixSet(seq, "gms", pta.Options{}, good); err == nil {
+	if _, err := pta.RestoreMatrixSetLazy(seq, "gms", pta.Options{}, good, &memRowSource{n: good.N, splits: good.Splits}); err == nil {
 		t.Error("non-DP strategy accepted a snapshot")
 	}
 
-	// A zero split point passes Restore (unreached cells hold 0), but one on
-	// the backtrack's path is a typed loss, not a panic.
-	zero := *good
-	zero.Splits = append([]int32(nil), good.Splits...)
-	zero.Splits[(zero.Filled-1)*(zero.N+1)+zero.N] = 0
-	set, err = pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, &zero)
+	// The pristine snapshot still restores and answers after all the
+	// rejected copies.
+	set, err = restore(good)
 	if err != nil {
-		t.Fatalf("restore rejected a zero split point: %v", err)
+		t.Fatalf("good snapshot rejected: %v", err)
 	}
-	var lost *pta.WarmLostError
-	if _, err := set.Compress(ctx, pta.Size(zero.Filled)); !errors.As(err, &lost) {
-		t.Errorf("compress over a zero split point on the walk: %v, want a WarmLostError", err)
-	}
-
-	// The pristine snapshot still restores after all the rejected copies.
-	if _, err := pta.RestoreMatrixSet(seq, "ptac", pta.Options{}, good); err != nil {
-		t.Errorf("good snapshot rejected: %v", err)
+	if _, err := set.Compress(ctx, pta.Size(good.Filled)); err != nil {
+		t.Errorf("good snapshot lost: %v", err)
 	}
 }
