@@ -6,9 +6,10 @@
 // Endpoints:
 //
 //	POST /v1/compress       one series, one plan
-//	POST /v1/compress/many  one series, several plans (amortized)
+//	POST /v1/compress/many  one series, several plans (amortized: plans of
+//	                        one DP class share one cache entry)
 //	GET  /v1/strategies     the strategy registry
-//	GET  /v1/stats          cache, admission, spill and request counters
+//	GET  /v1/stats          the /metrics samples as one JSON object
 //	GET  /metrics           Prometheus text-format exposition
 //	GET  /healthz           liveness
 //

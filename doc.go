@@ -36,11 +36,14 @@
 //	go run ./cmd/ptaserve -addr :8080 -parallel 4
 //
 // cmd/ptaserve (handlers in internal/serve) serves POST /v1/compress and
-// /v1/compress/many from one shared Engine and an LRU matrix cache, so
-// repeated budgets of a hot series skip the DP fill entirely; GET
-// /v1/strategies introspects the registry, /v1/stats reports cache
-// hit/miss counters, and typed failures map onto HTTP statuses (400
-// unknown strategy, 422 infeasible budget, 504 expired deadline).
+// /v1/compress/many through one handler, over one shared Engine and an LRU
+// matrix cache, so repeated budgets of a hot series skip the DP fill
+// entirely and the plans of one many-plan request amortize: plans of one
+// DP class share one cache entry. GET /v1/strategies introspects the
+// registry, GET /metrics and /v1/stats render one metrics registry (as
+// Prometheus text and as a flat JSON object), and typed failures map onto
+// HTTP statuses (400 unknown strategy, 422 infeasible budget, 504 expired
+// deadline).
 // examples/serveclient walks the whole protocol in one process.
 //
 // Failures are typed: ErrUnknownStrategy, ErrBudgetInfeasible, ErrCanceled,

@@ -133,15 +133,14 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("c=2 -> %d %s (cmin=%d)\n", resp.StatusCode, failure.Error.Code, failure.Error.CMin)
 
-	// 4. The cache counters on /v1/stats.
+	// 4. The cache counters on /v1/stats: the /metrics samples as one JSON
+	// object, keyed by sample name.
 	var stats struct {
-		Cache struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-		} `json:"cache"`
+		Hits   int64 `json:"ptaserve_cache_hits_total"`
+		Misses int64 `json:"ptaserve_cache_misses_total"`
 	}
 	getJSON(base+"/v1/stats", &stats)
-	fmt.Printf("cache: %d hits, %d misses\n", stats.Cache.Hits, stats.Cache.Misses)
+	fmt.Printf("cache: %d hits, %d misses\n", stats.Hits, stats.Misses)
 
 	// 5. Graceful shutdown, like SIGTERM on the daemon.
 	stop()

@@ -409,7 +409,7 @@ func (kn *CostKernel) MonotoneSegments() []int32 {
 // fillSegmentMin) — the share of the series that gets the monotone-fill
 // speedup. 1.0 on counter-like data, 0.0 on pure oscillating noise. The
 // value is cached alongside the segmentation, so repeated queries (solver
-// deepening rounds, /v1/stats scrapes) cost a Once check, not a rescan.
+// deepening rounds) cost a Once check, not a rescan.
 func (kn *CostKernel) MonotoneCoverage() float64 {
 	kn.monoOnce.Do(kn.computeSegments)
 	return kn.monoCov

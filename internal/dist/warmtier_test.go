@@ -139,8 +139,9 @@ func workerSend(t *testing.T, url string, s *pta.Series, b pta.Budget) serve.Res
 	return out.Results[0]
 }
 
-// workerStats fetches one worker's /v1/stats body.
-func workerStats(t *testing.T, url string) map[string]any {
+// workerStats fetches one worker's /v1/stats body and reads the named
+// registry samples out of it, failing on any it lacks.
+func workerStats(t *testing.T, url string, keys ...string) []float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
@@ -151,7 +152,15 @@ func workerStats(t *testing.T, url string) map[string]any {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	return stats
+	out := make([]float64, len(keys))
+	for i, key := range keys {
+		v, ok := stats[key].(float64)
+		if !ok {
+			t.Fatalf("worker %s /v1/stats %s: %v is not a number", url, key, stats[key])
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // TestDistPeerWarmWipeRestart is the fleet acceptance scenario from the
@@ -194,8 +203,8 @@ func TestDistPeerWarmWipeRestart(t *testing.T) {
 			t.Fatalf("keeper warm-up: cache=%q cells=%d, want peer-warm hit", res.Cache, res.Stats.Cells)
 		}
 	}
-	if cells := workerStats(t, keeper.URL())["dp_cells_filled"].(float64); cells != 0 {
-		t.Fatalf("keeper dp_cells_filled = %v, want 0 (all peer-warmed)", cells)
+	if cells := workerStats(t, keeper.URL(), "ptaserve_dp_cells_filled_total")[0]; cells != 0 {
+		t.Fatalf("keeper ptaserve_dp_cells_filled_total = %v, want 0 (all peer-warmed)", cells)
 	}
 
 	// kill -9 the victim, lose its volume, bring it back empty.
@@ -218,15 +227,15 @@ func TestDistPeerWarmWipeRestart(t *testing.T) {
 	if ratio := float64(hits) / float64(len(reqs)); ratio < 0.9 {
 		t.Fatalf("warm hit ratio %.2f after wipe-and-restart, want >= 0.9", ratio)
 	}
-	stats := workerStats(t, victim.URL())
-	if cells := stats["dp_cells_filled"].(float64); cells != 0 {
-		t.Fatalf("restarted victim dp_cells_filled = %v, want 0", cells)
+	stats := workerStats(t, victim.URL(),
+		"ptaserve_dp_cells_filled_total", "ptapeer_fetch_hits_total", "ptapeer_fetch_errors_total")
+	if cells := stats[0]; cells != 0 {
+		t.Fatalf("restarted victim ptaserve_dp_cells_filled_total = %v, want 0", cells)
 	}
-	peer := stats["peer"].(map[string]any)
-	if fetched := peer["fetch_hits"].(float64); fetched != float64(len(reqs)) {
-		t.Fatalf("restarted victim peer fetch_hits = %v, want %d", fetched, len(reqs))
+	if fetched := stats[1]; fetched != float64(len(reqs)) {
+		t.Fatalf("restarted victim ptapeer_fetch_hits_total = %v, want %d", fetched, len(reqs))
 	}
-	if errs := peer["fetch_errors"].(float64); errs != 0 {
-		t.Fatalf("restarted victim peer fetch_errors = %v, want 0", errs)
+	if errs := stats[2]; errs != 0 {
+		t.Fatalf("restarted victim ptapeer_fetch_errors_total = %v, want 0", errs)
 	}
 }

@@ -7,11 +7,14 @@
 // exposition text.
 //
 // The registry renders families in registration order, one family per
-// metric name; Lint (lint.go) is a promtool-style validator used by the CI
-// test over ptaserve's /metrics output.
+// metric name, as the exposition (WritePrometheus) or as a flat JSON object
+// of the same samples (WriteJSON); Lint (lint.go) is a promtool-style
+// validator used by the CI test over ptaserve's /metrics output.
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -62,6 +65,44 @@ func (r *Registry) register(m metric) {
 
 // WritePrometheus renders every registered family in text format 0.0.4.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	_, err := w.Write(r.exposition())
+	return err
+}
+
+// WriteJSON renders the samples WritePrometheus writes as one flat JSON
+// object: each key is a sample's name with its labels, spelled as in the
+// exposition, and each value is the sample's number, or null when that is
+// not finite. It re-keys the rendered exposition line by line, so the two
+// views cannot drift apart.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	text := r.exposition()
+	b := append(make([]byte, 0, len(text)), '{')
+	for line := range bytes.Lines(text) {
+		if line[0] == '#' {
+			continue
+		}
+		// No sample carries a timestamp, so the value is the last field; a
+		// label value may hold spaces, never a raw newline.
+		line = line[:len(line)-1]
+		sp := bytes.LastIndexByte(line, ' ')
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		key, _ := json.Marshal(string(line[:sp])) // a string always marshals
+		b = append(append(b, key...), ':')
+		switch v := line[sp+1:]; string(v) {
+		case "+Inf", "-Inf", "NaN":
+			b = append(b, "null"...)
+		default:
+			b = append(b, v...)
+		}
+	}
+	_, err := w.Write(append(b, "}\n"...))
+	return err
+}
+
+// exposition renders every registered family's HELP/TYPE/sample block.
+func (r *Registry) exposition() []byte {
 	r.mu.Lock()
 	metrics := append([]metric(nil), r.metrics...)
 	r.mu.Unlock()
@@ -69,8 +110,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, m := range metrics {
 		m.write(&b)
 	}
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
 // ContentType is the exposition content type of WritePrometheus.

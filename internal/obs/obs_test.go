@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -124,6 +127,88 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if errs := Lint([]byte(text)); len(errs) > 0 {
 		t.Errorf("lint: %v", errs)
+	}
+}
+
+// TestWriteJSONMirrorsExposition: the JSON view of a registry holding
+// every kind of metric is one object with exactly one key per exposition
+// sample, spelled as the exposition spells it, and the sample's value, or
+// null where that is not finite.
+func TestWriteJSONMirrorsExposition(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("jobs_total", "Jobs.").Add(3)
+	v := r.NewCounterVec("requests_total", "Requests.", "path", "code")
+	v.With(`a "quoted" \ path`, "200").Add(2)
+	v.With("/plain", "500").Inc()
+	r.NewCounterFunc("loads_total", "Loads.", func() float64 { return 7 })
+	r.NewGaugeFunc("hit_ratio", "Undefined before the first lookup.", math.NaN)
+	r.NewGaugeFunc("depth", "Depth.", func() float64 { return 1.5 })
+	r.NewHistogram("latency_seconds", "Latency.", []float64{0.1, 1}).Observe(0.5)
+	r.NewHistogramVec("size_bytes", "Sizes.", []float64{10}, "kind").With("blob").Observe(20)
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Walk the tokens instead of unmarshaling, so a repeated key shows.
+	got := make(map[string]any)
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("body does not open an object (%v):\n%s", err, buf.Bytes())
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("body does not parse (%v):\n%s", err, buf.Bytes())
+		}
+		key := tok.(string)
+		var val any
+		if err := dec.Decode(&val); err != nil {
+			t.Fatalf("value of %q does not parse (%v):\n%s", key, err, buf.Bytes())
+		}
+		if _, dup := got[key]; dup {
+			t.Errorf("key %q appears twice", key)
+		}
+		got[key] = val
+	}
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('}') {
+		t.Fatalf("body does not close its object (%v):\n%s", err, buf.Bytes())
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Errorf("data after the object: %v", err)
+	}
+
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(expose(t, r), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		samples++
+		_, _, want, ok := parseSample(line)
+		if !ok {
+			t.Fatalf("exposition line %q does not parse", line)
+		}
+		key := line[:strings.LastIndexByte(line, ' ')]
+		val, present := got[key]
+		switch {
+		case !present:
+			t.Errorf("no key %q", key)
+		case math.IsNaN(want) || math.IsInf(want, 0):
+			if val != nil {
+				t.Errorf("%s = %v, want null for %v", key, val, want)
+			}
+		case val != want:
+			t.Errorf("%s = %v, the exposition reads %v", key, val, want)
+		}
+	}
+	if len(got) != samples {
+		t.Errorf("%d keys for %d exposition samples:\n%s", len(got), samples, buf.Bytes())
+	}
+	if val, ok := got["hit_ratio"]; !ok || val != nil {
+		t.Errorf("NaN gauge = %v (present %v), want null", val, ok)
+	}
+	if key := `requests_total{path="a \"quoted\" \\ path",code="200"}`; got[key] != 2.0 {
+		t.Errorf("%s = %v, want 2", key, got[key])
 	}
 }
 

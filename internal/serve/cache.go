@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,7 +55,7 @@ type cacheEntry struct {
 	set *pta.MatrixSet
 
 	// bytes and rows mirror the set's footprint after the latest use, so
-	// stats never have to take entry locks.
+	// footprint never has to take entry locks.
 	bytes atomic.Int64
 	rows  atomic.Int64
 
@@ -153,37 +152,20 @@ func (c *matrixCache) discard(e *cacheEntry) {
 	}
 }
 
-// cacheStats is the /v1/stats snapshot of the cache.
-type cacheStats struct {
-	Capacity  int   `json:"capacity"`
-	Entries   int   `json:"entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Rows      int64 `json:"rows"`
-	MemBytes  int64 `json:"mem_bytes"`
-}
-
-// stats snapshots the counters and the footprint of the resident entries.
-func (c *matrixCache) stats() cacheStats {
+// footprint reports the resident entries, the DP rows they retain and
+// their estimated bytes, the memo's series bytes included.
+func (c *matrixCache) footprint() (entries int, rows, held int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := cacheStats{
-		Capacity:  c.capacity,
-		Entries:   c.ll.Len(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
-		st.Rows += e.rows.Load()
-		st.MemBytes += e.bytes.Load()
+		rows += e.rows.Load()
+		held += e.bytes.Load()
 	}
 	for _, rec := range c.series {
-		st.MemBytes += int64(len(rec.raw))
+		held += int64(len(rec.raw))
 	}
-	return st
+	return c.ll.Len(), rows, held
 }
 
 // compress serves one budget through the cache: it builds the MatrixSet on
@@ -210,13 +192,6 @@ func (e *cacheEntry) compress(ctx context.Context, c *matrixCache, build func() 
 	e.bytes.Store(e.set.MemBytes())
 	e.rows.Store(int64(e.set.Rows()))
 	return res, err
-}
-
-// String renders the counters for logs.
-func (c *matrixCache) String() string {
-	st := c.stats()
-	return fmt.Sprintf("cache{entries=%d/%d hits=%d misses=%d evictions=%d}",
-		st.Entries, st.Capacity, st.Hits, st.Misses, st.Evictions)
 }
 
 // --- the resident-series memo ---

@@ -60,12 +60,11 @@ func TestEvictionRacingInflightFill(t *testing.T) {
 		t.Fatalf("in-flight fill failed after eviction: %v", err)
 	}
 
-	st := c.stats()
-	if st.Entries != 1 {
-		t.Errorf("entries = %d, want 1 (the late fill must not resurrect A)", st.Entries)
+	if entries, _, _ := c.footprint(); entries != 1 {
+		t.Errorf("entries = %d, want 1 (the late fill must not resurrect A)", entries)
 	}
-	if st.Misses != 2 || st.Evictions != 1 || st.Hits != 0 {
-		t.Errorf("counters hits=%d misses=%d evictions=%d, want 0/2/1", st.Hits, st.Misses, st.Evictions)
+	if hits, misses, evictions := c.hits.Load(), c.misses.Load(), c.evictions.Load(); misses != 2 || evictions != 1 || hits != 0 {
+		t.Errorf("counters hits=%d misses=%d evictions=%d, want 0/2/1", hits, misses, evictions)
 	}
 	if _, hit := c.acquire(keyB); !hit {
 		t.Error("keyB fell out of the cache")

@@ -177,16 +177,6 @@ func (cs *cacheStore) writeFile(key string, write func(io.Writer) error) bool {
 	return true
 }
 
-// readBlob returns the raw spill bytes for a content hash, for the peer
-// /v1/matrix endpoint. The requester validates; serving is a plain read.
-func (cs *cacheStore) readBlob(hash string) []byte {
-	data, err := os.ReadFile(cs.pathForHash(hash))
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
 // load restores a warm set for key over the series, or nil on any miss: no
 // file, a file the file system would not open, stat or read, or a file
 // whose header fails validation (corrupt, stale version, shape mismatch).
@@ -307,17 +297,6 @@ func openView(r io.ReaderAt, size int64, key string) (*pta.MatrixSnapshot, *slab
 		return nil, nil, fmt.Errorf("spill: file size %d, want %d for n=%d filled=%d", size, want, snap.N, snap.Filled)
 	}
 	return snap, newSlabView(r, l), nil
-}
-
-// spillStats is the /v1/stats snapshot of the persistent tier.
-type spillStats struct {
-	Loads  int64 `json:"loads"`
-	Stores int64 `json:"stores"`
-	Errors int64 `json:"errors"`
-}
-
-func (cs *cacheStore) stats() spillStats {
-	return spillStats{Loads: cs.loads.Load(), Stores: cs.stores.Load(), Errors: cs.errors.Load()}
 }
 
 // writeSnapshot streams the versioned binary spill format, v3, to w: an

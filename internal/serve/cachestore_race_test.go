@@ -104,8 +104,8 @@ func TestColdFillRace(t *testing.T) {
 	if got := s.cache.hits.Load(); got != g-1 {
 		t.Fatalf("cache recorded %d hits, want %d", got, g-1)
 	}
-	if st := s.store.stats(); st.Stores != 1 || st.Errors != 0 {
-		t.Fatalf("spill counters %+v, want exactly one store and no errors", st)
+	if stores, errs := s.store.stores.Load(), s.store.errors.Load(); stores != 1 || errs != 0 {
+		t.Fatalf("spill counters: %d stores, %d errors; want exactly one store and no errors", stores, errs)
 	}
 }
 
@@ -145,12 +145,11 @@ func TestSpillReloadRace(t *testing.T) {
 				res.C, res.Error, want.C, want.Error)
 		}
 	}
-	st := s2.store.stats()
-	if st.Loads != 1 {
-		t.Fatalf("spill tier recorded %d loads, want exactly 1 for %d racing misses", st.Loads, g)
+	if loads := s2.store.loads.Load(); loads != 1 {
+		t.Fatalf("spill tier recorded %d loads, want exactly 1 for %d racing misses", loads, g)
 	}
-	if st.Errors != 0 {
-		t.Fatalf("spill tier recorded %d errors", st.Errors)
+	if errs := s2.store.errors.Load(); errs != 0 {
+		t.Fatalf("spill tier recorded %d errors", errs)
 	}
 	// The reload answered the budget already on disk, so nothing deepened
 	// and the file must be byte-identical — never rewritten, never torn.
@@ -197,8 +196,8 @@ func TestSpillDeepenRace(t *testing.T) {
 			t.Fatalf("raced deepening request: %v", err)
 		}
 	}
-	if st := s1.store.stats(); st.Errors != 0 {
-		t.Fatalf("spill tier recorded %d errors under deepening contention", st.Errors)
+	if errs := s1.store.errors.Load(); errs != 0 {
+		t.Fatalf("spill tier recorded %d errors under deepening contention", errs)
 	}
 	if files := spillFiles(t, dir); len(files) != 1 {
 		t.Fatalf("%d spill files for one cache key, want 1", len(files))

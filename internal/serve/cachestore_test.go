@@ -115,15 +115,14 @@ func TestSpillSurvivesRestart(t *testing.T) {
 		t.Errorf("deeper budget after restore: cache=%q C=%d", res.Cache, res.C)
 	}
 	_, stats := get(t, ts2.URL+"/v1/stats")
-	spill := stats["spill"].(map[string]any)
-	if spill["loads"].(float64) != 1 {
-		t.Errorf("spill loads = %v, want 1", spill["loads"])
+	if loads := statNum(t, stats, "ptaserve_spill_loads_total"); loads != 1 {
+		t.Errorf("spill loads = %v, want 1", loads)
 	}
-	if spill["stores"].(float64) < 1 {
-		t.Errorf("spill stores = %v, want ≥ 1 (deeper fill re-spilled)", spill["stores"])
+	if stores := statNum(t, stats, "ptaserve_spill_stores_total"); stores < 1 {
+		t.Errorf("spill stores = %v, want ≥ 1 (deeper fill re-spilled)", stores)
 	}
-	if spill["errors"].(float64) != 0 {
-		t.Errorf("spill errors = %v, want 0", spill["errors"])
+	if errs := statNum(t, stats, "ptaserve_spill_errors_total"); errs != 0 {
+		t.Errorf("spill errors = %v, want 0", errs)
 	}
 }
 
@@ -155,12 +154,11 @@ func TestSpillCorruptionFallsBackCold(t *testing.T) {
 			t.Errorf("%s: cache=%q cells=%d, want a cold rebuild", name, res.Cache, res.Stats.Cells)
 		}
 		_, stats := get(t, ts2.URL+"/v1/stats")
-		spill := stats["spill"].(map[string]any)
-		if spill["errors"].(float64) < 1 {
-			t.Errorf("%s: spill errors = %v, want ≥ 1", name, spill["errors"])
+		if errs := statNum(t, stats, "ptaserve_spill_errors_total"); errs < 1 {
+			t.Errorf("%s: spill errors = %v, want ≥ 1", name, errs)
 		}
-		if spill["loads"].(float64) != 0 {
-			t.Errorf("%s: spill loads = %v, want 0", name, spill["loads"])
+		if loads := statNum(t, stats, "ptaserve_spill_loads_total"); loads != 0 {
+			t.Errorf("%s: spill loads = %v, want 0", name, loads)
 		}
 		// The rebuild re-spilled over the removed bad file.
 		if files := spillFiles(t, dir); len(files) != 1 {
@@ -388,7 +386,7 @@ func TestSpillOpenErrorKeepsFile(t *testing.T) {
 	if _, err := os.Lstat(path); err != nil {
 		t.Fatalf("the spill file is gone after an open error: %v", err)
 	}
-	if got := s.store.stats().Errors; got != 1 {
+	if got := s.store.errors.Load(); got != 1 {
 		t.Errorf("spill errors = %d, want 1", got)
 	}
 	if res := spillSend(t, ts.URL, planWire{Strategy: "ptac", Budget: "c=4"}); res.Cache != cacheMiss || res.Stats.Cells == 0 {
@@ -429,5 +427,52 @@ func TestMatrixEndpointStreamsResidentSet(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("streamed blob (%d bytes) differs from the spill file (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestMatrixEndpointStreamsSpillFile: a spill file goes to a peer straight
+// from disk, byte for byte under its size, and the server never holds it
+// whole: serving a 16 MiB file allocates less than a quarter of it.
+func TestMatrixEndpointStreamsSpillFile(t *testing.T) {
+	const size = 16 << 20
+	s, ts := newTestServer(t, Config{SpillDir: t.TempDir()})
+	hash := spillHash("a key no request built")
+	blob := make([]byte, size)
+	for i := range blob {
+		blob[i] = byte(i * 7 % 251)
+	}
+	if err := os.WriteFile(s.store.pathForHash(hash), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.Sum256(blob)
+	blob = nil
+	fetch := func(dst io.Writer) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/matrix/" + hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != size {
+			t.Fatalf("status %d, Content-Length %d; want 200 and %d", resp.StatusCode, resp.ContentLength, size)
+		}
+		if n, err := io.Copy(dst, resp.Body); n != size || err != nil {
+			t.Fatalf("read %d bytes (%v), want %d", n, err, size)
+		}
+	}
+	digest := sha256.New()
+	fetch(digest)
+	if got := digest.Sum(nil); !bytes.Equal(got, want[:]) {
+		t.Errorf("served blob digest %x, the spill file's %x", got, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fetch(io.Discard)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("serving a %d-byte spill file allocated %d bytes", size, alloc)
+	if alloc >= size/4 {
+		t.Errorf("serving a %d-byte spill file allocated %d bytes, want < %d", size, alloc, size/4)
 	}
 }

@@ -8,9 +8,12 @@
 // Endpoints:
 //
 //	POST /v1/compress       one series, one plan
-//	POST /v1/compress/many  one series, several plans (amortized)
+//	POST /v1/compress/many  one series, several plans (amortized: plans of
+//	                        one DP class share one cache entry)
 //	GET  /v1/strategies     the strategy registry (pta.Describe)
-//	GET  /v1/stats          cache and request counters
+//	GET  /v1/stats          the /metrics samples as one JSON object
+//	GET  /metrics           Prometheus text-format exposition
+//	GET  /v1/matrix/{hash}  one spill blob, for peer workers
 //	GET  /healthz           liveness
 //
 // See docs/ARCHITECTURE.md for the cache design and its invalidation rules.

@@ -35,8 +35,8 @@ func TestFillAlgoPlans(t *testing.T) {
 				t.Fatalf("n=%d fill_algo %q: status %d\n%s\nwant the unpinned hit\n%s", len(series.Rows), algo, status, body, want)
 			}
 		}
-		if st := s.cache.stats(); st.Entries != 1 || st.Misses != 1 {
-			t.Fatalf("n=%d: %d cache entries, %d misses; want one entry built once", len(series.Rows), st.Entries, st.Misses)
+		if entries, _, _ := s.cache.footprint(); entries != 1 || s.cache.misses.Load() != 1 {
+			t.Fatalf("n=%d: %d cache entries, %d misses; want one entry built once", len(series.Rows), entries, s.cache.misses.Load())
 		}
 		status, body := send("bogus")
 		if status != 400 || !bytes.Contains(body, []byte(`"code":"bad_request"`)) {
@@ -61,15 +61,15 @@ func TestFillAlgoCacheHit(t *testing.T) {
 	if status, body := post(t, ts.URL+"/v1/compress", req); status != 200 || body["cache"] != "hit" {
 		t.Fatalf("second pinned request: status %d cache %v", status, body["cache"])
 	}
-	if st := s.cache.stats(); st.Hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", st.Hits)
+	if hits := s.cache.hits.Load(); hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 }
 
 // TestFillMetrics: answered exact-DP budgets count under the resolved
 // row-fill algorithm (ptafill_requests_total), cold builds observe the
-// certified monotone coverage, and /v1/stats carries the matching fill
-// block. The 7-row proj series resolves FillAuto to the pruned scan.
+// certified monotone coverage, and /v1/stats carries the same samples.
+// The 7-row proj series resolves FillAuto to the pruned scan.
 func TestFillMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	defer ts.Close()
@@ -92,15 +92,10 @@ func TestFillMetrics(t *testing.T) {
 	}
 
 	_, stats := get(t, ts.URL+"/v1/stats")
-	fill, ok := stats["fill"].(map[string]any)
-	if !ok {
-		t.Fatalf("/v1/stats has no fill block: %v", stats)
+	if got := statNum(t, stats, `ptafill_requests_total{algo="pruned"}`); got != 2 {
+		t.Errorf(`stats ptafill_requests_total{algo="pruned"} = %v, want 2`, got)
 	}
-	reqs := fill["requests"].(map[string]any)
-	if reqs["pruned"].(float64) != 2 {
-		t.Errorf("stats fill requests = %v, want pruned: 2", reqs)
-	}
-	if fill["coverage_observed"].(float64) != 1 {
-		t.Errorf("coverage_observed = %v, want 1 (one cold build)", fill["coverage_observed"])
+	if got := statNum(t, stats, "ptafill_monotone_coverage_count"); got != 1 {
+		t.Errorf("stats ptafill_monotone_coverage_count = %v, want 1 (one cold build)", got)
 	}
 }

@@ -1,17 +1,17 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/pta"
 )
 
@@ -54,43 +54,11 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"strategies": out})
 }
 
-// handleMetrics serves the Prometheus text-format exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", obs.ContentType)
-	_ = s.metrics.reg.WritePrometheus(w)
-}
-
-// handleStats serves the JSON counters. Its request counts are completed
-// requests per endpoint, read from the latency histogram the middleware
-// observes as each response finishes, so this request is not among them.
+// handleStats serves the registry's samples as one JSON object: the same
+// numbers /metrics renders as text (obs.Registry.WriteJSON).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	requests := make(map[string]uint64, len(endpointNames))
-	for _, name := range endpointNames {
-		requests[name] = s.metrics.endpoints[name].dur.Count()
-	}
-	body := map[string]any{
-		"uptime_seconds":  time.Since(s.started).Seconds(),
-		"requests":        requests,
-		"compressions":    s.compressions.Load(),
-		"dp_cells_filled": s.metrics.dpCells.Value(),
-		"inflight":        len(s.inflight),
-		"cache":           s.cache.stats(),
-		"peer":            s.peers.stats(),
-		"admission": map[string]any{
-			"max_cells": s.cfg.AdmissionMaxCells,
-			"policy":    cmp.Or(s.cfg.AdmissionPolicy, AdmissionReject),
-			"rejected":  s.metrics.admissionRejected.Value(),
-			"queued":    s.metrics.admissionQueued.Value(),
-		},
-		"fill": map[string]any{
-			"requests":          s.fillRequestCounts(),
-			"coverage_observed": s.metrics.fillCoverage.Count(),
-		},
-	}
-	if s.store != nil {
-		body["spill"] = s.store.stats()
-	}
-	writeJSON(w, http.StatusOK, body)
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.metrics.reg.WriteJSON(w)
 }
 
 // handleMatrix serves one content-addressed spill blob to a peer worker:
@@ -110,12 +78,8 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			Status: http.StatusNotFound, Code: "matrix_not_found", Message: "not a spill content address"}})
 		return
 	}
-	if s.store != nil {
-		if data := s.store.readBlob(hash); data != nil {
-			s.startMatrixBlob(w, len(data))
-			_, _ = w.Write(data)
-			return
-		}
+	if s.store != nil && s.serveSpillFile(w, hash) {
+		return
 	}
 	if e := s.cache.lookupByHash(hash); e != nil {
 		select {
@@ -134,7 +98,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		<-e.sem
 		if snap != nil {
-			s.startMatrixBlob(w, snapshotLayout(e.key, snap).size())
+			s.startMatrixBlob(w, int64(snapshotLayout(e.key, snap).size()))
 			// A failed write means the peer went away; a short body fails
 			// its decode there.
 			_ = writeSnapshot(w, e.key, snap)
@@ -146,13 +110,34 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		Status: http.StatusNotFound, Code: "matrix_not_found", Message: "no warm matrices for this address"}})
 }
 
+// serveSpillFile streams the local spill file of hash, if there is one,
+// without holding it in memory. Its size comes from the open descriptor,
+// so a re-spill that renames a new file over the path cannot tear the
+// body.
+func (s *Server) serveSpillFile(w http.ResponseWriter, hash string) bool {
+	f, err := os.Open(s.store.pathForHash(hash))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return false
+	}
+	s.startMatrixBlob(w, fi.Size())
+	// A failed copy means the peer went away; a short body fails its
+	// decode there.
+	_, _ = io.Copy(w, f)
+	return true
+}
+
 // startMatrixBlob counts one served blob of size bytes and sets its
 // headers; the caller writes the body.
-func (s *Server) startMatrixBlob(w http.ResponseWriter, size int) {
+func (s *Server) startMatrixBlob(w http.ResponseWriter, size int64) {
 	s.peers.serveHits.Add(1)
-	s.peers.serveBytes.Add(int64(size))
+	s.peers.serveBytes.Add(size)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(size))
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 }
 
 func isHex(s string) bool {
@@ -165,18 +150,47 @@ func isHex(s string) bool {
 	return true
 }
 
+// compressManyRoute is the /v1/compress/many route. handleCompress serves
+// it and /v1/compress alike, and tells them apart by it.
+const compressManyRoute = "POST /v1/compress/many"
+
+// answer is one plan of a compress request: resolved, then answered.
+type answer struct {
+	plan        pta.Plan
+	res         *pta.Result
+	disposition string
+}
+
+// handleCompress serves both compress endpoints through one pipeline: it
+// resolves every plan, decodes the series, prices the request as the sum
+// of its plans, takes one slot and answers the plans in request order
+// through compressOne. The first failure in that order names the error, so
+// a bad plan reports before a bad series. /v1/compress carries one plan and
+// answers with its result; /v1/compress/many answers with the results
+// array, amortized the way the cache amortizes: plans of one DP class
+// share one cache entry, and the series decodes and hashes once.
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	req, err := s.readCompressBody(w, r, false)
+	many := r.Pattern == compressManyRoute
+	req, err := s.readCompressBody(w, r, many)
 	defer req.release()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	pw := req.plans[0]
-	plan, err := resolvePlan(pw)
-	if err != nil {
-		s.writeError(w, r, err)
+	if len(req.plans) == 0 {
+		s.writeError(w, r, badRequest(errors.New("need at least one plan")))
 		return
+	}
+	var one [1]answer // one plan's answer stays on the stack (TestWarmHitAllocCeiling)
+	answers := one[:]
+	if len(req.plans) > 1 {
+		answers = make([]answer, len(req.plans))
+	}
+	for i, pw := range req.plans {
+		if answers[i].plan, err = resolvePlan(pw); err != nil {
+			s.writeError(w, r, err)
+			return
+		}
 	}
 	// The series decodes before any slot is taken: admission must price the
 	// request (and possibly reject it) without consuming in-flight capacity.
@@ -188,59 +202,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.timeoutMS)
 	defer cancel()
 	if s.cfg.AdmissionMaxCells > 0 {
-		release, err := s.admit(ctx, estimateCells(series.Len(), pw, plan))
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		defer release()
-	}
-	if !s.acquireSlot(ctx) {
-		s.writeError(w, r, ctx.Err())
-		return
-	}
-	defer s.releaseSlot()
-	res, disposition, err := s.compressOne(ctx, &req, pw, plan)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	writePooledJSON(w, http.StatusOK, func(b []byte) []byte {
-		return appendResult(b, res, disposition)
-	})
-}
-
-func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
-	req, err := s.readCompressBody(w, r, true)
-	defer req.release()
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	if len(req.plans) == 0 {
-		s.writeError(w, r, badRequest(errors.New("need at least one plan")))
-		return
-	}
-	series, err := req.Series()
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.timeoutMS)
-	defer cancel()
-	// Admission prices the whole request — the sum of per-plan worst cases
-	// — before any slot is taken. Plans resolve again in the evaluation
-	// loop; that duplication keeps the admission-disabled hot path free of
-	// the pricing pass entirely.
-	if s.cfg.AdmissionMaxCells > 0 {
 		var cells int64
-		for _, pw := range req.plans {
-			plan, err := resolvePlan(pw)
-			if err != nil {
-				s.writeError(w, r, err)
-				return
-			}
-			cells += estimateCells(series.Len(), pw, plan)
+		for i, pw := range req.plans {
+			cells += estimateCells(series.Len(), pw, answers[i].plan)
 		}
 		release, err := s.admit(ctx, cells)
 		if err != nil {
@@ -254,56 +218,23 @@ func (s *Server) handleCompressMany(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.releaseSlot()
-
-	// Each plan resolves its own cache key (strategies of one DP class share
-	// an entry, so a c= and an eps= plan of the same request amortize
-	// through the same warm matrices — the cross-request generalization of
-	// Engine.CompressMany); the series fingerprints at most once, for the
-	// first plan that needs a key. Non-cacheable plans fall through to one
-	// Engine.CompressMany call, which amortizes whatever the engine can.
-	type resultEntry struct {
-		res         *pta.Result
-		disposition string
-	}
-	results := make([]resultEntry, len(req.plans))
-	var enginePlans []pta.Plan
-	var engineIdx []int
 	for i, pw := range req.plans {
-		plan, err := resolvePlan(pw)
-		if err != nil {
+		a := &answers[i]
+		if a.res, a.disposition, err = s.compressOne(ctx, &req, pw, a.plan); err != nil {
 			s.writeError(w, r, err)
 			return
-		}
-		if _, cacheable := cacheClass(pw); !cacheable {
-			enginePlans = append(enginePlans, plan)
-			engineIdx = append(engineIdx, i)
-			continue
-		}
-		res, disposition, err := s.compressOne(ctx, &req, pw, plan)
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		results[i] = resultEntry{res, disposition}
-	}
-	if len(enginePlans) > 0 {
-		engineResults, err := s.engine.CompressMany(ctx, series, enginePlans)
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		s.compressions.Add(int64(len(engineResults)))
-		for j, res := range engineResults {
-			results[engineIdx[j]] = resultEntry{res, cacheBypass}
 		}
 	}
 	writePooledJSON(w, http.StatusOK, func(b []byte) []byte {
+		if !many {
+			return appendResult(b, answers[0].res, answers[0].disposition)
+		}
 		b = append(b, `{"results":[`...)
-		for i, e := range results {
+		for i, a := range answers {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendResult(b, e.res, e.disposition)
+			b = appendResult(b, a.res, a.disposition)
 		}
 		return append(b, `]}`...)
 	})
@@ -558,7 +489,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // writeJSON renders one response body through encoding/json; the cold
-// endpoints (errors, stats, strategies) keep the reflective encoder, the
+// endpoints (errors, strategies, health) keep the reflective encoder, the
 // compress hot paths go through writePooledJSON instead.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -133,8 +133,8 @@ func TestSeriesMemoSkipsDecodeAndFingerprint(t *testing.T) {
 	if rec == nil {
 		t.Fatal("the memo does not hold the answered series")
 	}
-	if st := s.cache.stats(); st.MemBytes < int64(len(rec.raw)) {
-		t.Errorf("cache bytes %d do not count the memo's %d", st.MemBytes, len(rec.raw))
+	if _, _, held := s.cache.footprint(); held < int64(len(rec.raw)) {
+		t.Errorf("cache bytes %d do not count the memo's %d", held, len(rec.raw))
 	}
 	w, hit := send(a)
 	if w != (work{hits: 1}) {
@@ -204,7 +204,7 @@ func mustSeries(t *testing.T, w seriesWire) *pta.Series {
 }
 
 // TestWarmHitAllocCeiling pins the allocations of a warm-cache request
-// whose series the memo holds (62 and 115 with Go 1.24; 77 and 134 when
+// whose series the memo holds (62 and 109 with Go 1.24; 77 and 134 when
 // every request decoded and hashed its series). The race detector's
 // sync.Pool drops buffers at random, so the ceilings hold without it.
 func TestWarmHitAllocCeiling(t *testing.T) {

@@ -12,11 +12,11 @@ import (
 )
 
 // serverMetrics is the observability tier of one Server: an obs.Registry
-// exposed as GET /metrics plus the pre-resolved children the hot paths
-// update. Everything on a request path is an atomic op on an
-// already-resolved child — no map lookups, no locks, no allocations — so
-// instrumentation does not disturb the allocation-free codec
-// (BenchmarkCompressHit pins that).
+// exposed as GET /metrics and, as JSON, GET /v1/stats, plus the
+// pre-resolved children the hot paths update. Everything on a request
+// path is an atomic op on an already-resolved child — no map lookups, no
+// locks, no allocations — so instrumentation does not disturb the
+// allocation-free codec (BenchmarkCompressHit pins that).
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -123,7 +123,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	reg.NewCounterFunc("ptaserve_compressions_total",
-		"Plan evaluations answered (cache and engine paths); same source as /v1/stats.",
+		"Plan evaluations answered (cache and engine paths).",
 		func() float64 { return float64(s.compressions.Load()) })
 
 	reg.NewCounterFunc("ptaserve_cache_hits_total",
@@ -137,13 +137,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.evictions.Load()) })
 	reg.NewGaugeFunc("ptaserve_cache_entries",
 		"Resident matrix-cache entries.",
-		func() float64 { return float64(s.cache.stats().Entries) })
+		func() float64 { entries, _, _ := s.cache.footprint(); return float64(entries) })
 	reg.NewGaugeFunc("ptaserve_cache_rows",
 		"DP matrix rows retained across resident cache entries.",
-		func() float64 { return float64(s.cache.stats().Rows) })
+		func() float64 { _, rows, _ := s.cache.footprint(); return float64(rows) })
 	reg.NewGaugeFunc("ptaserve_cache_bytes",
 		"Estimated bytes retained across resident cache entries, their series' request bytes included.",
-		func() float64 { return float64(s.cache.stats().MemBytes) })
+		func() float64 { _, _, held := s.cache.footprint(); return float64(held) })
 	reg.NewCounterFunc("ptaserve_series_memo_hits_total",
 		"Fast-decoded compress bodies that resent a resident series byte for byte: its decode and fingerprint were skipped.",
 		func() float64 { return float64(s.cache.memoHits.Load()) })
@@ -152,8 +152,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.memoMisses.Load()) })
 
 	// Spill counters read the store's own atomics at scrape time (zero when
-	// the persistent tier is disabled), so /metrics and /v1/stats can never
-	// disagree.
+	// the persistent tier is disabled).
 	spill := func(f func(cs *cacheStore) int64) func() float64 {
 		return func() float64 {
 			if s.store == nil {
@@ -173,7 +172,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		spill(func(cs *cacheStore) int64 { return cs.errors.Load() }))
 
 	// Peer warm-tier counters read the tier's atomics at scrape time (all
-	// zero until peers are configured), mirroring the /v1/stats peer block.
+	// zero until peers are configured).
 	reg.NewGaugeFunc("ptapeer_peers",
 		"Sibling workers currently configured for peer matrix fetching.",
 		func() float64 { return float64(s.peers.count()) })
@@ -201,16 +200,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	reg.RegisterRuntimeMetrics()
 	return m
-}
-
-// fillRequestCounts snapshots the ptafill_requests_total children for the
-// /v1/stats fill block, by algorithm name.
-func (s *Server) fillRequestCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(s.metrics.fillRequests))
-	for name, c := range s.metrics.fillRequests {
-		out[name] = c.Value()
-	}
-	return out
 }
 
 // fillServed records one exact-DP compression under the row fill its

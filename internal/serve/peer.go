@@ -26,8 +26,8 @@ import (
 // malfunctioning peer degrades to a cold fill, never to wrong bytes. So
 // peers need a spill directory (Config.SpillDir).
 //
-// The tier is always constructed (counters and /v1/stats shape stay stable)
-// and does nothing until peers are configured; SetPeers swaps the list at
+// The tier is always constructed (its ptapeer_* counters read zero until
+// peers are configured) and does nothing until then; SetPeers swaps the list at
 // runtime, which disttest uses to wire a cluster after boot.
 type peerTier struct {
 	client  *http.Client
@@ -169,30 +169,4 @@ func (p *peerTier) fetchOne(ctx context.Context, peer, hash, key string) []byte 
 		return nil
 	}
 	return data
-}
-
-// peerStats is the /v1/stats peer block (zero-valued when no peers are
-// configured, so the shape is stable for dashboards).
-type peerStats struct {
-	Peers       int   `json:"peers"`
-	FetchHits   int64 `json:"fetch_hits"`
-	FetchMisses int64 `json:"fetch_misses"`
-	FetchErrors int64 `json:"fetch_errors"`
-	FetchBytes  int64 `json:"fetch_bytes"`
-	ServeHits   int64 `json:"serve_hits"`
-	ServeMisses int64 `json:"serve_misses"`
-	ServeBytes  int64 `json:"serve_bytes"`
-}
-
-func (p *peerTier) stats() peerStats {
-	return peerStats{
-		Peers:       p.count(),
-		FetchHits:   p.fetchHits.Load(),
-		FetchMisses: p.fetchMisses.Load(),
-		FetchErrors: p.fetchErrors.Load(),
-		FetchBytes:  p.fetchBytes.Load(),
-		ServeHits:   p.serveHits.Load(),
-		ServeMisses: p.serveMisses.Load(),
-		ServeBytes:  p.serveBytes.Load(),
-	}
 }

@@ -86,7 +86,7 @@ type Server struct {
 	inflight  chan struct{}
 	oversized *fifoSlot // the single queue-policy slot; see admission.go
 
-	compressions atomic.Int64 // plan evaluations, surfaced on /v1/stats
+	compressions atomic.Int64 // plan evaluations: ptaserve_compressions_total
 
 	// decodedRows counts series rows the fast decoder built and
 	// fingerprints the series it hashed: the work a memo hit skips.
@@ -173,11 +173,11 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newServerMetrics(s)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealth))
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.metrics.reg.Handler().ServeHTTP))
 	s.mux.HandleFunc("GET /v1/strategies", s.instrument("strategies", s.handleStrategies))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	s.mux.HandleFunc("POST /v1/compress", s.instrument("compress", s.handleCompress))
-	s.mux.HandleFunc("POST /v1/compress/many", s.instrument("compress_many", s.handleCompressMany))
+	s.mux.HandleFunc(compressManyRoute, s.instrument("compress_many", s.handleCompress))
 	s.mux.HandleFunc("GET /v1/matrix/{hash}", s.instrument("matrix", s.handleMatrix))
 	return s, nil
 }

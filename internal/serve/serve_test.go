@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -183,17 +184,16 @@ func TestCacheHitAcrossBudgets(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("stats status %d", status)
 	}
-	cache := stats["cache"].(map[string]any)
-	if hits := cache["hits"].(float64); hits < 3 {
+	if hits := statNum(t, stats, "ptaserve_cache_hits_total"); hits < 3 {
 		t.Errorf("cache hits = %v, want ≥ 3", hits)
 	}
-	if misses := cache["misses"].(float64); misses != 2 {
+	if misses := statNum(t, stats, "ptaserve_cache_misses_total"); misses != 2 {
 		t.Errorf("cache misses = %v, want 2 (one per key)", misses)
 	}
-	if entries := cache["entries"].(float64); entries != 2 {
+	if entries := statNum(t, stats, "ptaserve_cache_entries"); entries != 2 {
 		t.Errorf("cache entries = %v, want 2", entries)
 	}
-	if rows := cache["rows"].(float64); rows <= 0 {
+	if rows := statNum(t, stats, "ptaserve_cache_rows"); rows <= 0 {
 		t.Errorf("cached rows = %v, want > 0", rows)
 	}
 }
@@ -231,6 +231,46 @@ func TestCompressMany(t *testing.T) {
 	gms := results[3].(map[string]any)
 	if gms["strategy"] != "gms" || gms["c"].(float64) != 4 {
 		t.Errorf("gms plan: %v", gms)
+	}
+}
+
+// TestCompressManyMatchesCompress: each plan of a /v1/compress/many
+// request, through the matrix cache or not, answers with the c, error and
+// rows /v1/compress gives that plan alone.
+func TestCompressManyMatchesCompress(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	plans := []planWire{
+		{Strategy: "ptac", Budget: "c=4"},               // cacheable
+		{Strategy: "gms", Budget: "c=4"},                // not an exact DP
+		{Strategy: "ptac", Budget: "c=5", ReadAhead: 2}, // an option the cache does not key on
+	}
+	status, body := postRaw(t, ts.URL+"/v1/compress/many",
+		mustMarshal(t, compressManyRequest{Series: projWire(), Plans: plans}))
+	if status != http.StatusOK {
+		t.Fatalf("many: status %d: %s", status, body)
+	}
+	var many ManyResponse
+	if err := json.Unmarshal(body, &many); err != nil {
+		t.Fatal(err)
+	}
+	if len(many.Results) != len(plans) {
+		t.Fatalf("%d results, want %d", len(many.Results), len(plans))
+	}
+	for i, pw := range plans {
+		status, body := postRaw(t, ts.URL+"/v1/compress",
+			mustMarshal(t, compressRequest{Series: projWire(), Plan: pw}))
+		if status != http.StatusOK {
+			t.Fatalf("%s %s alone: status %d: %s", pw.Strategy, pw.Budget, status, body)
+		}
+		var alone resultWire
+		if err := json.Unmarshal(body, &alone); err != nil {
+			t.Fatal(err)
+		}
+		got := many.Results[i]
+		if got.C != alone.C || got.Error != alone.Error || !reflect.DeepEqual(got.Rows, alone.Rows) {
+			t.Errorf("plan %d (%s %s): many answered c=%d error=%v rows=%v, alone c=%d error=%v rows=%v",
+				i, pw.Strategy, pw.Budget, got.C, got.Error, got.Rows, alone.C, alone.Error, alone.Rows)
+		}
 	}
 }
 
@@ -282,6 +322,18 @@ func TestTypedErrorStatuses(t *testing.T) {
 	}
 	if status, out := post(t, ts.URL+"/v1/compress/many", compressManyRequest{Series: series, Plans: []planWire{nan}}); status != http.StatusBadRequest {
 		t.Errorf("NaN budget on /many: status %d: %v", status, out)
+	}
+	// /v1/compress/many answers its plans in request order, so the first
+	// failing plan names the error: gms-bridged takes no error budget (400)
+	// before c=2 is infeasible (422).
+	status, out = post(t, ts.URL+"/v1/compress/many", compressManyRequest{Series: series, Plans: []planWire{
+		{Strategy: "gms-bridged", Budget: "eps=0.1"},
+		{Strategy: "ptac", Budget: "c=2"},
+	}})
+	if status != http.StatusBadRequest {
+		t.Errorf("unsupported kind before infeasible size on /many: status %d: %v", status, out)
+	} else if code := errorField(t, out, "code"); code != "unsupported_budget_kind" {
+		t.Errorf("unsupported kind before infeasible size on /many: code = %v", code)
 	}
 	resp, err := http.Post(ts.URL+"/v1/compress", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
@@ -496,11 +548,10 @@ func TestConcurrentRequests(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("stats status %d", status)
 	}
-	cache := stats["cache"].(map[string]any)
-	if entries := cache["entries"].(float64); entries > 2 {
+	if entries := statNum(t, stats, "ptaserve_cache_entries"); entries > 2 {
 		t.Errorf("cache entries = %v, capacity 2", entries)
 	}
-	if evictions := cache["evictions"].(float64); evictions == 0 {
+	if evictions := statNum(t, stats, "ptaserve_cache_evictions_total"); evictions == 0 {
 		t.Error("two keys over capacity 2 with weight variants: want evictions > 0")
 	}
 }

@@ -156,7 +156,7 @@ func TestSplitPastColumnRebuildsColdOverHTTP(t *testing.T) {
 		t.Errorf("rebuilt answer\n%s\nwant the cold answer\n%s", got, want)
 	}
 	_, stats := get(t, ts2.URL+"/v1/stats")
-	if e := statNum(t, stats, "spill", "errors"); e < 1 {
+	if e := statNum(t, stats, "ptaserve_spill_errors_total"); e < 1 {
 		t.Errorf("spill errors = %v, want >= 1", e)
 	}
 }

@@ -39,20 +39,13 @@ func warmSend(url string, series seriesWire, plan planWire) (resultWire, []byte,
 	return res, body, json.Unmarshal(body, &res)
 }
 
-// statNum digs a numeric field out of a nested /v1/stats body.
-func statNum(t *testing.T, stats map[string]any, path ...string) float64 {
+// statNum reads one registry sample out of a /v1/stats body by its
+// exposition key, failing when the body has no number under it.
+func statNum(t *testing.T, stats map[string]any, key string) float64 {
 	t.Helper()
-	cur := any(stats)
-	for _, p := range path {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			t.Fatalf("stats path %v: %v is not an object", path, cur)
-		}
-		cur = m[p]
-	}
-	f, ok := cur.(float64)
+	f, ok := stats[key].(float64)
 	if !ok {
-		t.Fatalf("stats path %v: %v is not a number", path, cur)
+		t.Fatalf("stats key %s: %v is not a number", key, stats[key])
 	}
 	return f
 }
@@ -134,25 +127,25 @@ func TestPeerWarmRestart(t *testing.T) {
 	// The counters tell the same story on both sides: B did no DP work and
 	// fetched every key; A served every fetch.
 	_, statsB := get(t, tsB.URL+"/v1/stats")
-	if cells := statNum(t, statsB, "dp_cells_filled"); cells != 0 {
+	if cells := statNum(t, statsB, "ptaserve_dp_cells_filled_total"); cells != 0 {
 		t.Errorf("B dp_cells_filled = %v, want 0", cells)
 	}
-	if hits := statNum(t, statsB, "peer", "fetch_hits"); hits != float64(len(plans)) {
+	if hits := statNum(t, statsB, "ptapeer_fetch_hits_total"); hits != float64(len(plans)) {
 		t.Errorf("B peer fetch_hits = %v, want %d", hits, len(plans))
 	}
-	if e := statNum(t, statsB, "peer", "fetch_errors"); e != 0 {
+	if e := statNum(t, statsB, "ptapeer_fetch_errors_total"); e != 0 {
 		t.Errorf("B peer fetch_errors = %v, want 0", e)
 	}
 	// Fetched blobs were written through B's own spill (adopt) and restored
 	// lazily from it.
-	if stores := statNum(t, statsB, "spill", "stores"); stores != float64(len(plans)) {
+	if stores := statNum(t, statsB, "ptaserve_spill_stores_total"); stores != float64(len(plans)) {
 		t.Errorf("B spill stores = %v, want %d", stores, len(plans))
 	}
-	if loads := statNum(t, statsB, "spill", "loads"); loads != float64(len(plans)) {
+	if loads := statNum(t, statsB, "ptaserve_spill_loads_total"); loads != float64(len(plans)) {
 		t.Errorf("B spill loads = %v, want %d", loads, len(plans))
 	}
 	_, statsA := get(t, tsA.URL+"/v1/stats")
-	if hits := statNum(t, statsA, "peer", "serve_hits"); hits != float64(len(plans)) {
+	if hits := statNum(t, statsA, "ptapeer_serve_hits_total"); hits != float64(len(plans)) {
 		t.Errorf("A peer serve_hits = %v, want %d", hits, len(plans))
 	}
 
@@ -215,8 +208,8 @@ func TestPeerRaceToFillOneKey(t *testing.T) {
 	// against cold B) and owns the fill — otherwise both workers can miss
 	// simultaneously and legitimately fill twice.
 	pollStats(t, tsA.URL, "A past peer fetch", func(stats map[string]any) bool {
-		return statNum(t, stats, "cache", "entries") >= 1 &&
-			statNum(t, stats, "peer", "fetch_misses") >= 1
+		return statNum(t, stats, "ptaserve_cache_entries") >= 1 &&
+			statNum(t, stats, "ptapeer_fetch_misses_total") >= 1
 	})
 	resB, _, errB := warmSend(tsB.URL, series, plan)
 	outA := <-done
@@ -237,13 +230,13 @@ func TestPeerRaceToFillOneKey(t *testing.T) {
 	// Exactly one cold fill tier-wide: all DP cells live on A, none on B.
 	_, statsA := get(t, tsA.URL+"/v1/stats")
 	_, statsB := get(t, tsB.URL+"/v1/stats")
-	if cells := statNum(t, statsA, "dp_cells_filled"); cells != float64(outA.res.Stats.Cells) {
+	if cells := statNum(t, statsA, "ptaserve_dp_cells_filled_total"); cells != float64(outA.res.Stats.Cells) {
 		t.Errorf("A dp_cells_filled = %v, want %d (its own fill only)", cells, outA.res.Stats.Cells)
 	}
-	if cells := statNum(t, statsB, "dp_cells_filled"); cells != 0 {
+	if cells := statNum(t, statsB, "ptaserve_dp_cells_filled_total"); cells != 0 {
 		t.Errorf("B dp_cells_filled = %v, want 0", cells)
 	}
-	if hits := statNum(t, statsB, "peer", "fetch_hits"); hits != 1 {
+	if hits := statNum(t, statsB, "ptapeer_fetch_hits_total"); hits != 1 {
 		t.Errorf("B peer fetch_hits = %v, want 1", hits)
 	}
 }
@@ -259,10 +252,10 @@ func TestPeerMissFallsBackCold(t *testing.T) {
 			t.Fatalf("res=%+v err=%v, want a cold fill", res, err)
 		}
 		_, stats := get(t, tsB.URL+"/v1/stats")
-		if m := statNum(t, stats, "peer", "fetch_misses"); m != 1 {
+		if m := statNum(t, stats, "ptapeer_fetch_misses_total"); m != 1 {
 			t.Errorf("peer fetch_misses = %v, want 1", m)
 		}
-		if h := statNum(t, stats, "peer", "fetch_hits"); h != 0 {
+		if h := statNum(t, stats, "ptapeer_fetch_hits_total"); h != 0 {
 			t.Errorf("peer fetch_hits = %v, want 0", h)
 		}
 	})
@@ -274,7 +267,7 @@ func TestPeerMissFallsBackCold(t *testing.T) {
 			t.Fatalf("res=%+v err=%v, want a cold fill", res, err)
 		}
 		_, stats := get(t, ts.URL+"/v1/stats")
-		if e := statNum(t, stats, "peer", "fetch_errors"); e < 1 {
+		if e := statNum(t, stats, "ptapeer_fetch_errors_total"); e < 1 {
 			t.Errorf("peer fetch_errors = %v, want >= 1", e)
 		}
 	})
@@ -442,7 +435,7 @@ func TestWarmLostRebuildsColdOverHTTP(t *testing.T) {
 		t.Errorf("rebuilt answer C=%d err=%v, want C=%d err=%v", res.C, res.Error, want.C, want.Error)
 	}
 	_, stats := get(t, ts2.URL+"/v1/stats")
-	if e := statNum(t, stats, "spill", "errors"); e < 1 {
+	if e := statNum(t, stats, "ptaserve_spill_errors_total"); e < 1 {
 		t.Errorf("spill errors = %v, want >= 1", e)
 	}
 	// The cold rebuild re-spilled a fresh file under the same address.
