@@ -21,9 +21,12 @@
 //     DP ("ptac", "ptae") decomposes a series of several maximal adjacent
 //     runs and combines the per-run optima exactly; parallelism only sets
 //     how many workers compute the runs, so it changes speed, never the
-//     answer.
+//     answer. Every way into the exact DP — Compress, CompressMany,
+//     CompressStream and a registered evaluator's own Evaluate — takes the
+//     same route, so neither does the entry point.
 //   - CompressMany serves several budgets of the same series; exact-DP
-//     plans share one filling of the error/split-point matrices.
+//     plans of one pruning mode share one pass: one filling of the
+//     error/split-point matrices, or one set of per-run curves.
 //   - CompressStream compresses a row stream in bounded memory and pushes
 //     the result rows into a Sink, the serving-side push interface.
 //

@@ -54,10 +54,11 @@ func BenchmarkSSERange8D(b *testing.B) {
 }
 
 // BenchmarkMergeErr measures the merge-cost kernel across attribute widths:
-// p = 1 takes the dedicated scalar fast path, p ∈ {2, 3, 4} the dedicated
-// straight-line paths, and p ≥ 5 the four-wide unrolled loop over the
-// dimension-major slabs. The range closure variant is what the DP row fills
-// actually call per candidate.
+// p = 1 takes the dedicated scalar body, p ∈ {2, 3, 4} the dedicated
+// straight-line bodies, and p ≥ 5 the four-wide unrolled loop over the
+// dimension-major slabs. The method arm reaches the kernel's one closure
+// through MergeErr; the closure arm calls it directly, as the DP row fills
+// do per candidate.
 func BenchmarkMergeErr(b *testing.B) {
 	for _, p := range []int{1, 2, 3, 4, 8, 12} {
 		seq := benchSequence(10000, p, 0)

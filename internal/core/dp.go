@@ -117,7 +117,7 @@ func newDPState(kn *CostKernel, opts Options, pruneI, pruneJ, storeSplits bool) 
 		storeSplits: storeSplits,
 		prevE:       make([]float64, kn.N()+1),
 		curE:        make([]float64, kn.N()+1),
-		rerr:        kn.rangeErr(),
+		rerr:        kn.cost,
 		segs:        segs,
 	}
 }
@@ -174,12 +174,10 @@ func (st *dpState) fillFirstRow(imax int) error {
 	st.ensureRightGap()
 	for i := 1; i <= imax; i++ {
 		st.stats.Cells++
-		if st.stats.Cells%cancelCheckCells == 0 {
-			if err := st.opts.canceled(); err != nil {
-				return err
-			}
-		}
 		st.curE[i] = st.mergeCost(0, i)
+		if err := st.pollFill(1); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -309,11 +307,6 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 	slack := kn.scanSlack
 	for i := k; i <= imax; i++ {
 		st.stats.Cells++
-		if st.stats.Cells%cancelCheckCells == 0 {
-			if err := st.opts.canceled(); err != nil {
-				return err
-			}
-		}
 
 		// Lower bound for j: merging the tail s_{j+1}..s_i across the
 		// rightmost gap before i is infinite.
@@ -330,6 +323,9 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 			curE[i] = prevE[jmin] + st.mergeCost(jmin, i)
 			if jrow != nil {
 				jrow[i] = int32(jmin)
+			}
+			if err := st.pollFill(1); err != nil {
+				return err
 			}
 			continue
 		}
@@ -379,6 +375,9 @@ func (st *dpState) fillRowScan(k, imax int, jrow []int32) error {
 		curE[i] = best
 		if jrow != nil {
 			jrow[i] = bestJ
+		}
+		if err := st.pollFill(int(inner)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -439,12 +438,18 @@ func (m PruneMode) String() string {
 	return fmt.Sprintf("prune(%d)", uint8(m))
 }
 
+// Flags converts the mode into the two Section 5.3 bounds the drivers
+// take (DPMulti, NewSolver): the one place a mode becomes flags.
+func (m PruneMode) Flags() (pruneI, pruneJ bool) {
+	return m == PruneIMax || m == PruneBoth, m == PruneJMin || m == PruneBoth
+}
+
 // PTAcAblation evaluates size-bounded PTA with an explicit pruning mode. All
 // modes return the same optimal reduction; they differ only in the work
 // counted by Stats and in runtime.
 func PTAcAblation(seq *temporal.Sequence, c int, opts Options, mode PruneMode) (*DPResult, error) {
-	return solveSize(seq, c, opts, mode == PruneIMax || mode == PruneBoth,
-		mode == PruneJMin || mode == PruneBoth)
+	pruneI, pruneJ := mode.Flags()
+	return solveSize(seq, c, opts, pruneI, pruneJ)
 }
 
 // solveSize is a one-budget size-bounded DPMulti call.
@@ -473,14 +478,6 @@ func PTAc(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 // reduction.
 func PTAe(seq *temporal.Sequence, eps float64, opts Options) (*DPResult, error) {
 	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, true, true))
-}
-
-// PTAeAblation evaluates error-bounded PTA with an explicit pruning mode,
-// mirroring PTAcAblation: every mode returns the same minimal-size optimal
-// reduction and differs only in the work counted by Stats.
-func PTAeAblation(seq *temporal.Sequence, eps float64, opts Options, mode PruneMode) (*DPResult, error) {
-	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, mode == PruneIMax || mode == PruneBoth,
-		mode == PruneJMin || mode == PruneBoth))
 }
 
 // Matrices runs the pruned DP for k = 1..c and returns copies of the error

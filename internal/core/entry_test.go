@@ -7,15 +7,42 @@ import (
 	"repro/internal/temporal"
 )
 
-// Entry points that only tests call: whole-series baselines, deepening
-// apart from any budget, and kernel queries that the fills answer through
-// their own state.
+// Entry points that only tests call: whole-series baselines, one-budget
+// wrappers of the drivers, deepening apart from any budget, and kernel
+// queries that the fills answer through their own state.
 
 // DPBasic evaluates size-bounded PTA with the basic dynamic-programming
 // scheme of Section 5.1: constant-time error evaluation but no gap/group
 // pruning. It returns the same result as PTAc.
 func DPBasic(seq *temporal.Sequence, c int, opts Options) (*DPResult, error) {
 	return PTAcAblation(seq, c, opts, PruneNone)
+}
+
+// PTAeAblation evaluates error-bounded PTA with an explicit pruning mode,
+// mirroring PTAcAblation: every mode returns the same minimal-size optimal
+// reduction and differs only in the work counted by Stats.
+func PTAeAblation(seq *temporal.Sequence, eps float64, opts Options, mode PruneMode) (*DPResult, error) {
+	pruneI, pruneJ := mode.Flags()
+	return first(DPMulti(seq, []MultiBudget{{Eps: eps}}, opts, pruneI, pruneJ))
+}
+
+// PTAcParallel evaluates size-bounded PTA exactly, decomposing the work
+// over maximal adjacent runs and computing run curves on workers goroutines
+// (0 = GOMAXPROCS). It returns the same optimal reduction as PTAc.
+func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DPResult, error) {
+	budgets, err := oneSize(seq, c)
+	if err != nil {
+		return nil, err
+	}
+	return first(DPMultiParallel(seq, budgets, opts, workers))
+}
+
+// PTAeParallel evaluates error-bounded PTA exactly with the same run
+// decomposition: the smallest total size whose optimal error fits
+// eps·SSEmax wins — the same minimization as PTAe (Definition 7), parallel
+// over runs.
+func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
+	return first(DPMultiParallel(seq, []MultiBudget{{Eps: eps}}, opts, workers))
 }
 
 // Deepen fills matrix rows up to k (at most n) without answering a budget.

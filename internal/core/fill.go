@@ -201,7 +201,10 @@ func (st *dpState) effectiveIMax(k, imax int) int {
 }
 
 // pollFill polls cancellation every cancelCheckCells candidate evaluations,
-// amortizing the context check off the segmented fill's hot path.
+// amortizing the context check off the fills' hot paths. It is the one
+// poll inside a row: the first row, the scan (forced splits included), the
+// segmented fill and the merge-cost table's build all count their
+// evaluations here.
 func (st *dpState) pollFill(evals int) error {
 	st.fillSteps += int64(evals)
 	if st.fillSteps < cancelCheckCells {

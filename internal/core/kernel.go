@@ -43,11 +43,15 @@ type CostKernel struct {
 	// the weighted square sum δ scales is near overflow.
 	scanSlack float64
 
+	// cost is the merge-cost closure (rangeErr), built once by NewKernel.
+	cost func(i, j int) float64
+
 	// Piecewise-monotone certification (MonotoneSegments), computed at most
-	// once. The sync.Once makes lazy certification safe when one kernel is
-	// shared across goroutines (DPMultiKernel serves every plan group of a
-	// CompressMany from a single kernel; retained Solver kernels live in
-	// caches): after the Once completes, monoSegs and monoCov are immutable.
+	// once. The sync.Once makes lazy certification safe when goroutines
+	// share one kernel (solvers over one kernel on several goroutines, as
+	// TestMonotoneSegmentsConcurrent runs them; retained Solver kernels live
+	// in caches): after the Once completes, monoSegs and monoCov are
+	// immutable.
 	monoOnce sync.Once
 	monoSegs []int32 // ascending 1-based segment start positions; nil until computed
 	monoCov  float64 // fraction of rows in dispatch-eligible segments; set with monoSegs
@@ -115,6 +119,7 @@ func NewKernel(seq *temporal.Sequence, opts Options) (*CostKernel, error) {
 	if 2*sq < Inf {
 		kn.scanSlack = 4 * delta
 	}
+	kn.cost = kn.rangeErr()
 	return kn, nil
 }
 
@@ -142,102 +147,11 @@ func (kn *CostKernel) CMin() int {
 
 // MergeErr returns the error of merging the (assumed gap-free) run s_i..s_j
 // into one tuple, per Proposition 1. Indices are 1-based and inclusive,
-// 1 ≤ i ≤ j ≤ n. The one-dimensional case — most of the paper's queries —
-// is a handful of flat loads with no inner loop.
+// 1 ≤ i ≤ j ≤ n. It calls the kernel's one cost closure (see rangeErr), the
+// same one the row fills and the merge-cost table call, so every consumer
+// computes identical bits.
 func (kn *CostKernel) MergeErr(i, j int) float64 {
-	if i == j {
-		return 0 // a single tuple merges into itself without error
-	}
-	if kn.p == 1 {
-		length := float64(kn.l[j] - kn.l[i-1])
-		sv := kn.s[j] - kn.s[i-1]
-		e := kn.w2[0] * (kn.ss[j] - kn.ss[i-1] - sv*sv/length)
-		if e < 0 {
-			// Guard against tiny negative residues from cancellation.
-			return 0
-		}
-		return e
-	}
-	return kn.mergeErrWide(i, j)
-}
-
-// mergeErrWide is the general multi-attribute merge cost, kept out of
-// MergeErr so the p = 1 fast path stays small. Small widths take dedicated
-// straight-line paths (most multi-attribute queries carry two to four
-// aggregates); the general loop is unrolled four wide over the
-// dimension-major slabs. The rangeErr closures below inline the same
-// arithmetic in the same order, so every consumer computes identical bits.
-func (kn *CostKernel) mergeErrWide(i, j int) float64 {
-	switch kn.p {
-	case 2:
-		return kn.mergeErr2(i, j)
-	case 3:
-		return kn.mergeErr3(i, j)
-	case 4:
-		return kn.mergeErr4(i, j)
-	}
-	return kn.mergeErrN(i, j)
-}
-
-// mergeErr2 is the dedicated p = 2 merge cost: both slabs hoisted, no loop.
-func (kn *CostKernel) mergeErr2(i, j int) float64 {
-	stride := kn.n + 1
-	il := i - 1
-	length := float64(kn.l[j] - kn.l[il])
-	s0, ss0 := kn.s[:stride], kn.ss[:stride]
-	s1, ss1 := kn.s[stride:2*stride], kn.ss[stride:2*stride]
-	sv0 := s0[j] - s0[il]
-	sv1 := s1[j] - s1[il]
-	sse := kn.w2[0]*(ss0[j]-ss0[il]-sv0*sv0/length) +
-		kn.w2[1]*(ss1[j]-ss1[il]-sv1*sv1/length)
-	if sse < 0 {
-		// Guard against tiny negative residues from cancellation.
-		return 0
-	}
-	return sse
-}
-
-// mergeErr3 is the dedicated p = 3 merge cost.
-func (kn *CostKernel) mergeErr3(i, j int) float64 {
-	stride := kn.n + 1
-	il := i - 1
-	length := float64(kn.l[j] - kn.l[il])
-	s0, ss0 := kn.s[:stride], kn.ss[:stride]
-	s1, ss1 := kn.s[stride:2*stride], kn.ss[stride:2*stride]
-	s2, ss2 := kn.s[2*stride:3*stride], kn.ss[2*stride:3*stride]
-	sv0 := s0[j] - s0[il]
-	sv1 := s1[j] - s1[il]
-	sv2 := s2[j] - s2[il]
-	sse := kn.w2[0]*(ss0[j]-ss0[il]-sv0*sv0/length) +
-		kn.w2[1]*(ss1[j]-ss1[il]-sv1*sv1/length) +
-		kn.w2[2]*(ss2[j]-ss2[il]-sv2*sv2/length)
-	if sse < 0 {
-		return 0
-	}
-	return sse
-}
-
-// mergeErr4 is the dedicated p = 4 merge cost.
-func (kn *CostKernel) mergeErr4(i, j int) float64 {
-	stride := kn.n + 1
-	il := i - 1
-	length := float64(kn.l[j] - kn.l[il])
-	s0, ss0 := kn.s[:stride], kn.ss[:stride]
-	s1, ss1 := kn.s[stride:2*stride], kn.ss[stride:2*stride]
-	s2, ss2 := kn.s[2*stride:3*stride], kn.ss[2*stride:3*stride]
-	s3, ss3 := kn.s[3*stride:4*stride], kn.ss[3*stride:4*stride]
-	sv0 := s0[j] - s0[il]
-	sv1 := s1[j] - s1[il]
-	sv2 := s2[j] - s2[il]
-	sv3 := s3[j] - s3[il]
-	sse := kn.w2[0]*(ss0[j]-ss0[il]-sv0*sv0/length) +
-		kn.w2[1]*(ss1[j]-ss1[il]-sv1*sv1/length) +
-		kn.w2[2]*(ss2[j]-ss2[il]-sv2*sv2/length) +
-		kn.w2[3]*(ss3[j]-ss3[il]-sv3*sv3/length)
-	if sse < 0 {
-		return 0
-	}
-	return sse
+	return kn.cost(i, j)
 }
 
 // mergeErrN is the p ≥ 5 merge cost: four independent accumulators over a
@@ -272,12 +186,15 @@ func (kn *CostKernel) mergeErrN(i, j int) float64 {
 	return sse
 }
 
-// rangeErr returns the merge-cost closure of the row-fill hot loops: the
-// slab slices and the weights are hoisted into locals once per row fill, so
-// the per-candidate evaluation is branch-light flat-slice arithmetic with
-// the bounds checks lifted out of the inner loop. Each closure computes the
-// exact expression of the matching mergeErr* method (same operand order),
-// keeping MergeErr and the fills bitwise-consistent.
+// rangeErr builds the kernel's merge-cost closure, which NewKernel stores
+// once and MergeErr, the row fills and the merge-cost table all call: the
+// slab slices and the weights are hoisted into locals, so the
+// per-candidate evaluation is branch-light flat-slice arithmetic with the
+// bounds checks lifted out of the hot loops. The one-dimensional case —
+// most of the paper's queries — is a handful of flat loads with no inner
+// loop; p ∈ {2, 3, 4} take dedicated straight-line bodies, and p ≥ 5 the
+// unrolled mergeErrN. A negative result (a rounding residue from
+// cancellation) is clamped to 0.
 func (kn *CostKernel) rangeErr() func(i, j int) float64 {
 	stride := kn.n + 1
 	switch kn.p {

@@ -93,7 +93,8 @@ func unreduced(seq *temporal.Sequence, stats DPStats) *DPResult {
 // budget, so serving B budgets costs one evaluation to the deepest row any
 // budget needs instead of B independent evaluations. This is what makes
 // serving multiple resolutions of the same series cheap (pta's
-// Engine.CompressMany builds on it).
+// Engine.CompressMany builds on it). The pass is a transient Solver's: it
+// fills to the deepest size budget, then as far as the error budgets need.
 //
 // Results align with budgets. Stats on every result reports the work of the
 // single shared pass, not a per-budget share. An infeasible size budget
@@ -103,18 +104,8 @@ func DPMulti(seq *temporal.Sequence, budgets []MultiBudget, opts Options, pruneI
 	if err != nil {
 		return nil, err
 	}
-	return DPMultiKernel(kn, budgets, opts, pruneI, pruneJ)
-}
-
-// DPMultiKernel is DPMulti over a prebuilt cost kernel: callers that answer
-// several budget groups of one series (Engine.CompressMany) build the
-// kernel once and share its prefix slabs across every group's matrix pass.
-// opts must be the options the kernel was built with (weights are baked
-// into the kernel). The pass is a Solver's: it fills to the deepest size
-// budget, then as far as the error budgets need.
-func DPMultiKernel(kn *CostKernel, budgets []MultiBudget, opts Options, pruneI, pruneJ bool) ([]*DPResult, error) {
 	if kn.N() == 0 {
-		return emptyResults(kn.Sequence(), budgets)
+		return emptyResults(seq, budgets)
 	}
 	return newSolver(kn, opts, pruneI, pruneJ).solveBudgets(opts.Ctx, budgets)
 }

@@ -34,7 +34,7 @@ import (
 // SolveRuns is the one driver: it validates the budgets, deepens the run
 // curves, extends one CurveAllocation across the rounds, accepts error
 // bounds and reconstructs. Where the curves come from is behind RunCurves:
-// in-process Solvers here (DPMultiParallel, PTAcParallel, PTAeParallel),
+// in-process Solvers here (DPMultiParallel),
 // curves gathered from remote workers in the distributed coordinator, which
 // therefore recombines with exactly the in-process tie-breaks.
 
@@ -276,23 +276,4 @@ func DPMultiParallel(seq *temporal.Sequence, budgets []MultiBudget, opts Options
 		return nil, err
 	}
 	return SolveRuns(opts.Ctx, kn, newRunSolvers(kn, opts, workers), budgets)
-}
-
-// PTAcParallel evaluates size-bounded PTA exactly, decomposing the work
-// over maximal adjacent runs and computing run curves on workers goroutines
-// (0 = GOMAXPROCS). It returns the same optimal reduction as PTAc.
-func PTAcParallel(seq *temporal.Sequence, c int, opts Options, workers int) (*DPResult, error) {
-	budgets, err := oneSize(seq, c)
-	if err != nil {
-		return nil, err
-	}
-	return first(DPMultiParallel(seq, budgets, opts, workers))
-}
-
-// PTAeParallel evaluates error-bounded PTA exactly with the same run
-// decomposition: the smallest total size whose optimal error fits
-// eps·SSEmax wins — the same minimization as PTAe (Definition 7), parallel
-// over runs.
-func PTAeParallel(seq *temporal.Sequence, eps float64, opts Options, workers int) (*DPResult, error) {
-	return first(DPMultiParallel(seq, []MultiBudget{{Eps: eps}}, opts, workers))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -193,5 +195,36 @@ func TestBatchScanIterCeiling(t *testing.T) {
 	t.Logf("batch shape: %d cells, %d inner iterations", st.Cells, st.InnerIters)
 	if st.InnerIters > guardBatchScanIters {
 		t.Errorf("batch shape: %d inner iterations, ceiling %d", st.InnerIters, guardBatchScanIters)
+	}
+}
+
+// TestScanPollsByCandidates: the scan polls the context through pollFill,
+// every cancelCheckCells candidate evaluations, like the other fills. On
+// 2 048 alternating 0, 1 rows the pinned scan evaluates about i candidates
+// at cell i of row 2, so a context that cancels from its third poll (row
+// 1's start, row 2's start, then the first poll inside row 2) stops the
+// fill inside row 2 within cancelCheckCells + n evaluations. A poll every
+// 4 096 cells let row 2 run to its end, 2 096 128 evaluations, and saw the
+// cancel at row 3's start.
+func TestScanPollsByCandidates(t *testing.T) {
+	const n = 2048
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i % 2)
+	}
+	sv, err := NewSolver(unitSequence(vals), Options{Fill: FillPruned}, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.SolveSize(newPollCtx(3), n/10); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SolveSize under a context that cancels from its third poll: %v", err)
+	}
+	iters := sv.Stats().InnerIters
+	t.Logf("canceled after %d rows and %d candidate evaluations", sv.Rows(), iters)
+	if sv.Rows() != 1 {
+		t.Errorf("the fill stopped after %d rows, want inside row 2", sv.Rows())
+	}
+	if iters > cancelCheckCells+n {
+		t.Errorf("%d candidate evaluations before the cancel, want at most %d", iters, cancelCheckCells+n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -208,8 +209,8 @@ func TestMonotoneCoverage(t *testing.T) {
 }
 
 // TestMonotoneSegmentsConcurrent is the -race regression test for lazy
-// certification: many goroutines share one kernel — some through
-// DPMultiKernel (the Engine.CompressMany sharing pattern), some calling the
+// certification: many goroutines share one kernel — some through a
+// solver's multi-budget pass over it (DPMulti's pass), some calling the
 // certification accessors directly — and must observe one consistent
 // segmentation with no data race (the kernel computes it under a
 // sync.Once).
@@ -221,7 +222,7 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	budgets := []MultiBudget{{C: kn.CMin()}, {Eps: 0.2}, {C: min(kn.CMin()+8, kn.N())}}
-	want, err := DPMultiKernel(kn, budgets, Options{Fill: FillDC}, true, true)
+	want, err := newSolver(kn, Options{Fill: FillDC}, true, true).solveBudgets(context.Background(), budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 				}
 				return
 			}
-			got, err := DPMultiKernel(kn, budgets, Options{Fill: FillDC}, true, true)
+			got, err := newSolver(kn, Options{Fill: FillDC}, true, true).solveBudgets(context.Background(), budgets)
 			if err != nil {
 				errs <- err
 				return
@@ -263,7 +264,7 @@ func TestMonotoneSegmentsConcurrent(t *testing.T) {
 
 var (
 	errMixedNotCovered = errors.New("shared kernel: mixed data lost its certified segments")
-	errMultiDiverged   = errors.New("shared kernel: concurrent DPMultiKernel diverged")
+	errMultiDiverged   = errors.New("shared kernel: concurrent solver passes diverged")
 )
 
 // TestFillPropPiecewiseBitwiseIdentical: on mixed-shape data — where

@@ -1,6 +1,6 @@
 // Package dist is the scatter/gather tier over ptaserve workers: a
 // coordinator shards a series by aggregation group and, within a group, by
-// maximal gap-free run — the exact decomposition behind core.PTAcParallel —
+// maximal gap-free run — the exact decomposition behind core.DPMultiParallel —
 // routes each shard to a worker by rendezvous hashing on its fingerprint
 // (serve.RendezvousOrder, the order the workers' peer tier uses too),
 // gathers per-shard error curves over the /v1/compress/many wire schema
@@ -46,7 +46,7 @@ const (
 // hashing ranks first for its fingerprint, so repeated compressions of the
 // same series hit the same workers' matrix and spill caches, and the
 // curves are recombined locally by core.SolveRuns, the run-decomposed
-// driver behind core.PTAcParallel/PTAeParallel, over the global cost
+// driver behind core.DPMultiParallel, over the global cost
 // kernel. Workers therefore only contribute curve values and split
 // boundaries — every returned row is re-derived from the coordinator's own
 // kernel, which is what makes the distributed result bit-identical to the
@@ -175,7 +175,7 @@ func makeShards(s *pta.Series, kn *core.CostKernel) []*shard {
 
 // Compress evaluates one budget over the series using the worker fleet and
 // returns a result bit-identical to the in-process engine's (pta.Engine at
-// any parallelism, core.PTAcParallel/PTAeParallel).
+// any parallelism, core.DPMultiParallel).
 // opts forwards Weights to the workers; ReadAhead does not apply to the
 // exact DP.
 func (c *Coordinator) Compress(ctx context.Context, s *pta.Series, b pta.Budget, opts pta.Options) (*pta.Result, error) {

@@ -224,6 +224,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, err)
 			return
 		}
+		s.compressions.Add(1)
 	}
 	writePooledJSON(w, http.StatusOK, func(b []byte) []byte {
 		if !many {
@@ -297,17 +298,8 @@ func resolvePlan(pw planWire) (pta.Plan, error) {
 // through the matrix cache when the plan is cacheable and through the
 // engine otherwise.
 func (s *Server) compressOne(ctx context.Context, req *compressBody, pw planWire, plan pta.Plan) (*pta.Result, string, error) {
-	s.compressions.Add(1)
 	series := req.series
 	class, cacheable := cacheClass(pw)
-	if cacheable {
-		// The cache path answers through MatrixSet, which never consults
-		// Supports; keep the engine's (strategy, budget kind) contract by
-		// routing unsupported kinds to the engine's typed error.
-		if ev, ok := pta.Lookup(pw.Strategy); !ok || !ev.Supports(plan.Budget.Kind()) {
-			cacheable = false
-		}
-	}
 	if !cacheable {
 		res, err := s.engine.Compress(ctx, series, plan)
 		return res, cacheBypass, err

@@ -204,7 +204,7 @@ func mustSeries(t *testing.T, w seriesWire) *pta.Series {
 }
 
 // TestWarmHitAllocCeiling pins the allocations of a warm-cache request
-// whose series the memo holds (62 and 109 with Go 1.24; 77 and 134 when
+// whose series the memo holds (60 and 103 with Go 1.24; 77 and 134 when
 // every request decoded and hashed its series). The race detector's
 // sync.Pool drops buffers at random, so the ceilings hold without it.
 func TestWarmHitAllocCeiling(t *testing.T) {

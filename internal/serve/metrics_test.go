@@ -131,6 +131,10 @@ func TestMetricsEndpointLintsAndAgreesWithStats(t *testing.T) {
 		metricValue(t, text, "ptaserve_series_memo_misses_total"); hits != 4 || misses != 1 {
 		t.Errorf("series memo %v hits, %v misses; want 4 and 1", hits, misses)
 	}
+	// A plan counts once it has answered: the 422 and the 400 do not.
+	if n := metricValue(t, text, "ptaserve_compressions_total"); n != 3 {
+		t.Errorf("ptaserve_compressions_total %v, want 3 answered plans", n)
+	}
 	if up := metricValue(t, text, "ptaserve_uptime_seconds"); up <= 0 {
 		t.Errorf("uptime %v, want > 0", up)
 	}

@@ -86,7 +86,7 @@ type Server struct {
 	inflight  chan struct{}
 	oversized *fifoSlot // the single queue-policy slot; see admission.go
 
-	compressions atomic.Int64 // plan evaluations: ptaserve_compressions_total
+	compressions atomic.Int64 // answered plans: ptaserve_compressions_total
 
 	// decodedRows counts series rows the fast decoder built and
 	// fingerprints the series it hashed: the work a memo hit skips.

@@ -188,18 +188,6 @@ func finishResult(strategy string, b Budget, res *Result, err error) (*Result, e
 	return res, nil
 }
 
-// decomposes is the one routing rule of the exact DP, which Compress,
-// CompressMany and CompressStream all apply: a plan of the fully pruned
-// exact DP ("ptac", "ptae") on a series of more than one maximal adjacent
-// run answers through the run-decomposed driver (core.SolveRuns), at every
-// parallelism. Every other plan evaluates as registered: the ablation
-// modes, and single-run series (where both drivers are the same program),
-// with the whole-series DP, every other strategy with its own evaluator.
-func decomposes(ev Evaluator, s *Series) bool {
-	_, exact := ev.(*streamDPEvaluator)
-	return exact && s.CMin() > 1
-}
-
 // Compress reduces the series under the plan. The context cancels the
 // evaluation mid-matrix. A fully pruned exact plan on a series of several
 // maximal adjacent runs (a refinement of its aggregation groups) answers
@@ -222,48 +210,67 @@ func (e *Engine) Compress(ctx context.Context, s *Series, p Plan) (*Result, erro
 }
 
 // evaluate answers one budget of a resolved strategy over an in-memory
-// series, routed by decomposes.
+// series: an exact DP through exact, every other strategy with its own
+// evaluator.
 func (e *Engine) evaluate(ctx context.Context, ev Evaluator, s *Series, b Budget, opts Options) (*Result, error) {
-	if !decomposes(ev, s) {
+	mode, ok := exactMode(ev)
+	if !ok {
 		return ev.Evaluate(ctx, s, b, opts)
 	}
-	copts := opts.coreOptionsCtx(ctx)
-	if b.Kind() == BudgetSize {
-		return fromDP(core.PTAcParallel(s, b.C(), copts, e.parallelism))
+	res, err := e.exact(ctx, s, mode, []core.MultiBudget{multiBudget(b)}, opts)
+	if err != nil {
+		return nil, err
 	}
-	return fromDP(core.PTAeParallel(s, b.Eps(), copts, e.parallelism))
+	return fromDP(res[0], nil)
+}
+
+// exact is the one way into the exact DP and its routing rule. The fully
+// pruned mode ("ptac", "ptae") on a series of more than one maximal
+// adjacent run answers through the run-decomposed driver
+// (core.DPMultiParallel) on the engine's workers, at every parallelism;
+// every other mode, and every single-run series (where both drivers are
+// the same program), through the whole-series driver (core.DPMulti).
+// Compress, CompressMany, CompressStream and the DP evaluators' own
+// Evaluate and EvaluateStream all reach it, so the entry point never
+// changes the answer. Results align with budgets.
+func (e *Engine) exact(ctx context.Context, s *Series, mode core.PruneMode, budgets []core.MultiBudget, opts Options) ([]*core.DPResult, error) {
+	copts := opts.coreOptionsCtx(ctx)
+	if mode == core.PruneBoth && s.CMin() > 1 {
+		return core.DPMultiParallel(s, budgets, copts, e.parallelism)
+	}
+	pruneI, pruneJ := mode.Flags()
+	return core.DPMulti(s, budgets, copts, pruneI, pruneJ)
+}
+
+// multiBudget converts a valid budget into the drivers' form.
+func multiBudget(b Budget) core.MultiBudget {
+	if b.Kind() == BudgetSize {
+		return core.MultiBudget{C: b.C()}
+	}
+	return core.MultiBudget{Eps: b.Eps()}
 }
 
 // CompressMany evaluates several plans over the same series, amortizing
-// shared work at two levels: every exact-DP plan without per-plan option
-// overrides shares one CostKernel build (the prefix slabs of the series),
-// and plans that additionally resolve to the same dynamic program — same
-// pruning flags, so "ptac" and "ptae" plans pool together, in any order —
-// share one filling of the error and split-point matrices (one pass serves
-// every budget — the cheap way to serve multiple resolutions of one
-// series). Where decomposes routes the plans, the fully pruned group runs
-// the run-decomposed multi-budget pass instead: per-run curves are computed
-// once on the engine's workers and every budget in the group is answered
-// from them, so group parallelism and cross-budget amortization compose,
-// and each answer equals Compress's for the same plan bit for bit. Other
-// plans evaluate individually. Results align with plans; the first failure
-// aborts the call.
+// shared work: the exact-DP plans without per-plan option overrides make
+// one pass through exact per pruning mode — "ptac" and "ptae" plans pool
+// together, in any order — so one filling of the matrices, or one set of
+// per-run curves where exact routes the series run by run, serves every
+// budget of the group (the cheap way to serve multiple resolutions of one
+// series), and each answer equals Compress's for the same plan bit for
+// bit. Other plans evaluate individually. Results align with plans; the
+// first failure aborts the call.
 func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]*Result, len(plans))
 
-	// Group amortizable plans by their DP pruning flags: exact-DP
-	// evaluators with default options share one matrix pass even across
-	// strategy names ("ptac" and "ptae" are the same fully pruned DP).
-	// Everything else evaluates individually. Groups run in the order of
+	// Group amortizable plans by pruning mode. Groups run in the order of
 	// their first plans, so the same failing plans always yield the same
 	// error.
 	type dpGroup struct {
-		pruneI, pruneJ bool
-		runs           bool // decomposes: the run-decomposed pass answers the group
-		plans          []int
+		mode  core.PruneMode
+		plans []int
 	}
 	var groups []dpGroup
 	if s.Len() > 0 {
@@ -272,80 +279,51 @@ func (e *Engine) CompressMany(ctx context.Context, s *Series, plans []Plan) ([]*
 			if err != nil {
 				return nil, err
 			}
-			mev, ok := ev.(interface{ multiDP() (bool, bool, bool) })
+			mode, ok := exactMode(ev)
 			if !ok || p.Options != nil {
 				continue
 			}
-			pruneI, pruneJ, isDP := mev.multiDP()
-			if !isDP {
-				continue
-			}
-			at := slices.IndexFunc(groups, func(g dpGroup) bool { return g.pruneI == pruneI && g.pruneJ == pruneJ })
+			at := slices.IndexFunc(groups, func(g dpGroup) bool { return g.mode == mode })
 			if at < 0 {
 				at = len(groups)
-				groups = append(groups, dpGroup{pruneI: pruneI, pruneJ: pruneJ, runs: decomposes(ev, s)})
+				groups = append(groups, dpGroup{mode: mode})
 			}
 			groups[at].plans = append(groups[at].plans, i)
 		}
 	}
 
 	done := make([]bool, len(plans))
-	if len(groups) > 0 {
-		// One kernel serves every whole-series group: singleton groups still
-		// skip a prefix build, and groups of two or more plans share the
-		// matrix pass on top of it. A run-decomposed group skips the shared
-		// kernel and builds per-run sub-kernels on the workers instead.
-		copts := e.opts.coreOptionsCtx(ctx)
-		var kernel *core.CostKernel
-		for _, grp := range groups {
-			g := grp.plans
-			budgets := make([]core.MultiBudget, len(g))
-			for j, i := range g {
-				b := plans[i].Budget
-				if b.Kind() == BudgetSize {
-					budgets[j] = core.MultiBudget{C: b.C()}
-				} else {
-					budgets[j] = core.MultiBudget{Eps: b.Eps()}
-				}
-			}
-			var dpResults []*core.DPResult
-			var err error
-			if grp.runs {
-				dpResults, err = core.DPMultiParallel(s, budgets, copts, e.parallelism)
-			} else {
-				if kernel == nil {
-					if kernel, err = core.NewKernel(s, copts); err != nil {
-						_, ferr := e.finish(plans[g[0]], nil, err)
-						return nil, ferr
+	for _, grp := range groups {
+		g := grp.plans
+		budgets := make([]core.MultiBudget, len(g))
+		for j, i := range g {
+			budgets[j] = multiBudget(plans[i].Budget)
+		}
+		dpResults, err := e.exact(ctx, s, grp.mode, budgets, e.opts)
+		if err != nil {
+			// Attribute the failure to the plan that caused it (an
+			// infeasible size bound names its c), or to the group head.
+			blame := plans[g[0]]
+			var inf *core.InfeasibleSizeError
+			if errors.As(err, &inf) {
+				for _, i := range g {
+					if b := plans[i].Budget; b.Kind() == BudgetSize && b.C() == inf.C {
+						blame = plans[i]
+						break
 					}
 				}
-				dpResults, err = core.DPMultiKernel(kernel, budgets, copts, grp.pruneI, grp.pruneJ)
 			}
+			_, ferr := e.finish(blame, nil, err)
+			return nil, ferr
+		}
+		for j, i := range g {
+			dres, derr := fromDP(dpResults[j], nil)
+			res, err := e.finish(plans[i], dres, derr)
 			if err != nil {
-				// Attribute the failure to the plan that caused it (an
-				// infeasible size bound names its c), or to the group head.
-				blame := plans[g[0]]
-				var inf *core.InfeasibleSizeError
-				if errors.As(err, &inf) {
-					for _, i := range g {
-						if b := plans[i].Budget; b.Kind() == BudgetSize && b.C() == inf.C {
-							blame = plans[i]
-							break
-						}
-					}
-				}
-				_, ferr := e.finish(blame, nil, err)
-				return nil, ferr
+				return nil, err
 			}
-			for j, i := range g {
-				dres, derr := fromDP(dpResults[j], nil)
-				res, err := e.finish(plans[i], dres, derr)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = res
-				done[i] = true
-			}
+			results[i] = res
+			done[i] = true
 		}
 	}
 
@@ -406,7 +384,7 @@ func (e *Engine) CompressStream(ctx context.Context, src Stream, p Plan, sink Si
 	opts := e.planOptions(p)
 	var sres *Result
 	var serr error
-	if _, exact := ev.(*streamDPEvaluator); exact {
+	if _, exact := exactMode(ev); exact {
 		// The exact DP needs the whole input and computes SSEmax itself:
 		// collect the stream, then answer as Compress does.
 		sres, serr = e.evaluate(ctx, ev, collect(src), p.Budget, opts)

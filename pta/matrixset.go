@@ -30,24 +30,8 @@ type MatrixSet struct {
 	sv       *core.Solver
 }
 
-// dpFlags resolves a strategy name to its exact-DP pruning flags; ok is
-// false for unregistered names and for strategies that are not an exact
-// dynamic program.
-func dpFlags(strategy string) (pruneI, pruneJ, ok bool) {
-	ev, found := Lookup(strategy)
-	if !found {
-		return false, false, false
-	}
-	mev, isFunc := ev.(interface{ multiDP() (bool, bool, bool) })
-	if !isFunc {
-		return false, false, false
-	}
-	pruneI, pruneJ, isDP := mev.multiDP()
-	return pruneI, pruneJ, isDP
-}
-
 // DPClass reports the canonical matrix-cache class of a strategy: exact-DP
-// strategies with the same Section 5.3 pruning flags fill identical matrices
+// strategies with the same Section 5.3 pruning mode fill identical matrices
 // and therefore share cached MatrixSets — "ptac" and "ptae" both map to
 // "dp+imax+jmin", so a size-bounded and an error-bounded request on the same
 // hot series hit the same cache entry. ok is false for strategies that are
@@ -55,18 +39,20 @@ func dpFlags(strategy string) (pruneI, pruneJ, ok bool) {
 // their evaluations are not matrix-cacheable. The row fill is not part of
 // the class: every fill writes the same matrices.
 func DPClass(strategy string) (string, bool) {
-	pruneI, pruneJ, ok := dpFlags(strategy)
+	ev, _ := Lookup(strategy)
+	mode, ok := exactMode(ev)
 	if !ok {
 		return "", false
 	}
-	class := "dp"
-	if pruneI {
-		class += "+imax"
-	}
-	if pruneJ {
-		class += "+jmin"
-	}
-	return class, true
+	return dpClasses[mode], true
+}
+
+// dpClasses is the DPClass of each pruning mode.
+var dpClasses = [...]string{
+	core.PruneNone: "dp",
+	core.PruneIMax: "dp+imax",
+	core.PruneJMin: "dp+jmin",
+	core.PruneBoth: "dp+imax+jmin",
 }
 
 // NewMatrixSet builds a warm matrix set for the series under the named
@@ -76,19 +62,20 @@ func DPClass(strategy string) (string, bool) {
 // and the caller must not mutate it while the set is alive — the matrices
 // describe the rows as they were.
 func NewMatrixSet(s *Series, strategy string, opts Options) (*MatrixSet, error) {
-	pruneI, pruneJ, ok := dpFlags(strategy)
+	ev, found := Lookup(strategy)
+	if !found {
+		return nil, &UnknownStrategyError{Name: strategy, Known: Strategies()}
+	}
+	mode, ok := exactMode(ev)
 	if !ok {
-		if _, found := Lookup(strategy); !found {
-			return nil, &UnknownStrategyError{Name: strategy, Known: Strategies()}
-		}
 		return nil, fmt.Errorf("pta: strategy %q is not an exact DP: no matrices to retain", strategy)
 	}
+	pruneI, pruneJ := mode.Flags()
 	sv, err := core.NewSolver(s, opts.coreOptions(), pruneI, pruneJ)
 	if err != nil {
 		return nil, fmt.Errorf("pta: %s: %w", strategy, err)
 	}
-	class, _ := DPClass(strategy)
-	return &MatrixSet{strategy: strategy, class: class, sv: sv}, nil
+	return &MatrixSet{strategy: strategy, class: dpClasses[mode], sv: sv}, nil
 }
 
 // Strategy returns the registry name the set was built for.

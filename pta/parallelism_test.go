@@ -69,9 +69,13 @@ func tieSeries(rng *rand.Rand) *pta.Series {
 // every exact plan — each size from cmin to n and a few error bounds —
 // returns the same rows and error bits through Compress at parallelism 1,
 // 2 and 4, through CompressMany (all plans of a series in one call) and
-// through CompressStream on each of those engines. The whole-series DP
-// breaks ties its own way: where parallelism 1 ran it, this set returned
-// other rows at parallelism 2 in 1 497 of its 3 428 size plans.
+// through CompressStream on each of those engines, and through the
+// registered "ptac" and "ptae" evaluators' own Evaluate and EvaluateStream.
+// The whole-series DP breaks ties its own way: where parallelism 1 ran it,
+// this set returned other rows at parallelism 2 in 1 497 of its 3 428 size
+// plans, and where the evaluators' own Evaluate ran it, other rows or
+// error bits in the same 1 497 size plans and in 135 of its 1 000 error
+// plans.
 func TestParallelismNeverChangesTheAnswer(t *testing.T) {
 	ctx := context.Background()
 	engines := []*pta.Engine{
@@ -105,6 +109,23 @@ func TestParallelismNeverChangesTheAnswer(t *testing.T) {
 				t.Fatalf("series %d %v: %v", i, p.Budget, err)
 			}
 			want[j] = res
+			for _, name := range []string{"ptac", "ptae"} {
+				ev, _ := pta.Lookup(name)
+				direct, err := ev.Evaluate(ctx, s, p.Budget, pta.Options{})
+				if err != nil {
+					t.Fatalf("series %d %v: %s Evaluate: %v", i, p.Budget, name, err)
+				}
+				streamed, err := ev.(pta.StreamEvaluator).EvaluateStream(ctx, pta.NewStream(s), p.Budget, pta.Options{})
+				if err != nil {
+					t.Fatalf("series %d %v: %s EvaluateStream: %v", i, p.Budget, name, err)
+				}
+				for path, got := range map[string]*pta.Result{"Evaluate": direct, "EvaluateStream": streamed} {
+					if err := sameAnswer(got, res); err != nil {
+						t.Errorf("series %d %v: %s %s differs from Compress at parallelism 1: %v",
+							i, p.Budget, name, path, err)
+					}
+				}
+			}
 		}
 		for e, eng := range engines {
 			many, err := eng.CompressMany(ctx, s, batch)

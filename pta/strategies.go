@@ -8,16 +8,11 @@ import (
 )
 
 // funcEvaluator adapts per-budget-kind functions to the Evaluator interface.
-// A nil function means the kind is unsupported. Exact dynamic-programming
-// strategies additionally carry their pruning flags (dp=true), which lets
-// the engine amortize several budgets on one series through core.DPMulti.
+// A nil function means the kind is unsupported.
 type funcEvaluator struct {
 	name, desc string
 	size       func(ctx context.Context, s *Series, c int, opts Options) (*Result, error)
 	errb       func(ctx context.Context, s *Series, eps float64, opts Options) (*Result, error)
-
-	dp             bool // exact DP evaluator: eligible for shared-matrix multi-budget runs
-	pruneI, pruneJ bool // the Section 5.3 bounds the DP applies
 }
 
 func (f *funcEvaluator) Name() string        { return f.name }
@@ -49,13 +44,6 @@ func (f *funcEvaluator) Evaluate(ctx context.Context, s *Series, b Budget, opts 
 	return nil, ErrBudgetKind
 }
 
-// multiDP reports the DP pruning flags when the evaluator is an exact
-// dynamic program, making it eligible for Engine.CompressMany's
-// shared-matrix amortization.
-func (f *funcEvaluator) multiDP() (pruneI, pruneJ, ok bool) {
-	return f.pruneI, f.pruneJ, f.dp
-}
-
 // streamFuncEvaluator additionally serves streams.
 type streamFuncEvaluator struct {
 	funcEvaluator
@@ -79,19 +67,58 @@ func (f *streamFuncEvaluator) EvaluateStream(ctx context.Context, src Stream, b 
 	return nil, ErrBudgetKind
 }
 
-// streamDPEvaluator is the fully pruned exact DP, the paper's PTAc/PTAe
-// proper: the strategy decomposes routes through the run-decomposed driver
-// on multi-run series. It is stream-capable, though not in bounded memory —
-// exactness requires the whole input: the stream is collected and answered
-// as Engine.Compress answers the series (Engine.CompressStream does the
-// same on its own workers), and error budgets need no (N, EMax) estimate
-// because the exact SSEmax is computed after collection.
-type streamDPEvaluator struct {
-	funcEvaluator
+// dpEvaluator is the exact dynamic program (Section 5) under one pruning
+// mode: "ptac" and "ptae" are the fully pruned DP, the paper's PTAc/PTAe
+// proper, and "dpbasic", "ptac-imax" and "ptac-jmin" the Section 5.3
+// ablations. Every mode takes both budget kinds. Its own Evaluate answers
+// through the default engine, so every way into the exact DP reaches
+// Engine.exact and the path never changes the answer.
+type dpEvaluator struct {
+	name, desc string
+	mode       core.PruneMode
 }
 
-func (f *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Budget, opts Options) (*Result, error) {
-	return defaultEngine().evaluate(ctx, f, collect(src), b, opts)
+func (d *dpEvaluator) Name() string        { return d.name }
+func (d *dpEvaluator) Description() string { return d.desc }
+
+func (d *dpEvaluator) Supports(k BudgetKind) bool {
+	return k == BudgetSize || k == BudgetError
+}
+
+// Evaluate validates the budget first, as Engine.Compress does (the
+// drivers would read a size budget of 0 as the error budget 0), then
+// answers through the default engine.
+func (d *dpEvaluator) Evaluate(ctx context.Context, s *Series, b Budget, opts Options) (*Result, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return defaultEngine().evaluate(ctx, d, s, b, opts)
+}
+
+// streamDPEvaluator is the stream-capable form of the fully pruned DP
+// ("ptac", "ptae"), though not in bounded memory — exactness requires the
+// whole input: the stream is collected and answered as Evaluate answers
+// the series (Engine.CompressStream does the same on its own workers), and
+// error budgets need no (N, EMax) estimate because the exact SSEmax is
+// computed after collection.
+type streamDPEvaluator struct {
+	dpEvaluator
+}
+
+func (d *streamDPEvaluator) EvaluateStream(ctx context.Context, src Stream, b Budget, opts Options) (*Result, error) {
+	return d.Evaluate(ctx, collect(src), b, opts)
+}
+
+// exactMode reports the pruning mode of an exact-DP evaluator; ok is false
+// for every other strategy and for a nil evaluator.
+func exactMode(ev Evaluator) (mode core.PruneMode, ok bool) {
+	switch d := ev.(type) {
+	case *dpEvaluator:
+		return d.mode, true
+	case *streamDPEvaluator:
+		return d.mode, true
+	}
+	return 0, false
 }
 
 // collect materializes a stream into a series.
@@ -146,43 +173,20 @@ func resolveEstimate(s *Series, opts Options) (Estimate, error) {
 	return core.ExactEstimate(s, opts.coreOptions())
 }
 
-// dpStrategy builds an exact dynamic-programming evaluator for one pruning
-// mode. Its own Evaluate runs the whole-series DP; the fully pruned mode
-// (the paper's PTAc/PTAe proper) is a streamDPEvaluator, which the engine
-// routes through the run-decomposed driver on multi-run series.
-func dpStrategy(name, desc string, mode core.PruneMode) Evaluator {
-	fe := funcEvaluator{
-		name: name, desc: desc,
-		dp:     true,
-		pruneI: mode == core.PruneIMax || mode == core.PruneBoth,
-		pruneJ: mode == core.PruneJMin || mode == core.PruneBoth,
-		size: func(ctx context.Context, s *Series, c int, opts Options) (*Result, error) {
-			return fromDP(core.PTAcAblation(s, c, opts.coreOptionsCtx(ctx), mode))
-		},
-		errb: func(ctx context.Context, s *Series, eps float64, opts Options) (*Result, error) {
-			return fromDP(core.PTAeAblation(s, eps, opts.coreOptionsCtx(ctx), mode))
-		},
-	}
-	if mode == core.PruneBoth {
-		return &streamDPEvaluator{funcEvaluator: fe}
-	}
-	return &fe
-}
-
 func init() {
 	// Exact dynamic programming (Section 5). "ptac" and "ptae" are the
 	// paper's named entry points; both resolve to the same pruned DP engine
 	// and accept both budget kinds.
-	Register(dpStrategy("ptac",
-		"exact size-bounded DP with gap/group pruning (PTAc, Fig. 7)", core.PruneBoth))
-	Register(dpStrategy("ptae",
-		"exact error-bounded DP with gap/group pruning (PTAe, Fig. 8)", core.PruneBoth))
-	Register(dpStrategy("dpbasic",
-		"exact DP without search-space pruning (Section 5.1 baseline)", core.PruneNone))
-	Register(dpStrategy("ptac-imax",
-		"exact DP, column bound imax only (Section 5.3 ablation)", core.PruneIMax))
-	Register(dpStrategy("ptac-jmin",
-		"exact DP, split-point bound jmin only (Section 5.3 ablation)", core.PruneJMin))
+	Register(&streamDPEvaluator{dpEvaluator{"ptac",
+		"exact size-bounded DP with gap/group pruning (PTAc, Fig. 7)", core.PruneBoth}})
+	Register(&streamDPEvaluator{dpEvaluator{"ptae",
+		"exact error-bounded DP with gap/group pruning (PTAe, Fig. 8)", core.PruneBoth}})
+	Register(&dpEvaluator{"dpbasic",
+		"exact DP without search-space pruning (Section 5.1 baseline)", core.PruneNone})
+	Register(&dpEvaluator{"ptac-imax",
+		"exact DP, column bound imax only (Section 5.3 ablation)", core.PruneIMax})
+	Register(&dpEvaluator{"ptac-jmin",
+		"exact DP, split-point bound jmin only (Section 5.3 ablation)", core.PruneJMin})
 
 	// Greedy merging strategy (Section 6.1).
 	Register(&funcEvaluator{
